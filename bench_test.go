@@ -15,7 +15,6 @@ import (
 	"repro"
 
 	"repro/internal/adjust"
-	"repro/internal/congest"
 	"repro/internal/detail"
 	"repro/internal/gen"
 	"repro/internal/geom"
@@ -265,16 +264,30 @@ func BenchmarkC4Sequential(b *testing.B) {
 	}
 }
 
-// BenchmarkC5TwoPass runs the congestion flow on the funnel workload.
+// negotiate prepares an Engine over l and runs one negotiation: the whole
+// congestion flow from a layout, which is what one op of the congestion
+// benchmarks measures.
+func negotiate(b *testing.B, l *layout.Layout, opts ...genroute.Option) *genroute.NegotiatedResult {
+	e, err := genroute.NewEngine(l, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkC5TwoPass runs the paper's two-pass congestion flow (two passes,
+// no history) on the funnel workload.
 func BenchmarkC5TwoPass(b *testing.B) {
 	l := funnelForBench()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := congest.TwoPass(l, 2, 300, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Before.TotalOverflow() == 0 {
+		res := negotiate(b, l, genroute.WithPitch(2), genroute.WithPenaltyWeight(300),
+			genroute.WithMaxPasses(2), genroute.WithHistory(0, 0), genroute.WithWorkers(1))
+		if res.Passes[0].Overflow == 0 {
 			b.Fatal("bench workload should congest")
 		}
 	}
@@ -285,16 +298,22 @@ func BenchmarkC5TwoPass(b *testing.B) {
 // passes the loop needed and overflow/op where overflow landed when it
 // stopped (0 = converged).
 func BenchmarkNegotiatedCongestion(b *testing.B) {
+	plain := []genroute.Option{genroute.WithPitch(16), genroute.WithPenaltyWeight(100),
+		genroute.WithMaxPasses(8), genroute.WithHistory(1, 0)}
 	scenes := []struct {
 		name  string
-		cfg   congest.Config
+		opts  []genroute.Option
 		build func() (*layout.Layout, error)
 	}{
-		// Pitches are chosen so the first pass overflows and the loop needs
-		// 2 (PolyChip) and 3 (GridOfMacros) passes to drain it.
-		{"PolyChip", congest.Config{Pitch: 16, Weight: 100, MaxPasses: 8, HistoryGain: 1},
+		// PolyChip overflows on its first pass and drains in 2 passes.
+		// GridOfMacros never drains: at pitch 16 every one of its 40
+		// corridors (gap 12) has capacity 0, so it runs the whole 8-pass
+		// budget and stops at overflow 20. Pitches 4-12 never overflow it,
+		// and any pitch above 12 leaves every corridor at capacity 0, so no
+		// pitch gives it a drainable overflow.
+		{"PolyChip", plain,
 			func() (*layout.Layout, error) { return gen.PolyChip(11, 12, 30) }},
-		{"GridOfMacros", congest.Config{Pitch: 16, Weight: 100, MaxPasses: 8, HistoryGain: 1},
+		{"GridOfMacros", plain,
 			func() (*layout.Layout, error) { return gen.GridOfMacros(4, 4, 60, 40, 12, 5) }},
 		// The macro-scale scene (256 macros, 512 nets) runs at ~94% channel
 		// utilization: its first pass overflows 37 passage sections. The
@@ -304,8 +323,8 @@ func BenchmarkNegotiatedCongestion(b *testing.B) {
 		// of draining. The sequential rip-up engine with the escalating
 		// present-cost schedule drains it to zero within the pass budget;
 		// the CI bench-smoke step asserts overflow/op stays 0.
-		{"MacroGrid16", congest.Config{Pitch: 8, Weight: 40, WeightStep: 40,
-			HistoryWeight: 10, HistoryGain: 1, MaxPasses: 8},
+		{"MacroGrid16", []genroute.Option{genroute.WithPitch(8), genroute.WithPenaltyWeight(40),
+			genroute.WithWeightStep(40), genroute.WithHistory(1, 10), genroute.WithMaxPasses(8)},
 			func() (*layout.Layout, error) { return gen.MacroGrid(16, 16, 40, 30, 12, 10) }},
 	}
 	for _, sc := range scenes {
@@ -317,13 +336,9 @@ func BenchmarkNegotiatedCongestion(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers%d", sc.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				var passes, overflow int
+				opts := append([]genroute.Option{genroute.WithWorkers(workers)}, sc.opts...)
 				for i := 0; i < b.N; i++ {
-					cfg := sc.cfg
-					cfg.Workers = workers
-					res, err := congest.Negotiate(l, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
+					res := negotiate(b, l, opts...)
 					passes = len(res.Passes)
 					overflow = res.Passes[passes-1].Overflow
 				}
@@ -346,13 +361,8 @@ func macroNegotiate(b *testing.B, n int, pitch geom.Coord) {
 	b.ResetTimer()
 	var passes, overflow int
 	for i := 0; i < b.N; i++ {
-		res, err := congest.Negotiate(l, congest.Config{
-			Pitch: pitch, Weight: 40, WeightStep: 40, HistoryWeight: 10,
-			HistoryGain: 1, MaxPasses: 12, Workers: 0,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := negotiate(b, l, genroute.WithPitch(pitch), genroute.WithPenaltyWeight(40),
+			genroute.WithWeightStep(40), genroute.WithHistory(1, 10), genroute.WithMaxPasses(12))
 		passes = len(res.Passes)
 		overflow = res.Passes[passes-1].Overflow
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/congest"
+	"repro"
+
 	"repro/internal/detail"
 	"repro/internal/gen"
 	"repro/internal/geom"
@@ -230,23 +232,22 @@ func runC5(cfg runConfig) {
 	t := &table{header: []string{"nets", "slit capacity", "overflow pass1", "overflow pass2",
 		"rerouted", "len pass1", "len pass2"}}
 	for _, nNets := range []int{4, 8, 12} {
-		l := funnelLayout(nNets)
-		res, err := congest.TwoPass(l, 2, 300, 1)
-		if err != nil {
-			panic(err)
-		}
+		res := negotiateFunnel(nNets, genroute.WithPenaltyWeight(300),
+			genroute.WithMaxPasses(2), genroute.WithHistory(0, 0))
 		cap := "-"
-		for _, p := range res.Before.Passages {
+		for _, p := range res.Maps[0].Passages {
 			if p.Between == [2]int{0, 1} || p.Between == [2]int{1, 0} {
 				cap = fmt.Sprint(p.Capacity)
 			}
 		}
-		if res.Second == nil {
-			t.add(nNets, cap, res.Before.TotalOverflow(), "-", 0, res.First.TotalLength, "-")
+		first := res.Passes[0]
+		if len(res.Passes) == 1 {
+			t.add(nNets, cap, first.Overflow, "-", 0, first.TotalLength, "-")
 			continue
 		}
-		t.add(nNets, cap, res.Before.TotalOverflow(), res.After.TotalOverflow(),
-			len(res.Rerouted), res.First.TotalLength, res.Second.TotalLength)
+		second := res.Passes[1]
+		t.add(nNets, cap, first.Overflow, second.Overflow,
+			len(second.Rerouted), first.TotalLength, second.TotalLength)
 	}
 	t.print()
 	fmt.Println("  (the second pass trades wirelength for overflow relief, as the paper expects)")
@@ -263,13 +264,8 @@ func runC7(cfg runConfig) {
 		sizes = append(sizes, 16)
 	}
 	for _, nNets := range sizes {
-		l := funnelLayout(nNets)
-		res, err := congest.Negotiate(l, congest.Config{
-			Pitch: 2, Weight: 60, MaxPasses: 8, Workers: 1, HistoryGain: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
+		res := negotiateFunnel(nNets, genroute.WithPenaltyWeight(60),
+			genroute.WithMaxPasses(8), genroute.WithHistory(1, 0))
 		trail := ""
 		for i, p := range res.Passes {
 			if i > 0 {
@@ -277,20 +273,31 @@ func runC7(cfg runConfig) {
 			}
 			trail += fmt.Sprint(p.Overflow)
 		}
-		two, err := congest.TwoPass(l, 2, 60, 1)
-		if err != nil {
-			panic(err)
-		}
-		twoOver := two.Before.TotalOverflow()
-		if two.After != nil {
-			twoOver = two.After.TotalOverflow()
-		}
+		two := negotiateFunnel(nNets, genroute.WithPenaltyWeight(60),
+			genroute.WithMaxPasses(2), genroute.WithHistory(0, 0))
+		twoOver := two.Passes[len(two.Passes)-1].Overflow
 		t.add(nNets, len(res.Passes), trail, res.Converged, twoOver,
 			res.Passes[len(res.Passes)-1].TotalLength)
 	}
 	t.print()
 	fmt.Println("  (history keeps pressure on passages that overflowed before, so the loop")
 	fmt.Println("   keeps draining overflow after the single penalized pass has done all it can)")
+}
+
+// negotiateFunnel runs the congestion loop over the funnel layout through an
+// Engine at pitch 2 (slit capacity 5) with one worker; opts set the
+// penalty weight and the pass and history schedule.
+func negotiateFunnel(nNets int, opts ...genroute.Option) *genroute.NegotiatedResult {
+	opts = append([]genroute.Option{genroute.WithPitch(2), genroute.WithWorkers(1)}, opts...)
+	e, err := genroute.NewEngine(funnelLayout(nNets), opts...)
+	if err != nil {
+		panic(err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // runC8 scales the router to the macro-grid workload — growing macro

@@ -177,7 +177,7 @@ func main() {
 			fmt.Printf("pass budget exhausted after %d passes with overflow %d\n",
 				len(res.Passes), res.FinalMap().TotalOverflow())
 		}
-		report(l, res.Final(), *tracks, *wires, *draw)
+		report(e, *tracks, *wires, *draw)
 		if len(res.Panics) > 0 && !*degradedOK {
 			os.Exit(3)
 		}
@@ -202,25 +202,29 @@ func main() {
 		fmt.Printf("DEGRADED: %d nets poisoned by routing panics (kept unrouted; see first below)\n%v\n",
 			n, res.Panics[0])
 	}
-	report(l, res, *tracks, *wires, *draw)
+	report(e, *tracks, *wires, *draw)
 	if len(res.Panics) > 0 && !*degradedOK {
 		os.Exit(3)
 	}
 }
 
-// report prints the routing summary, optional tracks and wires.
-func report(l *genroute.Layout, res *genroute.Result, tracks, wires, draw bool) {
+// report prints the session's routing summary, optional tracks and wires.
+func report(e *genroute.Engine, tracks, wires, draw bool) {
+	res := e.Result()
 	fmt.Printf("routed %d nets in %v: total length %d, %d expansions\n",
 		len(res.Nets), res.Elapsed.Round(1000), res.TotalLength, res.Stats.Expanded)
 	if len(res.Failed) > 0 {
 		fmt.Printf("FAILED nets: %v\n", res.Failed)
 	}
-	if err := genroute.CheckConnectivity(l, res); err != nil {
+	if err := e.CheckConnectivity(); err != nil {
 		fmt.Printf("CONNECTIVITY ERROR: %v\n", err)
 		os.Exit(1)
 	}
 	if tracks {
-		tr := genroute.AssignTracks(res, 0)
+		tr, err := e.AssignTracks(0)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("detailed: %d wires in %d channels, %d total tracks (max %d) in %v\n",
 			tr.Wires, len(tr.Channels), tr.TotalTracks, tr.MaxTracks, tr.Elapsed.Round(1000))
 	}
@@ -238,7 +242,7 @@ func report(l *genroute.Layout, res *genroute.Result, tracks, wires, draw bool) 
 		for i := range res.Nets {
 			segs[i] = res.Nets[i].Segments
 		}
-		fmt.Print(viz.Layout(l, segs, 0))
+		fmt.Print(viz.Layout(e.Layout(), segs, 0))
 	}
 }
 

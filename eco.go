@@ -384,12 +384,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// any overflow worklist-style (congest.RepairCtx).
 	ccfg := e.cfg.congest
 	ccfg.Workers = e.cfg.workers
-	ccfg.BaseOptions = e.cfg.opts
-	if geometryChanged && e.cfg.cornerRule {
-		// The corner cost probes cell boundaries; point it at the edited
-		// index before any reroute prices a bend.
-		ccfg.BaseOptions.Cost = router.CornerCost{Ix: ix2}
-	}
+	ccfg.BaseOptions = e.cfg.routerOptions(ix2)
 	if e.cfg.progress != nil {
 		total := len(l2.Nets)
 		ccfg.OnPass = func(n int, p congest.Pass) {
@@ -428,10 +423,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e.spans = spans2
 	e.passages = passages2
 	e.lhash.Store(0) // layout changed; Save/checkpoints must re-fingerprint
-	if e.cfg.cornerRule {
-		e.cfg.opts.Cost = router.CornerCost{Ix: ix2}
-	}
-	e.r = router.New(ix2, e.cfg.opts)
+	e.r = router.New(ix2, e.cfg.routerOptions(ix2))
 	e.reindexNets()
 	final := cur2
 	if len(rres.Results) > 0 {

@@ -1,6 +1,7 @@
 package genroute
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -194,6 +195,78 @@ func TestECOMoveCell(t *testing.T) {
 	}
 	if stable == 0 {
 		t.Fatal("no untouched nets — scene too small to be meaningful")
+	}
+
+	// The corner rule probes cell boundaries, so a move must rebind it to
+	// the edited index — for the repair and for the session router — and a
+	// reload must bind it to the rebuilt one. On this macro grid the rule
+	// decides some routes after the move, so a rule left on the pre-move
+	// index would route those nets unlike a fresh engine over the edited
+	// layout.
+	ml, err := MacroGrid(4, 4, 40, 30, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := NewEngine(ml, WithCornerRule(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ec.RouteAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tx = ec.Edit()
+	if err := tx.MoveCell(ec.Layout().Cells[5].Name, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	eco, err = tx.Commit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := ec.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadEngine(&snap, ec.Layout(), WithCornerRule(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewEngine(ec.Layout(), WithCornerRule(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewEngine(ec.Layout(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeNet := func(e *Engine, name string) []Seg {
+		nr, err := e.RouteNet(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nr.SortedSegments()
+	}
+	session := routesByName(ec.Result())
+	ruled := 0
+	for i := range ec.Layout().Nets {
+		name := ec.Layout().Nets[i].Name
+		want := routeNet(fresh, name)
+		if !sameSegs(routeNet(ec, name), want) {
+			t.Fatalf("net %q: edited engine routes it unlike a fresh corner-rule engine", name)
+		}
+		if !sameSegs(routeNet(reloaded, name), want) {
+			t.Fatalf("net %q: reloaded engine routes it unlike a fresh corner-rule engine", name)
+		}
+		if !sameSegs(routeNet(plain, name), want) {
+			ruled++
+		}
+	}
+	for _, name := range eco.Dirty {
+		if !sameSegs(session[name], routeNet(fresh, name)) {
+			t.Fatalf("dirty net %q: repaired route differs from a fresh corner-rule route", name)
+		}
+	}
+	if ruled == 0 {
+		t.Fatal("the corner rule decides no route after the move; the scene cannot tell")
 	}
 }
 

@@ -64,9 +64,9 @@ type Engine struct {
 	// exclusively; everything else reads under RLock.
 	mu sync.RWMutex
 
-	l   *Layout        //grlint:guardedby mu
-	cfg config         //grlint:guardedby mu
-	ix  *plane.Index   //grlint:guardedby mu
+	l   *Layout      //grlint:guardedby mu
+	cfg config       //grlint:guardedby mu
+	ix  *plane.Index //grlint:guardedby mu
 	// spans maps each layout cell to the half-open obstacle-id range it
 	// contributed to ix; ECO cell moves splice exactly those ids.
 	spans    [][2]int          //grlint:guardedby mu
@@ -105,10 +105,7 @@ func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.cornerRule {
-		e.cfg.opts.Cost = router.CornerCost{Ix: e.ix}
-	}
-	e.r = router.New(e.ix, e.cfg.opts)
+	e.r = router.New(e.ix, e.cfg.routerOptions(e.ix))
 	e.passages, err = congest.Extract(e.ix, e.cfg.congest.Pitch)
 	if err != nil {
 		return nil, err
@@ -228,17 +225,17 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 }
 
 // RouteNegotiated iterates the negotiated-congestion loop over the prepared
-// session (see RouteNegotiated at package level for the algorithm),
-// replacing the session's routing state with the final pass. The progress
-// observer receives one "negotiate" event per pass. On cancellation or
-// deadline expiry the best pass seen so far — minimum overflow, then most
-// nets routed — is installed and the passes completed are returned together
+// session (see congest.Negotiate for the algorithm), replacing the
+// session's routing state with the final pass. The progress observer
+// receives one "negotiate" event per pass. On cancellation or deadline
+// expiry the best pass seen so far — minimum overflow, then most nets
+// routed — is installed and the passes completed are returned together
 // with the context's error. With WithCheckpointFile, the run also persists
 // a restartable checkpoint that Engine.ResumeNegotiated can continue from.
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, err := congest.NegotiatePrepared(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
+	res, err := congest.Negotiate(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
 	e.installNegotiated(res, err)
 	return res, err
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/congest"
-	"repro/internal/faultinject"
 	"repro/internal/plane"
 	"repro/internal/router"
 	"repro/internal/snapshot"
@@ -90,10 +88,7 @@ func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
 	if e.ix, e.spans, err = plane.FromLayoutSpans(e.l); err != nil {
 		return nil, err
 	}
-	if e.cfg.cornerRule {
-		e.cfg.opts.Cost = router.CornerCost{Ix: e.ix}
-	}
-	e.r = router.New(e.ix, e.cfg.opts)
+	e.r = router.New(e.ix, e.cfg.routerOptions(e.ix))
 	e.passages = sess.Passages
 	e.reindexNets()
 	if sess.Routed {
@@ -178,7 +173,7 @@ func (e *Engine) ResumeNegotiated(ctx context.Context, cp *Checkpoint) (*Negotia
 func (e *Engine) negotiateConfig() congest.Config {
 	ccfg := e.cfg.congest
 	ccfg.Workers = e.cfg.workers
-	ccfg.BaseOptions = e.cfg.opts // corner rule, mode, budget, trace hooks
+	ccfg.BaseOptions = e.cfg.routerOptions(e.ix) // corner rule, mode, budget, trace hooks
 	if e.cfg.progress != nil {
 		total := len(e.l.Nets)
 		ccfg.OnPass = func(n int, p congest.Pass) {
@@ -224,7 +219,7 @@ func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) {
 // the destination. A crash or failure mid-write leaves any previous file
 // intact and never a torn or temp file.
 func (e *Engine) SaveFile(path string) error {
-	return atomicWrite(path, e.Save)
+	return snapshot.WriteFileAtomic(path, e.Save, nil)
 }
 
 // LoadEngineFile rebuilds a prepared session from a snapshot file written
@@ -238,59 +233,11 @@ func LoadEngineFile(path string, l *Layout, opts ...Option) (*Engine, error) {
 	return LoadEngine(f, l, opts...)
 }
 
-// writeCheckpointFile writes a checkpoint atomically (see atomicWrite) — a
-// crash mid-write leaves the previous checkpoint intact, never a torn one.
+// writeCheckpointFile writes a checkpoint atomically (see
+// snapshot.WriteFileAtomic) — a crash mid-write leaves the previous
+// checkpoint intact, never a torn one.
 func writeCheckpointFile(path string, cf *snapshot.CheckpointFile) error {
-	return atomicWrite(path, func(w io.Writer) error {
+	return snapshot.WriteFileAtomic(path, func(w io.Writer) error {
 		return snapshot.EncodeCheckpoint(w, cf)
-	})
-}
-
-// atomicWrite replaces path atomically: write encodes into a temp file in
-// the same directory, which is fsynced and renamed over the destination
-// only if every step succeeded. On any error — or a panic inside write —
-// the temp file is removed, so a failed replacement leaves the previous
-// file intact and no *.tmp-* litter behind. Every write passes through the
-// faultinject.SnapshotWrite seam so tests can fail the encode mid-stream.
-func atomicWrite(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	committed := false
-	defer func() {
-		if !committed {
-			tmp.Close() // double Close on the error paths below is harmless
-			os.Remove(name)
-		}
-	}()
-	if err := write(faultableWriter{w: tmp, label: path}); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		return err
-	}
-	committed = true
-	return nil
-}
-
-// faultableWriter interposes the SnapshotWrite fault seam before each
-// underlying write (a no-op atomic load unless a test hook is installed).
-type faultableWriter struct {
-	w     io.Writer
-	label string
-}
-
-func (fw faultableWriter) Write(p []byte) (int, error) {
-	if err := faultinject.Fire(faultinject.SnapshotWrite, fw.label); err != nil {
-		return 0, err
-	}
-	return fw.w.Write(p)
+	}, nil)
 }

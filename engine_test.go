@@ -110,40 +110,6 @@ func TestEngineRouteAll(t *testing.T) {
 	}
 }
 
-func TestEngineMatchesLegacyRouter(t *testing.T) {
-	l := demoLayout()
-	e, err := NewEngine(l, WithCornerRule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eres, err := e.RouteAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRouter(l, WithCornerRule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eres.TotalLength != rres.TotalLength {
-		t.Fatalf("engine length %d, legacy router %d", eres.TotalLength, rres.TotalLength)
-	}
-	for i := range eres.Nets {
-		a, b := eres.Nets[i].SortedSegments(), rres.Nets[i].SortedSegments()
-		if len(a) != len(b) {
-			t.Fatalf("net %q diverged", eres.Nets[i].Net)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("net %q diverged at segment %d", eres.Nets[i].Net, k)
-			}
-		}
-	}
-}
-
 func TestEngineRouteNegotiatedWithProgress(t *testing.T) {
 	var events []Progress
 	e, err := NewEngine(funnelLayout(10),
@@ -177,30 +143,6 @@ func TestEngineRouteNegotiatedWithProgress(t *testing.T) {
 		t.Fatalf("session overflow %d, final map %d", e.Overflow(), res.FinalMap().TotalOverflow())
 	}
 	checkEngineConsistency(t, e)
-}
-
-func TestEngineNegotiatedMatchesLegacy(t *testing.T) {
-	l := funnelLayout(10)
-	e, err := NewEngine(l, WithPitch(2), WithPenaltyWeight(150), WithWorkers(1), WithHistory(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eres, err := e.RouteNegotiated(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lres, err := RouteNegotiated(l, CongestionConfig{
-		Pitch: 2, Weight: 150, MaxPasses: congest.DefaultMaxPasses, Workers: 1, HistoryGain: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eres.Passes) != len(lres.Passes) {
-		t.Fatalf("engine took %d passes, legacy %d", len(eres.Passes), len(lres.Passes))
-	}
-	if eres.Final().TotalLength != lres.Final().TotalLength {
-		t.Fatalf("engine length %d, legacy %d", eres.Final().TotalLength, lres.Final().TotalLength)
-	}
 }
 
 // TestEngineNegotiatedHonorsBaseOptions pins the unified-options contract:

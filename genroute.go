@@ -74,8 +74,6 @@ type (
 	Result = router.LayoutResult
 	// GenConfig parameterizes the random layout generator.
 	GenConfig = gen.Config
-	// CongestionResult reports a two-pass congestion-aware run.
-	CongestionResult = congest.PassResult
 	// TrackResult reports detailed-routing track assignment.
 	TrackResult = detail.Result
 )
@@ -98,10 +96,9 @@ const (
 	DefaultPenaltyWeight = 100
 )
 
-// config collects the unified option set shared by Engine and the legacy
-// Router facade: base routing options, the congestion/negotiation
-// parameters (formerly CongestionConfig), the placement-adjustment budget
-// (formerly adjust.Options) and the progress observer.
+// config collects the Engine's option set: base routing options, the
+// congestion/negotiation parameters, the placement-adjustment budget, the
+// progress observer and the checkpoint and journal files.
 type config struct {
 	opts        router.Options
 	workers     int
@@ -132,10 +129,19 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-// Option customizes an Engine (or the legacy Router facade, which ignores
-// the congestion, adjustment and progress options). The one set covers
-// every flow: base routing, negotiated congestion, ECO repair and
-// placement adjustment.
+// routerOptions returns the base router options bound to ix. The corner
+// rule probes cell boundaries, so its cost must read the index the routes
+// run over: the session's own, or the edited one an ECO commit installs.
+func (c *config) routerOptions(ix *plane.Index) router.Options {
+	opts := c.opts
+	if c.cornerRule {
+		opts.Cost = router.CornerCost{Ix: ix}
+	}
+	return opts
+}
+
+// Option customizes an Engine. The one set covers every flow: base
+// routing, negotiated congestion, ECO repair and placement adjustment.
 type Option func(*config)
 
 // WithCornerRule enables the paper's inverted-corner ε rule: among
@@ -185,7 +191,7 @@ func WithMaxPasses(n int) Option {
 // accumulated per-passage overflow history in the penalty (0 disables
 // history, reproducing the paper's plain present-cost penalty; the default
 // is 1), and weight, when positive, decouples the history step from the
-// present weight (see CongestionConfig.HistoryWeight).
+// present weight (see congest.Config.HistoryWeight).
 func WithHistory(gain int, weight int64) Option {
 	return func(c *config) {
 		c.congest.HistoryGain = gain
@@ -195,7 +201,7 @@ func WithHistory(gain int, weight int64) Option {
 
 // WithWeightStep enables the escalating present-cost schedule: the price of
 // an over-capacity crossing rises by step every reroute pass (see
-// CongestionConfig.WeightStep).
+// congest.Config.WeightStep).
 func WithWeightStep(step int64) Option {
 	return func(c *config) { c.congest.WeightStep = step }
 }
@@ -268,65 +274,6 @@ type Progress struct {
 // ProgressFunc observes engine progress (see WithProgress).
 type ProgressFunc func(Progress)
 
-// Router routes a validated layout.
-//
-// Deprecated: use Engine, which shares one prepared session across every
-// flow and adds context cancellation, progress observation and ECO
-// editing. Router remains as a thin compatibility facade.
-type Router struct {
-	l          *Layout
-	ix         *plane.Index
-	r          *router.Router
-	workers    int
-	cornerRule bool
-}
-
-// NewRouter validates the layout (the paper's three placement restrictions
-// plus pin well-formedness) and builds a router over it.
-//
-// Deprecated: use NewEngine.
-func NewRouter(l *Layout, opts ...Option) (*Router, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	ix, err := plane.FromLayout(l)
-	if err != nil {
-		return nil, err
-	}
-	cfg := newConfig(opts)
-	if cfg.cornerRule {
-		cfg.opts.Cost = router.CornerCost{Ix: ix}
-	}
-	r := &Router{l: l, ix: ix, workers: cfg.workers, cornerRule: cfg.cornerRule}
-	r.r = router.New(ix, cfg.opts)
-	return r, nil
-}
-
-// RouteAll routes every net independently (concurrently when workers > 1).
-func (r *Router) RouteAll() (*Result, error) {
-	return r.r.RouteLayout(r.l, r.workers)
-}
-
-// RouteNet routes one net by name.
-func (r *Router) RouteNet(name string) (NetRoute, error) {
-	for i := range r.l.Nets {
-		if r.l.Nets[i].Name == name {
-			return r.r.RouteNet(&r.l.Nets[i])
-		}
-	}
-	return NetRoute{}, fmt.Errorf("genroute: no net %q", name)
-}
-
-// RoutePoints routes between two arbitrary points, avoiding all cells.
-func (r *Router) RoutePoints(a, b Point) (Route, error) {
-	return r.r.RoutePoints(a, b)
-}
-
-// Validate checks a routed net tree against the layout geometry.
-func (r *Router) Validate(nr *NetRoute) error {
-	return r.r.Validate(nr)
-}
-
 // CheckConnectivity verifies that a layout result physically connects every
 // net: all terminals of each net must be joined through wire segments,
 // where any pin of a multi-pin terminal counts as a connection point.
@@ -397,81 +344,16 @@ func netConnected(n *Net, segs []Seg) error {
 	return nil
 }
 
-// CongestionConfig parameterizes the negotiated-congestion engine: Pitch
-// sets passage capacity, Weight the base detour per congested crossing,
-// MaxPasses the pass budget, Workers the reroute parallelism, and
-// HistoryGain the PathFinder-style accumulated-overflow term (0 reproduces
-// the paper's plain penalty).
-type CongestionConfig = congest.Config
-
 // NegotiatedResult reports an N-pass negotiated-congestion run: per-pass
 // overflow/length/effort summaries, the full routing state and congestion
 // map after every pass, and whether the loop converged to zero overflow.
 type NegotiatedResult = congest.NegotiateResult
 
-// RouteNegotiated iterates the paper's congestion loop to convergence:
-// route every net, measure passage overflow, reroute the affected nets with
-// a present-plus-history penalty, and repeat until overflow reaches zero or
-// the pass budget runs out. Reroute passes parallelize across cfg.Workers
-// with results independent of the worker count.
-//
-// Deprecated: use Engine.RouteNegotiated, which reuses the session's
-// prepared index and tables, accepts a context and feeds the progress
-// observer. This wrapper rebuilds everything per call.
-func RouteNegotiated(l *Layout, cfg CongestionConfig) (*NegotiatedResult, error) {
-	return congest.Negotiate(l, cfg)
-}
-
-// RouteWithCongestion runs the paper's two-pass congestion flow: route all
-// nets, find overflowed passages at the given wiring pitch, and reroute the
-// affected nets with a penalty of `weight` length units per congested
-// crossing. It is a thin wrapper over the two-pass, zero-history special
-// case of RouteNegotiated.
-//
-// Deprecated: use Engine.RouteNegotiated with WithMaxPasses(2) and
-// WithHistory(0, 0).
-func RouteWithCongestion(l *Layout, pitch, weight int64, workers int) (*CongestionResult, error) {
-	return congest.TwoPass(l, pitch, weight, workers)
-}
-
-// AssignTracks runs the detailed-routing stage over a routed layout:
-// dynamic channel formation by net interference, then left-edge track
-// assignment. window is the interference proximity (0 for the default).
-//
-// Deprecated: use Engine.AssignTracks, which runs over the session's
-// current routing state.
-func AssignTracks(res *Result, window int64) *TrackResult {
-	return detail.Assign(res, detail.Options{Window: window})
-}
-
 // LayerResult reports two-layer HV assignment with via counts.
 type LayerResult = detail.LayerAssignment
 
-// AssignLayers applies the classical two-layer discipline (horizontal wires
-// on one layer, vertical on the other) and counts the vias every layer
-// change requires — the "layer assignment" half of the paper's detailed
-// phase.
-//
-// Deprecated: use Engine.AssignLayers, which runs over the session's
-// current routing state.
-func AssignLayers(res *Result) *LayerResult {
-	return detail.AssignLayers(res)
-}
-
 // AdjustResult reports the placement-adjustment feedback loop.
 type AdjustResult = adjust.Result
-
-// AdjustPlacement runs the spacing feedback loop the paper's introduction
-// describes: route, measure passage congestion, widen overflowed passages
-// by shifting cells apart (growing the die), and repeat until the routing
-// fits or the iteration budget runs out. The input layout is not modified;
-// the adjusted placement is returned in the result.
-//
-// Deprecated: use Engine.AdjustPlacement, which accepts a context and takes
-// its parameters from the unified option set.
-func AdjustPlacement(l *Layout, pitch int64, maxIters, workers int) (*AdjustResult, error) {
-	return adjust.Run(l, adjust.Options{Pitch: pitch, MaxIters: maxIters, Workers: workers})
-}
 
 // Random generates a random validated layout (see GenConfig).
 func Random(cfg GenConfig) (*Layout, error) { return gen.RandomLayout(cfg) }

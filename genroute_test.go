@@ -2,6 +2,8 @@ package genroute
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -38,21 +40,28 @@ func demoLayout() *Layout {
 	}
 }
 
+// routeAll routes every net of l through a fresh Engine.
+func routeAll(t *testing.T, l *Layout, opts ...Option) (*Engine, *Result) {
+	t.Helper()
+	e, err := NewEngine(l, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RouteAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, res
+}
+
 func TestRouteAllDemo(t *testing.T) {
 	l := demoLayout()
-	r, err := NewRouter(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, res := routeAll(t, l)
 	if len(res.Failed) != 0 {
 		t.Fatalf("failed nets: %v", res.Failed)
 	}
 	for i := range res.Nets {
-		if err := r.Validate(&res.Nets[i]); err != nil {
+		if err := e.Validate(&res.Nets[i]); err != nil {
 			t.Error(err)
 		}
 	}
@@ -67,42 +76,50 @@ func TestRouteAllDemo(t *testing.T) {
 	}
 }
 
-func TestNewRouterRejectsInvalid(t *testing.T) {
+func TestNewEngineRejectsInvalid(t *testing.T) {
 	l := demoLayout()
 	l.Cells[1].Box = R(100, 30, 260, 120) // overlaps alu
-	if _, err := NewRouter(l); err == nil {
+	if _, err := NewEngine(l); err == nil {
 		t.Fatal("invalid layout must be rejected")
 	}
 }
 
 func TestRouteNetByName(t *testing.T) {
-	r, err := NewRouter(demoLayout())
+	e, err := NewEngine(demoLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := r.RouteNet("clk")
+	nr, err := e.RouteNet(context.Background(), "clk")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nr.Found {
 		t.Fatal("clk should route")
 	}
-	if _, err := r.RouteNet("nope"); err == nil {
+	if err := e.Validate(&nr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNet(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown net must error")
 	}
 }
 
 func TestRoutePointsFacade(t *testing.T) {
-	r, err := NewRouter(demoLayout())
+	e, err := NewEngine(demoLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := r.RoutePoints(Pt(0, 0), Pt(300, 300))
+	route, err := e.RoutePoints(context.Background(), Pt(0, 0), Pt(300, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !route.Found {
 		t.Fatal("corner-to-corner should route")
+	}
+	// A monotone staircase around the cells exists, so the minimal route
+	// is as short as the Manhattan distance.
+	if route.Length != 600 {
+		t.Fatalf("corner-to-corner length = %d, want 600", route.Length)
 	}
 }
 
@@ -115,14 +132,7 @@ func TestOptionsApply(t *testing.T) {
 		{WithMaxExpansions(100000)},
 		{WithCornerRule(), WithAllDirs(), WithWorkers(1)},
 	} {
-		r, err := NewRouter(l, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.RouteAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := routeAll(t, l, opts...)
 		if len(res.Failed) != 0 {
 			t.Fatalf("failures with options: %v", res.Failed)
 		}
@@ -136,14 +146,7 @@ func TestMultiPinTerminalConnectivity(t *testing.T) {
 	// The in0 net may connect to either of the alu terminal's two pins;
 	// connectivity must hold regardless of which pin was used.
 	l := demoLayout()
-	r, err := NewRouter(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := routeAll(t, l)
 	if err := CheckConnectivity(l, res); err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +154,7 @@ func TestMultiPinTerminalConnectivity(t *testing.T) {
 
 func TestCheckConnectivityCatchesGaps(t *testing.T) {
 	l := demoLayout()
-	r, err := NewRouter(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := routeAll(t, l)
 	// Sabotage: drop all segments of a routed multi-terminal net.
 	for i := range res.Nets {
 		if res.Nets[i].Net == "clk" {
@@ -175,14 +171,7 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(l, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := routeAll(t, l, WithWorkers(2))
 	if err := CheckConnectivity(l, res); err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +180,7 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := NewRouter(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gres, err := rg.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, gres := routeAll(t, g)
 	if len(gres.Failed) != 0 {
 		t.Fatalf("grid failures: %v", gres.Failed)
 	}
@@ -207,33 +189,69 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRouter(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := rp.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pres := routeAll(t, p)
 	if len(pres.Failed) != 0 {
 		t.Fatalf("pad ring failures: %v", pres.Failed)
 	}
 }
 
+// TestCongestionFlowFacade pins the congestion flows, run through the
+// Engine, to the per-pass overflow, rerouted count and wirelength of the
+// C5/C7 funnel series: the paper's two-pass flow is the two-pass,
+// zero-history special case of the negotiated loop.
 func TestCongestionFlowFacade(t *testing.T) {
-	l := demoLayout()
-	res, err := RouteWithCongestion(l, 4, 100, 1)
-	if err != nil {
-		t.Fatal(err)
+	twoPass := []Option{WithPitch(2), WithPenaltyWeight(300), WithMaxPasses(2), WithHistory(0, 0), WithWorkers(1)}
+	negotiated := []Option{WithPitch(2), WithPenaltyWeight(60), WithMaxPasses(8), WithHistory(1, 0), WithWorkers(1)}
+	type pass struct {
+		overflow, rerouted int
+		length             int64
 	}
-	if res.First == nil || res.Before == nil {
-		t.Fatal("first pass must always run")
+	for _, tc := range []struct {
+		name string
+		nets int
+		opts []Option
+		want []pass
+	}{
+		{"two-pass/4", 4, twoPass, []pass{{0, 0, 1712}}},
+		{"two-pass/8", 8, twoPass, []pass{{3, 0, 3272}, {0, 8, 3512}}},
+		{"two-pass/12", 12, twoPass, []pass{{7, 0, 5048}, {0, 12, 5928}}},
+		{"negotiated/8", 8, negotiated, []pass{{3, 0, 3272}, {0, 8, 3512}}},
+		{"negotiated/12", 12, negotiated, []pass{{7, 0, 5048}, {0, 12, 5544}}},
+		{"negotiated/16", 16, negotiated, []pass{{7, 0, 6824}, {0, 12, 7320}}},
+		{"negotiated/10-weight150", 10,
+			[]Option{WithPitch(2), WithPenaltyWeight(150), WithWorkers(1), WithHistory(1, 0)},
+			[]pass{{5, 0, 4128}, {0, 10, 5024}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(funnelLayout(tc.nets), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.RouteNegotiated(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]pass, len(res.Passes))
+			for i, p := range res.Passes {
+				got[i] = pass{p.Overflow, len(p.Rerouted), p.TotalLength}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("passes %v, want %v", got, tc.want)
+			}
+			if !res.Converged {
+				t.Fatal("funnel series must converge")
+			}
+		})
 	}
 }
 
 func TestRouteNegotiatedFacade(t *testing.T) {
 	l := demoLayout()
-	res, err := RouteNegotiated(l, CongestionConfig{Pitch: 4, Weight: 100, MaxPasses: 4, Workers: 2, HistoryGain: 1})
+	e, err := NewEngine(l, WithPitch(4), WithPenaltyWeight(100), WithMaxPasses(4), WithWorkers(2), WithHistory(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +264,11 @@ func TestRouteNegotiatedFacade(t *testing.T) {
 }
 
 func TestAssignTracksFacade(t *testing.T) {
-	l := demoLayout()
-	r, err := NewRouter(l)
+	e, _ := routeAll(t, demoLayout())
+	tr, err := e.AssignTracks(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := AssignTracks(res, 0)
 	if tr.Wires == 0 {
 		t.Fatal("expected wires to assign")
 	}
@@ -291,14 +304,7 @@ func TestPolygonCellsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(l, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, res := routeAll(t, l, WithWorkers(2))
 	if len(res.Failed) != 0 {
 		t.Fatalf("polygon chip failures: %v", res.Failed)
 	}
@@ -306,7 +312,7 @@ func TestPolygonCellsThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res.Nets {
-		if err := r.Validate(&res.Nets[i]); err != nil {
+		if err := e.Validate(&res.Nets[i]); err != nil {
 			t.Error(err)
 		}
 	}
@@ -333,14 +339,7 @@ func TestHandBuiltPolygonCell(t *testing.T) {
 			},
 		}},
 	}
-	r, err := NewRouter(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RouteAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := routeAll(t, l)
 	if len(res.Failed) != 0 {
 		t.Fatalf("failures: %v", res.Failed)
 	}
@@ -350,26 +349,13 @@ func TestHandBuiltPolygonCell(t *testing.T) {
 }
 
 func TestAdjustPlacementFacade(t *testing.T) {
-	// Overload a slit, then let the feedback loop widen it.
-	l := &Layout{
-		Name:   "feedback",
-		Bounds: R(0, 0, 400, 200),
-		Cells: []Cell{
-			{Name: "lower", Box: R(190, 0, 210, 96)},
-			{Name: "upper", Box: R(190, 104, 210, 200)},
-		},
+	// Overload the funnel's slit, then let the feedback loop widen it.
+	l := funnelLayout(10)
+	e, err := NewEngine(l, WithPitch(2), WithAdjustIters(10), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		y := int64(60 + 8*i)
-		l.Nets = append(l.Nets, Net{
-			Name: netName(i),
-			Terminals: []Terminal{
-				{Name: "w", Pins: []Pin{{Name: "p", Pos: Pt(10, y), Cell: NoCell}}},
-				{Name: "e", Pins: []Pin{{Name: "p", Pos: Pt(390, y), Cell: NoCell}}},
-			},
-		})
-	}
-	res, err := AdjustPlacement(l, 2, 10, 1)
+	res, err := e.AdjustPlacement(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

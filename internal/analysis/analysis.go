@@ -9,8 +9,9 @@
 //     touching guarded fields (the readers–writer contract from engine.go);
 //   - ctxpoll: hot-path loops poll cancellation (the poll-every-64-expansions
 //     discipline threaded through search/congest/router);
-//   - atomicwrite: snapshot/checkpoint files go through the atomicWrite
-//     helper, never raw os.WriteFile/os.Create (no torn files);
+//   - atomicwrite: snapshot/checkpoint/journal files go through
+//     snapshot.WriteFileAtomic, never raw os.WriteFile/os.Create (no torn
+//     files);
 //   - recoverguard: recover() only inside the blessed guard helpers, so panic
 //     isolation stays centralized and the faultinject seams stay visible.
 //

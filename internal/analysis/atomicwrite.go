@@ -6,17 +6,17 @@ import (
 	"go/types"
 )
 
-// Atomicwrite keeps snapshot/checkpoint persistence torn-file-free: in the
-// packages that write snapshots and checkpoints (the driver scopes this to
-// the package root, internal/serve, and internal/snapshot), files must be
-// produced through the atomicWrite helper (temp file in the target dir +
-// Sync + Close + Rename), never by writing the destination path directly. A
-// direct os.WriteFile/os.Create — or os.OpenFile opened for writing or
-// creation — is exactly the call that left `*.tmp` debris and half-written
-// snapshots before PR 6/7.
+// Atomicwrite keeps snapshot/checkpoint/journal persistence torn-file-free:
+// in the packages that persist them (the driver scopes this to the package
+// root, internal/serve, internal/snapshot and internal/journal), files must
+// be produced through the one helper, snapshot.WriteFileAtomic (temp file
+// in the target dir + Sync + Close + Rename), never by writing the
+// destination path directly. A direct os.WriteFile/os.Create — or
+// os.OpenFile opened for writing or creation — is exactly the call that
+// leaves `*.tmp` debris and half-written snapshots behind.
 //
-// os.CreateTemp is allowed (it is how atomicWrite itself starts), as is
-// os.OpenFile in read-only mode. A deliberate non-atomic write carries
+// os.CreateTemp is allowed (it is how snapshot.WriteFileAtomic itself
+// starts), as is os.OpenFile in read-only mode. A deliberate non-atomic write carries
 // //grlint:rawwrite <reason>.
 //
 // The analyzer also enforces fsync-before-ack on the durability path: a
@@ -28,7 +28,7 @@ import (
 var Atomicwrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc: "flags direct os.WriteFile/os.Create/os.OpenFile(write) in " +
-		"persistence packages; route them through the atomicWrite helper or " +
+		"persistence packages; route them through snapshot.WriteFileAtomic or " +
 		"annotate //grlint:rawwrite <reason>. Also flags functions that write " +
 		"an *os.File without any File.Sync before returning (fsync-before-ack); " +
 		"annotate //grlint:nosync <reason> when durability is the caller's job",
@@ -58,7 +58,7 @@ func runAtomicwrite(pass *Pass) (any, error) {
 		if _, ok := pass.Directive(call, "rawwrite"); ok {
 			return true
 		}
-		pass.Reportf(call.Pos(), "direct os.%s in a persistence package: use the atomicWrite helper (temp+fsync+rename) or annotate //grlint:rawwrite <reason>", name)
+		pass.Reportf(call.Pos(), "direct os.%s in a persistence package: use snapshot.WriteFileAtomic (temp+fsync+rename) or annotate //grlint:rawwrite <reason>", name)
 		return true
 	})
 	return nil, nil

@@ -1,5 +1,5 @@
 // Golden test for the atomicwrite analyzer: persistence packages must write
-// files through the atomicWrite helper, not directly.
+// files through snapshot.WriteFileAtomic, not directly.
 package atomicwrite
 
 import "os"
@@ -40,7 +40,7 @@ func openReadOnly(path string) ([]byte, error) {
 	return buf[:n], err
 }
 
-// atomicShape is negative: CreateTemp + Sync + Rename is the atomicWrite
+// atomicShape is negative: CreateTemp + Sync + Rename is the WriteFileAtomic
 // pattern itself and must stay expressible.
 func atomicShape(path string, data []byte) error {
 	f, err := os.CreateTemp(".", "atomic-*")

@@ -24,11 +24,25 @@ func checkMapMatchesRoutes(t *testing.T, m *Map, lr *router.LayoutResult) {
 	}
 }
 
+// negotiate runs Negotiate over an index and passage set prepared from l.
+func negotiate(t testing.TB, ctx context.Context, l *layout.Layout, cfg Config) (*NegotiateResult, error) {
+	t.Helper()
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passages, err := Extract(ix, cfg.Pitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Negotiate(ctx, l, ix, passages, cfg)
+}
+
 func TestNegotiateCtxPreCancelled(t *testing.T) {
 	l := funnelLayout(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := NegotiateCtx(ctx, l, Config{Pitch: 2, Weight: 150, MaxPasses: 4, Workers: 1})
+	res, err := negotiate(t, ctx, l, Config{Pitch: 2, Weight: 150, MaxPasses: 4, Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -48,7 +62,7 @@ func TestNegotiateCtxCancelAfterFirstPass(t *testing.T) {
 			cancel() // stop before (or inside) the first reroute pass
 		}
 	}
-	res, err := NegotiateCtx(ctx, l, cfg)
+	res, err := negotiate(t, ctx, l, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -65,7 +79,7 @@ func TestNegotiateCtxCancelAfterFirstPass(t *testing.T) {
 	}
 	// The uncancelled run must agree with the recorded prefix on pass 1
 	// (the cancel fired after it was recorded).
-	full, err := Negotiate(l, Config{Pitch: 2, Weight: 150, MaxPasses: 8, HistoryGain: 1, Workers: 1})
+	full, err := negotiate(t, context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 8, HistoryGain: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +98,7 @@ func TestNegotiateOnPassObserver(t *testing.T) {
 			t.Fatalf("pass %d: Routed = %d, want %d", n, p.Routed, len(l.Nets))
 		}
 	}
-	res, err := Negotiate(l, cfg)
+	res, err := negotiate(t, context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, pas
 	for i := range cp.Nets {
 		segs[i] = cp.Nets[i].Segments
 	}
-	m := buildMapWithIndex(passages, newSectionIndex(passages), segs)
+	m := BuildMap(passages, segs)
 	ng := newNegotiator(l, ix, cfg, m, cp.History)
 	ng.passOffset = cp.PassesRecorded
 	ng.reroutePass = cp.ReroutePass

@@ -87,7 +87,7 @@ func checkSameOutcome(t *testing.T, got, want *NegotiateResult) {
 // the blob was taken at.
 func TestResumeEqualsFreshFromEveryCheckpoint(t *testing.T) {
 	l, ix, passages := preparedFunnel(t, 8, 2)
-	ref, err := NegotiatePrepared(context.Background(), l, ix, passages, checkpointConfig())
+	ref, err := Negotiate(context.Background(), l, ix, passages, checkpointConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestResumeEqualsFreshFromEveryCheckpoint(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.CheckpointEvery = 1
 	cfg.Checkpoint = func(cp *Checkpoint) error { blobs = append(blobs, cp); return nil }
-	hooked, err := NegotiatePrepared(context.Background(), l, ix, passages, cfg)
+	hooked, err := Negotiate(context.Background(), l, ix, passages, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestResumeEqualsFreshFromEveryCheckpoint(t *testing.T) {
 // uninterrupted one byte-identically.
 func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	l, ix, passages := preparedFunnel(t, 8, 2)
-	ref, err := NegotiatePrepared(context.Background(), l, ix, passages, checkpointConfig())
+	ref, err := Negotiate(context.Background(), l, ix, passages, checkpointConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.CheckpointEvery = 1
 	cfg.Checkpoint = func(*Checkpoint) error { total++; return nil }
-	if _, err := NegotiatePrepared(context.Background(), l, ix, passages, cfg); err != nil {
+	if _, err := Negotiate(context.Background(), l, ix, passages, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 			}
 			return nil
 		}
-		partial, err := NegotiatePrepared(ctx, l, ix, passages, cfg)
+		partial, err := Negotiate(ctx, l, ix, passages, cfg)
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("kill at %d: %v", kill, err)
@@ -196,7 +196,7 @@ func TestResumeIsRepeatable(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.CheckpointEvery = 2
 	cfg.Checkpoint = func(cp *Checkpoint) error { blobs = append(blobs, cp); return nil }
-	ref, err := NegotiatePrepared(context.Background(), l, ix, passages, cfg)
+	ref, err := Negotiate(context.Background(), l, ix, passages, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCheckpointHookErrorAbortsRun(t *testing.T) {
 	boom := errors.New("disk full")
 	cfg := checkpointConfig()
 	cfg.Checkpoint = func(*Checkpoint) error { return boom }
-	res, err := NegotiatePrepared(context.Background(), l, ix, passages, cfg)
+	res, err := Negotiate(context.Background(), l, ix, passages, cfg)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the hook's error", err)
 	}
@@ -236,7 +236,7 @@ func TestResumeValidatesBlob(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.CheckpointEvery = 1
 	cfg.Checkpoint = func(cp *Checkpoint) error { blobs = append(blobs, cp); return nil }
-	if _, err := NegotiatePrepared(context.Background(), l, ix, passages, cfg); err != nil {
+	if _, err := Negotiate(context.Background(), l, ix, passages, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var mid *Checkpoint
@@ -273,7 +273,7 @@ func TestResumeValidatesBlob(t *testing.T) {
 func TestNegotiatorIsolatesReroutePanics(t *testing.T) {
 	l, ix, passages := preparedFunnel(t, 8, 2)
 	defer installPanicOnNet(t, "n3")()
-	res, err := NegotiatePrepared(context.Background(), l, ix, passages, checkpointConfig())
+	res, err := Negotiate(context.Background(), l, ix, passages, checkpointConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

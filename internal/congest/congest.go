@@ -18,8 +18,8 @@
 // sequentially rips one overflowed net at a time out of the live map and
 // reroutes it against a penalty that combines the live present overflow
 // with an accumulating history of past overflow, so successive nets
-// negotiate instead of dodging congestion in lockstep. TwoPass is the
-// paper's original two-pass flow, now a thin wrapper over the engine.
+// negotiate instead of dodging congestion in lockstep. The paper's
+// original two-pass flow is its MaxPasses-2, zero-history special case.
 package congest
 
 import (
@@ -156,17 +156,11 @@ type Map struct {
 // BuildMap counts passage usage for a set of routed nets (one segment list
 // per net).
 func BuildMap(passages []Passage, nets [][]geom.Seg) *Map {
-	return buildMapWithIndex(passages, newSectionIndex(passages), nets)
-}
-
-// buildMapWithIndex is BuildMap over a prebuilt section index; Negotiate
-// reuses one index across passes since the passage set never changes.
-func buildMapWithIndex(passages []Passage, index *sectionIndex, nets [][]geom.Seg) *Map {
 	m := &Map{
 		Passages:    passages,
 		Usage:       make([]int, len(passages)),
 		netsThrough: make([][]int, len(passages)),
-		index:       index,
+		index:       newSectionIndex(passages),
 	}
 	for ni, segs := range nets {
 		m.AddNet(ni, segs)
@@ -174,12 +168,9 @@ func buildMapWithIndex(passages []Passage, index *sectionIndex, nets [][]geom.Se
 	return m
 }
 
-// ensureScratch lazily initializes the section index and the dedup marks,
-// so hand-assembled Maps support the incremental operations too.
+// ensureScratch lazily allocates the dedup marks the incremental
+// operations share.
 func (m *Map) ensureScratch() {
-	if m.index == nil {
-		m.index = newSectionIndex(m.Passages)
-	}
 	if len(m.mark) < len(m.Passages) {
 		m.mark = make([]int, len(m.Passages))
 		m.stamp = 0
@@ -319,57 +310,11 @@ func (m *Map) AffectedNets() []int {
 	return out
 }
 
-// PenaltyFn prices crossing an overflowed passage at weight length-units of
-// detour: a route will divert around the congestion whenever the detour
-// costs less than weight per crossing.
-func (m *Map) PenaltyFn(weight geom.Coord) router.PenaltyFn {
-	return m.HistoryPenalty(weight, 0, nil)
-}
-
-// HistoryPenalty is the negotiated-congestion cost term. Crossing passage pi
-// costs weight*(present + gain*history[pi]) length units, where present is 1
-// for passages currently over capacity and 0 otherwise. The history term
-// keeps pressure on passages that overflowed in earlier passes even after
-// they recover, which damps the oscillation a pure present-cost loop shows
-// (nets dodging congestion in lockstep and recreating it elsewhere). gain 0
-// or a nil history reduces to the paper's plain two-pass penalty. Lookup is
-// by section index, not a scan over all passages per expansion.
-func (m *Map) HistoryPenalty(weight geom.Coord, gain int, history []int) router.PenaltyFn {
-	per := make([]search.Cost, len(m.Passages))
-	priced := false
-	for pi := range m.Passages {
-		var units geom.Coord
-		if m.Usage[pi] > m.Passages[pi].Capacity {
-			units = 1
-		}
-		if gain > 0 && pi < len(history) {
-			units += geom.Coord(gain) * geom.Coord(history[pi])
-		}
-		if units > 0 {
-			per[pi] = router.Scale * search.Cost(weight*units)
-			priced = true
-		}
-	}
-	if !priced {
-		return func(from, to geom.Point) search.Cost { return 0 }
-	}
-	index := m.index
-	if index == nil { // Map assembled by hand rather than BuildMap
-		index = newSectionIndex(m.Passages)
-	}
-	return func(from, to geom.Point) search.Cost {
-		var penalty search.Cost
-		index.visit(geom.S(from, to), func(pi int) { penalty += per[pi] })
-		return penalty
-	}
-}
-
-// livePenalty is the sequential rip-up cost term. Unlike HistoryPenalty,
-// which freezes per-passage prices when it is built, livePenalty reads the
-// map's usage at query time: the rip-up loop updates the map between nets,
-// so a net rerouting later in the pass immediately sees the passages
-// earlier nets just filled (or vacated) — the PathFinder mechanism that
-// breaks the lockstep oscillation of whole-pass simultaneous reroutes.
+// livePenalty is the sequential rip-up cost term. It reads the map's usage
+// at query time: the rip-up loop updates the map between nets, so a net
+// rerouting later in the pass immediately sees the passages earlier nets
+// just filled (or vacated) — the PathFinder mechanism that breaks the
+// lockstep oscillation of whole-pass simultaneous reroutes.
 //
 // Crossing passage pi costs *weight*present + hWeight*gain*history[pi]
 // length units. present is 1 when the passage cannot take one more net
@@ -423,7 +368,7 @@ type Config struct {
 	// worker-count independent.
 	Workers int
 	// HistoryGain scales the accumulated overflow history in the penalty
-	// (see Map.HistoryPenalty). Zero disables history: every reroute pass
+	// (see Map.livePenalty). Zero disables history: every reroute pass
 	// then prices only present overflow, as the paper's second pass does.
 	HistoryGain int
 	// HistoryWeight, when positive, decouples the history step from the
@@ -768,7 +713,7 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun, start time.T
 
 // drain iterates recorded rip-up passes until convergence, stall,
 // exhaustion of the (offset-adjusted) pass budget, or cancellation — the
-// shared tail of NegotiatePrepared, RepairCtx and NegotiateResume.
+// shared tail of Negotiate, RepairCtx and NegotiateResume.
 func (ng *negotiator) drain(ctx context.Context, maxPasses int) (*NegotiateResult, error) {
 	m := ng.m
 	for ng.passOffset+len(ng.res.Passes) < maxPasses {
@@ -812,38 +757,20 @@ func (ng *negotiator) finish() *NegotiateResult {
 }
 
 // Negotiate iterates the paper's congestion loop to convergence,
-// PathFinder-style. Pass 1 routes every net penalty-free (in parallel
-// across cfg.Workers) and measures passage overflow. Each later pass is a
-// sequential rip-up over the nets through overflowed passages, in
-// deterministic (ascending net index) order, extended worklist-style to
-// nets the pass's own reroutes pushed into overflow (see
-// negotiator.runPass). The loop stops when overflow reaches zero
-// (Converged), when MaxPasses is exhausted, or when a pass changes nothing
-// and — with HistoryGain zero — no future pass could differ (Stalled). The
-// rip-up order is fixed, so results do not depend on the worker count.
-func Negotiate(l *layout.Layout, cfg Config) (*NegotiateResult, error) {
-	return NegotiateCtx(context.Background(), l, cfg)
-}
-
-// NegotiateCtx is Negotiate with cooperative cancellation: on cancel the
-// passes completed so far — including a consistent partial final pass — are
+// PathFinder-style, over a caller-prepared obstacle index and passage set
+// (passages must have been extracted from ix). Pass 1 routes every net
+// penalty-free (in parallel across cfg.Workers) and measures passage
+// overflow. Each later pass is a sequential rip-up over the nets through
+// overflowed passages, in deterministic (ascending net index) order,
+// extended worklist-style to nets the pass's own reroutes pushed into
+// overflow (see negotiator.runPass). The loop stops when overflow reaches
+// zero (Converged), when MaxPasses is exhausted, or when a pass changes
+// nothing and — with HistoryGain zero — no future pass could differ
+// (Stalled). The rip-up order is fixed, so results do not depend on the
+// worker count. Cancellation is cooperative: on cancel the passes
+// completed so far — including a consistent partial final pass — are
 // returned together with the context's error.
-func NegotiateCtx(ctx context.Context, l *layout.Layout, cfg Config) (*NegotiateResult, error) {
-	ix, err := plane.FromLayout(l)
-	if err != nil {
-		return nil, err
-	}
-	passages, err := Extract(ix, cfg.Pitch)
-	if err != nil {
-		return nil, err
-	}
-	return NegotiatePrepared(ctx, l, ix, passages, cfg)
-}
-
-// NegotiatePrepared is NegotiateCtx over a caller-prepared obstacle index
-// and passage set, so a session that already owns both (the public Engine)
-// does not rebuild them per run. passages must have been extracted from ix.
-func NegotiatePrepared(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, cfg Config) (*NegotiateResult, error) {
+func Negotiate(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, cfg Config) (*NegotiateResult, error) {
 	maxPasses := cfg.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = DefaultMaxPasses
@@ -852,7 +779,7 @@ func NegotiatePrepared(ctx context.Context, l *layout.Layout, ix *plane.Index, p
 	if err != nil && ctx.Err() == nil {
 		return nil, err
 	}
-	m := buildMapWithIndex(passages, newSectionIndex(passages), netSegs(first))
+	m := BuildMap(passages, netSegs(first))
 	ng := newNegotiator(l, ix, cfg, m, nil)
 	ng.cur = first
 	ng.res.Panics = append(ng.res.Panics, first.Panics...)
@@ -946,41 +873,6 @@ func sameRoute(a, b *router.NetRoute) bool {
 		}
 	}
 	return true
-}
-
-// PassResult reports a two-pass congestion run.
-type PassResult struct {
-	// First and Second are the routing results of each pass; Second is nil
-	// when the first pass had no overflow.
-	First, Second *router.LayoutResult
-	// Before and After are the congestion maps of each pass (After is nil
-	// without a second pass).
-	Before, After *Map
-	// Rerouted lists the nets sent through the second pass.
-	Rerouted []string
-}
-
-// TwoPass implements the paper's two-pass flow over a layout: route all
-// nets, find congested passages, sequentially rip up and reroute the nets
-// through them with the congestion penalty, and report both states. It is
-// the MaxPasses-2, zero-history special case of Negotiate. pitch sets
-// passage capacity;
-// weight is the detour the router will accept to avoid one overflowed
-// crossing; workers as in Router.RouteLayout.
-func TwoPass(l *layout.Layout, pitch, weight geom.Coord, workers int) (*PassResult, error) {
-	n, err := Negotiate(l, Config{
-		Pitch: pitch, Weight: weight, MaxPasses: 2, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &PassResult{First: n.Results[0], Before: n.Maps[0]}
-	if len(n.Results) > 1 {
-		res.Second = n.Results[1]
-		res.After = n.Maps[1]
-		res.Rerouted = n.Passes[1].Rerouted
-	}
-	return res, nil
 }
 
 // netSegs flattens a layout result into one segment list per net.

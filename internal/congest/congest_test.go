@@ -1,13 +1,13 @@
 package congest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/plane"
-	"repro/internal/router"
 )
 
 func mustPlane(t testing.TB, bounds geom.Rect, cells ...geom.Rect) *plane.Index {
@@ -177,19 +177,6 @@ func TestOverflowAccounting(t *testing.T) {
 	}
 }
 
-func TestPenaltyFn(t *testing.T) {
-	ps := []Passage{{Between: [2]int{0, 1}, Rect: geom.R(10, 0, 14, 100), Vertical: true, Width: 4, Capacity: 0}}
-	nets := [][]geom.Seg{{geom.S(geom.Pt(12, 0), geom.Pt(12, 100))}}
-	m := BuildMap(ps, nets)
-	fn := m.PenaltyFn(25)
-	if got := fn(geom.Pt(12, 0), geom.Pt(12, 100)); got != router.Scale*25 {
-		t.Fatalf("crossing penalty = %d, want %d", got, router.Scale*25)
-	}
-	if got := fn(geom.Pt(0, 0), geom.Pt(5, 0)); got != 0 {
-		t.Fatalf("non-crossing penalty = %d, want 0", got)
-	}
-}
-
 // funnelLayout: a wall with a narrow slit; several nets whose shortest
 // routes all thread the slit, with a longer way around along the chip edge.
 func funnelLayout(nNets int) *layout.Layout {
@@ -214,66 +201,69 @@ func funnelLayout(nNets int) *layout.Layout {
 	return l
 }
 
+// twoPass runs the paper's two-pass flow: the MaxPasses-2, zero-history
+// case of Negotiate.
+func twoPass(t *testing.T, l *layout.Layout) *NegotiateResult {
+	t.Helper()
+	res, err := negotiate(t, context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestTwoPassReducesOverflow(t *testing.T) {
 	l := funnelLayout(6)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Slit is 4 wide; pitch 2 → capacity 3. Six nets must overflow it.
-	res, err := TwoPass(l, 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Before.TotalOverflow() == 0 {
+	res := twoPass(t, l)
+	if res.Passes[0].Overflow == 0 {
 		t.Fatal("first pass should overflow the slit")
 	}
-	if res.Second == nil {
+	if len(res.Passes) != 2 {
 		t.Fatal("second pass should have run")
 	}
-	if len(res.Rerouted) == 0 {
+	first, second := res.Results[0], res.Results[1]
+	if len(res.Passes[1].Rerouted) == 0 {
 		t.Fatal("affected nets should be rerouted")
 	}
-	if got, want := res.After.TotalOverflow(), res.Before.TotalOverflow(); got >= want {
+	if got, want := res.Maps[1].TotalOverflow(), res.Maps[0].TotalOverflow(); got >= want {
 		t.Fatalf("overflow did not improve: before=%d after=%d", want, got)
 	}
-	if len(res.Second.Failed) != 0 {
-		t.Fatalf("second pass failures: %v", res.Second.Failed)
+	if len(second.Failed) != 0 {
+		t.Fatalf("second pass failures: %v", second.Failed)
 	}
 	// Rerouted nets are longer (they detour) — congestion relief costs
 	// wirelength, as the paper expects.
-	if res.Second.TotalLength <= res.First.TotalLength {
+	if second.TotalLength <= first.TotalLength {
 		t.Fatalf("detours should add length: %d vs %d",
-			res.Second.TotalLength, res.First.TotalLength)
+			second.TotalLength, first.TotalLength)
 	}
 }
 
 func TestTwoPassNoCongestionShortCircuits(t *testing.T) {
-	l := funnelLayout(2) // 2 nets fit the capacity-3 slit
-	res, err := TwoPass(l, 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Second != nil || res.After != nil || len(res.Rerouted) != 0 {
-		t.Fatalf("no second pass expected: %+v", res)
+	res := twoPass(t, funnelLayout(2)) // 2 nets fit the capacity-3 slit
+	if len(res.Passes) != 1 || len(res.Results) != 1 || len(res.Maps) != 1 {
+		t.Fatalf("no second pass expected: %+v", res.Passes)
 	}
 }
 
 func TestTwoPassSecondPassCarriesStats(t *testing.T) {
-	res, err := TwoPass(funnelLayout(6), 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Second == nil {
+	res := twoPass(t, funnelLayout(6))
+	if len(res.Results) != 2 {
 		t.Fatal("second pass should have run")
 	}
 	// The second pass splices rerouted nets into the first-pass result; its
 	// aggregates must cover the whole layout, not be dropped at zero.
-	if res.Second.Stats.Expanded < res.First.Stats.Expanded {
+	first, second := res.Results[0], res.Results[1]
+	if second.Stats.Expanded < first.Stats.Expanded {
 		t.Errorf("second pass stats went backwards: %d < %d",
-			res.Second.Stats.Expanded, res.First.Stats.Expanded)
+			second.Stats.Expanded, first.Stats.Expanded)
 	}
-	if res.Second.Elapsed <= 0 {
-		t.Errorf("second pass elapsed = %v, want > 0", res.Second.Elapsed)
+	if second.Elapsed <= 0 {
+		t.Errorf("second pass elapsed = %v, want > 0", second.Elapsed)
 	}
 }
 
@@ -306,7 +296,7 @@ func tightFunnel() *layout.Layout {
 
 func TestNegotiateNoOverflowReturnsAfterFirstPass(t *testing.T) {
 	l := funnelLayout(2) // 2 nets fit the capacity-3 slit
-	res, err := Negotiate(l, Config{Pitch: 2, Weight: 150, MaxPasses: 5, Workers: 1, HistoryGain: 1})
+	res, err := negotiate(t, context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 5, Workers: 1, HistoryGain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +318,7 @@ func TestNegotiateNeedsThreePasses(t *testing.T) {
 	}
 	// Slit is 4 wide; pitch 5 makes it sub-pitch — capacity 0 — so three
 	// nets overflow it by 3 and every one must eventually detour.
-	res, err := Negotiate(l, Config{Pitch: 5, Weight: 30, MaxPasses: 6, Workers: 1, HistoryGain: 1})
+	res, err := negotiate(t, context.Background(), l, Config{Pitch: 5, Weight: 30, MaxPasses: 6, Workers: 1, HistoryGain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +347,7 @@ func TestNegotiateStallsWithoutHistory(t *testing.T) {
 	// Weight 1 never justifies any detour and HistoryGain 0 means the
 	// penalties can never grow: the loop must detect the fixed point
 	// instead of burning MaxPasses identical reroutes.
-	res, err := Negotiate(funnelLayout(6), Config{Pitch: 2, Weight: 1, MaxPasses: 10, Workers: 1})
+	res, err := negotiate(t, context.Background(), funnelLayout(6), Config{Pitch: 2, Weight: 1, MaxPasses: 10, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +377,12 @@ func TestNegotiateDeterministicAcrossWorkers(t *testing.T) {
 		l := build()
 		cfg := Config{Pitch: 2, Weight: 40, MaxPasses: 6, HistoryGain: 1}
 		cfg.Workers = 1
-		seq, err := Negotiate(l, cfg)
+		seq, err := negotiate(t, context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 4
-		par, err := Negotiate(l, cfg)
+		par, err := negotiate(t, context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

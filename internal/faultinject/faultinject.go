@@ -34,10 +34,11 @@ const (
 	// Commit fires in Edit.Commit after validation, before the repaired
 	// state is installed.
 	Commit
-	// SnapshotWrite fires on every write of an atomic snapshot/checkpoint
-	// file replacement, before the bytes reach the temp file (the label is
-	// the destination path). An injected fault must leave no temp file
-	// behind and keep any previous file intact.
+	// SnapshotWrite fires on every write of an atomic file replacement
+	// (snapshot.WriteFileAtomic: snapshots, checkpoints and journal bases),
+	// before the bytes reach the temp file (the label is the destination
+	// path). An injected fault must leave no temp file behind and keep any
+	// previous file intact.
 	SnapshotWrite
 	// JournalAppend fires before an ECO journal record's bytes are written
 	// to the log (the label is the journal path). A fault here must leave

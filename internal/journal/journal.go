@@ -7,10 +7,10 @@
 //
 //	magic "GRJRNL" | version u16 | kind u8 | uvarint payload length | payload | crc32(payload)
 //
-// following the internal/snapshot codec discipline (little-endian
-// fixed-width header fields, varint-coded payloads, CRC-32 per record,
-// bounds-checked decode that never panics). Three record kinds exist, in a
-// fixed structural order:
+// with payloads in the internal/snapshot codec (snapshot.Encoder and
+// snapshot.Decoder: little-endian fixed-width fields, varints,
+// bounds-checked decode that never panics) and a CRC-32 per record. Three
+// record kinds exist, in a fixed structural order:
 //
 //   - header (first record): the identity of the layout the session was
 //     created over — its fingerprint and congestion pitch. Replay onto any
@@ -41,8 +41,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
@@ -269,210 +269,85 @@ func ScanFile(path string) (*Scanned, error) {
 	return Scan(data)
 }
 
-// --- payload codecs (varint-coded, via the same enc/dec shapes as
-// internal/snapshot; the dec here is a thin sticky-error reader) ---
+// Payload codecs, over the snapshot package's Encoder and Decoder.
 
 func encodeHeader(h *Header) []byte {
-	var e enc
-	e.u64(h.LayoutHash)
-	e.vi(int64(h.Pitch))
-	return e.buf
+	var e snapshot.Encoder
+	e.U64(h.LayoutHash)
+	e.Varint(int64(h.Pitch))
+	return e.Bytes()
 }
 
 func decodeHeader(b []byte, h *Header) error {
-	d := dec{b: b}
-	h.LayoutHash = d.u64()
-	h.Pitch = geom.Coord(d.vi())
-	return d.finish("header")
+	d := snapshot.NewDecoder(b)
+	h.LayoutHash = d.U64()
+	h.Pitch = geom.Coord(d.Varint())
+	return d.Finish()
 }
 
 func encodeRebase(r *Rebase) []byte {
-	var e enc
-	e.blob(r.LayoutJSON)
-	e.blob(r.Session)
-	return e.buf
+	var e snapshot.Encoder
+	e.Blob(r.LayoutJSON)
+	e.Blob(r.Session)
+	return e.Bytes()
 }
 
 func decodeRebase(b []byte, r *Rebase) error {
-	d := dec{b: b}
-	r.LayoutJSON = d.blob()
-	r.Session = d.blob()
-	return d.finish("rebase")
+	d := snapshot.NewDecoder(b)
+	r.LayoutJSON = d.Blob()
+	r.Session = d.Blob()
+	return d.Finish()
 }
 
 func encodeRecord(rec *Record) []byte {
-	var e enc
-	e.uv(rec.Seq)
-	e.u64(rec.PostHash)
-	e.uv(uint64(len(rec.Ops)))
+	var e snapshot.Encoder
+	e.Uvarint(rec.Seq)
+	e.U64(rec.PostHash)
+	e.Uvarint(uint64(len(rec.Ops)))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		e.buf = append(e.buf, byte(op.Kind))
+		e.Byte(byte(op.Kind))
 		switch op.Kind {
 		case OpAddNet:
-			e.blob(op.NetJSON)
+			e.Blob(op.NetJSON)
 		case OpRemoveNet:
-			e.str(op.Name)
+			e.Str(op.Name)
 		case OpMoveCell:
-			e.str(op.Name)
-			e.vi(op.DX)
-			e.vi(op.DY)
+			e.Str(op.Name)
+			e.Varint(op.DX)
+			e.Varint(op.DY)
 		}
 	}
-	return e.buf
+	return e.Bytes()
 }
 
 func decodeRecord(b []byte, rec *Record) error {
-	d := dec{b: b}
-	rec.Seq = d.uv()
-	rec.PostHash = d.u64()
-	n := d.count(1)
+	d := snapshot.NewDecoder(b)
+	rec.Seq = d.Uvarint()
+	rec.PostHash = d.U64()
+	n := d.Count(1)
 	rec.Ops = make([]Op, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var op Op
-		op.Kind = OpKind(d.u8())
+		op.Kind = OpKind(d.Byte())
 		switch op.Kind {
 		case OpAddNet:
-			op.NetJSON = d.blob()
+			op.NetJSON = d.Blob()
 		case OpRemoveNet:
-			op.Name = d.str()
+			op.Name = d.Str()
 		case OpMoveCell:
-			op.Name = d.str()
-			op.DX = d.vi()
-			op.DY = d.vi()
+			op.Name = d.Str()
+			op.DX = d.Varint()
+			op.DY = d.Varint()
 		default:
-			d.corrupt("unknown op kind")
+			d.Corrupt("unknown op kind")
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
-	if len(rec.Ops) == 0 && d.err == nil {
-		d.corrupt("edit record stages no ops")
+	if len(rec.Ops) == 0 && d.Err() == nil {
+		d.Corrupt("edit record stages no ops")
 	}
-	return d.finish("edit record")
-}
-
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) uv(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) vi(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) str(s string) {
-	e.uv(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) blob(b []byte) {
-	e.uv(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) corrupt(why string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", errCorrupt, why)
-	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.corrupt("truncated byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.corrupt("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.corrupt("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) vi() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.corrupt("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads an element count bounds-checked against the remaining
-// payload (each element needs at least min bytes).
-func (d *dec) count(min int) int {
-	v := d.uv()
-	if d.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(d.b)/min) {
-		d.corrupt("count exceeds remaining payload")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) blob() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	b := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return b
-}
-
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in %s payload", errCorrupt, len(d.b), what)
-	}
-	return nil
+	return d.Finish()
 }
 
 // Stats is the journal's operator surface: how much unfolded edit history
@@ -524,10 +399,11 @@ const (
 // for appending. An existing file at path is replaced.
 func Create(path string, hdr Header, rb Rebase) (*Journal, error) {
 	j := &Journal{path: path, hdr: hdr}
-	if err := j.writeBase(rb); err != nil {
+	n, err := j.writeBase(rb)
+	if err != nil {
 		return nil, err
 	}
-	j.bytes = baseSize(hdr, rb)
+	j.bytes = n
 	return j, j.reopen()
 }
 
@@ -571,7 +447,7 @@ func (j *Journal) Stats() Stats {
 // deliberate: a journal grows in place — records are individually
 // checksummed, appends fsync before acknowledging, and a torn tail is
 // truncated at the next open, so the atomic-replace discipline applies only
-// to Create/Compact, which go through writeBase's temp+fsync+rename.
+// to Create/Compact, which go through writeBase.
 func (j *Journal) reopen() error {
 	//grlint:rawwrite append-only log; per-record CRC + fsync-before-ack + torn-tail truncation replace the temp+rename discipline
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -656,7 +532,8 @@ func (j *Journal) Compact(rb Rebase) error {
 		j.lastErr = err
 		return err
 	}
-	if err := j.writeBase(rb); err != nil {
+	n, err := j.writeBase(rb)
+	if err != nil {
 		j.lastErr = err
 		return err
 	}
@@ -666,50 +543,22 @@ func (j *Journal) Compact(rb Rebase) error {
 		j.f = nil
 	}
 	j.records = 0
-	j.bytes = baseSize(j.hdr, rb)
+	j.bytes = n
 	j.dirty = false
 	j.lastErr = nil
 	return j.reopen()
 }
 
-// writeBase atomically replaces the journal file with header+rebase.
-func (j *Journal) writeBase(rb Rebase) error {
-	buf := encodeFrame(nil, kindHeader, encodeHeader(&j.hdr))
-	buf = encodeFrame(buf, kindRebase, encodeRebase(&rb))
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".tmp-")
-	if err != nil {
+// writeBase atomically replaces the journal file with header+rebase (see
+// snapshot.WriteFileAtomic), firing the JournalRename seam right before the
+// rename, and returns the size written.
+func (j *Journal) writeBase(rb Rebase) (int64, error) {
+	base := EncodeBase(j.hdr, rb)
+	err := snapshot.WriteFileAtomic(j.path, func(w io.Writer) error {
+		_, err := w.Write(base)
 		return err
-	}
-	name := tmp.Name()
-	committed := false
-	defer func() {
-		if !committed {
-			tmp.Close()
-			os.Remove(name)
-		}
-	}()
-	if _, err := tmp.Write(buf); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := faultinject.Fire(faultinject.JournalRename, j.path); err != nil {
-		return err
-	}
-	if err := os.Rename(name, j.path); err != nil {
-		return err
-	}
-	committed = true
-	return nil
-}
-
-// baseSize is the on-disk size of a header+rebase pair.
-func baseSize(hdr Header, rb Rebase) int64 {
-	return int64(len(encodeFrame(encodeFrame(nil, kindHeader, encodeHeader(&hdr)), kindRebase, encodeRebase(&rb))))
+	}, func() error { return faultinject.Fire(faultinject.JournalRename, j.path) })
+	return int64(len(base)), err
 }
 
 // Close syncs and closes the journal file. The journal stays usable: a

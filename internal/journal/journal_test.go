@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -454,4 +455,32 @@ func TestStatsBytesMatchesFile(t *testing.T) {
 	}
 	check("after compact")
 	j.Close()
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden frame files under testdata")
+
+// TestGoldenFrames pins the bytes Create writes for a header+rebase base and
+// the bytes Append writes for an edit record holding every op kind. A
+// journal written by one build must replay in the next, so a change here
+// needs a Version bump, not a refreshed golden. -update rewrites the files.
+func TestGoldenFrames(t *testing.T) {
+	rec := fixtureRecord(1)
+	for name, got := range map[string][]byte{
+		"base.golden":   EncodeBase(fixtureHeader(), fixtureRebase()),
+		"record.golden": EncodeRecordFrame(&rec),
+	} {
+		path := filepath.Join("testdata", name)
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded %d bytes differ from the %d golden bytes", name, len(got), len(want))
+		}
+	}
 }

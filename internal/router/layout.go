@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -74,11 +73,7 @@ func (r *Router) RouteLayout(l *layout.Layout, workers int) (*LayoutResult, erro
 func (r *Router) RouteLayoutCtx(ctx context.Context, l *layout.Layout, workers int) (*LayoutResult, error) {
 	start := time.Now()
 	res := &LayoutResult{Nets: make([]NetRoute, len(l.Nets))}
-	nets := make([]int, len(l.Nets))
-	for i := range nets {
-		nets[i] = i
-	}
-	panics, err := r.routeInto(ctx, l, nets, workers, res.Nets)
+	panics, err := r.routeInto(ctx, l, workers, res.Nets)
 	if err != nil && ctx.Err() == nil {
 		return nil, err
 	}
@@ -87,38 +82,7 @@ func (r *Router) RouteLayoutCtx(ctx context.Context, l *layout.Layout, workers i
 	return res, err
 }
 
-// RouteNets routes only the given net indices, returning one NetRoute per
-// index in the same order. It shares RouteLayout's worker pool, so reroute
-// passes (the congestion engine) parallelize exactly like the first pass.
-// Because each net is routed independently against the cells only, the
-// result is identical for any worker count.
-func (r *Router) RouteNets(l *layout.Layout, nets []int, workers int) ([]NetRoute, error) {
-	return r.RouteNetsCtx(context.Background(), l, nets, workers)
-}
-
-// RouteNetsCtx is RouteNets with cooperative cancellation; on cancel the
-// partial slice (unrouted entries not-Found under their net's name) is
-// returned with the context's error.
-func (r *Router) RouteNetsCtx(ctx context.Context, l *layout.Layout, nets []int, workers int) ([]NetRoute, error) {
-	for _, ni := range nets {
-		if ni < 0 || ni >= len(l.Nets) {
-			return nil, fmt.Errorf("router: net index %d out of range [0,%d)", ni, len(l.Nets))
-		}
-	}
-	out := make([]NetRoute, len(nets))
-	panics, err := r.routeInto(ctx, l, nets, workers, out)
-	if err != nil && ctx.Err() == nil {
-		return nil, err
-	}
-	if err == nil && len(panics) > 0 {
-		// The slice has no home for recovered panics, so the first one is
-		// the call's error; every non-panicking net still routed.
-		return out, panics[0]
-	}
-	return out, err
-}
-
-// routeInto routes l.Nets[nets[k]] into out[k] for every k, sequentially for
+// routeInto routes l.Nets[k] into out[k] for every k, sequentially for
 // workers == 1 and over a worker pool otherwise. Every slot is prefilled
 // with its net's name so a cancelled run leaves well-formed not-Found
 // entries rather than zero values. Per-net panics are recovered
@@ -128,20 +92,20 @@ func (r *Router) RouteNetsCtx(ctx context.Context, l *layout.Layout, nets []int,
 // too. On any other error the pool drains promptly: the producer stops
 // enqueuing and workers skip remaining jobs, so no route is silently left
 // zero-valued behind a reported success.
-func (r *Router) routeInto(ctx context.Context, l *layout.Layout, nets []int, workers int, out []NetRoute) ([]*PanicError, error) {
-	for k, ni := range nets {
-		out[k] = NetRoute{Net: l.Nets[ni].Name}
+func (r *Router) routeInto(ctx context.Context, l *layout.Layout, workers int, out []NetRoute) ([]*PanicError, error) {
+	for k := range l.Nets {
+		out[k] = NetRoute{Net: l.Nets[k].Name}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var panics []*PanicError
-	if workers == 1 || len(nets) <= 1 {
-		for k, ni := range nets {
+	if workers == 1 || len(l.Nets) <= 1 {
+		for k := range l.Nets {
 			if err := ctx.Err(); err != nil {
 				return panics, err
 			}
-			nr, err := r.routeNetGuarded(ctx, &l.Nets[ni])
+			nr, err := r.routeNetGuarded(ctx, &l.Nets[k])
 			var pe *PanicError
 			if errors.As(err, &pe) {
 				panics = append(panics, pe)
@@ -174,7 +138,7 @@ func (r *Router) routeInto(ctx context.Context, l *layout.Layout, nets []int, wo
 				if failed() || ctx.Err() != nil {
 					continue // drain without routing once any worker erred
 				}
-				nr, err := r.routeNetGuarded(ctx, &l.Nets[nets[k]])
+				nr, err := r.routeNetGuarded(ctx, &l.Nets[k])
 				var pe *PanicError
 				if errors.As(err, &pe) {
 					mu.Lock()
@@ -194,7 +158,7 @@ func (r *Router) routeInto(ctx context.Context, l *layout.Layout, nets []int, wo
 			}
 		}()
 	}
-	for k := range nets {
+	for k := range l.Nets {
 		if failed() || ctx.Err() != nil {
 			break // stop enqueuing: the result is already doomed
 		}

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -96,29 +95,5 @@ func TestPoolPanicsSortedDeterministically(t *testing.T) {
 		if len(res.Panics) != 2 || res.Panics[0].Net != "n0" || res.Panics[1].Net != "n2" {
 			t.Fatalf("trial %d: panics not sorted by net: %+v", trial, res.Panics)
 		}
-	}
-}
-
-// TestRouteNetsCtxSurfacesFirstPanic: the slice-based entry has no Panics
-// field, so the first recovered panic is the call's error while every
-// healthy net still routes.
-func TestRouteNetsCtxSurfacesFirstPanic(t *testing.T) {
-	l := layoutFixture()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := plane.FromLayout(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(ix, Options{})
-	defer poisonNets("n1")()
-	out, err := r.RouteNetsCtx(context.Background(), l, []int{0, 1, 2}, 1)
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Net != "n1" {
-		t.Fatalf("err = %v, want the recovered *PanicError for n1", err)
-	}
-	if out == nil || !out[0].Found || out[1].Found || !out[2].Found {
-		t.Fatalf("routes around the poisoned net: %+v", out)
 	}
 }

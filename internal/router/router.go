@@ -146,9 +146,9 @@ func (r *Router) routeNetGuarded(ctx context.Context, net *layout.Net) (nr NetRo
 
 // searchCtxPool recycles search contexts (node arena, OPEN heap, state
 // table) across connection queries. Every worker goroutine of
-// Router.RouteNets — and every pass of congest.Negotiate, which routes
-// through the same pool — reuses a warmed context instead of reallocating
-// the search bookkeeping per query.
+// Router.RouteLayoutCtx — and every rip-up of congest.Negotiate, which
+// routes through the same pool — reuses a warmed context instead of
+// reallocating the search bookkeeping per query.
 var searchCtxPool = sync.Pool{
 	New: func() any { return search.NewContext[State]() },
 }

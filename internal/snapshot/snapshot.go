@@ -16,6 +16,10 @@
 // closed with typed errors (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt,
 // ErrLayout) and never panics, whatever the input bytes; every count is
 // bounds-checked against the remaining payload before allocation.
+//
+// The payload codec (Encoder, Decoder) and the atomic file replacement
+// (WriteFileAtomic) are shared with internal/journal, the other durable
+// format.
 package snapshot
 
 import (
@@ -25,8 +29,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/congest"
+	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/router"
@@ -98,28 +105,28 @@ type CheckpointFile struct {
 
 // EncodeSession writes a session snapshot frame.
 func EncodeSession(w io.Writer, s *Session) error {
-	e := &enc{}
-	e.u64(s.LayoutHash)
-	e.vi(int64(s.Pitch))
-	e.uv(uint64(len(s.Passages)))
+	e := &Encoder{}
+	e.U64(s.LayoutHash)
+	e.Varint(int64(s.Pitch))
+	e.Uvarint(uint64(len(s.Passages)))
 	for i := range s.Passages {
 		p := &s.Passages[i]
-		e.vi(int64(p.Between[0]))
-		e.vi(int64(p.Between[1]))
-		e.rect(p.Rect)
-		e.boolean(p.Vertical)
-		e.vi(int64(p.Width))
-		e.vi(int64(p.Capacity))
+		e.Varint(int64(p.Between[0]))
+		e.Varint(int64(p.Between[1]))
+		e.Rect(p.Rect)
+		e.Bool(p.Vertical)
+		e.Varint(int64(p.Width))
+		e.Varint(int64(p.Capacity))
 	}
-	e.boolean(s.Routed)
+	e.Bool(s.Routed)
 	if s.Routed {
 		encodeNets(e, s.Nets)
-		e.uv(uint64(len(s.History)))
+		e.Uvarint(uint64(len(s.History)))
 		for _, h := range s.History {
-			e.vi(int64(h))
+			e.Varint(int64(h))
 		}
 	}
-	return writeFrame(w, kindSession, e.buf)
+	return writeFrame(w, kindSession, e.Bytes())
 }
 
 // DecodeSession reads a session snapshot frame. The returned NetRoutes have
@@ -129,39 +136,39 @@ func DecodeSession(r io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: payload}
-	s := &Session{LayoutHash: d.u64(), Pitch: geom.Coord(d.vi())}
-	n := d.count(9) // a passage is at least 9 payload bytes
+	d := NewDecoder(payload)
+	s := &Session{LayoutHash: d.U64(), Pitch: geom.Coord(d.Varint())}
+	n := d.Count(9) // a passage is at least 9 payload bytes
 	s.Passages = make([]congest.Passage, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var p congest.Passage
-		p.Between[0] = int(d.vi())
-		p.Between[1] = int(d.vi())
-		p.Rect = d.rect()
-		p.Vertical = d.boolean()
-		p.Width = geom.Coord(d.vi())
-		p.Capacity = int(d.vi())
+		p.Between[0] = int(d.Varint())
+		p.Between[1] = int(d.Varint())
+		p.Rect = d.Rect()
+		p.Vertical = d.Bool()
+		p.Width = geom.Coord(d.Varint())
+		p.Capacity = int(d.Varint())
 		if p.Capacity < 0 || p.Width < 0 {
-			d.corrupt("negative passage width or capacity")
+			d.Corrupt("negative passage width or capacity")
 		}
 		s.Passages = append(s.Passages, p)
 	}
-	if s.Routed = d.boolean(); s.Routed {
+	if s.Routed = d.Bool(); s.Routed {
 		s.Nets = decodeNets(d)
-		hn := d.count(1)
+		hn := d.Count(1)
 		if hn != len(s.Passages) {
-			d.corrupt("history length does not match passages")
+			d.Corrupt("history length does not match passages")
 		}
 		s.History = make([]int, 0, hn)
-		for i := 0; i < hn && d.err == nil; i++ {
-			h := int(d.vi())
+		for i := 0; i < hn && d.Err() == nil; i++ {
+			h := int(d.Varint())
 			if h < 0 {
-				d.corrupt("negative history")
+				d.Corrupt("negative history")
 			}
 			s.History = append(s.History, h)
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -169,35 +176,35 @@ func DecodeSession(r io.Reader) (*Session, error) {
 
 // EncodeCheckpoint writes a checkpoint frame.
 func EncodeCheckpoint(w io.Writer, c *CheckpointFile) error {
-	e := &enc{}
-	e.u64(c.LayoutHash)
-	e.vi(int64(c.Pitch))
+	e := &Encoder{}
+	e.U64(c.LayoutHash)
+	e.Varint(int64(c.Pitch))
 	cp := &c.CP
-	e.uv(uint64(cp.PassesRecorded))
-	e.uv(uint64(cp.ReroutePass))
-	e.uv(uint64(len(cp.History)))
+	e.Uvarint(uint64(cp.PassesRecorded))
+	e.Uvarint(uint64(cp.ReroutePass))
+	e.Uvarint(uint64(len(cp.History)))
 	for _, h := range cp.History {
-		e.vi(int64(h))
+		e.Varint(int64(h))
 	}
 	encodeNets(e, cp.Nets)
-	e.boolean(cp.InPass)
+	e.Bool(cp.InPass)
 	if cp.InPass {
-		e.boolean(cp.Changed)
-		e.uv(uint64(len(cp.Ripped)))
+		e.Bool(cp.Changed)
+		e.Uvarint(uint64(len(cp.Ripped)))
 		for _, r := range cp.Ripped {
-			e.boolean(r)
+			e.Bool(r)
 		}
-		e.uv(uint64(len(cp.Initial)))
+		e.Uvarint(uint64(len(cp.Initial)))
 		for _, ni := range cp.Initial {
-			e.uv(uint64(ni))
+			e.Uvarint(uint64(ni))
 		}
-		e.uv(uint64(cp.InitialPos))
-		e.uv(uint64(len(cp.Rerouted)))
+		e.Uvarint(uint64(cp.InitialPos))
+		e.Uvarint(uint64(len(cp.Rerouted)))
 		for _, name := range cp.Rerouted {
-			e.str(name)
+			e.Str(name)
 		}
 	}
-	return writeFrame(w, kindCkpt, e.buf)
+	return writeFrame(w, kindCkpt, e.Bytes())
 }
 
 // DecodeCheckpoint reads a checkpoint frame. The returned NetRoutes have
@@ -209,54 +216,54 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: payload}
-	c := &CheckpointFile{LayoutHash: d.u64(), Pitch: geom.Coord(d.vi())}
+	d := NewDecoder(payload)
+	c := &CheckpointFile{LayoutHash: d.U64(), Pitch: geom.Coord(d.Varint())}
 	cp := &c.CP
-	cp.PassesRecorded = int(d.uv())
-	cp.ReroutePass = int(d.uv())
-	hn := d.count(1)
+	cp.PassesRecorded = int(d.Uvarint())
+	cp.ReroutePass = int(d.Uvarint())
+	hn := d.Count(1)
 	cp.History = make([]int, 0, hn)
-	for i := 0; i < hn && d.err == nil; i++ {
-		h := int(d.vi())
+	for i := 0; i < hn && d.Err() == nil; i++ {
+		h := int(d.Varint())
 		if h < 0 {
-			d.corrupt("negative history")
+			d.Corrupt("negative history")
 		}
 		cp.History = append(cp.History, h)
 	}
 	cp.Nets = decodeNets(d)
-	if cp.InPass = d.boolean(); cp.InPass {
-		cp.Changed = d.boolean()
-		rn := d.count(1)
+	if cp.InPass = d.Bool(); cp.InPass {
+		cp.Changed = d.Bool()
+		rn := d.Count(1)
 		if rn != len(cp.Nets) {
-			d.corrupt("rip flags do not match nets")
+			d.Corrupt("rip flags do not match nets")
 		}
 		cp.Ripped = make([]bool, 0, rn)
-		for i := 0; i < rn && d.err == nil; i++ {
-			cp.Ripped = append(cp.Ripped, d.boolean())
+		for i := 0; i < rn && d.Err() == nil; i++ {
+			cp.Ripped = append(cp.Ripped, d.Bool())
 		}
-		in := d.count(1)
+		in := d.Count(1)
 		cp.Initial = make([]int, 0, in)
-		for i := 0; i < in && d.err == nil; i++ {
-			ni := int(d.uv())
+		for i := 0; i < in && d.Err() == nil; i++ {
+			ni := int(d.Uvarint())
 			if ni < 0 || ni >= len(cp.Nets) {
-				d.corrupt("rip index out of range")
+				d.Corrupt("rip index out of range")
 			}
 			cp.Initial = append(cp.Initial, ni)
 		}
-		cp.InitialPos = int(d.uv())
+		cp.InitialPos = int(d.Uvarint())
 		if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
-			d.corrupt("rip position out of range")
+			d.Corrupt("rip position out of range")
 		}
-		sn := d.count(1)
+		sn := d.Count(1)
 		cp.Rerouted = make([]string, 0, sn)
-		for i := 0; i < sn && d.err == nil; i++ {
-			cp.Rerouted = append(cp.Rerouted, d.str())
+		for i := 0; i < sn && d.Err() == nil; i++ {
+			cp.Rerouted = append(cp.Rerouted, d.Str())
 		}
 	}
 	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
-		d.corrupt("negative pass counters")
+		d.Corrupt("negative pass counters")
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -266,23 +273,23 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointFile, error) {
 // fields go to disk: Found, FailedTerminal, Length, Stats and Paths.
 // Segments are derived from Paths at decode (RouteNet constructs them from
 // consecutive path points), and Net names come from the layout.
-func encodeNets(e *enc, nets []router.NetRoute) {
-	e.uv(uint64(len(nets)))
+func encodeNets(e *Encoder, nets []router.NetRoute) {
+	e.Uvarint(uint64(len(nets)))
 	for i := range nets {
 		nr := &nets[i]
-		e.boolean(nr.Found)
-		e.str(nr.FailedTerminal)
-		e.vi(int64(nr.Length))
-		e.uv(uint64(nr.Stats.Expanded))
-		e.uv(uint64(nr.Stats.Generated))
-		e.uv(uint64(nr.Stats.Reopened))
-		e.uv(uint64(nr.Stats.MaxOpen))
-		e.uv(uint64(len(nr.Paths)))
+		e.Bool(nr.Found)
+		e.Str(nr.FailedTerminal)
+		e.Varint(int64(nr.Length))
+		e.Uvarint(uint64(nr.Stats.Expanded))
+		e.Uvarint(uint64(nr.Stats.Generated))
+		e.Uvarint(uint64(nr.Stats.Reopened))
+		e.Uvarint(uint64(nr.Stats.MaxOpen))
+		e.Uvarint(uint64(len(nr.Paths)))
 		for _, path := range nr.Paths {
-			e.uv(uint64(len(path)))
+			e.Uvarint(uint64(len(path)))
 			for _, p := range path {
-				e.vi(int64(p.X))
-				e.vi(int64(p.Y))
+				e.Varint(int64(p.X))
+				e.Varint(int64(p.Y))
 			}
 		}
 	}
@@ -291,33 +298,33 @@ func encodeNets(e *enc, nets []router.NetRoute) {
 // decodeNets reads a per-net routing state, rebuilding Segments from Paths.
 // Consecutive path points must be axis-aligned — a checksum-valid but
 // hand-crafted diagonal would otherwise panic the geometry layer.
-func decodeNets(d *dec) []router.NetRoute {
-	n := d.count(2)
+func decodeNets(d *Decoder) []router.NetRoute {
+	n := d.Count(2)
 	nets := make([]router.NetRoute, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var nr router.NetRoute
-		nr.Found = d.boolean()
-		nr.FailedTerminal = d.str()
-		nr.Length = geom.Coord(d.vi())
+		nr.Found = d.Bool()
+		nr.FailedTerminal = d.Str()
+		nr.Length = geom.Coord(d.Varint())
 		nr.Stats = search.Stats{
-			Expanded:  int(d.uv()),
-			Generated: int(d.uv()),
-			Reopened:  int(d.uv()),
-			MaxOpen:   int(d.uv()),
+			Expanded:  int(d.Uvarint()),
+			Generated: int(d.Uvarint()),
+			Reopened:  int(d.Uvarint()),
+			MaxOpen:   int(d.Uvarint()),
 		}
-		np := d.count(1)
+		np := d.Count(1)
 		if np > 0 {
 			nr.Paths = make([][]geom.Point, 0, np)
 		}
-		for j := 0; j < np && d.err == nil; j++ {
-			pn := d.count(2) // a point is at least 2 payload bytes
+		for j := 0; j < np && d.Err() == nil; j++ {
+			pn := d.Count(2) // a point is at least 2 payload bytes
 			path := make([]geom.Point, 0, pn)
-			for k := 0; k < pn && d.err == nil; k++ {
-				path = append(path, geom.Pt(d.vi(), d.vi()))
+			for k := 0; k < pn && d.Err() == nil; k++ {
+				path = append(path, geom.Pt(d.Varint(), d.Varint()))
 			}
 			for k := 1; k < len(path); k++ {
 				if path[k-1].X != path[k].X && path[k-1].Y != path[k].Y {
-					d.corrupt("diagonal path step")
+					d.Corrupt("diagonal path step")
 					break
 				}
 				nr.Segments = append(nr.Segments, geom.S(path[k-1], path[k]))
@@ -459,50 +466,143 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// enc builds a varint-coded payload.
-type enc struct{ buf []byte }
+// WriteFileAtomic replaces path atomically: write encodes into a temp file
+// in the same directory, which is fsynced, closed and renamed over path
+// only if every step succeeded, so a crash at any instant leaves either the
+// previous file or the new one, never a torn one. On any error — or a panic
+// inside write — the temp file is removed, so a failed replacement leaves
+// the previous file intact and no *.tmp-* litter behind. Every write passes
+// through the faultinject.SnapshotWrite seam (labelled with path), and
+// beforeRename, when non-nil, runs once the temp file is durable,
+// immediately before the rename; its error aborts the replacement. It is
+// the one temp+fsync+rename sequence behind snapshots, checkpoints and the
+// journal's base rewrites.
+func WriteFileAtomic(path string, write func(io.Writer) error, beforeRename func() error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-")
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	committed := false
+	defer func() {
+		if !committed {
+			tmp.Close() // double Close on the error paths below is harmless
+			os.Remove(name)
+		}
+	}()
+	if err := write(faultableWriter{w: tmp, label: path}); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if beforeRename != nil {
+		if err := beforeRename(); err != nil {
+			return err
+		}
+	}
+	if err := os.Rename(name, path); err != nil {
+		return err
+	}
+	committed = true
+	return nil
+}
 
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) uv(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) vi(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) boolean(v bool) {
+// faultableWriter interposes the SnapshotWrite fault seam before each
+// underlying write (a no-op atomic load unless a test hook is installed).
+type faultableWriter struct {
+	w     io.Writer
+	label string
+}
+
+func (fw faultableWriter) Write(p []byte) (int, error) {
+	if err := faultinject.Fire(faultinject.SnapshotWrite, fw.label); err != nil {
+		return 0, err
+	}
+	return fw.w.Write(p)
+}
+
+// Encoder builds a varint-coded payload by plain byte-slice appends. It is
+// the payload codec of both durable formats: snapshot and checkpoint
+// frames here, and the ECO journal's records.
+type Encoder struct{ buf []byte }
+
+// Bytes returns the payload encoded so far.
+func (e *Encoder) Bytes() []byte { return e.buf }
+
+// U64 appends a fixed-width little-endian uint64.
+func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+
+// Uvarint appends an unsigned varint.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// Varint appends a signed (zig-zag) varint.
+func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
+// Byte appends one raw byte.
+func (e *Encoder) Byte(v byte) { e.buf = append(e.buf, v) }
+
+// Bool appends a boolean as one byte, 0 or 1.
+func (e *Encoder) Bool(v bool) {
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
 		e.buf = append(e.buf, 0)
 	}
 }
-func (e *enc) str(s string) {
-	e.uv(uint64(len(s)))
+
+// Str appends a length-prefixed string.
+func (e *Encoder) Str(s string) {
+	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
-func (e *enc) rect(r geom.Rect) {
-	e.vi(int64(r.MinX))
-	e.vi(int64(r.MinY))
-	e.vi(int64(r.MaxX))
-	e.vi(int64(r.MaxY))
+
+// Blob appends a length-prefixed byte slice.
+func (e *Encoder) Blob(b []byte) {
+	e.Uvarint(uint64(len(b)))
+	e.buf = append(e.buf, b...)
 }
 
-// dec decodes a payload with a sticky error: the first malformation poisons
-// every later read, and finish reports it (or trailing garbage). All reads
-// are bounds-checked; none panics.
-type dec struct {
+// Rect appends a rectangle as four varints.
+func (e *Encoder) Rect(r geom.Rect) {
+	e.Varint(int64(r.MinX))
+	e.Varint(int64(r.MinY))
+	e.Varint(int64(r.MaxX))
+	e.Varint(int64(r.MaxY))
+}
+
+// Decoder decodes a payload written by Encoder with a sticky error: the
+// first malformation poisons every later read, and Finish reports it (or
+// trailing garbage). All reads are bounds-checked; none panics. Every
+// error wraps ErrCorrupt.
+type Decoder struct {
 	b   []byte
 	err error
 }
 
-func (d *dec) corrupt(why string) {
+// NewDecoder reads the payload b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// Err reports the first malformation seen so far.
+func (d *Decoder) Err() error { return d.err }
+
+// Corrupt records a malformation (the first one wins).
+func (d *Decoder) Corrupt(why string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s", ErrCorrupt, why)
 	}
 }
 
-func (d *dec) u64() uint64 {
+// U64 reads a fixed-width little-endian uint64.
+func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	if len(d.b) < 8 {
-		d.corrupt("truncated u64")
+		d.Corrupt("truncated u64")
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b)
@@ -510,63 +610,81 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) uv() uint64 {
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		d.corrupt("bad uvarint")
+		d.Corrupt("bad uvarint")
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
-func (d *dec) vi() int64 {
+// Varint reads a signed varint.
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		d.corrupt("bad varint")
+		d.Corrupt("bad varint")
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
-func (d *dec) rect() geom.Rect {
+// Rect reads a rectangle written by Encoder.Rect.
+func (d *Decoder) Rect() geom.Rect {
 	return geom.Rect{
-		MinX: geom.Coord(d.vi()),
-		MinY: geom.Coord(d.vi()),
-		MaxX: geom.Coord(d.vi()),
-		MaxY: geom.Coord(d.vi()),
+		MinX: geom.Coord(d.Varint()),
+		MinY: geom.Coord(d.Varint()),
+		MaxX: geom.Coord(d.Varint()),
+		MaxY: geom.Coord(d.Varint()),
 	}
 }
 
-func (d *dec) boolean() bool {
+// Byte reads one raw byte.
+func (d *Decoder) Byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b) < 1 {
+		d.Corrupt("truncated byte")
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+// Bool reads a boolean; any byte other than 0 or 1 is corrupt.
+func (d *Decoder) Bool() bool {
 	if d.err != nil {
 		return false
 	}
 	if len(d.b) < 1 {
-		d.corrupt("truncated bool")
+		d.Corrupt("truncated bool")
 		return false
 	}
 	v := d.b[0]
 	d.b = d.b[1:]
 	if v > 1 {
-		d.corrupt("bad bool")
+		d.Corrupt("bad bool")
 		return false
 	}
 	return v == 1
 }
 
-// count reads an element count and proves it plausible: each element needs
+// Count reads an element count and proves it plausible: each element needs
 // at least min payload bytes, so a count the remaining bytes cannot hold is
 // corrupt — checked before any allocation sized by it.
-func (d *dec) count(min int) int {
-	v := d.uv()
+func (d *Decoder) Count(min int) int {
+	v := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
@@ -574,14 +692,15 @@ func (d *dec) count(min int) int {
 		min = 1
 	}
 	if v > uint64(len(d.b)/min) {
-		d.corrupt("count exceeds remaining payload")
+		d.Corrupt("count exceeds remaining payload")
 		return 0
 	}
 	return int(v)
 }
 
-func (d *dec) str() string {
-	n := d.count(1)
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string {
+	n := d.Count(1)
 	if d.err != nil {
 		return ""
 	}
@@ -590,7 +709,20 @@ func (d *dec) str() string {
 	return s
 }
 
-func (d *dec) finish() error {
+// Blob reads a length-prefixed byte slice into a fresh copy.
+func (d *Decoder) Blob() []byte {
+	n := d.Count(1)
+	if d.err != nil {
+		return nil
+	}
+	b := append([]byte(nil), d.b[:n]...)
+	d.b = d.b[n:]
+	return b
+}
+
+// Finish reports the first malformation, or trailing bytes the payload
+// should not have.
+func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
 	}
