@@ -274,8 +274,10 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}
 	}
 
-	// 2. Validate the edited layout as a whole (memoized, so this is cheap
-	// even at macro scale). Failure leaves the engine untouched.
+	// 2. Validate the edited layout as a whole. Failure leaves the engine
+	// untouched. This is the largest cost of a net-only commit: 22.5 of
+	// 25.2 ms on perfbench's 32×32 serve-eco-mix32 session, and roughly
+	// 0.4–0.5 s per commit at 64×64 (DESIGN.md, "Validation cost").
 	if err := l2.Validate(); err != nil {
 		return nil, fmt.Errorf("genroute: ECO edit produces an invalid layout: %w", err)
 	}

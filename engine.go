@@ -82,6 +82,10 @@ type Engine struct {
 	// jr is the write-ahead ECO journal (nil until WithJournalFile's first
 	// committed edit creates it, or LoadEngineJournal attaches it).
 	jr *journal.Journal //grlint:guardedby mu
+	// jrStale is set while jr describes the session as it was before a
+	// whole-layout flow whose fold failed; the next commit folds before
+	// appending (see journalFoldAfterFlowLocked).
+	jrStale bool //grlint:guardedby mu
 
 	// lhash memoizes the layout fingerprint for Save and checkpoint writes
 	// (0 = not yet computed; ECO commits reset it). Atomic so concurrent
@@ -201,7 +205,10 @@ func passProgress(phase string, n int, p congest.Pass, total int) Progress {
 // RouteAll routes every net independently (concurrently across
 // WithWorkers), replacing the session's routing state. On cancellation the
 // partial result — every net either fully routed or still marked not-Found
-// — is installed and returned together with the context's error.
+// — is installed and returned together with the context's error. A session
+// with an ECO journal folds it into a fresh base after the install; a
+// failed fold is returned too (joined with any routing error, and matching
+// ErrJournalFold), with the new routes installed.
 func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -211,6 +218,7 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	}
 	m := congest.BuildMap(e.passages, netSegments(res))
 	e.setState(res, m, nil)
+	err = e.journalFoldAfterFlowLocked(err)
 	e.emit(Progress{
 		Phase:      "route",
 		Pass:       1,
@@ -232,12 +240,12 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 // routed — is installed and the passes completed are returned together
 // with the context's error. With WithCheckpointFile, the run also persists
 // a restartable checkpoint that Engine.ResumeNegotiated can continue from.
+// Like RouteAll, it folds an existing ECO journal after the install.
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res, err := congest.Negotiate(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
-	e.installNegotiated(res, err)
-	return res, err
+	return res, e.installNegotiated(res, err)
 }
 
 // RouteNet routes one net of the layout by name, independently of the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -39,10 +40,22 @@ import (
 // same routes) as the live session. After enough records or bytes
 // (DefaultCompactRecords/DefaultCompactBytes, tunable with
 // WithJournalCompaction) a commit folds the journal into a fresh base so
-// replay cost stays bounded.
+// replay cost stays bounded. Once the journal exists, RouteAll,
+// RouteNegotiated and ResumeNegotiated fold it after every run as well:
+// the routes they install are described by no record. When that fold
+// fails they return ErrJournalFold, and the next commit folds before it
+// appends.
 func WithJournalFile(path string) Option {
 	return func(c *config) { c.jrnlPath = path }
 }
+
+// ErrJournalFold marks the error RouteAll, RouteNegotiated and
+// ResumeNegotiated return when they installed their routes but could not
+// fold the session's ECO journal into a fresh base. Until a fold succeeds
+// — the next Edit.Commit retries it before appending, and fails if it
+// cannot — recovery from the journal yields the session as it was before
+// the flow.
+var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 
 // WithJournalCompaction overrides the journal fold thresholds: compact
 // after records edit records or bytes journal bytes, whichever comes first
@@ -82,18 +95,20 @@ func (e *Engine) CloseJournal() error {
 }
 
 // journalRebase builds a rebase base state from the *current* session
-// state: the layout as JSON plus a full Save frame. Callers hold mu (any
-// mode — only reads happen here).
+// state: the layout as compact JSON (a third the size of WriteJSON's
+// indented form, and several times faster to encode; ReadJSON reads both)
+// plus a full Save frame. Callers hold mu (any mode — only reads happen
+// here).
 func (e *Engine) journalRebase() (journal.Rebase, error) {
-	var lbuf bytes.Buffer
-	if err := e.l.WriteJSON(&lbuf); err != nil {
+	lj, err := json.Marshal(e.l)
+	if err != nil {
 		return journal.Rebase{}, err
 	}
 	var sbuf bytes.Buffer
 	if err := e.saveLocked(&sbuf); err != nil {
 		return journal.Rebase{}, err
 	}
-	return journal.Rebase{LayoutJSON: lbuf.Bytes(), Session: sbuf.Bytes()}, nil
+	return journal.Rebase{LayoutJSON: lj, Session: sbuf.Bytes()}, nil
 }
 
 // journalAppendLocked is Commit's write-ahead hook, called under the
@@ -118,6 +133,14 @@ func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 		j.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
 		e.jr = j
 	}
+	if e.jrStale {
+		// The base predates a whole-layout flow: replaying this record on
+		// it would revive the routes that flow replaced. The current state
+		// is the pre-edit one, so it becomes the base this record extends.
+		if err := e.journalFoldLocked(); err != nil {
+			return err
+		}
+	}
 	rec := journal.Record{PostHash: postHash}
 	rec.Ops = make([]journal.Op, 0, len(tx.ops))
 	for i := range tx.ops {
@@ -133,17 +156,46 @@ func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 // journalCompactLocked folds the journal into a fresh base built from the
 // just-installed state, when it has outgrown its thresholds. Called under
 // the exclusive lock after the install. Failure is non-fatal — the commit
-// is already durable in the un-folded journal; the error is retained in
-// the journal's Stats and the next commit retries.
+// is already durable in the un-folded journal; a failed write is retained
+// in the journal's Stats (a failed base build is transient and not
+// recorded) and the next commit retries.
 func (e *Engine) journalCompactLocked() {
 	if e.jr == nil || !e.jr.ShouldCompact() {
 		return
 	}
+	_ = e.journalFoldLocked() // non-fatal, as above
+}
+
+// journalFoldAfterFlowLocked folds the journal after a whole-layout flow
+// (RouteAll, RouteNegotiated, ResumeNegotiated) installed its routes,
+// under the same exclusive lock. The flow replaced routes that no journal
+// record describes, so without the fold LoadEngineJournal would replay the
+// records onto the old base and revive the replaced routes. A failed fold
+// marks the journal stale and is returned joined to the flow's own error
+// err, matching ErrJournalFold.
+func (e *Engine) journalFoldAfterFlowLocked(err error) error {
+	if ferr := e.journalFoldLocked(); ferr != nil {
+		e.jrStale = true
+		return errors.Join(err, fmt.Errorf("%w: %w", ErrJournalFold, ferr))
+	}
+	return err
+}
+
+// journalFoldLocked folds the journal, when the session has one, into a
+// fresh base built from the current state, which makes it current again.
+func (e *Engine) journalFoldLocked() error {
+	if e.jr == nil {
+		return nil
+	}
 	rb, err := e.journalRebase()
 	if err != nil {
-		return // surfaced via Stats on the next failed fold; base build failures are transient
+		return err
 	}
-	e.jr.Compact(rb)
+	if err := e.jr.Compact(rb); err != nil {
+		return err
+	}
+	e.jrStale = false
+	return nil
 }
 
 // encodeEditOp serializes one staged op for the journal.

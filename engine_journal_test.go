@@ -120,6 +120,147 @@ func TestJournalReplayAfterCompaction(t *testing.T) {
 	checkRecovered(t, e, path)
 }
 
+// TestJournalFoldsWholeLayoutFlows: RouteAll, RouteNegotiated and
+// ResumeNegotiated install routes no journal record describes, so a session
+// that already journals ECO edits must fold its journal into a fresh base
+// when one of them runs. Otherwise recovery replays the records onto the
+// old base and revives routes the live session has replaced. Each case
+// journals one edit on the congested funnel, runs the flow so the live
+// routes change, and recovers from the journal alone.
+func TestJournalFoldsWholeLayoutFlows(t *testing.T) {
+	addNet := func(tx *Edit) error { return tx.AddNet(padNet("eco", 80, 400)) }
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, e *Engine, ckpt string)
+	}{
+		{"RouteAll", func(t *testing.T, e *Engine, _ string) {
+			if _, err := e.RouteNegotiated(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			commitOps(t, e, addNet)
+			if _, err := e.RouteAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"RouteNegotiated", func(t *testing.T, e *Engine, _ string) {
+			if _, err := e.RouteAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			commitOps(t, e, addNet)
+			if _, err := e.RouteNegotiated(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ResumeNegotiated", func(t *testing.T, e *Engine, ckpt string) {
+			if _, err := e.RouteAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			commitOps(t, e, addNet)
+			// Interrupt a negotiation after pass 2, then resume it from the
+			// checkpoint it left behind.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e.cfg.progress = func(p Progress) {
+				if p.Pass == 2 {
+					cancel()
+				}
+			}
+			if _, err := e.RouteNegotiated(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+			}
+			e.cfg.progress = nil
+			interrupted := e.Result()
+			f, err := os.Open(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := ReadCheckpoint(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.ResumeNegotiated(context.Background(), cp); err != nil {
+				t.Fatal(err)
+			}
+			if routesEqual(e.Result(), interrupted) {
+				t.Fatal("resuming left the interrupted routes in place; the case checks nothing")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path, ckpt := filepath.Join(dir, "eco.jrnl"), filepath.Join(dir, "run.ckpt")
+			e, err := NewEngine(funnelLayout(8), persistOpts(WithJournalFile(path), WithCheckpointFile(ckpt, 1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, e, ckpt)
+			checkRecovered(t, e, path)
+		})
+	}
+}
+
+// TestJournalFoldErrorReachesCaller: when the fold after a whole-layout
+// flow fails, the flow still installs its routes but returns the error, so
+// the caller knows the journal no longer describes the session. The journal
+// stays stale until a fold succeeds: a commit that cannot fold first is
+// refused, and the first one that can makes recovery match the live
+// session again.
+func TestJournalFoldErrorReachesCaller(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eco.jrnl")
+	e, err := NewEngine(funnelLayout(8), persistOpts(WithJournalFile(path))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNegotiated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("eco", 80, 400)) })
+	restore := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
+		if s.Point == faultinject.JournalCompact {
+			return faultinject.Error
+		}
+		return faultinject.None
+	})
+	defer restore()
+	res, err := e.RouteAll(context.Background())
+	if !errors.Is(err, faultinject.ErrInjected) || !errors.Is(err, ErrJournalFold) {
+		t.Fatalf("RouteAll with a failing fold: err = %v, want the injected fault as ErrJournalFold", err)
+	}
+	if res == nil || e.Result() != res {
+		t.Fatal("a failed fold must still install the new routes")
+	}
+	nres, err := e.RouteNegotiated(context.Background())
+	if !errors.Is(err, faultinject.ErrInjected) || !errors.Is(err, ErrJournalFold) {
+		t.Fatalf("RouteNegotiated with a failing fold: err = %v, want the injected fault as ErrJournalFold", err)
+	}
+	if nres == nil || e.Result() != nres.Results[len(nres.Results)-1] {
+		t.Fatal("a failed fold must still install the negotiated routes")
+	}
+	if st, _ := e.JournalStats(); st.LastErr == "" {
+		t.Fatalf("journal stats hide the failed fold: %+v", st)
+	}
+
+	tx := e.Edit()
+	if err := tx.AddNet(padNet("eco2", 120, 400)); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Result()
+	if _, err := tx.Commit(context.Background()); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("commit onto a stale journal whose fold fails: err = %v, want the injected fault", err)
+	}
+	if e.Result() != before {
+		t.Fatal("a refused commit changed the session")
+	}
+
+	restore()
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("eco2", 120, 400)) })
+	if st, _ := e.JournalStats(); st.LastErr != "" || st.Records != 1 {
+		t.Fatalf("journal after the catch-up fold = %+v, want one healthy record", st)
+	}
+	checkRecovered(t, e, path)
+}
+
 // TestJournalReplayEqualsLiveRandomized drives random edit scripts —
 // mirroring TestECORandomizedEquivalence, with cell moves added — and
 // checks the recovery property after every commit, with and without

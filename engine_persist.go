@@ -162,8 +162,7 @@ func (e *Engine) ResumeNegotiated(ctx context.Context, cp *Checkpoint) (*Negotia
 	}
 	inner.Nets = nets
 	res, err := congest.NegotiateResume(ctx, e.l, e.ix, e.passages, e.negotiateConfig(), &inner)
-	e.installNegotiated(res, err)
-	return res, err
+	return res, e.installNegotiated(res, err)
 }
 
 // negotiateConfig assembles the congest.Config for a (fresh or resumed)
@@ -200,10 +199,13 @@ func (e *Engine) negotiateConfig() congest.Config {
 // most nets routed — rather than the last partial one: overflow is not
 // monotone across passes, and the best state seen is what a deadline-bound
 // caller wants to keep. The History installed is the whole run's (it
-// accrues monotonically and seeds any follow-up negotiation).
-func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) {
+// accrues monotonically and seeds any follow-up negotiation). After an
+// install the ECO journal, if any, is folded (see
+// journalFoldAfterFlowLocked). It returns the run's error joined with a
+// failed fold's.
+func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) error {
 	if res == nil || len(res.Results) == 0 {
-		return
+		return err
 	}
 	k := len(res.Results) - 1
 	if err != nil {
@@ -212,6 +214,7 @@ func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) {
 		}
 	}
 	e.setState(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...))
+	return e.journalFoldAfterFlowLocked(err)
 }
 
 // SaveFile writes the session snapshot (see Save) to path atomically:

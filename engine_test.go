@@ -2,7 +2,9 @@ package genroute
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
@@ -360,5 +362,51 @@ func TestEngineTraceOption(t *testing.T) {
 	}
 	if expanded == 0 || generated == 0 {
 		t.Fatalf("trace hooks not called: expanded=%d generated=%d", expanded, generated)
+	}
+}
+
+// TestRouteAllMacro32Pinned pins a whole-layout route at macro scale: an
+// FNV-1a digest of every net's segments, in layout order, plus the total
+// search expansions. Successor generation, visibility and emission order
+// all feed both numbers, so an optimisation of the search's hot path that
+// changes any route or the order states are explored fails here.
+func TestRouteAllMacro32Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("routes a 32x32 macro grid")
+	}
+	l, err := MacroGrid(32, 32, 40, 30, 12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(l, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RouteAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, nr := range res.Nets {
+		h.Write([]byte(nr.Net))
+		word(int64(len(nr.Segments)))
+		for _, s := range nr.Segments {
+			word(s.A.X)
+			word(s.A.Y)
+			word(s.B.X)
+			word(s.B.Y)
+		}
+	}
+	const (
+		wantDigest   uint64 = 0xae18d4031aec19de
+		wantExpanded        = 59065
+	)
+	if got := h.Sum64(); got != wantDigest || res.Stats.Expanded != wantExpanded {
+		t.Fatalf("segment digest %#016x, expanded %d; want %#016x, %d", got, res.Stats.Expanded, wantDigest, wantExpanded)
 	}
 }

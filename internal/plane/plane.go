@@ -16,6 +16,7 @@ package plane
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -462,6 +463,50 @@ func (ix *Index) RayHit(from geom.Point, d geom.Dir, limit geom.Coord) Hit {
 		return best
 	}
 	return Hit{Stop: axisCoord(from, d), Cell: -1}
+}
+
+// FreeExtent returns, in one interval-tree stab, the closed stretch [lo, hi]
+// of the axis-parallel line through p that a wire from p can reach without
+// crossing an obstacle interior. With vertical set the line is x = p.X and
+// the segment from p to (p.X, y) is free exactly when lo <= y <= hi;
+// otherwise the line is y = p.Y and the bounds are x coordinates. hi is the
+// near edge of the first obstacle the line enters beyond p and lo the one
+// before p; a side with no obstacle is unbounded (math.MaxInt64 /
+// math.MinInt64), since the routing bounds are not applied. When p lies
+// strictly inside an obstacle, hi < p < lo and no segment from p is free.
+//
+// For segments inside the routing bounds the answer is SegBlocked's,
+// walked in either direction, for every target at once: the obstacles
+// that can block a segment on the line are exactly the ones whose span
+// strictly contains the line's fixed coordinate, and such an obstacle
+// blocks the segment from p to t (say t > p) exactly when it reaches
+// beyond p and starts before t — its interior overlaps the open stretch
+// (p, t) or contains p. No disjointness is assumed.
+func (ix *Index) FreeExtent(p geom.Point, vertical bool) (lo, hi geom.Coord) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	c := ix.cells
+	if vertical {
+		ix.xtree.stab(p.X, func(ci int32) {
+			r := &c[ci]
+			if r.MaxY > p.Y && r.MinY < hi {
+				hi = r.MinY
+			}
+			if r.MinY < p.Y && r.MaxY > lo {
+				lo = r.MaxY
+			}
+		})
+		return lo, hi
+	}
+	ix.ytree.stab(p.Y, func(ci int32) {
+		r := &c[ci]
+		if r.MaxX > p.X && r.MinX < hi {
+			hi = r.MinX
+		}
+		if r.MinX < p.X && r.MaxX > lo {
+			lo = r.MaxX
+		}
+	})
+	return lo, hi
 }
 
 // axisCoord returns the coordinate of p along the travel axis of d.

@@ -65,16 +65,65 @@ func naiveCornerProjections(ix *plane.Index, at geom.Point, d geom.Dir, stop geo
 	}
 }
 
+// randomRects draws one obstacle field inside [0,200]², of one of four
+// kinds: free rectangles that may overlap; a grid-aligned field whose cells
+// share edge coordinates along whole rows and columns, like a macro grid;
+// a tiling whose cells touch edge to edge without overlapping; and crossing
+// bar pairs that overlap the way a polygon's double decomposition does.
+func randomRects(r *rand.Rand) []geom.Rect {
+	var rects []geom.Rect
+	switch r.Intn(4) {
+	case 0:
+		for i := 0; i < r.Intn(14)+1; i++ {
+			x, y := int64(r.Intn(180)), int64(r.Intn(180))
+			w, h := int64(r.Intn(25)+1), int64(r.Intn(25)+1)
+			rects = append(rects, geom.R(x, y, geom.Min(x+w, 200), geom.Min(y+h, 200)))
+		}
+	case 1:
+		w, h := int64(r.Intn(20)+5), int64(r.Intn(20)+5)
+		gap := int64(r.Intn(12) + 1)
+		for y := int64(r.Intn(10)); y+h <= 200; y += h + gap {
+			for x := int64(r.Intn(10)); x+w <= 200; x += w + gap {
+				if r.Intn(5) != 0 {
+					rects = append(rects, geom.R(x, y, x+w, y+h))
+				}
+			}
+		}
+	case 2:
+		// Columns of random widths, each cut into rows of random heights:
+		// neighbours share edges, and only some edge coordinates line up.
+		for x := int64(0); x < 200; {
+			x1 := geom.Min(x+int64(r.Intn(40)+5), 200)
+			for y := int64(0); y < 200; {
+				y1 := geom.Min(y+int64(r.Intn(40)+5), 200)
+				if r.Intn(3) != 0 {
+					rects = append(rects, geom.R(x, y, x1, y1))
+				}
+				y = y1
+			}
+			x = x1
+		}
+	default:
+		for i := 0; i < r.Intn(6)+1; i++ {
+			x, y := int64(r.Intn(150)), int64(r.Intn(150))
+			w, h := int64(r.Intn(40)+10), int64(r.Intn(40)+10)
+			t := int64(r.Intn(8) + 2)
+			rects = append(rects,
+				geom.R(x, y, x+w, y+t),             // horizontal bar
+				geom.R(x+w/2-t/2, y, x+w/2+t, y+h)) // vertical bar crossing it
+		}
+	}
+	return rects
+}
+
 // checkCornerProjections compares the indexed enumeration against the naive
 // scan for random rays over a random field; shared with the fuzz target.
 func checkCornerProjections(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	bounds := geom.R(0, 0, 200, 200)
-	var rects []geom.Rect
-	for i := 0; i < r.Intn(14)+1; i++ {
-		x, y := int64(r.Intn(180)), int64(r.Intn(180))
-		w, h := int64(r.Intn(25)+1), int64(r.Intn(25)+1)
-		rects = append(rects, geom.R(x, y, geom.Min(x+w, 200), geom.Min(y+h, 200)))
+	rects := randomRects(r)
+	if len(rects) == 0 {
+		rects = append(rects, geom.R(90, 90, 110, 110))
 	}
 	ix, err := plane.New(bounds, rects)
 	if err != nil {
@@ -87,6 +136,19 @@ func checkCornerProjections(t *testing.T, seed int64) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		at := geom.Pt(int64(r.Intn(201)), int64(r.Intn(201)))
+		if r.Intn(2) == 0 {
+			// Search states sit on obstacle edges: cast from an edge or
+			// corner coordinate, so rays run along edges and corner lines
+			// pass through the ray origin.
+			c := rects[r.Intn(len(rects))]
+			at = geom.Pt([2]geom.Coord{c.MinX, c.MaxX}[r.Intn(2)], [2]geom.Coord{c.MinY, c.MaxY}[r.Intn(2)])
+			switch r.Intn(3) {
+			case 1:
+				at.X = int64(r.Intn(201))
+			case 2:
+				at.Y = int64(r.Intn(201))
+			}
+		}
 		d := geom.Dirs[r.Intn(4)]
 		// A plausible ray stop: where the tracer would stop this ray.
 		var limit geom.Coord
@@ -112,12 +174,15 @@ func checkCornerProjections(t *testing.T, seed int64) {
 	}
 }
 
+// TestCornerProjectionsMatchNaive draws 480 fields. A quarter of them are
+// free rectangles, cast from a uniform origin on half their 50 rays, so
+// that kind alone gets about 3000 uniform rays.
 func TestCornerProjectionsMatchNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		checkCornerProjections(t, seed)
 		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 480}); err != nil {
 		t.Error(err)
 	}
 }

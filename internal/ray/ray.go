@@ -22,6 +22,7 @@ package ray
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/plane"
@@ -125,78 +126,127 @@ func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via ge
 // projection counts only when the perpendicular segment from the corner to
 // the ray is unobstructed — otherwise the crossing lies on a different
 // maximal free segment of the same line and is not a track vertex.
+//
+// Projections are emitted in (cell, coordinate) order — the order a scan
+// over every cell produces, which the search's deterministic tie-breaking
+// depends on.
 func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit func(geom.Point, geom.Dir)) {
 	horiz := d.Horizontal()
-	var lo, hi geom.Coord
-	if horiz {
-		lo, hi = geom.Min(at.X, stop), geom.Max(at.X, stop)
-	} else {
-		lo, hi = geom.Min(at.Y, stop), geom.Max(at.Y, stop)
+	// along is at's coordinate on the travel axis, across its coordinate on
+	// the other one: the ray line.
+	along, across := at.X, at.Y
+	if !horiz {
+		along, across = at.Y, at.X
 	}
+	lo, hi := geom.Min(along, stop), geom.Max(along, stop)
 	// Candidate corners come from the index's corner tables restricted to the
 	// ray's open corridor (lo, hi) — O(log n + candidates) instead of a scan
-	// over every cell. The stack buffer keeps the common case allocation-free.
-	var buf [32]plane.Corner
-	var cands []plane.Corner
+	// over every cell — in (coordinate, cell) order.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	if horiz {
-		cands = g.Ix.AppendCornersX(buf[:0], lo, hi)
+		sc.cands = g.Ix.AppendCornersX(sc.cands[:0], lo, hi)
 	} else {
-		cands = g.Ix.AppendCornersY(buf[:0], lo, hi)
+		sc.cands = g.Ix.AppendCornersY(sc.cands[:0], lo, hi)
 	}
-	// The table is (coordinate, cell)-ordered; successor emission order is
-	// part of the router's determinism contract and follows the cell order a
-	// full scan would produce, so re-sort the candidates by (cell,
-	// coordinate). A channel-spanning ray on a macro grid can collect
-	// thousands of candidates in near-transposed order, so this must be a
-	// real sort, not an insertion pass. The keys are distinct (a cell's two
-	// corners differ), so the unstable sort is still deterministic.
-	slices.SortFunc(cands, func(a, b plane.Corner) int {
-		if a.Cell != b.Cell {
-			return int(a.Cell - b.Cell)
+	cands := sc.cands
+	point := func(c geom.Coord) geom.Point {
+		if horiz {
+			return geom.Pt(c, across)
 		}
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At > b.At:
-			return 1
-		}
-		return 0
-	})
+		return geom.Pt(across, c)
+	}
+	// Keep the visible candidates, compacted in place. Every candidate on
+	// one corner line — a whole column or row of cells shares it on a macro
+	// grid — is judged by a single FreeExtent stab from the line's crossing
+	// with the ray: the corner at cross coordinate cc is visible exactly
+	// when the free stretch [flo, fhi] reaches it, which is SegBlocked's
+	// answer for the corner-to-ray segment on any index, overlapping or not
+	// (see FreeExtent; the ray line lies inside the routing bounds because
+	// every search state does).
+	vis := cands[:0]
+	line := lo // no candidate lies on lo, so the first one always stabs
+	var flo, fhi geom.Coord
 	for _, cd := range cands {
 		c := g.Ix.Cell(int(cd.Cell))
-		if horiz {
-			// Nearest corner row of this cell relative to the ray line. A
-			// ray line strictly inside the cell's span cannot cross its
-			// corner tracks without having been blocked first.
-			var cy geom.Coord
-			switch {
-			case at.Y <= c.MinY:
-				cy = c.MinY
-			case at.Y >= c.MaxY:
-				cy = c.MaxY
-			default:
-				continue
-			}
-			q := geom.Pt(cd.At, at.Y)
-			if _, blocked := g.Ix.SegBlocked(geom.S(geom.Pt(cd.At, cy), q)); !blocked {
-				emit(q, d)
-			}
-		} else {
-			var cx geom.Coord
-			switch {
-			case at.X <= c.MinX:
-				cx = c.MinX
-			case at.X >= c.MaxX:
-				cx = c.MaxX
-			default:
-				continue
-			}
-			q := geom.Pt(at.X, cd.At)
-			if _, blocked := g.Ix.SegBlocked(geom.S(geom.Pt(cx, cd.At), q)); !blocked {
-				emit(q, d)
-			}
+		cmin, cmax := c.MinY, c.MaxY
+		if !horiz {
+			cmin, cmax = c.MinX, c.MaxX
+		}
+		// Nearest corner row of this cell relative to the ray line. A ray
+		// line strictly inside the cell's span cannot cross its corner
+		// tracks without having been blocked first.
+		var cc geom.Coord
+		switch {
+		case across <= cmin:
+			cc = cmin
+		case across >= cmax:
+			cc = cmax
+		default:
+			continue
+		}
+		if cd.At != line {
+			line = cd.At
+			flo, fhi = g.Ix.FreeExtent(point(line), horiz)
+		}
+		if flo <= cc && cc <= fhi {
+			vis = append(vis, cd)
 		}
 	}
+	sc.tmp = sortByCell(vis, sc.tmp)
+	for _, cd := range vis {
+		emit(point(cd.At), d)
+	}
+}
+
+// scratch holds the corner buffers of one cornerProjections call. On a
+// macro grid a ray that finds corners at all finds dozens to thousands (one
+// crossing macro channels), so the buffers are recycled through a pool
+// rather than allocated per call, which keeps Gen stateless and safe for
+// concurrent use.
+type scratch struct {
+	cands, tmp []plane.Corner
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sortByCell stably sorts corners by cell id with a least-significant-digit
+// radix sort, one byte of the cell id per pass and no comparator calls,
+// using tmp (grown as needed and returned) as scratch space. The corners
+// arrive in (coordinate, cell) order, so the result is in (cell,
+// coordinate) order: one cell's two corners have distinct coordinates and
+// keep their relative order.
+func sortByCell(s, tmp []plane.Corner) []plane.Corner {
+	if len(s) < 2 {
+		return tmp
+	}
+	var top int32
+	for _, c := range s {
+		top = max(top, c.Cell)
+	}
+	tmp = slices.Grow(tmp[:0], len(s))[:len(s)]
+	src, dst := s, tmp
+	for shift := 0; shift == 0 || top>>shift > 0; shift += 8 {
+		var next [256]int
+		for _, c := range src {
+			next[c.Cell>>shift&0xff]++
+		}
+		pos := 0
+		for k, n := range next {
+			next[k] = pos
+			pos += n
+		}
+		for _, c := range src {
+			k := c.Cell >> shift & 0xff
+			dst[next[k]] = c
+			next[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] { // an odd number of passes ended in the scratch copy
+		copy(s, src)
+	}
+	return tmp
 }
 
 // hug emits slides along every obstacle edge containing `at`.

@@ -236,7 +236,9 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	defer sess.negMu.Unlock()
 	start := time.Now()
 	res, resumed, err := s.runNegotiation(ctx, sess)
-	partial := err != nil && isInterrupted(err)
+	// A failed journal fold fails the request even on an interrupted run:
+	// the installed routes would not survive a restart.
+	partial := err != nil && isInterrupted(err) && !errors.Is(err, genroute.ErrJournalFold)
 	if res == nil || (err != nil && !partial) {
 		writeErr(w, http.StatusInternalServerError, "negotiation failed: %v", err)
 		return

@@ -302,6 +302,32 @@ func TestNegotiateDeadlinePartial(t *testing.T) {
 	}
 }
 
+// TestNegotiatePartialWithFailedFoldFails: on a journaled session, an
+// interrupted negotiation whose journal fold fails is an error, not a
+// partial: the routes it installed would not survive a restart.
+func TestNegotiatePartialWithFailedFoldFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
+	sr := createSession(t, ts, funnel(16), "pitch=2&weight=40")
+	negotiateOK(t, ts, sr.Hash)
+	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
+
+	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		switch site.Point {
+		case faultinject.Reroute:
+			time.Sleep(50 * time.Millisecond)
+		case faultinject.JournalCompact:
+			return faultinject.Error
+		}
+		return faultinject.None
+	})
+	var nr negotiateResponse
+	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: 5}, &nr)
+	restore()
+	if code != http.StatusInternalServerError {
+		t.Fatalf("interrupted negotiate with a failing fold = %d %+v, want 500", code, nr)
+	}
+}
+
 // TestLRUEvictionAndWarmReadmission: past the LRU bound the oldest session
 // drops to 404, and re-POSTing its layout warm-starts from its snapshot.
 func TestLRUEvictionAndWarmReadmission(t *testing.T) {
