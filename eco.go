@@ -411,8 +411,10 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// below, which replay then completes (unacked-record-may-apply, the
 	// standard WAL contract). A journal failure aborts the commit with the
 	// engine untouched.
+	var postHash uint64 // 0 = not computed: Save/checkpoints fingerprint on demand
 	if e.cfg.jrnlPath != "" {
-		if jerr := e.journalAppendLocked(tx, snapshot.LayoutHash(l2)); jerr != nil {
+		postHash = snapshot.LayoutHash(l2)
+		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
 			return nil, fmt.Errorf("genroute: ECO journal append: %w", jerr)
 		}
 	}
@@ -424,7 +426,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e.ix = ix2
 	e.spans = spans2
 	e.passages = passages2
-	e.lhash.Store(0) // layout changed; Save/checkpoints must re-fingerprint
+	e.lhash.Store(postHash) // the new layout's fingerprint, if the journal took one
 	e.r = router.New(ix2, e.cfg.routerOptions(ix2))
 	e.reindexNets()
 	final := cur2

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/snapshot"
 )
 
 // journaledEngine builds a routed session over gridScene(n) with the ECO
@@ -556,6 +557,35 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	if s.Torn || len(s.Records) != 3 {
 		t.Fatalf("after torn-tail recovery + commit: torn=%v records=%d", s.Torn, len(s.Records))
+	}
+}
+
+// TestJournaledCommitKeepsLayoutHash: a journaled commit fingerprints the
+// edited layout for its record, and the install keeps that fingerprint as
+// the session's memo, so the next fold, Save or checkpoint does not hash
+// the same layout again. Without a journal no fingerprint is taken and the
+// memo stays empty until one is needed.
+func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
+	e, _ := journaledEngine(t, 3)
+	commitOps(t, e, func(tx *Edit) error {
+		return tx.AddNet(padNet("hash_a", 5, e.Layout().Bounds.MaxX))
+	})
+	if got, want := e.lhash.Load(), snapshot.LayoutHash(e.l); got != want {
+		t.Fatalf("layout fingerprint memo after a journaled commit = %016x, want %016x", got, want)
+	}
+
+	plain, err := NewEngine(gridScene(t, 3), WithPitch(1), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.RouteNegotiated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	commitOps(t, plain, func(tx *Edit) error {
+		return tx.AddNet(padNet("hash_b", 5, plain.Layout().Bounds.MaxX))
+	})
+	if h := plain.lhash.Load(); h != 0 {
+		t.Fatalf("unjournaled commit memoized a layout fingerprint %016x", h)
 	}
 }
 

@@ -1,7 +1,7 @@
 package router
 
 import (
-	"sort"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/ray"
@@ -21,12 +21,8 @@ type State struct {
 	virtual bool
 }
 
-// indexThreshold is the target-set size (points + segments) above which the
-// sorted-table index pays for itself. Below it the plain scans win: a
-// two-pin net has a single target point, and four binary searches cost more
-// than one subtraction. The property tests pin both paths to each other, so
-// the threshold is a pure performance knob.
-const indexThreshold = 16
+// targetLeaf is the most elements one leaf of a target hierarchy files.
+const targetLeaf = 4
 
 // targetSet is the goal of a connection search: a set of points and
 // segments. A plain two-pin route has a single target point; a Steiner
@@ -34,116 +30,265 @@ const indexThreshold = 16
 // the paper's modification of the spanning-tree algorithm.
 //
 // On multi-terminal nets the partial tree reaches hundreds of segments, and
-// nearest/crossing run once per generated node, so large sets are answered
-// from a targetIndex of per-axis sorted tables instead of the linear scans.
-// RouteNet mutates one shared set as the tree accretes (addPoints/addSegs);
-// the index is brought up to date incrementally by prepare, which the
-// search core invokes once per run (search.PreparedProblem).
+// nearest/crossing run once per generated node, so the queries are answered
+// from a static bounding-box hierarchy: every target point and every
+// segment is filed as its bounding box, and each node holds the bounding
+// box of the elements below it. RouteNet grows one shared set as the tree
+// accretes (addPoints/addSegs); prepare, which the search core invokes once
+// per run (search.PreparedProblem), rebuilds the hierarchy when the set has
+// changed since the last build — once per Steiner round. The elements,
+// nodes and query stack keep their capacity across builds, so a set
+// recycled through netScratchPool stops allocating once warm.
 type targetSet struct {
 	points []geom.Point
 	segs   []geom.Seg
-	// idx is allocated lazily, the first time the set grows past the index
-	// threshold: two-pin connection queries (the overwhelmingly common
-	// case) then pay for a small struct and two slice headers, not the
-	// full table set.
-	idx *targetIndex
+
+	elems []geom.Rect   // one box per point and segment, in leaf order
+	nodes []targetNode  // the hierarchy in preorder; nodes[0] is the root
+	stack []targetVisit // deferred subtrees of the running query
+	built bool          // elems and nodes describe points and segs
 	// validated marks that every target point passed endpoint validation;
 	// RouteNet's candidate searches share one set, so the check runs once.
 	validated bool
 }
 
-// reset readies a recycled set for a new net, keeping table capacity.
+// targetNode is one node of a target hierarchy. Nodes are stored in
+// preorder, so an internal node's first child follows it directly and its
+// second child sits at index right. A leaf has right == 0 (the root is
+// nobody's second child) and files elems[lo:hi]. box bounds every element
+// below the node.
+type targetNode struct {
+	box    geom.Rect
+	lo, hi int32
+	right  int32
+}
+
+// targetVisit is a subtree a query has deferred, with the lower bound on
+// what it can contribute: a distance from the query point.
+type targetVisit struct {
+	node int32
+	d    geom.Coord
+}
+
+// reset readies a recycled set for a new net, keeping capacity.
 func (t *targetSet) reset() {
 	t.points = t.points[:0]
 	t.segs = t.segs[:0]
+	t.built = false
 	t.validated = false
-	if t.idx != nil {
-		t.idx.reset()
-	}
 }
 
-// addPoints appends target points; the index catches up on next prepare.
+// addPoints appends target points; the hierarchy catches up on next prepare.
 func (t *targetSet) addPoints(pts ...geom.Point) {
 	t.points = append(t.points, pts...)
+	t.built = false
 }
 
-// addSeg appends one target segment; the index catches up on next prepare.
-func (t *targetSet) addSeg(s geom.Seg) {
-	t.segs = append(t.segs, s)
+// addSegs appends target segments; the hierarchy catches up on next prepare.
+func (t *targetSet) addSegs(segs ...geom.Seg) {
+	t.segs = append(t.segs, segs...)
+	t.built = false
 }
 
-// prepare brings the index up to date when the set is large enough to be
-// worth indexing (or already was). Called by the search core before every
-// run; cheap when nothing changed.
+// prepare rebuilds the hierarchy if the set changed since the last build.
+// Called by the search core before every run; free when nothing changed.
 func (t *targetSet) prepare() {
-	if t.idx == nil {
-		if len(t.points)+len(t.segs) < indexThreshold {
-			return
-		}
-		t.idx = &targetIndex{}
+	if t.built {
+		return
 	}
-	t.idx.syncTo(t.points, t.segs)
-}
-
-// indexed reports whether the index covers the current set.
-func (t *targetSet) indexed() bool {
-	return t.idx != nil && t.idx.built && t.idx.nPts == len(t.points) && t.idx.nSegs == len(t.segs)
-}
-
-// contains reports whether p is on the target set.
-func (t *targetSet) contains(p geom.Point) bool {
-	if t.indexed() {
-		return t.idx.contains(p)
-	}
+	els := t.elems[:0]
 	for _, q := range t.points {
-		if p == q {
-			return true
-		}
+		els = append(els, geom.Rect{MinX: q.X, MinY: q.Y, MaxX: q.X, MaxY: q.Y})
 	}
 	for _, s := range t.segs {
-		if s.Contains(p) {
-			return true
+		els = append(els, s.Bounds())
+	}
+	t.elems = els
+	t.nodes = t.nodes[:0]
+	if len(els) > 0 {
+		if depth := t.split(0, len(els), 1); cap(t.stack) < depth {
+			// A query defers at most one sibling per level of its path.
+			t.stack = make([]targetVisit, 0, depth)
 		}
 	}
-	return false
+	t.built = true
+}
+
+// split files elems[lo:hi] under a new node at the given depth and returns
+// the depth of the deepest leaf below it. A node with more than targetLeaf
+// elements splits them at the median of their box centers along the wider
+// side of its box and files each half under a child.
+func (t *targetSet) split(lo, hi, depth int) int {
+	box := t.elems[lo]
+	for _, e := range t.elems[lo+1 : hi] {
+		box = box.Union(e)
+	}
+	i := len(t.nodes)
+	t.nodes = append(t.nodes, targetNode{box: box, lo: int32(lo), hi: int32(hi)})
+	if hi-lo <= targetLeaf {
+		return depth
+	}
+	mid := (lo + hi) / 2
+	selectMedian(t.elems[lo:hi], mid-lo, box.Width() >= box.Height())
+	dl := t.split(lo, mid, depth+1)
+	right := len(t.nodes)
+	dr := t.split(mid, hi, depth+1)
+	t.nodes[i].right = int32(right)
+	return max(dl, dr)
+}
+
+// centerKey is twice the center of box e along x (byX) or y.
+func centerKey(e geom.Rect, byX bool) geom.Coord {
+	if byX {
+		return e.MinX + e.MaxX
+	}
+	return e.MinY + e.MaxY
+}
+
+// selectMedian reorders es so that es[k] is the element a sort by
+// centerKey would put there, no element before it has a larger key, and
+// none after it a smaller one: Hoare's selection, which stays linear when
+// many keys are equal.
+func selectMedian(es []geom.Rect, k int, byX bool) {
+	lo, hi := 0, len(es)-1
+	//grlint:bounded every round shrinks [lo, hi] around k
+	for lo < hi {
+		pivot := centerKey(es[(lo+hi)/2], byX)
+		i, j := lo, hi
+		//grlint:bounded i and j close in on each other every round
+		for i <= j {
+			for centerKey(es[i], byX) < pivot {
+				i++
+			}
+			for centerKey(es[j], byX) > pivot {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return // es[j+1:i] all hold the pivot key, es[k] among them
+		}
+	}
+}
+
+// boxDist is the Manhattan distance from p to the nearest point of box b.
+func boxDist(b geom.Rect, p geom.Point) geom.Coord {
+	var d geom.Coord
+	if p.X < b.MinX {
+		d = b.MinX - p.X
+	} else if p.X > b.MaxX {
+		d = p.X - b.MaxX
+	}
+	if p.Y < b.MinY {
+		d += b.MinY - p.Y
+	} else if p.Y > b.MaxY {
+		d += p.Y - b.MaxY
+	}
+	return d
+}
+
+// contains reports whether p is on the target set: a point stab down the
+// boxes that contain p.
+func (t *targetSet) contains(p geom.Point) bool {
+	if len(t.nodes) == 0 {
+		return false
+	}
+	stack := t.stack[:0]
+	n := int32(0)
+	//grlint:bounded visits each node of the finite hierarchy at most once
+	for {
+		if nd := &t.nodes[n]; nd.box.Contains(p) {
+			if nd.right != 0 {
+				stack = append(stack, targetVisit{node: nd.right})
+				n++
+				continue
+			}
+			for _, e := range t.elems[nd.lo:nd.hi] {
+				if e.Contains(p) {
+					return true
+				}
+			}
+		}
+		if len(stack) == 0 {
+			return false
+		}
+		n = stack[len(stack)-1].node
+		stack = stack[:len(stack)-1]
+	}
 }
 
 // nearest returns the closest point of the target set to p and its
 // Manhattan distance. The distance is an admissible heuristic; the point
-// guides ray generation. Distance ties break toward the lexicographically
-// smaller point, which makes the answer a pure function of the set — both
-// the scan below and the indexed query return the identical point.
+// guides ray generation. Each point contributes itself and each segment its
+// clamp point, the unique nearest point of its box; distance ties break
+// toward the lexicographically smaller point, which makes the answer a pure
+// function of the set.
+//
+// The search is branch and bound: it descends into the nearer child first
+// and drops a subtree only when its box is strictly farther than the best
+// distance found, so every element at a tied distance still reaches the
+// tie-break.
 func (t *targetSet) nearest(p geom.Point) (geom.Point, geom.Coord) {
-	if t.indexed() {
-		return t.idx.nearest(p)
+	if len(t.nodes) == 0 {
+		return geom.Point{}, -1
 	}
 	best := geom.Point{}
-	bestD := geom.Coord(-1)
-	consider := func(q geom.Point) {
-		d := p.Manhattan(q)
-		if bestD < 0 || d < bestD || (d == bestD && q.Less(best)) {
-			best, bestD = q, d
+	bestD := geom.Coord(math.MaxInt64)
+	stack := t.stack[:0]
+	n, d := int32(0), geom.Coord(0) // the root is always searched
+	//grlint:bounded visits each node of the finite hierarchy at most once
+	for {
+		if d <= bestD {
+			nd := &t.nodes[n]
+			if nd.right != 0 {
+				a, b := n+1, nd.right
+				da, db := boxDist(t.nodes[a].box, p), boxDist(t.nodes[b].box, p)
+				if db < da {
+					a, b, da, db = b, a, db, da
+				}
+				stack = append(stack, targetVisit{node: b, d: db})
+				n, d = a, da
+				continue
+			}
+			for _, e := range t.elems[nd.lo:nd.hi] {
+				if ed := boxDist(e, p); ed <= bestD {
+					q := geom.Pt(geom.Clamp(p.X, e.MinX, e.MaxX), geom.Clamp(p.Y, e.MinY, e.MaxY))
+					if ed < bestD || q.Less(best) {
+						best, bestD = q, ed
+					}
+				}
+			}
 		}
+		if len(stack) == 0 {
+			return best, bestD
+		}
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, d = v.node, v.d
 	}
-	for _, q := range t.points {
-		consider(q)
-	}
-	for _, s := range t.segs {
-		// The nearest point of an axis-parallel segment to p clamps p's
-		// coordinates onto the segment's span.
-		b := s.Bounds()
-		consider(geom.Pt(geom.Clamp(p.X, b.MinX, b.MaxX), geom.Clamp(p.Y, b.MinY, b.MaxY)))
-	}
-	return best, bestD
 }
 
 // crossing returns the point where the directed travel segment from→to
 // first meets the target set, if it does. Rays are cast toward the nearest
 // target, but a travel segment can also cross a *different* target segment
 // transversally; detecting that crossing early is what lets a route attach
-// to the middle of an existing tree edge. The first contact is the answer:
-// every candidate lies on the travel segment, so its distance from `from`
-// determines it uniquely and the result does not depend on scan order.
+// to the middle of an existing tree edge.
+//
+// An element meets the travel when its box meets the travel's, and then its
+// first contact lies on the travel at the box's distance from `from`, so the
+// answer is the met element nearest `from`: distinct candidates lie at
+// distinct distances and the result does not depend on visiting order. The
+// search visits only boxes that meet the travel, nearer first, and drops a
+// subtree that cannot beat the best contact.
 func (t *targetSet) crossing(from, to geom.Point) (geom.Point, bool) {
 	if from == to {
 		// Degenerate travel: the only possible contact is the point itself.
@@ -152,395 +297,54 @@ func (t *targetSet) crossing(from, to geom.Point) (geom.Point, bool) {
 		}
 		return geom.Point{}, false
 	}
-	if t.indexed() {
-		return t.idx.crossing(from, to)
-	}
 	travel := geom.S(from, to)
-	d := travel.Dir()
-	best := geom.Point{}
-	bestD := geom.Coord(-1)
-	consider := func(q geom.Point) {
-		if !travel.Contains(q) {
-			return
-		}
-		dist := from.Manhattan(q)
-		if bestD < 0 || dist < bestD {
-			best, bestD = q, dist
-		}
-	}
-	for _, q := range t.points {
-		consider(q)
-	}
-	for _, s := range t.segs {
-		if !travel.Intersects(s) {
-			continue
-		}
-		// Intersection of two axis-parallel segments: the overlap box is
-		// degenerate; its corner nearest `from` along the travel direction
-		// is the first contact.
-		ov := travel.Bounds().Intersection(s.Bounds())
-		var q geom.Point
-		switch d {
-		case geom.East, geom.North, geom.DirNone:
-			q = geom.Pt(ov.MinX, ov.MinY)
-		case geom.West:
-			q = geom.Pt(ov.MaxX, ov.MinY)
-		case geom.South:
-			q = geom.Pt(ov.MinX, ov.MaxY)
-		}
-		consider(q)
-	}
-	if bestD < 0 {
+	tb := travel.Bounds()
+	if len(t.nodes) == 0 || !tb.Intersects(t.nodes[0].box) {
 		return geom.Point{}, false
 	}
-	return best, true
-}
-
-// targetSpan is one non-degenerate target segment filed in a targetIndex:
-// At is the fixed coordinate (x of a vertical segment, y of a horizontal
-// one), [Lo, Hi] the span along the segment's own axis.
-type targetSpan struct {
-	At, Lo, Hi geom.Coord
-}
-
-// targetIndex answers the targetSet queries from per-axis sorted tables,
-// the way plane.Index answers obstacle queries: nearest runs a best-first
-// outward scan over four tables (O(log n) binary searches plus the entries
-// within the best distance), crossing a bounded corridor scan over the
-// tables that can touch the travel segment.
-//
-// The point tables hold every target point plus every segment endpoint.
-// Endpoints are sound extra candidates for nearest: the clamp point of a
-// segment is its unique distance minimizer, so an endpoint either is the
-// clamp point or lies strictly farther — it can never win a distance tie
-// against a different point and perturb the lexicographic tie-break.
-// Degenerate (single-point) segments are filed as points only.
-type targetIndex struct {
-	ptsByX []geom.Point // target points + segment endpoints, sorted (X, Y)
-	ptsByY []geom.Point // same entries, sorted (Y, X)
-	vsegs  []targetSpan // vertical segments, sorted (At, Lo, Hi)
-	hsegs  []targetSpan // horizontal segments, sorted (At, Lo, Hi)
-
-	built       bool
-	nPts, nSegs int // prefix of points/segs already filed
-	scratchPts  []geom.Point
-	scratchV    []targetSpan
-	scratchH    []targetSpan
-}
-
-// reset empties the index, keeping capacity for reuse.
-func (ix *targetIndex) reset() {
-	ix.ptsByX = ix.ptsByX[:0]
-	ix.ptsByY = ix.ptsByY[:0]
-	ix.vsegs = ix.vsegs[:0]
-	ix.hsegs = ix.hsegs[:0]
-	ix.built = false
-	ix.nPts, ix.nSegs = 0, 0
-}
-
-// syncTo files every point and segment not yet in the tables. The new
-// entries of one round are sorted among themselves and merged into the
-// sorted tables backward in place — O(new log new + table) per round
-// instead of a full rebuild.
-func (ix *targetIndex) syncTo(points []geom.Point, segs []geom.Seg) {
-	if ix.nPts == len(points) && ix.nSegs == len(segs) {
-		ix.built = true
-		return
-	}
-	newPts := ix.scratchPts[:0]
-	newPts = append(newPts, points[ix.nPts:]...)
-	vs, hs := ix.scratchV[:0], ix.scratchH[:0]
-	for _, s := range segs[ix.nSegs:] {
-		if s.A == s.B {
-			newPts = append(newPts, s.A)
-			continue
-		}
-		newPts = append(newPts, s.A, s.B)
-		b := s.Bounds()
-		if s.Vertical() {
-			vs = append(vs, targetSpan{At: b.MinX, Lo: b.MinY, Hi: b.MaxY})
-		} else {
-			hs = append(hs, targetSpan{At: b.MinY, Lo: b.MinX, Hi: b.MaxX})
-		}
-	}
-	sort.Slice(newPts, func(a, b int) bool { return ptLessXY(newPts[a], newPts[b]) })
-	ix.ptsByX = mergeSorted(ix.ptsByX, newPts, ptLessXY)
-	sort.Slice(newPts, func(a, b int) bool { return ptLessYX(newPts[a], newPts[b]) })
-	ix.ptsByY = mergeSorted(ix.ptsByY, newPts, ptLessYX)
-	sort.Slice(vs, func(a, b int) bool { return spanLess(vs[a], vs[b]) })
-	ix.vsegs = mergeSorted(ix.vsegs, vs, spanLess)
-	sort.Slice(hs, func(a, b int) bool { return spanLess(hs[a], hs[b]) })
-	ix.hsegs = mergeSorted(ix.hsegs, hs, spanLess)
-	ix.scratchPts = newPts[:0]
-	ix.scratchV, ix.scratchH = vs[:0], hs[:0]
-	ix.nPts, ix.nSegs = len(points), len(segs)
-	ix.built = true
-}
-
-func ptLessXY(a, b geom.Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
-}
-
-func ptLessYX(a, b geom.Point) bool {
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.X < b.X
-}
-
-func spanLess(a, b targetSpan) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	return a.Hi < b.Hi
-}
-
-// mergeSorted merges the sorted batch add into the sorted dst in place
-// (growing dst), back to front so no element is overwritten before it is
-// consumed. add must not alias dst.
-func mergeSorted[T any](dst, add []T, less func(a, b T) bool) []T {
-	if len(add) == 0 {
-		return dst
-	}
-	n := len(dst)
-	dst = append(dst, add...)
-	i, j, w := n-1, len(add)-1, len(dst)-1
-	//grlint:bounded merge of two finite sorted slices; one cursor retreats per iteration
-	for i >= 0 && j >= 0 {
-		if less(add[j], dst[i]) {
-			dst[w] = dst[i]
-			i--
-		} else {
-			dst[w] = add[j]
-			j--
-		}
-		w--
-	}
-	for j >= 0 {
-		dst[w] = add[j]
-		j--
-		w--
-	}
-	return dst
-}
-
-// contains reports whether p lies on an indexed point or segment.
-func (ix *targetIndex) contains(p geom.Point) bool {
-	i := sort.Search(len(ix.ptsByX), func(k int) bool { return !ptLessXY(ix.ptsByX[k], p) })
-	if i < len(ix.ptsByX) && ix.ptsByX[i] == p {
-		return true
-	}
-	j := sort.Search(len(ix.vsegs), func(k int) bool { return ix.vsegs[k].At >= p.X })
-	for ; j < len(ix.vsegs) && ix.vsegs[j].At == p.X; j++ {
-		if e := ix.vsegs[j]; e.Lo <= p.Y && p.Y <= e.Hi {
-			return true
-		}
-	}
-	k := sort.Search(len(ix.hsegs), func(k int) bool { return ix.hsegs[k].At >= p.Y })
-	for ; k < len(ix.hsegs) && ix.hsegs[k].At == p.Y; k++ {
-		if e := ix.hsegs[k]; e.Lo <= p.X && p.X <= e.Hi {
-			return true
-		}
-	}
-	return false
-}
-
-// nearest is the indexed nearest-target query: a best-first outward scan
-// over eight frontiers (left/right of p in each of the four tables), always
-// advancing the frontier with the smallest axis distance. Since Manhattan
-// distance is at least the distance along either axis, the scan can stop as
-// soon as every frontier's next entry is farther along its axis than the
-// best full distance found — candidates at exactly the best distance are
-// still visited, so the lexicographic tie-break sees every contender.
-//
-// A segment whose span contains p's cross coordinate contributes its clamp
-// point at full distance equal to the axis distance, so it is found the
-// moment its frontier is reached; segments beyond p's span contribute via
-// their endpoints in the point tables.
-func (ix *targetIndex) nearest(p geom.Point) (geom.Point, geom.Coord) {
-	best := geom.Point{}
-	bestD := geom.Coord(-1)
-	consider := func(q geom.Point) {
-		d := p.Manhattan(q)
-		if bestD < 0 || d < bestD || (d == bestD && q.Less(best)) {
-			best, bestD = q, d
-		}
-	}
-	xr := sort.Search(len(ix.ptsByX), func(k int) bool { return ix.ptsByX[k].X >= p.X })
-	xl := xr - 1
-	yr := sort.Search(len(ix.ptsByY), func(k int) bool { return ix.ptsByY[k].Y >= p.Y })
-	yl := yr - 1
-	vr := sort.Search(len(ix.vsegs), func(k int) bool { return ix.vsegs[k].At >= p.X })
-	vl := vr - 1
-	hr := sort.Search(len(ix.hsegs), func(k int) bool { return ix.hsegs[k].At >= p.Y })
-	hl := hr - 1
-	//grlint:bounded each iteration retires one frontier cursor over four finite sorted tables
+	bestD := geom.Coord(math.MaxInt64)
+	stack := t.stack[:0]
+	n, d := int32(0), geom.Coord(0) // the root meets the travel
+	//grlint:bounded visits each node of the finite hierarchy at most once
 	for {
-		minD := geom.Coord(-1)
-		minF := -1
-		upd := func(d geom.Coord, f int) {
-			if minD < 0 || d < minD {
-				minD, minF = d, f
+		if d < bestD {
+			nd := &t.nodes[n]
+			if nd.right != 0 {
+				a, b := n+1, nd.right
+				da, db := geom.Coord(math.MaxInt64), geom.Coord(math.MaxInt64)
+				if tb.Intersects(t.nodes[a].box) {
+					da = boxDist(t.nodes[a].box, from)
+				}
+				if tb.Intersects(t.nodes[b].box) {
+					db = boxDist(t.nodes[b].box, from)
+				}
+				if db < da {
+					a, b, da, db = b, a, db, da
+				}
+				if db < bestD {
+					stack = append(stack, targetVisit{node: b, d: db})
+				}
+				n, d = a, da
+				continue
 			}
-		}
-		if xl >= 0 {
-			upd(p.X-ix.ptsByX[xl].X, 0)
-		}
-		if xr < len(ix.ptsByX) {
-			upd(ix.ptsByX[xr].X-p.X, 1)
-		}
-		if yl >= 0 {
-			upd(p.Y-ix.ptsByY[yl].Y, 2)
-		}
-		if yr < len(ix.ptsByY) {
-			upd(ix.ptsByY[yr].Y-p.Y, 3)
-		}
-		if vl >= 0 {
-			upd(p.X-ix.vsegs[vl].At, 4)
-		}
-		if vr < len(ix.vsegs) {
-			upd(ix.vsegs[vr].At-p.X, 5)
-		}
-		if hl >= 0 {
-			upd(p.Y-ix.hsegs[hl].At, 6)
-		}
-		if hr < len(ix.hsegs) {
-			upd(ix.hsegs[hr].At-p.Y, 7)
-		}
-		if minF < 0 || (bestD >= 0 && minD > bestD) {
-			break
-		}
-		switch minF {
-		case 0:
-			consider(ix.ptsByX[xl])
-			xl--
-		case 1:
-			consider(ix.ptsByX[xr])
-			xr++
-		case 2:
-			consider(ix.ptsByY[yl])
-			yl--
-		case 3:
-			consider(ix.ptsByY[yr])
-			yr++
-		case 4:
-			if e := ix.vsegs[vl]; e.Lo <= p.Y && p.Y <= e.Hi {
-				consider(geom.Pt(e.At, p.Y))
-			}
-			vl--
-		case 5:
-			if e := ix.vsegs[vr]; e.Lo <= p.Y && p.Y <= e.Hi {
-				consider(geom.Pt(e.At, p.Y))
-			}
-			vr++
-		case 6:
-			if e := ix.hsegs[hl]; e.Lo <= p.X && p.X <= e.Hi {
-				consider(geom.Pt(p.X, e.At))
-			}
-			hl--
-		case 7:
-			if e := ix.hsegs[hr]; e.Lo <= p.X && p.X <= e.Hi {
-				consider(geom.Pt(p.X, e.At))
-			}
-			hr++
-		}
-	}
-	return best, bestD
-}
-
-// crossing is the indexed first-contact query for a non-degenerate travel
-// segment: point contacts come from the cross-axis point table's row (or
-// column) at the travel line, transversal segment contacts from a bounded
-// corridor scan between the travel endpoints, and collinear overlaps from
-// the same-At entries of the parallel table. Every candidate lies on the
-// travel segment, so the minimum distance from `from` identifies it
-// uniquely.
-func (ix *targetIndex) crossing(from, to geom.Point) (geom.Point, bool) {
-	bestD := geom.Coord(-1)
-	if from.Y == to.Y {
-		y := from.Y
-		xlo, xhi := geom.Min(from.X, to.X), geom.Max(from.X, to.X)
-		east := to.X > from.X
-		bestX := geom.Coord(0)
-		considerX := func(x geom.Coord) {
-			d := geom.Abs(from.X - x)
-			if bestD < 0 || d < bestD {
-				bestD, bestX = d, x
-			}
-		}
-		i := sort.Search(len(ix.ptsByY), func(k int) bool {
-			q := ix.ptsByY[k]
-			return q.Y > y || (q.Y == y && q.X >= xlo)
-		})
-		for ; i < len(ix.ptsByY) && ix.ptsByY[i].Y == y && ix.ptsByY[i].X <= xhi; i++ {
-			considerX(ix.ptsByY[i].X)
-		}
-		j := sort.Search(len(ix.vsegs), func(k int) bool { return ix.vsegs[k].At >= xlo })
-		for ; j < len(ix.vsegs) && ix.vsegs[j].At <= xhi; j++ {
-			if e := ix.vsegs[j]; e.Lo <= y && y <= e.Hi {
-				considerX(e.At)
-			}
-		}
-		k := sort.Search(len(ix.hsegs), func(k int) bool { return ix.hsegs[k].At >= y })
-		for ; k < len(ix.hsegs) && ix.hsegs[k].At == y; k++ {
-			e := ix.hsegs[k]
-			if lo, hi := geom.Max(xlo, e.Lo), geom.Min(xhi, e.Hi); lo <= hi {
-				if east {
-					considerX(lo)
-				} else {
-					considerX(hi)
+			for _, e := range t.elems[nd.lo:nd.hi] {
+				if tb.Intersects(e) {
+					bestD = min(bestD, boxDist(e, from))
 				}
 			}
 		}
-		if bestD < 0 {
-			return geom.Point{}, false
+		if len(stack) == 0 {
+			break
 		}
-		return geom.Pt(bestX, y), true
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, d = v.node, v.d
 	}
-	x := from.X
-	ylo, yhi := geom.Min(from.Y, to.Y), geom.Max(from.Y, to.Y)
-	north := to.Y > from.Y
-	bestY := geom.Coord(0)
-	considerY := func(y geom.Coord) {
-		d := geom.Abs(from.Y - y)
-		if bestD < 0 || d < bestD {
-			bestD, bestY = d, y
-		}
-	}
-	i := sort.Search(len(ix.ptsByX), func(k int) bool {
-		q := ix.ptsByX[k]
-		return q.X > x || (q.X == x && q.Y >= ylo)
-	})
-	for ; i < len(ix.ptsByX) && ix.ptsByX[i].X == x && ix.ptsByX[i].Y <= yhi; i++ {
-		considerY(ix.ptsByX[i].Y)
-	}
-	j := sort.Search(len(ix.hsegs), func(k int) bool { return ix.hsegs[k].At >= ylo })
-	for ; j < len(ix.hsegs) && ix.hsegs[j].At <= yhi; j++ {
-		if e := ix.hsegs[j]; e.Lo <= x && x <= e.Hi {
-			considerY(e.At)
-		}
-	}
-	k := sort.Search(len(ix.vsegs), func(k int) bool { return ix.vsegs[k].At >= x })
-	for ; k < len(ix.vsegs) && ix.vsegs[k].At == x; k++ {
-		e := ix.vsegs[k]
-		if lo, hi := geom.Max(ylo, e.Lo), geom.Min(yhi, e.Hi); lo <= hi {
-			if north {
-				considerY(lo)
-			} else {
-				considerY(hi)
-			}
-		}
-	}
-	if bestD < 0 {
+	if bestD == math.MaxInt64 {
 		return geom.Point{}, false
 	}
-	return geom.Pt(x, bestY), true
+	step := travel.Dir().Delta()
+	return geom.Pt(from.X+step.X*bestD, from.Y+step.Y*bestD), true
 }
 
 // connProblem adapts a connection query to the generic search framework.
@@ -596,9 +400,9 @@ func (p *connProblem) Tracer() search.Tracer[State] {
 	return stateTracer{onExpand: p.onExpand, onGenerate: p.onGenerate}
 }
 
-// Prepare implements search.PreparedProblem: it brings the target set's
-// sorted tables up to date with the points and segments RouteNet appended
-// since the last search, once per run.
+// Prepare implements search.PreparedProblem: it rebuilds the target set's
+// box hierarchy when RouteNet has grown the set since the last search, once
+// per run.
 func (p *connProblem) Prepare() { p.targets.prepare() }
 
 // Start implements search.Problem with the synthetic multi-source node.

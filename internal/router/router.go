@@ -184,7 +184,12 @@ func (r *Router) RouteConnection(sources, targetPts []geom.Point, targetSegs []g
 
 // RouteConnectionCtx is RouteConnection with cooperative cancellation.
 func (r *Router) RouteConnectionCtx(ctx context.Context, sources, targetPts []geom.Point, targetSegs []geom.Seg) (Route, error) {
-	ts := &targetSet{points: targetPts, segs: targetSegs}
+	scratch := netScratchPool.Get().(*netScratch)
+	defer netScratchPool.Put(scratch)
+	ts := &scratch.ts
+	ts.reset()
+	ts.addPoints(targetPts...)
+	ts.addSegs(targetSegs...)
 	route, err := r.routeConnection(ctx.Done(), sources, ts, 0)
 	return route, ctxError(ctx, err)
 }
@@ -206,8 +211,8 @@ func ctxError(ctx context.Context, err error) error {
 // costing at most maxCost aborts early and reports not-found. RouteNet's
 // greedy candidate loop supplies the best attachment cost found so far as
 // the ceiling, and shares one target set across candidates so the target
-// index and the endpoint validation are paid once per round, not once per
-// candidate. done, when non-nil, cancels the search cooperatively; the
+// hierarchy and the endpoint validation are paid once per round, not once
+// per candidate. done, when non-nil, cancels the search cooperatively; the
 // abort surfaces as search.ErrCancelled (callers with a context rewrite it
 // via ctxError).
 func (r *Router) routeConnection(done <-chan struct{}, sources []geom.Point, targets *targetSet, maxCost search.Cost) (Route, error) {
@@ -290,11 +295,12 @@ type NetRoute struct {
 	FailedTerminal string
 }
 
-// netScratch is the reusable per-RouteNet working state: the shared target
-// set (the connected points/segments of the growing tree plus its sorted
-// index tables) and the pin extraction arenas. Recycled through
-// netScratchPool so the greedy rounds of consecutive nets — every worker
-// routes thousands on macro layouts — stop re-allocating the same slices.
+// netScratch is the reusable working state of RouteNet and
+// RouteConnection: the shared target set (the connected points/segments of
+// the growing tree plus its box hierarchy) and the pin extraction arenas.
+// Recycled through netScratchPool so the greedy rounds of consecutive nets —
+// every worker routes thousands on macro layouts — stop re-allocating the
+// same slices.
 type netScratch struct {
 	ts        targetSet
 	pinFlat   []geom.Point
@@ -351,8 +357,8 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 	scratch.pins = pins
 
 	// ts is the shared target set: RouteNet appends to it as the tree
-	// grows, and every candidate search in a round reads the same sorted
-	// index (rebuilt incrementally at search start via the Prepare hook).
+	// grows, and every candidate search in a round reads the same box
+	// hierarchy (rebuilt by the round's first search via the Prepare hook).
 	ts := &scratch.ts
 	ts.reset()
 	ts.addPoints(pins[startIdx]...)
@@ -415,7 +421,7 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 		for i := 1; i < len(best.route.Points); i++ {
 			seg := geom.S(best.route.Points[i-1], best.route.Points[i])
 			out.Segments = append(out.Segments, seg)
-			ts.addSeg(seg)
+			ts.addSegs(seg)
 		}
 		ts.addPoints(pins[ti]...)
 	}

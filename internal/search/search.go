@@ -125,11 +125,11 @@ type TracedProblem[S comparable] interface {
 
 // PreparedProblem is implemented by problems that maintain derived
 // acceleration state over inputs that may change between runs — the
-// router's connection problem keeps sorted tables over its target set,
+// router's connection problem keeps a box hierarchy over its target set,
 // which grows as the Steiner tree accretes segments. Find/FindWith call
-// Prepare exactly once, before the first expansion, so the (incremental)
-// rebuild happens once per run instead of per expansion, and several runs
-// against the same problem value share one build.
+// Prepare exactly once, before the first expansion, so the rebuild happens
+// once per run instead of per expansion, and several runs against the same
+// problem value share one build.
 type PreparedProblem interface {
 	// Prepare brings the problem's derived state up to date with its
 	// inputs. It must be cheap when nothing changed.
