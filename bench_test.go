@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one per figure/claim.
-// See DESIGN.md §3 for the experiment index; `go test -bench=. -benchmem`
-// produces the raw series recorded in EXPERIMENTS.md. Custom metrics:
+// `go run ./cmd/experiments -list` prints the experiment index, and
+// README.md's "Verify and benchmark" section lists the benchmark commands;
+// `go test -bench=. -benchmem` produces the raw series. Custom metrics:
 // expansions/op is the search-effort measure the paper's Figure 1 is about.
 package genroute_test
 

@@ -372,5 +372,5 @@ func runC6(cfg runConfig) {
 	t.print()
 	fmt.Println("  (NOTE: the paper reports global < detailed on its full detailed router with")
 	fmt.Println("   layer assignment; our detailed stage is the sketched channel/track step only,")
-	fmt.Println("   so the ratio inverts — see EXPERIMENTS.md for the substitution discussion)")
+	fmt.Println("   so the ratio inverts — README.md's flow summary, item 4, lists what it covers)")
 }

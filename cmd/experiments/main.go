@@ -1,6 +1,6 @@
 // Command experiments regenerates every figure and claim of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for the recorded results).
+// evaluation (-list prints the experiment index; README.md's "Verify and
+// benchmark" section lists the matching benchmarks).
 //
 // Usage:
 //

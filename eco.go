@@ -2,6 +2,7 @@ package genroute
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -19,7 +20,7 @@ import (
 // Edit is a staged ECO (engineering change order) transaction over an
 // Engine. Stage any number of AddNet/RemoveNet/MoveCell operations, then
 // Commit: the engine applies the edits to its layout, marks the dirty nets,
-// overlays the obstacle index, and reroutes only the dirty set plus the
+// edits the obstacle index, and reroutes only the dirty set plus the
 // nets the edit pushed into overflow — the unedited, unaffected nets keep
 // their routes byte-identical (see Commit for the exact guarantee).
 //
@@ -183,10 +184,11 @@ type ECOResult struct {
 // RouteNegotiated call) can resume draining the remaining overflow.
 //
 // A panic anywhere in the commit is recovered and returned as an error
-// rather than unwinding through the caller. Per-net routing panics during
-// the repair are already isolated by the negotiator; any other panic can
-// only originate before the install step (the install itself is plain
-// assignments), so the engine is left exactly as it was.
+// matching ErrCommitPanic rather than unwinding through the caller.
+// Per-net routing panics during the repair are already isolated by the
+// negotiator; any other panic can only originate before the install step
+// (the install itself is plain assignments), so the engine is left exactly
+// as it was.
 func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e := tx.e
 	defer recoverCommitPanic(&res, &err)
@@ -285,7 +287,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		return nil, ferr
 	}
 
-	// 3. Overlay the obstacle index: splice the moved cells' obstacle ids
+	// 3. Edit the obstacle index: splice the moved cells' obstacle ids
 	// out and their translated rectangles in. Unmoved geometry keeps its
 	// derived tables; passages are re-extracted only when geometry moved.
 	ix2, spans2, passages2 := e.ix, e.spans, e.passages
@@ -415,7 +417,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	if e.cfg.jrnlPath != "" {
 		postHash = snapshot.LayoutHash(l2)
 		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
-			return nil, fmt.Errorf("genroute: ECO journal append: %w", jerr)
+			return nil, fmt.Errorf("%w: %w", ErrJournalAppend, jerr)
 		}
 	}
 
@@ -455,15 +457,21 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	return out, err
 }
 
+// ErrCommitPanic marks an Edit.Commit error that is a recovered panic: a
+// fault in the engine, not in the staged edits. The engine is left exactly
+// as it was.
+var ErrCommitPanic = errors.New("genroute: ECO commit panicked")
+
 // recoverCommitPanic is Commit's deferred panic guard: any panic in the
-// commit becomes an error return and the engine is left exactly as it was
-// (see the Commit doc for why no torn state can escape).
+// commit becomes an error return (matching ErrCommitPanic) and the engine
+// is left exactly as it was (see the Commit doc for why no torn state can
+// escape).
 //
 //grlint:recoverguard ECO commits convert panics to errors so a poisoned edit cannot unwind the caller
 func recoverCommitPanic(res **ECOResult, err *error) {
 	if v := recover(); v != nil {
 		*res = nil
-		*err = fmt.Errorf("genroute: ECO commit panicked: %v\n%s", v, debug.Stack())
+		*err = fmt.Errorf("%w: %v\n%s", ErrCommitPanic, v, debug.Stack())
 	}
 }
 

@@ -2,6 +2,7 @@ package genroute
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -248,14 +249,19 @@ func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error)
 	return res, e.installNegotiated(res, err)
 }
 
+// ErrUnknownNet marks a request for a net the session's layout does not
+// have.
+var ErrUnknownNet = errors.New("genroute: no net")
+
 // RouteNet routes one net of the layout by name, independently of the
-// session's whole-layout state (which it does not modify).
+// session's whole-layout state (which it does not modify). An unknown name
+// returns an error matching ErrUnknownNet.
 func (e *Engine) RouteNet(ctx context.Context, name string) (NetRoute, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ni, ok := e.netIdx[name]
 	if !ok {
-		return NetRoute{}, fmt.Errorf("genroute: no net %q", name)
+		return NetRoute{}, fmt.Errorf("%w %q", ErrUnknownNet, name)
 	}
 	return e.r.RouteNetCtx(ctx, &e.l.Nets[ni])
 }

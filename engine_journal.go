@@ -57,6 +57,12 @@ func WithJournalFile(path string) Option {
 // the flow.
 var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 
+// ErrJournalAppend marks an Edit.Commit that failed to append its edit set
+// to the ECO journal durably (a write, fsync or pre-append fold failure).
+// The engine is left untouched; the failure is the server's, not the
+// edit's.
+var ErrJournalAppend = errors.New("genroute: ECO journal append failed")
+
 // WithJournalCompaction overrides the journal fold thresholds: compact
 // after records edit records or bytes journal bytes, whichever comes first
 // (0 keeps the default for that axis).

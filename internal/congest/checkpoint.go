@@ -95,46 +95,27 @@ func (cp *Checkpoint) clone() *Checkpoint {
 	return &c
 }
 
-// boundaryCheckpoint fires the checkpoint hook with a pass-boundary blob
-// (the state between recorded passes). A hook write failure aborts the run:
-// a caller asking for crash safety must not silently lose it.
-func (ng *negotiator) boundaryCheckpoint() error {
+// checkpoint fires the checkpoint hook. With st nil the blob is the
+// pass-boundary state (between recorded passes); otherwise it is the
+// in-progress pass's state. Checkpoints are only taken between rip-ups, so
+// st.next and the live map agree exactly — which is what lets resume
+// rebuild the map from the blob's routes. A hook write failure aborts the
+// run: a caller asking for crash safety must not silently lose it.
+func (ng *negotiator) checkpoint(st *passRun) error {
 	if ng.cfg.Checkpoint == nil {
 		return nil
 	}
-	cp := &Checkpoint{
+	cp := Checkpoint{
 		PassesRecorded: ng.passOffset + len(ng.res.Passes),
 		ReroutePass:    ng.reroutePass,
-		History:        append([]int(nil), ng.res.History...),
-		Nets:           append([]router.NetRoute(nil), ng.cur.Nets...),
+		History:        ng.res.History,
+		Nets:           ng.cur.Nets,
 	}
-	if err := ng.cfg.Checkpoint(cp); err != nil {
-		return fmt.Errorf("congest: checkpoint hook: %w", err)
+	if st != nil {
+		cp.Nets, cp.InPass, cp.Changed = st.next.Nets, true, st.changed
+		cp.Ripped, cp.Initial, cp.InitialPos, cp.Rerouted = st.ripped, st.initial, st.pos, st.rerouted
 	}
-	return nil
-}
-
-// midPassCheckpoint fires the checkpoint hook with the in-progress pass's
-// state. Checkpoints are only taken between rip-ups, so st.next and the
-// live map agree exactly — which is what lets resume rebuild the map from
-// the blob's routes.
-func (ng *negotiator) midPassCheckpoint(st *passRun) error {
-	if ng.cfg.Checkpoint == nil {
-		return nil
-	}
-	cp := &Checkpoint{
-		PassesRecorded: ng.passOffset + len(ng.res.Passes),
-		ReroutePass:    ng.reroutePass,
-		History:        append([]int(nil), ng.res.History...),
-		Nets:           append([]router.NetRoute(nil), st.next.Nets...),
-		InPass:         true,
-		Changed:        st.changed,
-		Ripped:         append([]bool(nil), st.ripped...),
-		Initial:        append([]int(nil), st.initial...),
-		InitialPos:     st.pos,
-		Rerouted:       append([]string(nil), st.rerouted...),
-	}
-	if err := ng.cfg.Checkpoint(cp); err != nil {
+	if err := ng.cfg.Checkpoint(cp.clone()); err != nil {
 		return fmt.Errorf("congest: checkpoint hook: %w", err)
 	}
 	return nil
@@ -158,27 +139,23 @@ func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, pas
 		return nil, err
 	}
 	cp = cp.clone() // the negotiator takes the state over; keep the caller's blob intact
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = DefaultMaxPasses
-	}
 	segs := make([][]geom.Seg, len(cp.Nets))
 	for i := range cp.Nets {
 		segs[i] = cp.Nets[i].Segments
 	}
-	m := BuildMap(passages, segs)
-	ng := newNegotiator(l, ix, cfg, m, cp.History)
+	ng := newNegotiator(l, ix, cfg, BuildMap(passages, segs), cp.History)
 	ng.passOffset = cp.PassesRecorded
 	ng.reroutePass = cp.ReroutePass
 	ng.cur = &router.LayoutResult{Nets: cp.Nets}
 	ng.cur.Finalize(time.Now())
 
+	var st *passRun
 	if cp.InPass {
 		// Finish the interrupted pass: restore its rip state and present
-		// weight (the pass prologue — history accrual, weight escalation,
+		// weight (beginPass — history accrual, weight escalation,
 		// reroutePass increment — already ran before the checkpoint).
 		ng.presWeight = cfg.Weight + cfg.WeightStep*geom.Coord(cp.ReroutePass-1)
-		st := &passRun{
+		st = &passRun{
 			next:     &router.LayoutResult{Nets: append([]router.NetRoute(nil), cp.Nets...)},
 			ripped:   cp.Ripped,
 			initial:  cp.Initial,
@@ -186,22 +163,8 @@ func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, pas
 			rerouted: cp.Rerouted,
 			changed:  cp.Changed,
 		}
-		changed, err := ng.runPassFrom(ctx, st, time.Now())
-		if err != nil {
-			if ctx.Err() != nil {
-				return ng.finish(), err
-			}
-			return nil, err
-		}
-		if err := ng.boundaryCheckpoint(); err != nil {
-			return nil, err
-		}
-		if !changed && cfg.HistoryGain <= 0 && cfg.WeightStep <= 0 {
-			ng.res.Stalled = m.TotalOverflow() > 0
-			return ng.finish(), nil
-		}
 	}
-	res, err := ng.drain(ctx, maxPasses)
+	res, err := ng.run(ctx, st)
 	if res != nil && len(res.Results) == 0 {
 		// The checkpointed state was already final (converged, stalled or
 		// out of budget at the boundary): record the carried state as the

@@ -489,11 +489,11 @@ func (r *NegotiateResult) BestPass() int {
 	return best
 }
 
-// negotiator is the shared engine behind Negotiate and RepairCtx: a live
-// map, the routing state after the latest pass, one penalized router whose
-// cost closure reads the map/history/present-weight in place, and the
-// recorded result. It must be used through a pointer (the penalty closure
-// captures &presWeight).
+// negotiator is the shared engine behind Negotiate, RepairCtx and
+// NegotiateResume: a live map, the routing state after the latest pass, one
+// penalized router whose cost closure reads the map/history/present-weight
+// in place, and the recorded result. It must be used through a pointer (the
+// penalty closure captures &presWeight).
 type negotiator struct {
 	l         *layout.Layout
 	cfg       Config
@@ -501,11 +501,11 @@ type negotiator struct {
 	res       *NegotiateResult
 	cur       *router.LayoutResult
 	penalized *router.Router
-	// presWeight is the live present-overflow price; runPass escalates it
+	// presWeight is the live present-overflow price; beginPass escalates it
 	// per the WeightStep schedule and the penalty closure reads it through
 	// a pointer.
 	presWeight geom.Coord
-	// reroutePass counts completed reroute passes (the weight-schedule
+	// reroutePass counts started reroute passes (the weight-schedule
 	// ordinal): reroute pass k prices an over-capacity crossing at
 	// Weight + k*WeightStep.
 	reroutePass int
@@ -556,41 +556,10 @@ func (ng *negotiator) record(rerouted []string) {
 	}
 }
 
-// runPass executes one sequential rip-up pass: every net in initial is
-// ripped out of the live map, rerouted against the live
-// present-plus-history penalty (livePenalty), and spliced back in — so
-// every net immediately sees the congestion state its predecessors left
-// behind, which is what keeps identically-priced nets from dodging
-// congestion in lockstep and oscillating. The pass then extends,
-// worklist-style, to nets its own reroutes pushed into overflow (each net
-// moves at most once per pass, so the loop terminates). changed reports
-// whether any route actually moved.
-//
-// On cancellation the pass stops between nets — a net interrupted
-// mid-search keeps its previous route and the map stays consistent with the
-// recorded routing state — the partial pass is recorded, and the context's
-// error is returned. Any other routing error aborts without recording.
-func (ng *negotiator) runPass(ctx context.Context, initial []int) (changed bool, err error) {
-	// Accrue history for the passages overflowed at pass start; overflow
-	// still present when the run ends is folded in by the caller.
-	for _, pi := range ng.m.Overflowed() {
-		ng.res.History[pi]++
-	}
-	// Present-cost schedule (see Config.WeightStep).
-	ng.presWeight = ng.cfg.Weight + ng.cfg.WeightStep*geom.Coord(ng.reroutePass)
-	ng.reroutePass++
-	st := &passRun{
-		next:    &router.LayoutResult{Nets: append([]router.NetRoute(nil), ng.cur.Nets...)},
-		ripped:  make([]bool, len(ng.l.Nets)),
-		initial: initial,
-	}
-	return ng.runPassFrom(ctx, st, time.Now())
-}
-
 // passRun is the mutable state of one in-progress rip-up pass — exactly
 // what a mid-pass checkpoint captures and NegotiateResume restores. The
-// pass prologue (history accrual, weight escalation) is not part of it: it
-// runs once per pass, before the first checkpoint can observe the pass.
+// pass prologue (beginPass) is not part of it: it runs once per pass,
+// before the first checkpoint can observe the pass.
 type passRun struct {
 	// next is the routing state under construction (a copy of the previous
 	// pass with reroutes spliced in as they land).
@@ -608,6 +577,23 @@ type passRun struct {
 	sinceCkpt int
 }
 
+// beginPass opens a sequential rip-up pass seeded with the rip order
+// initial: it accrues history for the passages overflowed at pass start
+// (overflow still present when the run ends is folded in by finish) and
+// sets the pass's present weight per the schedule (Config.WeightStep).
+func (ng *negotiator) beginPass(initial []int) *passRun {
+	for _, pi := range ng.m.Overflowed() {
+		ng.res.History[pi]++
+	}
+	ng.presWeight = ng.cfg.Weight + ng.cfg.WeightStep*geom.Coord(ng.reroutePass)
+	ng.reroutePass++
+	return &passRun{
+		next:    &router.LayoutResult{Nets: append([]router.NetRoute(nil), ng.cur.Nets...)},
+		ripped:  make([]bool, len(ng.l.Nets)),
+		initial: initial,
+	}
+}
+
 // ripRoute reroutes one net for the rip-up loop, isolating panics: a panic
 // anywhere in the per-net search surfaces as a *router.PanicError instead
 // of unwinding the whole run. The reroute fault-injection seam fires here,
@@ -621,8 +607,22 @@ func (ng *negotiator) ripRoute(ctx context.Context, ni int) (nr router.NetRoute,
 	return ng.penalized.RouteNetCtx(ctx, &ng.l.Nets[ni])
 }
 
-// runPassFrom drives a pass from the given (possibly restored) state.
-func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun, start time.Time) (changed bool, err error) {
+// runPassFrom drives a rip-up pass from the given (fresh or restored)
+// state: every net of the seed order is ripped out of the live map,
+// rerouted against the live present-plus-history penalty (livePenalty),
+// and spliced back in — so every net immediately sees the congestion state
+// its predecessors left behind, which is what keeps identically-priced nets
+// from dodging congestion in lockstep and oscillating. The pass then
+// extends, worklist-style, to nets its own reroutes pushed into overflow
+// (each net moves at most once per pass, so the loop terminates). changed
+// reports whether any route actually moved.
+//
+// On cancellation the pass stops between nets — a net interrupted
+// mid-search keeps its previous route and the map stays consistent with the
+// recorded routing state — the partial pass is recorded, and the context's
+// error is returned. Any other routing error aborts without recording.
+func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed bool, err error) {
+	start := time.Now()
 	m := ng.m
 	rip := func(ni int) error {
 		st.ripped[ni] = true
@@ -657,7 +657,7 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun, start time.T
 		if every := ng.cfg.CheckpointEvery; every > 0 {
 			if st.sinceCkpt++; st.sinceCkpt >= every {
 				st.sinceCkpt = 0
-				return ng.midPassCheckpoint(st)
+				return ng.checkpoint(st)
 			}
 		}
 		return nil
@@ -701,7 +701,7 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun, start time.T
 		// the resume point — a resumed run finishes this pass exactly as
 		// the uninterrupted run would have, rather than double-counting
 		// it against MaxPasses.
-		if cerr := ng.midPassCheckpoint(st); cerr != nil {
+		if cerr := ng.checkpoint(st); cerr != nil {
 			return st.changed, cerr
 		}
 	}
@@ -711,41 +711,57 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun, start time.T
 	return st.changed, err
 }
 
-// drain iterates recorded rip-up passes until convergence, stall,
-// exhaustion of the (offset-adjusted) pass budget, or cancellation — the
-// shared tail of Negotiate, RepairCtx and NegotiateResume.
-func (ng *negotiator) drain(ctx context.Context, maxPasses int) (*NegotiateResult, error) {
-	m := ng.m
-	for ng.passOffset+len(ng.res.Passes) < maxPasses {
-		if err := ctx.Err(); err != nil {
-			return ng.finish(), err
+// run is the pass loop behind Negotiate, RepairCtx and NegotiateResume.
+// first, when non-nil, is a pass to run before any stop test: RepairCtx's
+// dirty-seeded pass, or the interrupted pass of a mid-pass checkpoint.
+// Every later pass rips the nets through the overflowed passages. The loop
+// stops when the (offset-adjusted) pass budget is spent, on cancellation,
+// at zero overflow, or at a fixed point. After every pass it delivers a
+// pass-boundary checkpoint. A cancelled run returns what it recorded with
+// the context's error; any other routing or hook error returns no result.
+func (ng *negotiator) run(ctx context.Context, first *passRun) (*NegotiateResult, error) {
+	maxPasses := ng.cfg.MaxPasses
+	if maxPasses <= 0 {
+		maxPasses = DefaultMaxPasses
+	}
+	for st := first; ; st = nil {
+		if st == nil {
+			if ng.passOffset+len(ng.res.Passes) >= maxPasses {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return ng.finish(), err
+			}
+			if ng.m.TotalOverflow() == 0 {
+				break
+			}
+			st = ng.beginPass(ng.m.AffectedNets())
 		}
-		if m.TotalOverflow() == 0 {
-			break
-		}
-		changed, err := ng.runPass(ctx, m.AffectedNets())
+		changed, err := ng.runPassFrom(ctx, st)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ng.finish(), err
 			}
 			return nil, err
 		}
-		if err := ng.boundaryCheckpoint(); err != nil {
+		if err := ng.checkpoint(nil); err != nil {
 			return nil, err
 		}
 		if !changed && ng.cfg.HistoryGain <= 0 && ng.cfg.WeightStep <= 0 {
 			// Fixed point: the same penalties would reproduce the same
 			// routes forever. With history or a weight schedule the
 			// penalty keeps growing, so an unchanged pass is not final and
-			// the loop continues.
-			ng.res.Stalled = true
+			// the loop continues. The run only counts as stalled when
+			// overflow is left: a clean repair pass that reproduced a dirty
+			// net's route is just done.
+			ng.res.Stalled = ng.m.TotalOverflow() > 0
 			break
 		}
 	}
 	return ng.finish(), nil
 }
 
-// finish folds still-present overflow into the history (runPass accrues
+// finish folds still-present overflow into the history (beginPass accrues
 // history before each reroute, so overflow left in the final map has not
 // been counted yet; a no-op when converged) and stamps Converged.
 func (ng *negotiator) finish() *NegotiateResult {
@@ -763,18 +779,14 @@ func (ng *negotiator) finish() *NegotiateResult {
 // overflow. Each later pass is a sequential rip-up over the nets through
 // overflowed passages, in deterministic (ascending net index) order,
 // extended worklist-style to nets the pass's own reroutes pushed into
-// overflow (see negotiator.runPass). The loop stops when overflow reaches
-// zero (Converged), when MaxPasses is exhausted, or when a pass changes
-// nothing and — with HistoryGain zero — no future pass could differ
-// (Stalled). The rip-up order is fixed, so results do not depend on the
-// worker count. Cancellation is cooperative: on cancel the passes
-// completed so far — including a consistent partial final pass — are
+// overflow (see negotiator.runPassFrom). The loop stops when overflow
+// reaches zero (Converged), when MaxPasses is exhausted, or when a pass
+// changes nothing and — with HistoryGain and WeightStep zero — no future
+// pass could differ (Stalled). The rip-up order is fixed, so results do not
+// depend on the worker count. Cancellation is cooperative: on cancel the
+// passes completed so far — including a consistent partial final pass — are
 // returned together with the context's error.
 func Negotiate(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, cfg Config) (*NegotiateResult, error) {
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = DefaultMaxPasses
-	}
 	first, err := router.New(ix, cfg.BaseOptions).RouteLayoutCtx(ctx, l, cfg.Workers)
 	if err != nil && ctx.Err() == nil {
 		return nil, err
@@ -787,10 +799,10 @@ func Negotiate(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 	if err != nil {
 		return ng.finish(), err // cancelled during the first pass
 	}
-	if err := ng.boundaryCheckpoint(); err != nil {
+	if err := ng.checkpoint(nil); err != nil {
 		return nil, err
 	}
-	return ng.drain(ctx, maxPasses)
+	return ng.run(ctx, nil)
 }
 
 // RepairCtx is the incremental (ECO) entry point: instead of routing the
@@ -826,10 +838,6 @@ func RepairCtx(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 			return nil, fmt.Errorf("congest: dirty net index %d out of range [0,%d)", ni, len(l.Nets))
 		}
 	}
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = DefaultMaxPasses
-	}
 	work := append([]int(nil), dirty...)
 	sort.Ints(work)
 	ng := newNegotiator(l, ix, cfg, m, history)
@@ -841,24 +849,7 @@ func RepairCtx(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 		return ng.finish(), err
 	}
 	// First pass: the edit's dirty set seeds the rip order.
-	changed, err := ng.runPass(ctx, work)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ng.finish(), err
-		}
-		return nil, err
-	}
-	if err := ng.boundaryCheckpoint(); err != nil {
-		return nil, err
-	}
-	if !changed && cfg.HistoryGain <= 0 && cfg.WeightStep <= 0 {
-		// An unchanged pass is a fixed point; it only counts as a stall
-		// when overflow is actually left (a clean first repair pass that
-		// reproduced a dirty net's route is just done).
-		ng.res.Stalled = m.TotalOverflow() > 0
-		return ng.finish(), nil
-	}
-	return ng.drain(ctx, maxPasses)
+	return ng.run(ctx, ng.beginPass(work))
 }
 
 // sameRoute reports whether two routes of the same net have identical

@@ -1,5 +1,6 @@
 // Package gen generates synthetic general-cell layouts — the workload
-// substitute for the author's in-house chips (see DESIGN.md §4). All
+// substitute for the author's in-house chips (`experiments -list` names
+// the experiments that use them). All
 // generators are seeded and deterministic, so every experiment is exactly
 // reproducible.
 package gen
@@ -408,8 +409,9 @@ func Fig2Layout() (*layout.Layout, geom.Point, geom.Point) {
 	return l, a, b
 }
 
-// BaffleMaze builds the serpentine wall layout used by the Hightower
-// comparison: n walls with alternating gaps force a zigzag route.
+// BaffleMaze builds a serpentine wall layout with one two-pin net, returned
+// with its two pin positions: n walls with alternating gaps force a zigzag
+// detour.
 func BaffleMaze(n int) (*layout.Layout, geom.Point, geom.Point) {
 	width := geom.Coord(n+1)*40 + 40
 	l := &layout.Layout{

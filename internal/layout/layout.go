@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/polygon"
@@ -139,23 +138,6 @@ type Layout struct {
 // out-of-range id, which always indicates a programming error.
 func (l *Layout) Cell(id CellID) *Cell {
 	return &l.Cells[id]
-}
-
-// TwoPin reports whether every net has exactly two terminals with one pin
-// each (the simplest routing regime).
-func (l *Layout) TwoPin() bool {
-	for i := range l.Nets {
-		n := &l.Nets[i]
-		if len(n.Terminals) != 2 {
-			return false
-		}
-		for _, t := range n.Terminals {
-			if len(t.Pins) != 1 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // cellGeom is the memoized per-cell geometry a Validate call shares across
@@ -453,28 +435,6 @@ func (l *Layout) Clone() *Layout {
 		out.Nets[i] = cp
 	}
 	return out
-}
-
-// SortNetsByHPWL orders nets by descending half-perimeter wirelength of
-// their pin bounding box — a classical net-ordering heuristic used by the
-// sequential baseline.
-func (l *Layout) SortNetsByHPWL() {
-	sort.SliceStable(l.Nets, func(i, j int) bool {
-		return netHPWL(&l.Nets[i]) > netHPWL(&l.Nets[j])
-	})
-}
-
-// netHPWL returns the half-perimeter of the net's pin bounding box.
-func netHPWL(n *Net) geom.Coord {
-	pins := n.AllPins()
-	if len(pins) == 0 {
-		return 0
-	}
-	bb := geom.R(pins[0].Pos.X, pins[0].Pos.Y, pins[0].Pos.X, pins[0].Pos.Y)
-	for _, p := range pins[1:] {
-		bb = bb.Union(geom.R(p.Pos.X, p.Pos.Y, p.Pos.X, p.Pos.Y))
-	}
-	return bb.HalfPerimeter()
 }
 
 // WriteJSON encodes the layout as indented JSON.

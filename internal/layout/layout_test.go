@@ -93,25 +93,6 @@ func TestPadPinOnCellBoundaryAllowed(t *testing.T) {
 	}
 }
 
-func TestTwoPin(t *testing.T) {
-	l := valid()
-	if !l.TwoPin() {
-		t.Error("fixture is two-pin")
-	}
-	l.Nets[0].Terminals[0].Pins = append(l.Nets[0].Terminals[0].Pins,
-		Pin{Name: "p2", Pos: geom.Pt(10, 20), Cell: 0})
-	if l.TwoPin() {
-		t.Error("multi-pin terminal should not be TwoPin")
-	}
-	l2 := valid()
-	l2.Nets[0].Terminals = append(l2.Nets[0].Terminals, Terminal{
-		Name: "t2", Pins: []Pin{{Name: "p", Pos: geom.Pt(10, 30), Cell: 0}},
-	})
-	if l2.TwoPin() {
-		t.Error("three-terminal net should not be TwoPin")
-	}
-}
-
 func TestMinSeparation(t *testing.T) {
 	l := valid() // A right edge x=30, B left edge x=50 → gap 20
 	if got := l.MinSeparation(); got != 20 {
@@ -212,22 +193,6 @@ func TestNetHelpers(t *testing.T) {
 	pins := n.AllPins()
 	if len(pins) != 2 || pins[0].Name != "p0" || pins[1].Name != "p1" {
 		t.Errorf("AllPins = %v", pins)
-	}
-}
-
-func TestSortNetsByHPWL(t *testing.T) {
-	l := valid()
-	short := Net{
-		Name: "short",
-		Terminals: []Terminal{
-			{Name: "a", Pins: []Pin{{Name: "p", Pos: geom.Pt(10, 10), Cell: 0}}},
-			{Name: "b", Pins: []Pin{{Name: "q", Pos: geom.Pt(10, 12), Cell: 0}}},
-		},
-	}
-	l.Nets = append([]Net{short}, l.Nets...)
-	l.SortNetsByHPWL()
-	if l.Nets[0].Name != "n1" || l.Nets[1].Name != "short" {
-		t.Errorf("HPWL order wrong: %s, %s", l.Nets[0].Name, l.Nets[1].Name)
 	}
 }
 

@@ -310,9 +310,9 @@ func TestIndexedQueriesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestOverlayMatchesFreshIndex pins the merge-based Overlay to an index
+// TestOverlayMatchesFreshIndex pins an additions-only Edit to an index
 // built from scratch over the same cells: every query must agree, because
-// Overlay is what the sequential baseline leans on once per routed net.
+// Edit(nil, wires) is what the sequential baseline leans on once per routed net.
 func TestOverlayMatchesFreshIndex(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -323,7 +323,7 @@ func TestOverlayMatchesFreshIndex(t *testing.T) {
 			w, h := int64(r.Intn(30)+1), int64(r.Intn(30)+1)
 			extra = append(extra, geom.R(x, y, geom.Min(x+w, 200), geom.Min(y+h, 200)))
 		}
-		merged, err := base.Overlay(extra)
+		merged, _, err := base.Edit(nil, extra)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,9 @@
 // outside its row/column band are never touched.
 //
 // An Index is immutable after New, which makes it safe to share across the
-// per-net router goroutines. Additional obstacles (routed nets in the
-// sequential baseline) are layered on with Overlay.
+// per-net router goroutines. Edit derives a new index with obstacles
+// removed or added (moved cells in an ECO, routed nets in the sequential
+// baseline).
 package plane
 
 import (
@@ -96,33 +97,6 @@ func FromLayoutSpans(l *layout.Layout) (*Index, [][2]int, error) {
 	return ix, spans, nil
 }
 
-// Overlay returns a new index containing the receiver's obstacles plus the
-// extra rectangles. The receiver is unchanged. The receiver's corner tables
-// are merged with freshly sorted tables of the extras — O((n+m) + m log m)
-// instead of re-sorting all n+m cells from scratch, which matters because
-// the sequential baseline overlays once per routed net. The interval trees
-// are rebuilt, but from the merged corner tables, so that costs
-// O((n+m) log(n+m)) partition-and-file work with no comparator re-sorts.
-func (ix *Index) Overlay(extra []geom.Rect) (*Index, error) {
-	n := len(ix.cells)
-	out := &Index{bounds: ix.bounds, cells: make([]geom.Rect, 0, n+len(extra))}
-	out.cells = append(out.cells, ix.cells...)
-	out.cells = append(out.cells, extra...)
-	for i := n; i < len(out.cells); i++ {
-		if c := out.cells[i]; !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
-			return nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i-n, c)
-		}
-	}
-	// Sort the extras alone, then merge with the receiver's sorted state.
-	sub := &Index{cells: out.cells} // ids n..n+m-1 index the combined slice
-	sub.buildCorners(n, len(out.cells))
-	out.cornersX = mergeCorners(ix.cornersX, sub.cornersX)
-	out.cornersY = mergeCorners(ix.cornersY, sub.cornersY)
-	out.xtree = buildIntervalTree(xSpans(out.cells), out.cornersX)
-	out.ytree = buildIntervalTree(ySpans(out.cells), out.cornersY)
-	return out, nil
-}
-
 // Edit returns a new index with the obstacles listed in removed deleted and
 // the extra rectangles appended; the receiver is unchanged. Surviving
 // obstacles keep their relative order but are renumbered compactly, with
@@ -131,36 +105,25 @@ func (ix *Index) Overlay(extra []geom.Rect) (*Index, error) {
 // obstacle's id in the new index, or -1 for removed ids — so callers that
 // track obstacle ids (the ECO layer's per-cell spans, the congestion
 // passage splice) consume the numbering Edit actually applied instead of
-// re-deriving it. Like Overlay, the corner tables are not re-sorted:
-// the survivors are filtered out of the receiver's sorted tables (a
-// monotone renumbering preserves the (At, Cell) order) and merged with
-// freshly sorted tables of the additions, so an edit costs
-// O(n + m log m) table work plus the interval-tree rebuild.
+// re-deriving it. The corner tables are not re-sorted: the survivors are
+// renumbered out of the receiver's sorted tables (a monotone renumbering
+// preserves the (At, Cell) order) while they merge with freshly sorted
+// tables of the additions, so an edit costs O(n + m log m) table work plus
+// the interval-tree rebuild — which matters because the sequential
+// baseline adds each routed net's wires with Edit(nil, wires). The
+// interval trees are rebuilt from the merged corner tables, with no
+// comparator re-sorts.
 func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error) {
-	if len(removed) == 0 {
-		out, err := ix.Overlay(added)
-		if err != nil {
-			return nil, nil, err
-		}
-		remap := make([]int32, len(ix.cells))
-		for i := range remap {
-			remap[i] = int32(i)
-		}
-		return out, remap, nil
-	}
-	drop := make([]bool, len(ix.cells))
+	remap := make([]int32, len(ix.cells))
 	for _, id := range removed {
 		if id < 0 || id >= len(ix.cells) {
 			return nil, nil, fmt.Errorf("plane: removed obstacle %d out of range [0,%d)", id, len(ix.cells))
 		}
-		drop[id] = true
+		remap[id] = -1
 	}
-	out := &Index{bounds: ix.bounds}
-	remap := make([]int32, len(ix.cells))
-	out.cells = make([]geom.Rect, 0, len(ix.cells)-len(removed)+len(added))
+	out := &Index{bounds: ix.bounds, cells: make([]geom.Rect, 0, len(ix.cells)+len(added))}
 	for i, c := range ix.cells {
-		if drop[i] {
-			remap[i] = -1
+		if remap[i] < 0 {
 			continue
 		}
 		remap[i] = int32(len(out.cells))
@@ -173,19 +136,10 @@ func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error)
 			return nil, nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i-base, c)
 		}
 	}
-	filter := func(tab []Corner) []Corner {
-		kept := make([]Corner, 0, 2*base)
-		for _, c := range tab {
-			if r := remap[c.Cell]; r >= 0 {
-				kept = append(kept, Corner{At: c.At, Cell: r})
-			}
-		}
-		return kept
-	}
 	sub := &Index{cells: out.cells} // ids base.. index the combined slice
 	sub.buildCorners(base, len(out.cells))
-	out.cornersX = mergeCorners(filter(ix.cornersX), sub.cornersX)
-	out.cornersY = mergeCorners(filter(ix.cornersY), sub.cornersY)
+	out.cornersX = mergeCorners(ix.cornersX, remap, sub.cornersX)
+	out.cornersY = mergeCorners(ix.cornersY, remap, sub.cornersY)
 	out.xtree = buildIntervalTree(xSpans(out.cells), out.cornersX)
 	out.ytree = buildIntervalTree(ySpans(out.cells), out.cornersY)
 	return out, remap, nil
@@ -199,8 +153,8 @@ func (ix *Index) reindex() {
 }
 
 // buildCorners builds the two corner tables for the cell id range [lo, hi).
-// New indexes the whole slice; Overlay indexes just the appended extras and
-// merges.
+// New indexes the whole slice; Edit indexes just the appended additions
+// and merges.
 func (ix *Index) buildCorners(lo, hi int) {
 	n := hi - lo
 	c := ix.cells
@@ -223,21 +177,22 @@ func cornerLess(a, b Corner) bool {
 	return a.Cell < b.Cell
 }
 
-// mergeCorners merges two corner tables sorted by (At, Cell).
-func mergeCorners(a, b []Corner) []Corner {
-	out := make([]Corner, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cornerLess(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// mergeCorners merges a receiver's corner table, renumbered through remap
+// (entries remapped to -1 are dropped), with the additions' table; both
+// are sorted by (At, Cell), and the added ids follow every survivor's.
+func mergeCorners(tab []Corner, remap []int32, add []Corner) []Corner {
+	out := make([]Corner, 0, len(tab)+len(add))
+	j := 0
+	for _, c := range tab {
+		if c.Cell = remap[c.Cell]; c.Cell < 0 {
+			continue
 		}
+		for ; j < len(add) && cornerLess(add[j], c); j++ {
+			out = append(out, add[j])
+		}
+		out = append(out, c)
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return append(out, add[j:]...)
 }
 
 // Bounds returns the routing area.

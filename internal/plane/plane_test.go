@@ -201,7 +201,7 @@ func TestPathBlocked(t *testing.T) {
 
 func TestOverlay(t *testing.T) {
 	ix := fixture(t)
-	ov, err := ix.Overlay([]geom.Rect{geom.R(35, 0, 45, 100)})
+	ov, _, err := ix.Edit(nil, []geom.Rect{geom.R(35, 0, 45, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestOverlayStacking(t *testing.T) {
 	stack = append(stack, ix)
 	for i := 0; i < 5; i++ {
 		x := geom.Coord(10 + 15*i)
-		next, err := stack[len(stack)-1].Overlay([]geom.Rect{geom.R(x, 70, x+10, 80)})
+		next, _, err := stack[len(stack)-1].Edit(nil, []geom.Rect{geom.R(x, 70, x+10, 80)})
 		if err != nil {
 			t.Fatal(err)
 		}

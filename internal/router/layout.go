@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -58,9 +59,10 @@ func (res *LayoutResult) Finalize(start time.Time) {
 
 // RouteLayout routes every net of the layout. Because the paper routes each
 // net independently — the only obstacles are the cells, so there is no net
-// ordering and no interaction — the nets can be routed concurrently;
-// workers > 1 enables that, workers <= 0 uses GOMAXPROCS, and workers == 1
-// routes sequentially (used by benchmarks that time single-net work).
+// ordering and no interaction — the nets can be routed concurrently by
+// workers goroutines; workers <= 0 uses GOMAXPROCS, and workers == 1 routes
+// the nets one at a time in index order (used by benchmarks that time
+// single-net work).
 func (r *Router) RouteLayout(l *layout.Layout, workers int) (*LayoutResult, error) {
 	return r.RouteLayoutCtx(context.Background(), l, workers)
 }
@@ -82,16 +84,16 @@ func (r *Router) RouteLayoutCtx(ctx context.Context, l *layout.Layout, workers i
 	return res, err
 }
 
-// routeInto routes l.Nets[k] into out[k] for every k, sequentially for
-// workers == 1 and over a worker pool otherwise. Every slot is prefilled
-// with its net's name so a cancelled run leaves well-formed not-Found
-// entries rather than zero values. Per-net panics are recovered
-// (routeNetGuarded) and collected rather than treated as errors: the
-// poisoned net keeps its not-Found slot and the rest of the run completes —
-// identically for any worker count, which is why the sequential path guards
-// too. On any other error the pool drains promptly: the producer stops
-// enqueuing and workers skip remaining jobs, so no route is silently left
-// zero-valued behind a reported success.
+// routeInto routes l.Nets[k] into out[k] for every k over a pool of
+// workers that claim nets in index order; the calling goroutine is one of
+// them, so a single worker routes the nets one after another with no
+// handoff. Every slot is prefilled with its net's name so a cancelled run
+// leaves well-formed not-Found entries rather than zero values. Per-net
+// panics are recovered (routeNetGuarded) and collected rather than treated
+// as errors: the poisoned net keeps its not-Found slot and the rest of the
+// run completes, identically for any worker count. On any other error the
+// pool stops promptly: no worker claims another net, so no route is
+// silently left zero-valued behind a reported success.
 func (r *Router) routeInto(ctx context.Context, l *layout.Layout, workers int, out []NetRoute) ([]*PanicError, error) {
 	for k := range l.Nets {
 		out[k] = NetRoute{Net: l.Nets[k].Name}
@@ -99,72 +101,51 @@ func (r *Router) routeInto(ctx context.Context, l *layout.Layout, workers int, o
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var panics []*PanicError
-	if workers == 1 || len(l.Nets) <= 1 {
-		for k := range l.Nets {
-			if err := ctx.Err(); err != nil {
-				return panics, err
-			}
-			nr, err := r.routeNetGuarded(ctx, &l.Nets[k])
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				panics = append(panics, pe)
-				continue
-			}
-			if err != nil {
-				return panics, err
-			}
-			out[k] = nr
-		}
-		sortPanics(panics)
-		return panics, nil
-	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
+		next     atomic.Int64 // index of the next unclaimed net
+		mu       sync.Mutex   // guards panics and firstErr
+		panics   []*PanicError
 		firstErr error
+		wg       sync.WaitGroup
 	)
 	failed := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return firstErr != nil
 	}
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			k := int(next.Add(1) - 1)
+			if k >= len(l.Nets) || failed() || ctx.Err() != nil {
+				return
+			}
+			nr, err := r.routeNetGuarded(ctx, &l.Nets[k])
+			var pe *PanicError
+			if errors.As(err, &pe) {
+				mu.Lock()
+				panics = append(panics, pe)
+				mu.Unlock()
+				continue
+			}
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			out[k] = nr
+		}
+	}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range jobs {
-				if failed() || ctx.Err() != nil {
-					continue // drain without routing once any worker erred
-				}
-				nr, err := r.routeNetGuarded(ctx, &l.Nets[k])
-				var pe *PanicError
-				if errors.As(err, &pe) {
-					mu.Lock()
-					panics = append(panics, pe)
-					mu.Unlock()
-					continue
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				out[k] = nr
-			}
+			work()
 		}()
 	}
-	for k := range l.Nets {
-		if failed() || ctx.Err() != nil {
-			break // stop enqueuing: the result is already doomed
-		}
-		jobs <- k
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 	sortPanics(panics)
 	if firstErr != nil {

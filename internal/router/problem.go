@@ -34,11 +34,11 @@ const targetLeaf = 4
 // from a static bounding-box hierarchy: every target point and every
 // segment is filed as its bounding box, and each node holds the bounding
 // box of the elements below it. RouteNet grows one shared set as the tree
-// accretes (addPoints/addSegs); prepare, which the search core invokes once
-// per run (search.PreparedProblem), rebuilds the hierarchy when the set has
-// changed since the last build — once per Steiner round. The elements,
-// nodes and query stack keep their capacity across builds, so a set
-// recycled through netScratchPool stops allocating once warm.
+// accretes (addPoints/addSegs); prepare, which routeConnection calls before
+// every search, rebuilds the hierarchy when the set has changed since the
+// last build — once per Steiner round. The elements, nodes and query stack
+// keep their capacity across builds, so a set recycled through
+// netScratchPool stops allocating once warm.
 type targetSet struct {
 	points []geom.Point
 	segs   []geom.Seg
@@ -91,7 +91,7 @@ func (t *targetSet) addSegs(segs ...geom.Seg) {
 }
 
 // prepare rebuilds the hierarchy if the set changed since the last build.
-// Called by the search core before every run; free when nothing changed.
+// routeConnection calls it before every search; free when nothing changed.
 func (t *targetSet) prepare() {
 	if t.built {
 		return
@@ -369,7 +369,6 @@ type connProblem struct {
 var (
 	_ search.Problem[State]       = (*connProblem)(nil)
 	_ search.TracedProblem[State] = (*connProblem)(nil)
-	_ search.PreparedProblem      = (*connProblem)(nil)
 )
 
 // stateTracer forwards search events to the router's callbacks.
@@ -399,11 +398,6 @@ func (p *connProblem) Tracer() search.Tracer[State] {
 	}
 	return stateTracer{onExpand: p.onExpand, onGenerate: p.onGenerate}
 }
-
-// Prepare implements search.PreparedProblem: it rebuilds the target set's
-// box hierarchy when RouteNet has grown the set since the last search, once
-// per run.
-func (p *connProblem) Prepare() { p.targets.prepare() }
 
 // Start implements search.Problem with the synthetic multi-source node.
 func (p *connProblem) Start() State { return State{virtual: true} }

@@ -244,6 +244,7 @@ func (r *Router) routeConnection(done <-chan struct{}, sources []geom.Point, tar
 	if maxExp == 0 {
 		maxExp = defaultMaxExpansions
 	}
+	targets.prepare()
 	sctx := searchCtxPool.Get().(*search.Context[State])
 	res, err := search.FindWith[State](sctx, prob, search.Options{
 		Strategy:      r.opts.Strategy,
@@ -358,7 +359,7 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 
 	// ts is the shared target set: RouteNet appends to it as the tree
 	// grows, and every candidate search in a round reads the same box
-	// hierarchy (rebuilt by the round's first search via the Prepare hook).
+	// hierarchy (rebuilt before the round's first search).
 	ts := &scratch.ts
 	ts.reset()
 	ts.addPoints(pins[startIdx]...)

@@ -169,8 +169,9 @@ func nearOrFar(r *rand.Rand, lo, hi geom.Coord) geom.Coord {
 	return lo - 8 + geom.Coord(r.Int63n(int64(hi-lo)+17))
 }
 
-// preparedSet builds a targetSet the way RouteNet does and runs the
-// per-search Prepare hook, so the queries answer from the hierarchy.
+// preparedSet builds a targetSet the way RouteNet does and prepares it as
+// routeConnection does before a search, so the queries answer from the
+// hierarchy.
 func preparedSet(pts []geom.Point, segs []geom.Seg) *targetSet {
 	ts := &targetSet{}
 	ts.addPoints(pts...)
@@ -276,8 +277,8 @@ func TestTargetSetNearestTieBreak(t *testing.T) {
 }
 
 // TestTargetSetIncrementalSync grows one shared set the way RouteNet does —
-// appending pins and tree segments round by round, with the Prepare hook
-// between rounds — and checks the rebuilt hierarchy against the naive scans
+// appending pins and tree segments round by round, prepared between
+// rounds — and checks the rebuilt hierarchy against the naive scans
 // after every round, with horizontal and vertical travel. It then resets
 // the set and regrows it to the same element counts with different
 // elements: a hierarchy rebuilt only when the counts change would still
@@ -305,7 +306,7 @@ func TestTargetSetIncrementalSync(t *testing.T) {
 			segs = append(segs, s)
 			ts.addSegs(s)
 		}
-		ts.prepare() // the per-search Prepare hook
+		ts.prepare() // as routeConnection does before every search
 	}
 	for round := 0; round < 12; round++ {
 		grow(1+r.Intn(4), r.Intn(4))

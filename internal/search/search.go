@@ -123,19 +123,6 @@ type TracedProblem[S comparable] interface {
 	Tracer() Tracer[S]
 }
 
-// PreparedProblem is implemented by problems that maintain derived
-// acceleration state over inputs that may change between runs — the
-// router's connection problem keeps a box hierarchy over its target set,
-// which grows as the Steiner tree accretes segments. Find/FindWith call
-// Prepare exactly once, before the first expansion, so the rebuild happens
-// once per run instead of per expansion, and several runs against the same
-// problem value share one build.
-type PreparedProblem interface {
-	// Prepare brings the problem's derived state up to date with its
-	// inputs. It must be cheap when nothing changed.
-	Prepare()
-}
-
 // tracerOf extracts the problem's tracer, or nil.
 func tracerOf[S comparable](p Problem[S]) Tracer[S] {
 	if tp, ok := p.(TracedProblem[S]); ok {
@@ -334,9 +321,6 @@ func Find[S comparable](p Problem[S], opts Options) (Result[S], error) {
 // searches (the router's per-net connection queries) reuse the node arena,
 // OPEN list and hash table instead of reallocating them per query.
 func FindWith[S comparable](ctx *Context[S], p Problem[S], opts Options) (Result[S], error) {
-	if pp, ok := any(p).(PreparedProblem); ok {
-		pp.Prepare()
-	}
 	switch opts.Strategy {
 	case AStar, BestFirst:
 		return findOrdered(ctx, p, opts)

@@ -125,7 +125,7 @@ func Route(l *layout.Layout, opts Options) (*Result, error) {
 			blocks = append(blocks, s.Bounds().Inflate(halo))
 		}
 		if len(blocks) > 0 {
-			ix, err = ix.Overlay(blocks)
+			ix, _, err = ix.Edit(nil, blocks)
 			if err != nil {
 				return nil, err
 			}

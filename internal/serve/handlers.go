@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro"
@@ -196,7 +195,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case isInterrupted(err):
 		partial = true
-	case strings.Contains(err.Error(), "no net"):
+	case errors.Is(err, genroute.ErrUnknownNet):
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	default:
@@ -310,6 +309,9 @@ func (s *Server) runNegotiation(ctx context.Context, sess *session) (*genroute.N
 // installing, so by the time the 200 is written the edit survives kill -9
 // and a restart replays it (the journal rung of the warm-start ladder).
 // The snapshot on disk stays untouched as the pre-edit recovery base.
+// A failed commit is classified by its typed error: a recovered commit
+// panic answers 500 marked degraded, a journal append failure 500, and any
+// other failure (a rejected edit) 400.
 func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -353,10 +355,13 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	partial := err != nil && isInterrupted(err) && eco != nil
 	switch {
 	case err == nil || partial:
-	case strings.Contains(err.Error(), "panicked"):
+	case errors.Is(err, genroute.ErrCommitPanic):
 		writeJSON(w, http.StatusInternalServerError, errorResponse{
 			Error: err.Error(), Degraded: true,
 		})
+		return
+	case errors.Is(err, genroute.ErrJournalAppend):
+		writeErr(w, http.StatusInternalServerError, "eco commit: %v", err)
 		return
 	default:
 		writeErr(w, http.StatusBadRequest, "eco commit: %v", err)

@@ -270,6 +270,52 @@ func TestPanicRecoveryKeepsSessionHealthy(t *testing.T) {
 	}
 }
 
+// TestECOCommitErrorsClassifiedByType: a failed commit's status comes from
+// its typed error, never from its text. A rejected edit is the client's
+// 400 even when the net it names is called "panicked"; a journal that
+// cannot fsync is the server's 500; a panic inside the commit is a
+// degraded 500. The session keeps committing afterwards.
+func TestECOCommitErrorsClassifiedByType(t *testing.T) {
+	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
+	sr := createSession(t, ts, funnel(8), "pitch=2")
+	negotiateOK(t, ts, sr.Hash)
+	commit := func(op ecoOp) (int, errorResponse) {
+		t.Helper()
+		var er errorResponse
+		code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/eco", ecoRequest{Ops: []ecoOp{op}}, &er)
+		return code, er
+	}
+	faultAt := func(p faultinject.Point, f faultinject.Fault) (restore func()) {
+		return faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+			if site.Point == p {
+				return f
+			}
+			return faultinject.None
+		})
+	}
+	removeN07 := ecoOp{Op: "remove_net", Name: "n07"}
+
+	t.Run("RejectedEditNamedPanicked", func(t *testing.T) {
+		// The funnel is 200 high: y=500 puts both pins out of bounds.
+		if code, er := commit(addNetOp(t, "panicked", 500)); code != http.StatusBadRequest || er.Degraded {
+			t.Fatalf("out-of-bounds net named panicked = %d %+v, want a plain 400", code, er)
+		}
+	})
+	t.Run("JournalSyncFailure", func(t *testing.T) {
+		defer faultAt(faultinject.JournalSync, faultinject.Error)()
+		if code, er := commit(removeN07); code != http.StatusInternalServerError || er.Degraded {
+			t.Fatalf("commit with a failing journal fsync = %d %+v, want a plain 500", code, er)
+		}
+	})
+	t.Run("CommitPanic", func(t *testing.T) {
+		defer faultAt(faultinject.Commit, faultinject.Panic)()
+		if code, er := commit(removeN07); code != http.StatusInternalServerError || !er.Degraded {
+			t.Fatalf("commit that panicked = %d %+v, want a degraded 500", code, er)
+		}
+	})
+	ecoPost(t, ts, sr.Hash, []ecoOp{removeN07})
+}
+
 // slowReroutes installs a hook that stalls every negotiator rip long
 // enough to outlive a short request deadline — the deterministic way to
 // expire a deadline mid-negotiation on a fixture this small.

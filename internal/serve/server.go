@@ -191,22 +191,6 @@ func (s *Server) startDrain() {
 	s.drainMu.Unlock()
 }
 
-// drainForTest runs the post-listener part of the drain against handlers
-// mounted elsewhere (httptest): flip readiness, give in-flight requests
-// the drain timeout, then cancel their work and wait them out.
-func (s *Server) drainForTest(drainTimeout time.Duration) {
-	s.startDrain()
-	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(drainTimeout):
-		s.workCancel()
-		<-done
-	}
-	s.sessions.persistAll()
-}
-
 // admit is the middleware in front of every routing endpoint: refuse when
 // draining, shed load when saturated, and track the request through the
 // drain.

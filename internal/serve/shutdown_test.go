@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +25,23 @@ import (
 func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	l := funnel(16)
-	s, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1, CheckpointEvery: 1})
+	// The daemon runs under Serve on a loopback listener, so the drain is
+	// the production sequence: readiness flip, ReadyzGrace, Shutdown under
+	// DrainTimeout, work cancellation, persistAll. The grace is long enough
+	// to observe the flip; the drain deadline far shorter than the
+	// negotiation, so its work context is cancelled cooperatively.
+	s := New(Config{SnapshotDir: dir, Workers: 1, CheckpointEvery: 1,
+		ReadyzGrace: time.Second, DrainTimeout: 50 * time.Millisecond,
+		Logf: func(string, ...any) {}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigterm, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(sigterm, ln) }()
+	ts := &httptest.Server{URL: "http://" + ln.Addr().String()} // the helpers read only URL
 	sr := createSession(t, ts, l, "pitch=2&weight=40")
 	snap := filepath.Join(dir, sr.Hash+".snap")
 	ckpt := filepath.Join(dir, sr.Hash+".ckpt")
@@ -33,8 +51,8 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 		t.Fatalf("readyz before drain = %d %+v, want ready", code, ready)
 	}
 
-	// A long negotiation: every rip stalls 30ms, checkpointing each rip.
-	restore := slowReroutes(30 * time.Millisecond)
+	// A long negotiation: every rip stalls 100ms, checkpointing each rip.
+	restore := slowReroutes(100 * time.Millisecond)
 	defer restore()
 	type result struct {
 		code int
@@ -51,10 +69,7 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 		return err == nil
 	})
 
-	// SIGTERM equivalent: drain with a deadline far shorter than the
-	// negotiation, so the work context is cancelled cooperatively.
-	drained := make(chan struct{})
-	go func() { s.drainForTest(50 * time.Millisecond); close(drained) }()
+	stop() // SIGTERM
 	waitFor(t, "readiness to flip", func() bool {
 		var r readyzResponse
 		return getJSON(t, ts.URL+"/readyz", &r) == http.StatusServiceUnavailable && r.Status == "draining"
@@ -66,9 +81,10 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	if got.code != http.StatusOK || !got.resp.Partial {
 		t.Fatalf("drained negotiate = %d %+v, want a 200 partial", got.code, got.resp)
 	}
-	<-drained
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after the drain, want nil", err)
+	}
 	restore()
-	ts.Close()
 
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("drain persisted no session snapshot: %v", err)
