@@ -477,9 +477,10 @@ func BenchmarkECOReroute(b *testing.B) {
 // commits runs against two prepared sessions — one plain, one with
 // WithJournalFile — and the journaled mean per commit must stay within 25%
 // of the unjournaled one (CI gates journal-overhead-pct<=25). The
-// journaled cost is everything durability adds: the lazy base fold on the
-// first commit (layout JSON + full Save frame), per-record encode and
-// CRC, and the fsync before each install.
+// journaled cost is everything durability adds to a commit: the post-edit
+// fingerprint, per-record encode and CRC, and the fsync before each
+// install. The journal's base is written by NewEngine and folded after the
+// negotiation, outside the timed commits.
 func BenchmarkECOJournalCommit(b *testing.B) {
 	l, err := genroute.MacroGrid(64, 64, 40, 30, 12, 9)
 	if err != nil {

@@ -1,6 +1,7 @@
 // Command groutd serves routing as a service: an HTTP/JSON daemon pooling
-// prepared genroute.Engine sessions behind a bounded LRU, with snapshot
-// warm starts, per-request deadlines, load shedding and graceful drain.
+// prepared genroute.Engine sessions behind a bounded LRU, with warm starts
+// from each session's ECO journal, per-request deadlines, load shedding and
+// graceful drain.
 //
 // Usage:
 //
@@ -16,10 +17,18 @@
 //	GET  /healthz                       liveness (always 200 while the process runs)
 //	GET  /readyz                        readiness (503 while draining)
 //
+// With -snapshots, each session keeps one durable file there, its journal
+// <hash>.jrnl: written when the session is built, appended and fsynced
+// before every ECO commit is acknowledged, and folded after every
+// negotiation. A negotiation in flight also checkpoints to <hash>.ckpt.
+// Re-posting a layout, after an eviction or a restart (even kill -9),
+// replays its journal; an unusable journal is quarantined and the session
+// is built cold.
+//
 // SIGTERM/SIGINT drain gracefully: readiness flips, in-flight requests
 // finish under -drain (past it they are cancelled cooperatively and
-// running negotiations checkpoint), and every resident session is
-// persisted to -snapshots so the restarted daemon warm-starts.
+// running negotiations checkpoint), and every resident session's journal
+// is flushed and closed.
 package main
 
 import (
@@ -37,7 +46,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":7474", "listen address")
-		snapshots = flag.String("snapshots", "", "snapshot/checkpoint directory (empty disables persistence)")
+		snapshots = flag.String("snapshots", "", "persistence directory for session journals and negotiation checkpoints (empty disables persistence)")
 		sessions  = flag.Int("max-sessions", 8, "resident session LRU bound")
 		conc      = flag.Int("max-concurrent", 0, "concurrent routing requests (0 = GOMAXPROCS)")
 		queue     = flag.Int("max-queue", 0, "queued requests before load shedding (0 = 4x max-concurrent)")

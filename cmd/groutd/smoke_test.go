@@ -23,11 +23,11 @@ import (
 // serve a 32×32 macro session under concurrent routes, SIGTERM mid-flight
 // — the readiness flip is observable in the grace window while liveness
 // stays green, the in-flight negotiation completes, and the process drains
-// to exit 0 — then restart over the same snapshot directory and verify both
-// sessions warm-start. The warm-vs-cold prepare ratio is measured on a
-// 64×64 session, where preparation (validate + passage extraction) is heavy
-// enough to dominate the snapshot decode; CI gates it with
-// `benchreport -require '...:warm-vs-cold-pct<=10'`.
+// to exit 0 — then restart over the same persistence directory and verify
+// both sessions warm-start from their journals. The warm-vs-cold prepare
+// ratio is measured on a 64×64 session, where preparation (validate +
+// passage extraction) is heavy enough to dominate the journal replay; CI
+// gates it with `benchreport -require '...:warm-vs-cold-pct<=10'`.
 //
 // Run as: go test -run=NONE -bench=DaemonSmoke -benchtime=1x ./cmd/groutd
 func BenchmarkDaemonSmoke(b *testing.B) {
@@ -151,7 +151,7 @@ func runDaemonSmoke(b *testing.B, bin, snapdir string, l *genroute.Layout, layou
 // BenchmarkDaemonSmokeKillRecover is the crash-recovery smoke for the real
 // binary: serve a 32×32 session, negotiate it, commit a burst of ECO
 // edits, then kill -9 the daemon the instant the last edit is
-// acknowledged — no drain, no persistAll; the per-commit fsynced journal
+// acknowledged — no drain, no journal close; the per-commit fsynced journal
 // is the only durability. A fresh daemon over the same snapshot directory
 // must warm-start the session from its journal and serve wires
 // byte-identical to the pre-kill state at the JSON boundary. CI gates

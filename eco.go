@@ -414,7 +414,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// standard WAL contract). A journal failure aborts the commit with the
 	// engine untouched.
 	var postHash uint64 // 0 = not computed: Save/checkpoints fingerprint on demand
-	if e.cfg.jrnlPath != "" {
+	if e.jr != nil {
 		postHash = snapshot.LayoutHash(l2)
 		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
 			return nil, fmt.Errorf("%w: %w", ErrJournalAppend, jerr)

@@ -80,8 +80,9 @@ type Engine struct {
 	m       *congest.Map         //grlint:guardedby mu
 	history []int                //grlint:guardedby mu
 
-	// jr is the write-ahead ECO journal (nil until WithJournalFile's first
-	// committed edit creates it, or LoadEngineJournal attaches it).
+	// jr is the write-ahead ECO journal: written by NewEngine or LoadEngine
+	// under WithJournalFile, attached by LoadEngineJournal after its replay,
+	// nil otherwise.
 	jr *journal.Journal //grlint:guardedby mu
 	// jrStale is set while jr describes the session as it was before a
 	// whole-layout flow whose fold failed; the next commit folds before
@@ -98,7 +99,8 @@ type Engine struct {
 // NewEngine validates the layout (the paper's three placement restrictions
 // plus pin well-formedness) and prepares a routing session over a private
 // clone of it: obstacle index, router, and the congestion passage tables at
-// the configured pitch.
+// the configured pitch. With WithJournalFile it then writes the session's
+// journal.
 func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -116,6 +118,9 @@ func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	e.reindexNets()
+	if err := e.journalCreate(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -153,6 +158,15 @@ func (e *Engine) Result() *Result {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.cur
+}
+
+// Pitch returns the wire pitch the session's passage capacities were
+// extracted at: WithPitch for NewEngine, and the persisted pitch for a
+// session loaded by LoadEngine or LoadEngineJournal.
+func (e *Engine) Pitch() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.cfg.congest.Pitch
 }
 
 // Overflow returns the total passage overflow of the current routing state

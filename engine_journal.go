@@ -15,36 +15,32 @@ import (
 )
 
 // This file wires the write-ahead ECO journal (internal/journal) into the
-// engine. With WithJournalFile configured, every Edit.Commit appends its
-// staged edit set to the journal — fsynced — *before* installing the new
-// state, so an acknowledged commit survives kill -9 at any instant.
-// LoadEngineJournal is the matching recovery path: rebuild the base state
-// from the journal's embedded rebase, re-apply every edit record, and prove
-// layout-level convergence against each record's post-commit fingerprint.
+// engine. With WithJournalFile configured, constructing the engine writes
+// the journal's header and base, and every Edit.Commit appends its staged
+// edit set — fsynced — *before* installing the new state, so an
+// acknowledged commit survives kill -9 at any instant. LoadEngineJournal is
+// the matching recovery path: restore the base state, re-apply every edit
+// record, and prove layout-level convergence against each record's
+// post-commit fingerprint.
 //
-// The journal completes the durability triad:
-//
-//   - snapshot (Save/LoadEngine): the whole prepared session at a drain
-//     point — cheap to load, but only as fresh as the last persistAll;
-//   - checkpoint (WithCheckpointFile): mid-negotiation progress — protects
-//     the long initial route, knows nothing of later edits;
-//   - journal (WithJournalFile): per-operation ECO durability — every
-//     acknowledged commit is recoverable, at replay (reroute) cost.
+// The journal is a session's one durable file: a journal without records is
+// a snapshot, restored as LoadEngine restores one. Only a negotiation in
+// flight keeps a second file, its checkpoint (WithCheckpointFile).
 
-// WithJournalFile makes every committed ECO edit durable before it is
-// acknowledged: Edit.Commit appends the staged edit set to an append-only
-// journal at path — created on the first commit with the session's
-// pre-edit state folded in as the recovery base — and fsyncs before
-// installing. Recover with LoadEngineJournal, which replays the journal
-// and converges to the same layout (and, for an uninterrupted history, the
-// same routes) as the live session. After enough records or bytes
-// (DefaultCompactRecords/DefaultCompactBytes, tunable with
-// WithJournalCompaction) a commit folds the journal into a fresh base so
-// replay cost stays bounded. Once the journal exists, RouteAll,
-// RouteNegotiated and ResumeNegotiated fold it after every run as well:
-// the routes they install are described by no record. When that fold
-// fails they return ErrJournalFold, and the next commit folds before it
-// appends.
+// WithJournalFile makes the session durable in one append-only journal at
+// path. NewEngine and LoadEngine write the journal's header — the
+// fingerprint and pitch of the layout the session is created over — and a
+// base state, replacing any file at path; a failed write fails construction
+// with an error matching ErrJournalAppend. Every Edit.Commit then appends its
+// staged edit set and fsyncs before installing. Recover with
+// LoadEngineJournal, which replays the journal and converges to the same
+// layout (and, for an uninterrupted history, the same routes) as the live
+// session. After DefaultCompactRecords records or DefaultCompactBytes bytes
+// a commit folds the journal into a fresh base so replay cost stays
+// bounded. RouteAll, RouteNegotiated and ResumeNegotiated fold it after
+// every run as well: the routes they install are described by no record.
+// When that fold fails they return ErrJournalFold, and the next commit
+// folds before it appends.
 func WithJournalFile(path string) Option {
 	return func(c *config) { c.jrnlPath = path }
 }
@@ -57,26 +53,16 @@ func WithJournalFile(path string) Option {
 // the flow.
 var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 
-// ErrJournalAppend marks an Edit.Commit that failed to append its edit set
-// to the ECO journal durably (a write, fsync or pre-append fold failure).
-// The engine is left untouched; the failure is the server's, not the
-// edit's.
+// ErrJournalAppend marks a failure to write the ECO journal durably: an
+// Edit.Commit that could not append its edit set (a write, fsync or
+// pre-append fold failure), which leaves the engine untouched, or a
+// NewEngine or LoadEngine that could not write the journal's base. The
+// failure is the server's, not the edit's or the layout's.
 var ErrJournalAppend = errors.New("genroute: ECO journal append failed")
 
-// WithJournalCompaction overrides the journal fold thresholds: compact
-// after records edit records or bytes journal bytes, whichever comes first
-// (0 keeps the default for that axis).
-func WithJournalCompaction(records int, bytes int64) Option {
-	return func(c *config) {
-		c.jrnlRecords = records
-		c.jrnlBytes = bytes
-	}
-}
-
 // JournalStats reports the ECO journal's durability counters (records and
-// bytes since the last compaction, last append/fsync error). ok is false
-// when the session has no journal — none configured, or no ECO committed
-// yet.
+// bytes since the last fold, last append/fsync error). ok is false when the
+// session has no journal: none was configured with WithJournalFile.
 func (e *Engine) JournalStats() (st journal.Stats, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -100,45 +86,54 @@ func (e *Engine) CloseJournal() error {
 	return e.jr.Close()
 }
 
-// journalRebase builds a rebase base state from the *current* session
-// state: the layout as compact JSON (a third the size of WriteJSON's
-// indented form, and several times faster to encode; ReadJSON reads both)
-// plus a full Save frame. Callers hold mu (any mode — only reads happen
-// here).
-func (e *Engine) journalRebase() (journal.Rebase, error) {
-	lj, err := json.Marshal(e.l)
+// journalCreate writes the journal's header and base for a freshly built
+// session, when WithJournalFile asks for one. The session's layout is the
+// creation layout, so the base carries no layout of its own.
+func (e *Engine) journalCreate() error {
+	if e.cfg.jrnlPath == "" {
+		return nil
+	}
+	hdr := journal.Header{LayoutHash: e.layoutHash(), Pitch: e.cfg.congest.Pitch}
+	rb, err := e.journalRebase(hdr.LayoutHash)
+	if err == nil {
+		e.jr, err = journal.Create(e.cfg.jrnlPath, hdr, rb)
+	}
 	if err != nil {
-		return journal.Rebase{}, err
+		return fmt.Errorf("%w: %w", ErrJournalAppend, err)
+	}
+	e.jr.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
+	return nil
+}
+
+// journalRebase builds a base state from the *current* session state: a
+// full Save frame, plus the layout as compact JSON once edits have moved it
+// off created, the journal header's fingerprint. While the layout still
+// fingerprints to the header, recovery restores the base over the creation
+// layout its caller presents. Callers hold mu (any mode — only reads happen
+// here).
+func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
+	var rb journal.Rebase
+	if e.layoutHash() != created {
+		lj, err := json.Marshal(e.l)
+		if err != nil {
+			return journal.Rebase{}, err
+		}
+		rb.LayoutJSON = lj
 	}
 	var sbuf bytes.Buffer
 	if err := e.saveLocked(&sbuf); err != nil {
 		return journal.Rebase{}, err
 	}
-	return journal.Rebase{LayoutJSON: lj, Session: sbuf.Bytes()}, nil
+	rb.Session = sbuf.Bytes()
+	return rb, nil
 }
 
 // journalAppendLocked is Commit's write-ahead hook, called under the
 // exclusive lock after the repair succeeded and before the install: it
-// lazily creates the journal (folding the pre-edit state in as the base),
-// encodes the staged ops, and appends with fsync. A non-nil error aborts
-// the commit with the engine untouched — on disk the journal holds at
-// worst a torn tail, which the next open truncates.
+// encodes the staged ops and appends them with fsync. A non-nil error
+// aborts the commit with the engine untouched — on disk the journal holds
+// at worst a torn tail, which the next open truncates.
 func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
-	if e.jr == nil {
-		rb, err := e.journalRebase()
-		if err != nil {
-			return err
-		}
-		j, err := journal.Create(e.cfg.jrnlPath, journal.Header{
-			LayoutHash: e.layoutHash(),
-			Pitch:      e.cfg.congest.Pitch,
-		}, rb)
-		if err != nil {
-			return err
-		}
-		j.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
-		e.jr = j
-	}
 	if e.jrStale {
 		// The base predates a whole-layout flow: replaying this record on
 		// it would revive the routes that flow replaced. The current state
@@ -193,7 +188,7 @@ func (e *Engine) journalFoldLocked() error {
 	if e.jr == nil {
 		return nil
 	}
-	rb, err := e.journalRebase()
+	rb, err := e.journalRebase(e.jr.Header().LayoutHash)
 	if err != nil {
 		return err
 	}
@@ -238,12 +233,17 @@ func applyJournalOp(tx *Edit, op *journal.Op) error {
 	return fmt.Errorf("%w: journaled op kind %d", ErrSnapshotCorrupt, op.Kind)
 }
 
-// LoadEngineJournal rebuilds a session from its ECO journal: decode the
-// embedded base state (layout + session snapshot), re-apply every edit
-// record in order, and attach the journal for further appends (truncating
-// a torn tail first). Each replayed commit is verified against the
-// record's post-commit layout fingerprint — divergence fails closed with
-// ErrSnapshotCorrupt rather than resurrecting a wrong session.
+// LoadEngineJournal rebuilds a session from its ECO journal: restore the
+// base state, re-apply every edit record in order, and attach the journal
+// for further appends (truncating a torn tail first). l is the layout the
+// session was created over; a journal created over any other layout fails
+// closed with ErrSnapshotLayout. A base that carries no layout of its own is
+// restored over l the way LoadEngine restores a snapshot, so nothing is
+// re-validated; a base folded after edits embeds the edited layout, which
+// is decoded and validated like any other input. Each replayed commit is
+// verified against the record's post-commit layout fingerprint —
+// divergence fails closed with ErrSnapshotCorrupt rather than resurrecting
+// a wrong session.
 //
 // Replay-equals-live: Edit.Commit's repair is deterministic (fixed rip-up
 // order, byte-identical across worker counts), so replaying the records of
@@ -254,28 +254,36 @@ func applyJournalOp(tx *Edit, op *journal.Op) error {
 // check still holds because cancellation never changes the edited
 // geometry, only how much overflow has drained.
 //
-// The journal carries its own layout, so no external layout argument is
-// needed; callers that recover a serve session verify the journal header's
-// fingerprint against the client's layout separately. opts apply as in
-// LoadEngine (the embedded snapshot's pitch wins); the journal path is
-// re-attached automatically — WithJournalFile is not required.
-func LoadEngineJournal(path string, opts ...Option) (*Engine, error) {
+// opts apply as in LoadEngine (the base's pitch wins). The journal at path
+// stays the session's journal whatever WithJournalFile says.
+func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) {
 	s, err := journal.ScanFile(path)
 	if err != nil {
 		return nil, err
 	}
-	l, err := layout.ReadJSON(bytes.NewReader(s.Rebase.LayoutJSON))
-	if err != nil {
-		return nil, fmt.Errorf("%w: journal rebase layout: %v", ErrSnapshotCorrupt, err)
+	base := l.Clone()
+	base.NormalizeBoxes()
+	h := snapshot.LayoutHash(base)
+	if h != s.Header.LayoutHash {
+		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, journal was created over %016x",
+			ErrSnapshotLayout, l.Name, h, s.Header.LayoutHash)
 	}
-	e, err := LoadEngine(bytes.NewReader(s.Rebase.Session), l, opts...)
+	if len(s.Rebase.LayoutJSON) > 0 {
+		if base, err = layout.ReadJSON(bytes.NewReader(s.Rebase.LayoutJSON)); err != nil {
+			return nil, fmt.Errorf("%w: journal rebase layout: %v", ErrSnapshotCorrupt, err)
+		}
+		h = snapshot.LayoutHash(base)
+	}
+	sess, err := snapshot.DecodeSession(bytes.NewReader(s.Rebase.Session))
 	if err != nil {
 		return nil, err
 	}
-	// Replay with journaling detached: the records being re-applied are
-	// already durable, and re-appending them would double the log.
-	jrnlPath := e.cfg.jrnlPath
-	e.cfg.jrnlPath = ""
+	// Replay runs without a journal attached: the records being re-applied
+	// are already durable, and re-appending them would double the log.
+	e, err := restoreEngine(sess, base, h, newConfig(opts))
+	if err != nil {
+		return nil, err
+	}
 	for i := range s.Records {
 		rec := &s.Records[i]
 		if err := faultinject.Fire(faultinject.JournalApply, path); err != nil {
@@ -295,10 +303,6 @@ func LoadEngineJournal(path string, opts ...Option) (*Engine, error) {
 				ErrSnapshotCorrupt, rec.Seq, h, rec.PostHash)
 		}
 	}
-	e.cfg.jrnlPath = jrnlPath
-	if e.cfg.jrnlPath == "" {
-		e.cfg.jrnlPath = path
-	}
 	jr, err := journal.OpenAppend(path, s)
 	if err != nil {
 		return nil, err
@@ -306,18 +310,6 @@ func LoadEngineJournal(path string, opts ...Option) (*Engine, error) {
 	jr.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
 	e.jr = jr
 	return e, nil
-}
-
-// JournalHeader peeks at a journal's identity — the fingerprint and pitch
-// of the layout the session was created over — without replaying it. A
-// recovery ladder uses it to match journals to sessions before paying the
-// replay cost.
-func JournalHeader(path string) (layoutHash uint64, pitch int64, err error) {
-	s, err := journal.ScanFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	return s.Header.LayoutHash, s.Header.Pitch, nil
 }
 
 // saveLocked is Save without the lock acquisition, for callers already

@@ -1,7 +1,9 @@
 package genroute
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +17,8 @@ import (
 )
 
 // journaledEngine builds a routed session over gridScene(n) with the ECO
-// journal at a temp path, returning both.
+// journal at a temp path, returning both. Recovery presents gridScene(n)
+// again as the creation layout.
 func journaledEngine(t testing.TB, n int, extra ...Option) (*Engine, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "eco.jrnl")
@@ -42,12 +45,23 @@ func commitOps(t testing.TB, e *Engine, stage func(tx *Edit) error) {
 	}
 }
 
+// withJournalCompaction overrides the journal fold thresholds: fold after
+// records edit records or bytes journal bytes, whichever comes first (0
+// keeps the default for that axis).
+func withJournalCompaction(records int, bytes int64) Option {
+	return func(c *config) {
+		c.jrnlRecords = records
+		c.jrnlBytes = bytes
+	}
+}
+
 // checkRecovered asserts a journal-recovered session matches the live one:
 // byte-identical routes, same layout fingerprint, consistent state, and
-// still editable (the recovered journal accepts further commits).
-func checkRecovered(t *testing.T, live *Engine, path string) {
+// still editable (the recovered journal accepts further commits). created
+// is the layout the live session was created over.
+func checkRecovered(t *testing.T, live *Engine, path string, created *Layout) {
 	t.Helper()
-	rec, err := LoadEngineJournal(path, WithWorkers(1))
+	rec, err := LoadEngineJournal(path, created, WithWorkers(1))
 	if err != nil {
 		t.Fatalf("LoadEngineJournal: %v", err)
 	}
@@ -88,7 +102,125 @@ func TestJournalReplayEqualsLive(t *testing.T) {
 	if st, ok := e.JournalStats(); !ok || st.Records != 4 {
 		t.Fatalf("journal stats = %+v ok=%v, want 4 records", st, ok)
 	}
-	checkRecovered(t, e, path)
+	checkRecovered(t, e, path, gridScene(t, 3))
+}
+
+// TestJournalBaseCarriesLayoutOnlyOnceEdited: a base written while the
+// layout still fingerprints to the journal header carries no layout — the
+// creation layout that recovery is handed is the layout — and a base that
+// compaction folds after an edit carries the edited layout.
+func TestJournalBaseCarriesLayoutOnlyOnceEdited(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eco.jrnl")
+	e, err := NewEngine(funnelLayout(8), persistOpts(WithJournalFile(path), withJournalCompaction(1, 0))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNegotiated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := journal.ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Rebase.LayoutJSON) != 0 {
+		t.Fatalf("base of an unedited session embeds %d bytes of layout, want none", len(s.Rebase.LayoutJSON))
+	}
+
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("eco", 80, 400)) })
+	if s, err = journal.ScanFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Records) != 0 {
+		t.Fatalf("compaction left %d records, want the commit folded", len(s.Records))
+	}
+	l, err := ReadLayout(bytes.NewReader(s.Rebase.LayoutJSON))
+	if err != nil {
+		t.Fatalf("folded base layout: %v", err)
+	}
+	if got, want := snapshot.LayoutHash(l), e.layoutHash(); got != want {
+		t.Fatalf("folded base layout fingerprints %016x, edited session %016x", got, want)
+	}
+	checkRecovered(t, e, path, funnelLayout(8))
+}
+
+// TestLoadEngineJournalRejectsOtherLayout: a journal recovers only over the
+// layout it was created over, before and after its base embeds an edited
+// layout of its own.
+func TestLoadEngineJournalRejectsOtherLayout(t *testing.T) {
+	e, path := journaledEngine(t, 3, withJournalCompaction(1, 0))
+	other := gridScene(t, 2)
+	if _, err := LoadEngineJournal(path, other, WithWorkers(1)); !errors.Is(err, ErrSnapshotLayout) {
+		t.Fatalf("recovery over another layout: err = %v, want ErrSnapshotLayout", err)
+	}
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("j_a", 5, e.Layout().Bounds.MaxX)) })
+	if _, err := LoadEngineJournal(path, other, WithWorkers(1)); !errors.Is(err, ErrSnapshotLayout) {
+		t.Fatalf("recovery of a folded base over another layout: err = %v, want ErrSnapshotLayout", err)
+	}
+}
+
+// embeddedLayoutJournal writes a journal whose base embeds layout as JSON
+// next to e's Save frame, as every base did before unedited layouts were
+// left out, and returns its path.
+func embeddedLayoutJournal(t *testing.T, e *Engine, layout *Layout) string {
+	t.Helper()
+	lj, err := json.Marshal(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := e.Save(&frame); err != nil {
+		t.Fatal(err)
+	}
+	hdr := journal.Header{LayoutHash: e.layoutHash(), Pitch: e.Pitch()}
+	path := filepath.Join(t.TempDir(), "embedded.jrnl")
+	if err := os.WriteFile(path, journal.EncodeBase(hdr, journal.Rebase{LayoutJSON: lj, Session: frame.Bytes()}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestJournalEmbeddedLayoutBaseRecovers: a base that embeds the unchanged
+// layout is decoded and validated, and recovers the session's routes
+// byte-identically; edit records appended after it replay as usual.
+func TestJournalEmbeddedLayoutBaseRecovers(t *testing.T) {
+	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNegotiated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := embeddedLayoutJournal(t, e, e.Layout())
+	rec, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatalf("LoadEngineJournal: %v", err)
+	}
+	checkSameRoutes(t, rec.Result(), e.Result())
+	checkEngineConsistency(t, rec)
+
+	addNet := func(tx *Edit) error { return tx.AddNet(padNet("eco", 80, 400)) }
+	commitOps(t, e, addNet)
+	commitOps(t, rec, addNet)
+	again, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatalf("LoadEngineJournal after an appended record: %v", err)
+	}
+	checkSameRoutes(t, again.Result(), e.Result())
+}
+
+// TestJournalInvalidEmbeddedLayoutFailsClosed: a checksummed base whose
+// embedded layout fails Validate is corruption, not a session.
+func TestJournalInvalidEmbeddedLayoutFailsClosed(t *testing.T) {
+	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := funnelLayout(8)
+	bad.Cells[1].Box = R(190, 50, 210, 150) // overlaps the lower cell
+	path := embeddedLayoutJournal(t, e, bad)
+	if _, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("base with overlapping cells: err = %v, want ErrSnapshotCorrupt", err)
+	}
 }
 
 // TestJournalReplayAfterCompaction drives enough commits through a tight
@@ -96,7 +228,7 @@ func TestJournalReplayEqualsLive(t *testing.T) {
 // starts from the folded base rather than the creation state, and must
 // still land byte-identical to the live session.
 func TestJournalReplayAfterCompaction(t *testing.T) {
-	e, path := journaledEngine(t, 3, WithJournalCompaction(2, 0))
+	e, path := journaledEngine(t, 3, withJournalCompaction(2, 0))
 	maxX := e.Layout().Bounds.MaxX
 	for i := 0; i < 5; i++ {
 		y := int64(3 + 2*i)
@@ -118,7 +250,7 @@ func TestJournalReplayAfterCompaction(t *testing.T) {
 	if len(s.Records) != st.Records {
 		t.Fatalf("on-disk records %d, stats say %d", len(s.Records), st.Records)
 	}
-	checkRecovered(t, e, path)
+	checkRecovered(t, e, path, gridScene(t, 3))
 }
 
 // TestJournalFoldsWholeLayoutFlows: RouteAll, RouteNegotiated and
@@ -196,7 +328,7 @@ func TestJournalFoldsWholeLayoutFlows(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.run(t, e, ckpt)
-			checkRecovered(t, e, path)
+			checkRecovered(t, e, path, funnelLayout(8))
 		})
 	}
 }
@@ -259,7 +391,7 @@ func TestJournalFoldErrorReachesCaller(t *testing.T) {
 	if st, _ := e.JournalStats(); st.LastErr != "" || st.Records != 1 {
 		t.Fatalf("journal after the catch-up fold = %+v, want one healthy record", st)
 	}
-	checkRecovered(t, e, path)
+	checkRecovered(t, e, path, funnelLayout(8))
 }
 
 // TestJournalReplayEqualsLiveRandomized drives random edit scripts —
@@ -276,7 +408,7 @@ func TestJournalReplayEqualsLiveRandomized(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			var opts []Option
 			if seed%2 == 0 {
-				opts = append(opts, WithJournalCompaction(3, 0))
+				opts = append(opts, withJournalCompaction(3, 0))
 			}
 			e, path := journaledEngine(t, 3, opts...)
 			maxX := e.Layout().Bounds.MaxX
@@ -314,7 +446,7 @@ func TestJournalReplayEqualsLiveRandomized(t *testing.T) {
 					// journal untouched; the property must still hold.
 					continue
 				}
-				rec, err := LoadEngineJournal(path, WithWorkers(1))
+				rec, err := LoadEngineJournal(path, gridScene(t, 3), WithWorkers(1))
 				if err != nil {
 					t.Fatalf("step %d: LoadEngineJournal: %v", step, err)
 				}
@@ -424,7 +556,7 @@ func countSeamFires(t *testing.T, seam faultinject.Point) int {
 	// records survive to be re-applied (a tight fold would leave zero).
 	var opts []Option
 	if seam != faultinject.JournalApply {
-		opts = append(opts, WithJournalCompaction(2, 0))
+		opts = append(opts, withJournalCompaction(2, 0))
 	}
 	e, path := journaledEngine(t, 2, opts...)
 	n := 0
@@ -440,7 +572,7 @@ func countSeamFires(t *testing.T, seam faultinject.Point) int {
 		if err := e.CloseJournal(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadEngineJournal(path, WithWorkers(1)); err != nil {
+		if _, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +583,7 @@ func countSeamFires(t *testing.T, seam faultinject.Point) int {
 // during the burst, then recovers from the journal and asserts the
 // kill-anywhere property.
 func runKillAnywhereBurst(t *testing.T, seam faultinject.Point, idx int) {
-	e, path := journaledEngine(t, 2, WithJournalCompaction(2, 0))
+	e, path := journaledEngine(t, 2, withJournalCompaction(2, 0))
 	n := 0
 	restore := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
 		if s.Point == seam {
@@ -467,7 +599,7 @@ func runKillAnywhereBurst(t *testing.T, seam faultinject.Point, idx int) {
 	if err := e.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := LoadEngineJournal(path, WithWorkers(1))
+	rec, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1))
 	if err != nil {
 		t.Fatalf("recovery after %v fault #%d: %v", seam, idx, err)
 	}
@@ -509,12 +641,12 @@ func runKillAnywhereReplay(t *testing.T, idx int) {
 		}
 		return faultinject.None
 	})
-	_, err := LoadEngineJournal(path, WithWorkers(1))
+	_, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1))
 	restore()
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("replay under apply fault #%d = %v, want injected error", idx, err)
 	}
-	rec, err := LoadEngineJournal(path, WithWorkers(1))
+	rec, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1))
 	if err != nil {
 		t.Fatalf("clean retry after apply fault: %v", err)
 	}
@@ -544,7 +676,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	rec, err := LoadEngineJournal(path, WithWorkers(1))
+	rec, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1))
 	if err != nil {
 		t.Fatalf("recovery over torn tail: %v", err)
 	}
@@ -619,7 +751,8 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "seed.jrnl")
-	e, err := NewEngine(gridScene(f, 2), WithPitch(1), WithWorkers(1), WithJournalFile(path))
+	created := gridScene(f, 2)
+	e, err := NewEngine(created, WithPitch(1), WithWorkers(1), WithJournalFile(path))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -659,7 +792,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := LoadEngineJournal(p, WithWorkers(1))
+		rec, err := LoadEngineJournal(p, created, WithWorkers(1))
 		if err != nil {
 			for _, typed := range []error{ErrSnapshotFormat, ErrSnapshotVersion, ErrSnapshotChecksum,
 				ErrSnapshotCorrupt, ErrSnapshotLayout} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/congest"
@@ -77,14 +76,30 @@ func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
 	}
 	lc := l.Clone()
 	lc.NormalizeBoxes()
-	if h := snapshot.LayoutHash(lc); h != sess.LayoutHash {
-		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, snapshot was saved over %016x",
-			ErrSnapshotLayout, l.Name, h, sess.LayoutHash)
+	e, err := restoreEngine(sess, lc, snapshot.LayoutHash(lc), newConfig(opts))
+	if err != nil {
+		return nil, err
 	}
-	cfg := newConfig(opts)
+	if err := e.journalCreate(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// restoreEngine rebuilds a session from a decoded Save frame over lc, a
+// private box-normalized layout that fingerprints to h. Any other
+// fingerprint than the frame's fails closed with ErrSnapshotLayout. Nothing
+// is validated: the layout the frame was saved over passed Validate, and
+// the fingerprint proves lc is that layout. No journal is attached.
+func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*Engine, error) {
+	if h != sess.LayoutHash {
+		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, snapshot was saved over %016x",
+			ErrSnapshotLayout, lc.Name, h, sess.LayoutHash)
+	}
 	cfg.congest.Pitch = sess.Pitch
 	e := &Engine{l: lc, cfg: cfg}
-	e.lhash.Store(sess.LayoutHash)
+	e.lhash.Store(h)
+	var err error
 	if e.ix, e.spans, err = plane.FromLayoutSpans(e.l); err != nil {
 		return nil, err
 	}
@@ -215,25 +230,6 @@ func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) erro
 	}
 	e.setState(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...))
 	return e.journalFoldAfterFlowLocked(err)
-}
-
-// SaveFile writes the session snapshot (see Save) to path atomically:
-// encode to a temp file in the target directory, fsync, then rename over
-// the destination. A crash or failure mid-write leaves any previous file
-// intact and never a torn or temp file.
-func (e *Engine) SaveFile(path string) error {
-	return snapshot.WriteFileAtomic(path, e.Save, nil)
-}
-
-// LoadEngineFile rebuilds a prepared session from a snapshot file written
-// by SaveFile (see LoadEngine for the matching and option semantics).
-func LoadEngineFile(path string, l *Layout, opts ...Option) (*Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadEngine(f, l, opts...)
 }
 
 // writeCheckpointFile writes a checkpoint atomically (see

@@ -115,28 +115,26 @@ func TestCheckpointWritePanicLeavesNoTempFiles(t *testing.T) {
 	}
 }
 
-// TestSaveFileFailureLeavesNoTempFiles: SaveFile shares the atomic writer
-// and the same no-litter guarantee.
-func TestSaveFileFailureLeavesNoTempFiles(t *testing.T) {
+// TestJournalBaseWriteFailureLeavesNoTempFiles: the journal base written
+// at construction shares the atomic writer and the same no-litter
+// guarantee. A failed write fails NewEngine with ErrJournalAppend.
+func TestJournalBaseWriteFailureLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sess.snap")
-	e, err := NewEngine(funnelLayout(6), persistOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, "sess.jrnl")
 	restore := failSnapshotWrites(path, 0)
 	defer restore()
-	if err := e.SaveFile(path); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("SaveFile error = %v, want injected write failure", err)
+	_, err := NewEngine(funnelLayout(6), persistOpts(WithJournalFile(path))...)
+	if !errors.Is(err, faultinject.ErrInjected) || !errors.Is(err, ErrJournalAppend) {
+		t.Fatalf("NewEngine error = %v, want the injected write failure as ErrJournalAppend", err)
 	}
 	if litter := tmpLitter(t, path); len(litter) != 0 {
-		t.Fatalf("failed SaveFile left temp files behind: %v", litter)
+		t.Fatalf("failed base write left temp files behind: %v", litter)
 	}
 	restore()
-	if err := e.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile after restore: %v", err)
+	if _, err := NewEngine(funnelLayout(6), persistOpts(WithJournalFile(path))...); err != nil {
+		t.Fatalf("NewEngine after restore: %v", err)
 	}
-	if _, err := LoadEngineFile(path, funnelLayout(6), persistOpts()...); err != nil {
-		t.Fatalf("round-trip through SaveFile/LoadEngineFile: %v", err)
+	if _, err := LoadEngineJournal(path, funnelLayout(6), persistOpts()...); err != nil {
+		t.Fatalf("round-trip through the journal base: %v", err)
 	}
 }

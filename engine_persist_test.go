@@ -366,6 +366,61 @@ func BenchmarkEngineLoad(b *testing.B) {
 	b.ReportMetric(float64(warm)*100/float64(cold), "warm-vs-cold-pct")
 }
 
+// BenchmarkJournalRecover measures a session's one durable file against a
+// snapshot: an unedited 64×64 macro-grid session whose journal base was
+// folded after RouteAll recovers from that journal and, for comparison,
+// from the same session's Save frame. The base is that frame plus a header,
+// restored over the creation layout without re-validation, so the two cost
+// about the same. CI gates journal-vs-snapshot-pct at ≤200.
+func BenchmarkJournalRecover(b *testing.B) {
+	l, err := MacroGrid(64, 64, 40, 30, 12, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "sess.jrnl")
+	e, err := NewEngine(l, WithJournalFile(path))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.RouteAll(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.CloseJournal(); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var snap, jrnl time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := LoadEngine(bytes.NewReader(data), l); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		rec, err := LoadEngineJournal(path, l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jrnl += time.Since(t1)
+		snap += t1.Sub(t0)
+		if err := rec.CloseJournal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(snap)/1e6/float64(b.N), "snapshot-ms/op")
+	b.ReportMetric(float64(jrnl)/1e6/float64(b.N), "journal-ms/op")
+	b.ReportMetric(float64(jrnl)*100/float64(snap), "journal-vs-snapshot-pct")
+	b.ReportMetric(float64(st.Size()-int64(len(data))), "journal-extra-bytes")
+}
+
 // BenchmarkNegotiateResume32 is the crash-safety smoke at macro scale: a
 // checkpointed 32×32 negotiation killed after its first pass, resumed from
 // the file by a fresh engine, must still drain to zero overflow with routes

@@ -1,7 +1,7 @@
-// Package journal is the write-ahead log behind durable ECO editing: an
-// append-only, per-session file of committed edit records that makes every
-// acknowledged Edit.Commit survive a hard crash (kill -9, OOM, power loss)
-// without waiting for the next full snapshot.
+// Package journal is a session's durable file: a base state followed by an
+// append-only log of committed edit records, which makes every
+// acknowledged Edit.Commit survive a hard crash (kill -9, OOM, power loss).
+// A journal without records is a snapshot.
 //
 // A journal file is a sequence of self-framed records:
 //
@@ -15,10 +15,11 @@
 //   - header (first record): the identity of the layout the session was
 //     created over — its fingerprint and congestion pitch. Replay onto any
 //     other layout fails closed.
-//   - rebase (second record): a complete base state — the session's layout
-//     as JSON plus an embedded internal/snapshot session frame (routes,
-//     passages, history). Compaction rewrites the journal as header+rebase,
-//     folding every edit so far into a fresh base.
+//   - rebase (second record): a complete base state — an embedded
+//     internal/snapshot session frame (routes, passages, history), plus
+//     the session's layout as JSON once edits have changed it. Compaction
+//     rewrites the journal as header+rebase, folding every edit so far
+//     into a fresh base.
 //   - edit (any number): one committed ECO edit set (AddNet/RemoveNet/
 //     MoveCell ops), its sequence number, and the fingerprint of the layout
 //     after the commit — the anchor replay verifies against.
@@ -82,10 +83,12 @@ type Header struct {
 	Pitch      geom.Coord
 }
 
-// Rebase is a complete base state: the session layout as JSON and an
-// embedded snapshot session frame (written by snapshot.EncodeSession)
-// carrying routes, passages and history. Replay starts here and applies
-// the edit records that follow.
+// Rebase is a complete base state: an embedded snapshot session frame
+// (written by snapshot.EncodeSession) carrying routes, passages and
+// history, and LayoutJSON, the session layout as JSON. LayoutJSON is empty
+// while the layout still fingerprints to the header's: replay then
+// restores the frame over the creation layout its caller presents. Replay
+// starts here and applies the edit records that follow.
 type Rebase struct {
 	LayoutJSON []byte
 	Session    []byte
@@ -214,8 +217,8 @@ func Scan(data []byte) (*Scanned, error) {
 			}
 			if i < 2 {
 				// A journal torn inside its header or rebase has no usable
-				// base state to recover to — fail closed so the caller's
-				// ladder falls back to the snapshot rung.
+				// base state to recover to — fail closed so the caller
+				// quarantines it and builds cold.
 				return nil, fmt.Errorf("%w: journal torn before its base state (%v)", errCorrupt, err)
 			}
 			s.Torn = true
@@ -431,8 +434,8 @@ func (j *Journal) SetCompaction(records int, bytes int64) {
 	j.compactBytes = bytes
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+// Header returns the identity the journal was created with.
+func (j *Journal) Header() Header { return j.hdr }
 
 // Stats reports the journal's durability-lag counters.
 func (j *Journal) Stats() Stats {

@@ -1,10 +1,11 @@
 // Package serve implements groutd's HTTP/JSON routing service over pooled
 // genroute.Engine sessions: a bounded LRU of prepared sessions keyed by
-// layout fingerprint with single-flight preparation and snapshot warm
-// starts, per-request deadlines mapped onto the engine's cooperative
-// cancellation, admission control that sheds load instead of queueing
-// unboundedly, per-request panic recovery, and graceful drain that
-// checkpoints long-running negotiations and persists hot sessions.
+// layout fingerprint with single-flight preparation and warm starts from
+// each session's ECO journal, per-request deadlines mapped onto the
+// engine's cooperative cancellation, admission control that sheds load
+// instead of queueing unboundedly, per-request panic recovery, and
+// graceful drain that checkpoints long-running negotiations and flushes
+// every journal.
 //
 // See DESIGN.md "Serving & failure model" for the full semantics.
 package serve
@@ -33,22 +34,24 @@ type sessionResponse struct {
 	Name  string `json:"name"`
 	Cells int    `json:"cells"`
 	Nets  int    `json:"nets"`
-	Pitch int64  `json:"pitch"`
+	// Pitch is the session's congestion pitch: the ?pitch= of a cold
+	// build, or the pitch the journal recorded for a warm start.
+	Pitch int64 `json:"pitch"`
 	// Created is false when the layout was already resident (the request
 	// joined an existing session instead of preparing one).
 	Created bool `json:"created"`
-	// Warm reports that the session was rebuilt from an on-disk snapshot
+	// Warm reports that the session was recovered from its on-disk journal
 	// rather than cold-prepared.
 	Warm      bool    `json:"warm"`
 	Routed    bool    `json:"routed"`
 	Overflow  int     `json:"overflow"`
 	PrepareMS float64 `json:"prepare_ms"`
-	// Journaled reports an attached ECO write-ahead journal (the session
-	// has committed at least one edit with persistence enabled). The
-	// counters describe its durability state: JournalRecords and
-	// JournalBytes are the edit records and file bytes accumulated since
-	// the last compaction fold, and JournalFsyncErr is the most recent
-	// append/fsync failure ("" while healthy).
+	// Journaled reports an attached ECO write-ahead journal (every session
+	// has one while persistence is enabled). The counters describe its
+	// durability state: JournalRecords is the edit records since the last
+	// fold, JournalBytes the journal's size (base plus records), and
+	// JournalFsyncErr the most recent append/fsync failure ("" while
+	// healthy).
 	Journaled       bool   `json:"journaled,omitempty"`
 	JournalRecords  int    `json:"journal_records,omitempty"`
 	JournalBytes    int64  `json:"journal_bytes,omitempty"`

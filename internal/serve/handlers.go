@@ -61,6 +61,7 @@ func sessionJSON(sess *session) sessionResponse {
 		Name:      l.Name,
 		Cells:     len(l.Cells),
 		Nets:      len(l.Nets),
+		Pitch:     sess.e.Pitch(),
 		Warm:      sess.warm,
 		Routed:    sess.e.Routed(),
 		Overflow:  sess.e.Overflow(),
@@ -86,10 +87,12 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 
 // handleCreateSession prepares (or joins, or warm-starts) a session for
 // the posted layout JSON. Engine options come from query parameters:
-// ?pitch=, ?weight=, ?passes= (absent parameters keep engine defaults).
-// The session's identity is the layout fingerprint; posting the same
-// layout twice returns the resident session without rebuilding, and
-// concurrent posts of one layout share a single preparation.
+// ?pitch=, ?weight=, ?passes= (absent parameters keep engine defaults; a
+// warm start keeps the pitch its journal recorded). The session's identity
+// is the layout fingerprint; posting the same layout twice returns the
+// resident session without rebuilding, and concurrent posts of one layout
+// share a single preparation. A session whose journal cannot be written
+// answers 500: the failure is the server's, not the layout's.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	l, err := genroute.ReadLayout(http.MaxBytesReader(w, r.Body, maxLayoutBytes))
 	if err != nil {
@@ -105,7 +108,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	hash := snapshot.LayoutHash(l)
 	sess, created, err := s.sessions.getOrCreate(r.Context().Done(), l, hash, opts)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "preparing session: %v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, genroute.ErrJournalAppend) {
+			status = http.StatusInternalServerError
+		}
+		writeErr(w, status, "preparing session: %v", err)
 		return
 	}
 	status := http.StatusOK
@@ -147,7 +154,7 @@ func optionsFromQuery(r *http.Request) ([]genroute.Option, error) {
 
 // lookupSession resolves the {hash} path element to a resident session
 // (404 when evicted or never prepared — the client re-POSTs the layout,
-// which warm-starts from the snapshot when one exists).
+// which warm-starts from the session's journal when one exists).
 func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
 	hex := r.PathValue("hash")
 	hash, err := strconv.ParseUint(hex, 16, 64)
@@ -213,7 +220,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNegotiate runs (or resumes) the negotiated-congestion flow on the
-// session. With a snapshot dir, the run checkpoints as it goes; if a
+// session. With persistence on, the run checkpoints as it goes and the
+// engine folds the installed routes into the session's journal; if a
 // checkpoint from an interrupted run exists it is resumed — producing
 // routes byte-identical to the uninterrupted run — and a completed run
 // retires it. An expired deadline or drain returns the best-pass partial
@@ -242,13 +250,10 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "negotiation failed: %v", err)
 		return
 	}
-	if s.cfg.SnapshotDir != "" {
-		if !partial {
-			// The run completed; a leftover checkpoint would wrongly
-			// resume a finished negotiation next time.
-			os.Remove(s.sessions.ckptPath(sess.hash))
-		}
-		s.sessions.saveSnapshot(sess)
+	if s.cfg.SnapshotDir != "" && !partial {
+		// The run completed; a leftover checkpoint would wrongly resume a
+		// finished negotiation next time.
+		os.Remove(s.sessions.ckptPath(sess.hash))
 	}
 	resp := negotiateResponse{
 		Converged: res.Converged,
@@ -308,7 +313,6 @@ func (s *Server) runNegotiation(ctx context.Context, sess *session) (*genroute.N
 // a write-ahead journal: Commit appends the edit set — fsynced — before
 // installing, so by the time the 200 is written the edit survives kill -9
 // and a restart replays it (the journal rung of the warm-start ladder).
-// The snapshot on disk stays untouched as the pre-edit recovery base.
 // A failed commit is classified by its typed error: a recovered commit
 // panic answers 500 marked degraded, a journal append failure 500, and any
 // other failure (a rejected edit) 400.
@@ -367,7 +371,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "eco commit: %v", err)
 		return
 	}
-	sess.mutated = true
 	if s.cfg.SnapshotDir != "" {
 		// Durability already happened inside Commit (the journal append is
 		// fsynced before the install); all that is left is retiring any

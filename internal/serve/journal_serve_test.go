@@ -2,16 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/faultinject"
 )
 
 // getBody fetches url and returns the raw response bytes — the form the
@@ -98,7 +104,7 @@ func TestECOJournalCrashRecovery(t *testing.T) {
 		t.Fatalf("journal state in listing = %+v, want 2 healthy records", list[0])
 	}
 	wires := getBody(t, ts.URL+"/v1/sessions/"+sr.Hash+"/wires")
-	ts.Close() // abrupt: no drain, no persistAll — the journal is all there is
+	ts.Close() // abrupt: no drain, no journal close — the fsynced records are all there is
 
 	if _, err := os.Stat(filepath.Join(dir, sr.Hash+".jrnl")); err != nil {
 		t.Fatalf("eco left no journal: %v", err)
@@ -125,8 +131,8 @@ func TestECOJournalCrashRecovery(t *testing.T) {
 }
 
 // TestCorruptJournalFailOpen: a bit-flipped journal is quarantined (with a
-// timestamped name) and the ladder falls through to the snapshot rung —
-// the session comes back at its pre-edit base instead of failing to serve.
+// timestamped name) and the ladder falls through to a cold build with a
+// fresh journal, instead of failing to serve.
 func TestCorruptJournalFailOpen(t *testing.T) {
 	dir := t.TempDir()
 	l := funnel(8)
@@ -149,16 +155,176 @@ func TestCorruptJournalFailOpen(t *testing.T) {
 
 	_, ts2 := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
 	got := createSession(t, ts2, l, "pitch=2")
-	if !got.Created || !got.Warm || got.Journaled {
-		t.Fatalf("create over corrupt journal = %+v, want a snapshot warm start without the journal", got)
+	if !got.Created || got.Warm || !got.Journaled || got.JournalRecords != 0 {
+		t.Fatalf("create over corrupt journal = %+v, want a cold build with a fresh journal", got)
 	}
 	if len(quarantined(t, jrnl)) != 1 {
 		t.Fatal("corrupt journal not quarantined")
 	}
-	if _, err := os.Stat(jrnl); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("corrupt journal still in place: %v", err)
+	if fresh, err := os.ReadFile(jrnl); err != nil || bytes.Equal(fresh, data) {
+		t.Fatalf("corrupt journal still in place (read err %v)", err)
 	}
 	mustRouteOK(t, ts2, got.Hash, "n01")
+}
+
+// TestUntypedJournalFailureQuarantines: a journal the warm-start ladder
+// cannot use is moved aside whatever its failure — here an injected replay
+// fault, which carries no ErrSnapshot* type — so the cold build's fresh
+// journal never overwrites acknowledged edits and no stale base comes back
+// in their place.
+func TestUntypedJournalFailureQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	l := funnel(8)
+
+	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	sr := createSession(t, ts, l, "pitch=2")
+	negotiateOK(t, ts, sr.Hash)
+	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
+	ts.Close()
+	jrnl := filepath.Join(dir, sr.Hash+".jrnl")
+	before, err := os.ReadFile(jrnl)
+	if err != nil {
+		t.Fatalf("eco left no journal: %v", err)
+	}
+
+	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		if site.Point == faultinject.JournalApply {
+			return faultinject.Error
+		}
+		return faultinject.None
+	})
+	_, ts2 := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	got := createSession(t, ts2, l, "pitch=2")
+	restore()
+	if !got.Created || got.Warm || got.Nets != 8 {
+		t.Fatalf("create over an unreplayable journal = %+v, want a cold build of the 8-net layout", got)
+	}
+	negotiateOK(t, ts2, got.Hash)
+	ecoPost(t, ts2, got.Hash, []ecoOp{{Op: "remove_net", Name: "n03"}})
+	bad := quarantined(t, jrnl)
+	if len(bad) != 1 {
+		t.Fatalf("%d quarantined journals, want 1", len(bad))
+	}
+	kept, err := os.ReadFile(bad[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, before) {
+		t.Fatal("quarantined journal differs from the journal the restart found")
+	}
+}
+
+// TestSessionReportsPitch: a session reports the pitch it runs at — the
+// requested one for a cold build, and its journal's on a warm start, which
+// wins over the re-posted ?pitch=.
+func TestSessionReportsPitch(t *testing.T) {
+	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), MaxSessions: 1, Workers: 1})
+	a, b := funnel(8), funnel(6)
+	b.Name = "funnel-b"
+
+	if sa := createSession(t, ts, a, "pitch=2"); sa.Pitch != 2 {
+		t.Fatalf("cold create with ?pitch=2 = %+v, want pitch 2", sa)
+	}
+	createSession(t, ts, b, "pitch=2") // evicts a
+	back := createSession(t, ts, a, "pitch=3")
+	if !back.Created || !back.Warm || back.Pitch != 2 {
+		t.Fatalf("warm re-admission with ?pitch=3 = %+v, want the journal's pitch 2", back)
+	}
+}
+
+// dirFiles lists the names in dir, sorted.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestOneDurableFilePerSession: create, negotiate, eco and drain leave the
+// persistence directory holding the session's journal and nothing else. An
+// interrupted negotiation adds its checkpoint until a run completes.
+func TestOneDurableFilePerSession(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{SnapshotDir: dir, Workers: 1, CheckpointEvery: 1,
+		ReadyzGrace: time.Millisecond, Logf: func(string, ...any) {}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigterm, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(sigterm, ln) }()
+	ts := &httptest.Server{URL: "http://" + ln.Addr().String()} // the helpers read only URL
+
+	sr := createSession(t, ts, funnel(16), "pitch=2&weight=40")
+	journalOnly := []string{sr.Hash + ".jrnl"}
+	if got := dirFiles(t, dir); !slices.Equal(got, journalOnly) {
+		t.Fatalf("after create: %v, want %v", got, journalOnly)
+	}
+
+	// The deadline leaves the first pass time to finish and checkpoint;
+	// the first rip of the second pass then outlives it.
+	restore := slowReroutes(100 * time.Millisecond)
+	var nr negotiateResponse
+	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: 40}, &nr)
+	restore()
+	if code != http.StatusOK || !nr.Partial {
+		t.Fatalf("deadline-bound negotiate = %d %+v, want a 200 partial", code, nr)
+	}
+	if got, want := dirFiles(t, dir), []string{sr.Hash + ".ckpt", sr.Hash + ".jrnl"}; !slices.Equal(got, want) {
+		t.Fatalf("after an interrupted negotiation: %v, want %v", got, want)
+	}
+
+	negotiateOK(t, ts, sr.Hash)
+	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
+	stop() // SIGTERM
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after the drain, want nil", err)
+	}
+	if got := dirFiles(t, dir); !slices.Equal(got, journalOnly) {
+		t.Fatalf("after negotiate, eco and drain: %v, want %v", got, journalOnly)
+	}
+}
+
+// TestCreateSessionJournalWriteFailure: a session whose journal base cannot
+// be written is not served: the POST answers 500 and leaves no file behind,
+// temp files included, and the next POST builds the session cold.
+func TestCreateSessionJournalWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	var buf bytes.Buffer
+	if err := genroute.WriteLayout(&buf, funnel(8)); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		if site.Point == faultinject.SnapshotWrite && strings.HasSuffix(site.Label, ".jrnl") {
+			return faultinject.Error
+		}
+		return faultinject.None
+	})
+	var er errorResponse
+	code, _ := postJSON(t, ts.URL+"/v1/sessions?pitch=2", buf.Bytes(), &er)
+	restore()
+	if code != http.StatusInternalServerError {
+		t.Fatalf("create with a failing journal write = %d %+v, want 500", code, er)
+	}
+	if got := dirFiles(t, dir); len(got) != 0 {
+		t.Fatalf("failed create left files behind: %v", got)
+	}
+
+	var sr sessionResponse
+	if code, _ := postJSON(t, ts.URL+"/v1/sessions?pitch=2", buf.Bytes(), &sr); code != http.StatusCreated || sr.Warm {
+		t.Fatalf("create after the failure = %d %+v, want a 201 cold build", code, sr)
+	}
 }
 
 // TestQuarantineCapBoundsLitter: repeated quarantines of one path keep

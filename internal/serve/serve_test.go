@@ -192,16 +192,16 @@ func TestSingleFlightPrepare(t *testing.T) {
 }
 
 // TestCorruptSnapshotFailOpen: a bit-flipped or truncated warm-start
-// snapshot is detected via the typed ErrSnapshot* errors, quarantined to
-// <file>.bad, and the request succeeds via a cold build.
+// journal base is detected via the typed ErrSnapshot* errors, quarantined
+// to <file>.bad, and the request succeeds via a cold build.
 func TestCorruptSnapshotFailOpen(t *testing.T) {
 	dir := t.TempDir()
 	l := funnel(8)
 
-	// A healthy server persists a snapshot on session creation.
+	// A healthy server persists a journal base on session creation.
 	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
 	sr := createSession(t, ts, l, "pitch=2")
-	snap := filepath.Join(dir, sr.Hash+".snap")
+	snap := filepath.Join(dir, sr.Hash+".jrnl")
 	orig, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatalf("session creation persisted no snapshot: %v", err)
@@ -232,8 +232,8 @@ func TestCorruptSnapshotFailOpen(t *testing.T) {
 			t.Fatalf("%s: route after fail-open build = %d %+v", name, code, rr)
 		}
 		ts2.Close()
-		// The cold build re-persisted a healthy snapshot; reset for the
-		// next variant.
+		// The cold build wrote a healthy journal base; reset for the next
+		// variant.
 		var rerr error
 		orig, rerr = os.ReadFile(snap)
 		if rerr != nil {
@@ -375,7 +375,7 @@ func TestNegotiatePartialWithFailedFoldFails(t *testing.T) {
 }
 
 // TestLRUEvictionAndWarmReadmission: past the LRU bound the oldest session
-// drops to 404, and re-POSTing its layout warm-starts from its snapshot.
+// drops to 404, and re-POSTing its layout warm-starts from its journal.
 func TestLRUEvictionAndWarmReadmission(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{SnapshotDir: dir, MaxSessions: 1, Workers: 1})

@@ -19,10 +19,11 @@ import (
 // Config parameterizes a Server. The zero value of every field picks a
 // production-safe default (see withDefaults).
 type Config struct {
-	// SnapshotDir, when set, enables persistence: sessions warm-start
-	// from <dir>/<hash>.snap, negotiations checkpoint to <dir>/<hash>.ckpt
-	// as they run, and a graceful shutdown persists every resident
-	// session. Empty disables all persistence.
+	// SnapshotDir, when set, enables persistence: every session keeps
+	// its one durable file, the journal <dir>/<hash>.jrnl, written when
+	// the session is built and replayed when its layout is re-posted, and
+	// a negotiation checkpoints to <dir>/<hash>.ckpt while it runs. Empty
+	// disables all persistence.
 	SnapshotDir string
 	// MaxSessions bounds the resident session LRU (default 8).
 	MaxSessions int
@@ -141,7 +142,8 @@ func (s *Server) Handler() http.Handler {
 // the flip), stops accepting, and in-flight requests run to completion
 // under DrainTimeout — past it their work contexts are cancelled, which
 // checkpoints interrupted negotiations and returns well-formed partials.
-// Finally every resident session is persisted so a restart is warm.
+// Finally every resident session's journal is flushed and closed; a
+// restart replays them warm.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:     s.Handler(),
@@ -165,8 +167,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		hs.Shutdown(context.Background())
 	}
 	s.inflight.Wait()
-	s.sessions.persistAll()
-	s.logf("serve: drained; %d session(s) persisted", len(s.sessions.snapshotList()))
+	s.sessions.closeJournals()
+	s.logf("serve: drained; %d session journal(s) closed", len(s.sessions.snapshotList()))
 	return nil
 }
 

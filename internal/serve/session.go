@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,25 +19,22 @@ type session struct {
 	hash uint64
 	e    *genroute.Engine
 	el   *list.Element
-	// warm reports a snapshot warm start; prep is the preparation wall
-	// time either way (the smoke bench's warm-vs-cold ratio).
+	// warm reports a recovery from the session's journal; prep is the
+	// preparation wall time either way (the smoke bench's warm-vs-cold
+	// ratio).
 	warm bool
 	prep time.Duration
 	// negMu serializes the negotiate/eco handlers' checkpoint-file
 	// bookkeeping for this session (the Engine's own lock serializes the
 	// routing work; this keeps the read-resume-delete sequence atomic).
 	negMu sync.Mutex
-	// mutated marks a session whose layout an ECO commit changed: its
-	// fingerprint no longer matches its URL identity, so the warm-start
-	// snapshot for that hash is stale and must not be (re)written.
-	mutated bool
 }
 
 func (s *session) key() string { return fmt.Sprintf("%016x", s.hash) }
 
 // sessionCache is the bounded LRU of prepared sessions, keyed by
-// snapshot.LayoutHash, with single-flight preparation and the snapshot
-// warm-start fallback ladder.
+// snapshot.LayoutHash, with single-flight preparation and the journal
+// warm-start ladder.
 type sessionCache struct {
 	mu       sync.Mutex
 	max      int
@@ -69,10 +67,6 @@ func newSessionCache(max int, dir string, every int, baseOpts []genroute.Option,
 		lru:      list.New(),
 		inflight: make(map[uint64]*prepareCall),
 	}
-}
-
-func (c *sessionCache) snapPath(hash uint64) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%016x.snap", hash))
 }
 
 func (c *sessionCache) ckptPath(hash uint64) string {
@@ -133,39 +127,22 @@ func (c *sessionCache) getOrCreate(done <-chan struct{}, l *genroute.Layout, has
 }
 
 // build prepares an engine for the layout, walking the warm-start ladder:
-// the ECO journal is tried first (it alone holds acknowledged edits), then
-// the on-disk snapshot; any typed ErrSnapshot* failure (corrupt,
-// truncated, version-skewed, wrong layout) quarantines the file and falls
-// through to the next rung, ending at a cold NewEngine — fail-open, never
-// fail-crash.
+// the session's journal is replayed when there is one (it holds the base
+// state and every acknowledged edit), and otherwise — or when it cannot be
+// used, which quarantines it — NewEngine builds the session cold and writes
+// its fresh journal. A cold build whose journal cannot be written fails
+// with an error matching genroute.ErrJournalAppend.
 func (c *sessionCache) build(l *genroute.Layout, hash uint64, opts []genroute.Option) (*session, error) {
 	opts = append(append([]genroute.Option(nil), c.baseOpts...), opts...)
 	if c.dir != "" {
 		opts = append(opts,
 			genroute.WithCheckpointFile(c.ckptPath(hash), c.every),
 			genroute.WithJournalFile(c.jrnlPath(hash)))
-	}
-	start := time.Now()
-	if c.dir != "" {
-		if sess := c.replayJournal(hash, opts, start); sess != nil {
+		if sess := c.replayJournal(l, hash, opts); sess != nil {
 			return sess, nil
 		}
-		start = time.Now()
-		path := c.snapPath(hash)
-		if _, err := os.Stat(path); err == nil {
-			e, lerr := genroute.LoadEngineFile(path, l, opts...)
-			if lerr == nil {
-				c.logf("serve: session %016x warm-started from %s in %s", hash, path, time.Since(start).Round(time.Millisecond))
-				return &session{hash: hash, e: e, warm: true, prep: time.Since(start)}, nil
-			}
-			if isSnapshotErr(lerr) {
-				c.quarantine(path, lerr)
-			} else {
-				c.logf("serve: warm start %s failed: %v (falling back to cold build)", path, lerr)
-			}
-			start = time.Now()
-		}
 	}
+	start := time.Now()
 	e, err := genroute.NewEngine(l, opts...)
 	if err != nil {
 		return nil, err
@@ -173,48 +150,29 @@ func (c *sessionCache) build(l *genroute.Layout, hash uint64, opts []genroute.Op
 	sess := &session{hash: hash, e: e, prep: time.Since(start)}
 	c.logf("serve: session %016x cold-prepared in %s (%d cells, %d nets)",
 		hash, sess.prep.Round(time.Millisecond), len(l.Cells), len(l.Nets))
-	if c.dir != "" {
-		c.saveSnapshot(sess)
-	}
 	return sess, nil
 }
 
-// replayJournal is the warm-start ladder's top rung: when the session has
-// an ECO journal, recovery must come from it — the journal alone holds
-// every acknowledged edit, which the base snapshot (by design) does not.
-// The journal's header names the creation-layout fingerprint the file is
-// keyed by, so identity is proven before paying the replay cost. A journal
-// that cannot be used (corrupt, torn base, version-skewed, wrong layout)
-// is quarantined and the ladder falls through to the snapshot rung.
-func (c *sessionCache) replayJournal(hash uint64, opts []genroute.Option, start time.Time) *session {
+// replayJournal is the warm-start ladder's first rung: recover the session
+// from its journal over l, the layout the journal must have been created
+// over. A journal that cannot be used — damaged, version-skewed, created
+// over another layout, or failing for any other reason — is quarantined
+// before the cold build replaces it, so its bytes survive for post-mortem.
+func (c *sessionCache) replayJournal(l *genroute.Layout, hash uint64, opts []genroute.Option) *session {
 	path := c.jrnlPath(hash)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	jh, _, err := genroute.JournalHeader(path)
-	if err == nil && jh != hash {
-		err = fmt.Errorf("%w: journal was created over layout %016x, session is %016x",
-			genroute.ErrSnapshotLayout, jh, hash)
-	}
-	var e *genroute.Engine
-	if err == nil {
-		e, err = genroute.LoadEngineJournal(path, opts...)
+	start := time.Now()
+	e, err := genroute.LoadEngineJournal(path, l, opts...)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil // the layout has no session here yet
 	}
 	if err != nil {
-		if isSnapshotErr(err) {
-			c.quarantine(path, err)
-		} else {
-			c.logf("serve: journal replay %s failed: %v (falling back)", path, err)
-		}
+		c.quarantine(path, err)
 		return nil
 	}
 	st, _ := e.JournalStats()
 	c.logf("serve: session %016x recovered from journal %s (%d unfolded record(s)) in %s",
 		hash, path, st.Records, time.Since(start).Round(time.Millisecond))
-	// The recovered layout reflects the journaled edits, so it no longer
-	// fingerprints to the session's hash key: mark mutated, exactly as the
-	// live session the journal recorded was.
-	return &session{hash: hash, e: e, warm: true, mutated: true, prep: time.Since(start)}
+	return &session{hash: hash, e: e, warm: true, prep: time.Since(start)}
 }
 
 // isSnapshotErr reports a typed persistence failure — the fail-open class:
@@ -229,7 +187,7 @@ func isSnapshotErr(err error) bool {
 
 // quarantineKeep bounds the retained quarantine files per source path: the
 // newest quarantineKeep stay for post-mortem, older ones are deleted, so
-// repeated corruption of one session's files cannot litter the snapshot
+// repeated corruption of one session's files cannot litter the persistence
 // directory unboundedly.
 const quarantineKeep = 3
 
@@ -251,7 +209,7 @@ func snapshotErrName(err error) string {
 	return "untyped"
 }
 
-// quarantine moves a provably bad snapshot, checkpoint or journal aside —
+// quarantine moves an unusable checkpoint or journal aside —
 // to path.<UTC timestamp>.bad, so successive quarantines of one path never
 // overwrite each other's evidence — and prunes all but the newest
 // quarantineKeep copies. The log line carries the typed failure class
@@ -274,11 +232,10 @@ func (c *sessionCache) quarantine(path string, cause error) {
 }
 
 // install adds a built session and evicts past the LRU bound. Eviction
-// drops memory only: the snapshot written at build/negotiate time and the
-// ECO journal are the session's durable forms, so a re-request
-// warm-starts. The evicted session's journal is flushed and its
-// descriptor released first (the engine reopens it on demand if the
-// session is somehow still referenced).
+// drops memory only: the journal is the session's durable form, so a
+// re-request warm-starts from it. The evicted session's journal is flushed
+// and its descriptor released first (the engine reopens it on demand if
+// the session is somehow still referenced).
 func (c *sessionCache) install(s *session) {
 	s.el = c.lru.PushFront(s)
 	c.byHash[s.hash] = s
@@ -307,27 +264,10 @@ func (c *sessionCache) snapshotList() []*session {
 	return out
 }
 
-// saveSnapshot persists one session's current state for warm restarts.
-// Persistence is best-effort by design — a failed save costs a future cold
-// build, never the request. An ECO-mutated session skips the write: its
-// layout no longer fingerprints to the hash key, and its durable form is
-// the journal (whose embedded base already captured the pre-edit state),
-// so overwriting the snapshot would corrupt nothing but record a state the
-// key cannot prove.
-func (c *sessionCache) saveSnapshot(s *session) {
-	if c.dir == "" || s.mutated {
-		return
-	}
-	if err := s.e.SaveFile(c.snapPath(s.hash)); err != nil {
-		c.logf("serve: persisting session %016x: %v", s.hash, err)
-	}
-}
-
-// persistAll saves every resident session and flushes its journal (called
-// after drain, when the engines are idle).
-func (c *sessionCache) persistAll() {
+// closeJournals flushes and closes every resident session's journal
+// (called after drain, when the engines are idle).
+func (c *sessionCache) closeJournals() {
 	for _, s := range c.snapshotList() {
-		c.saveSnapshot(s)
 		if err := s.e.CloseJournal(); err != nil {
 			c.logf("serve: drain: session %016x journal close: %v", s.hash, err)
 		}

@@ -18,8 +18,8 @@ import (
 // TestDrainCheckpointsAndWarmRestartResumes is the service-level kill test:
 // a drain lands mid-negotiation — readiness flips to 503, new work is
 // refused, the in-flight request returns a well-formed partial and leaves a
-// checkpoint, and every session is persisted. A second daemon over the same
-// snapshot directory warm-starts the session and resumes the negotiation
+// checkpoint, and every session's journal is closed. A second daemon over
+// the same directory warm-starts the session and resumes the negotiation
 // from the checkpoint, finishing with wires byte-identical (at the JSON
 // service boundary) to an uninterrupted run.
 func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
@@ -27,7 +27,7 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	l := funnel(16)
 	// The daemon runs under Serve on a loopback listener, so the drain is
 	// the production sequence: readiness flip, ReadyzGrace, Shutdown under
-	// DrainTimeout, work cancellation, persistAll. The grace is long enough
+	// DrainTimeout, work cancellation, closeJournals. The grace is long enough
 	// to observe the flip; the drain deadline far shorter than the
 	// negotiation, so its work context is cancelled cooperatively.
 	s := New(Config{SnapshotDir: dir, Workers: 1, CheckpointEvery: 1,
@@ -43,7 +43,7 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	go func() { served <- s.Serve(sigterm, ln) }()
 	ts := &httptest.Server{URL: "http://" + ln.Addr().String()} // the helpers read only URL
 	sr := createSession(t, ts, l, "pitch=2&weight=40")
-	snap := filepath.Join(dir, sr.Hash+".snap")
+	snap := filepath.Join(dir, sr.Hash+".jrnl")
 	ckpt := filepath.Join(dir, sr.Hash+".ckpt")
 
 	var ready readyzResponse
