@@ -25,10 +25,11 @@ import (
 // their routes byte-identical (see Commit for the exact guarantee).
 //
 // Staging performs name-level validation immediately (unknown nets/cells,
-// duplicate additions); geometric validation of the edited layout happens
-// once at Commit. A transaction that fails to Commit leaves the engine
-// untouched. An Edit is single-use: after a successful Commit, open a new
-// one for further changes.
+// duplicate additions) against the layout as it is then; Commit re-checks
+// the removals against the layout it commits over and validates the edited
+// layout's geometry, as far as the edit touched it. A transaction that
+// fails to Commit leaves the engine untouched. An Edit is single-use: after
+// a successful Commit, open a new one for further changes.
 type Edit struct {
 	e         *Engine
 	ops       []editOp
@@ -154,13 +155,21 @@ type ECOResult struct {
 
 // Commit applies the staged edits and incrementally repairs the routing.
 //
-// The engine must hold a routed session (RouteAll or RouteNegotiated). The
-// edited layout is validated as a whole; on any validation error the
-// engine is left exactly as it was. The repair then reroutes the dirty
-// nets — in ascending net order, each against the live congestion map —
-// and extends, worklist-style, to every net in a passage the edit or the
-// reroutes pushed over capacity, draining overflow with the same
-// escalating rip-up passes as RouteNegotiated.
+// The engine must hold a routed session (RouteAll or RouteNegotiated).
+// Every staged removal must still name a net of the session, and the
+// edited layout must pass Validate; on either error the engine is left
+// exactly as it was. The check runs only over what the edit touched (moved
+// cells, the cell pairs and pins they could collide with, added nets) and
+// returns exactly what Validate of the whole edited layout would. It rests
+// on the invariant that every layout an Engine installs passed Validate:
+// NewEngine validates; LoadEngine and LoadEngineJournal restore over a
+// layout that fingerprints to a validated one, or decode and validate an
+// embedded one; Commit installs only what the footprint check accepted.
+//
+// The repair then reroutes the dirty nets — in ascending net order, each
+// against the live congestion map — and extends, worklist-style, to every
+// net in a passage the edit or the reroutes pushed over capacity, draining
+// overflow with the same escalating rip-up passes as RouteNegotiated.
 //
 // Equivalence guarantee: a committed ECO leaves every net's route exactly
 // as a from-scratch route of the edited layout would when the net is
@@ -210,15 +219,24 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}, nil
 	}
 
-	// 1. Build the edited layout on a private clone.
+	// 1. Build the edited layout on a private clone. The staged nets are
+	// copied too: the pins of an added net ride with a moved cell below,
+	// and the staged ops must keep the coordinates the caller gave, which
+	// are what the journal records and what a retried commit translates.
 	removed := map[string]bool{}
 	var adds []Net
 	moves := map[string]Point{} // cell name → accumulated delta
 	for _, op := range tx.ops {
 		switch op.kind {
 		case opAddNet:
-			adds = append(adds, op.net)
+			adds = append(adds, cloneNet(&op.net))
 		case opRemoveNet:
+			// Staging checked the removal against the layout of its day; a
+			// commit installed since may have removed the net already.
+			// Skipping the name would journal a record replay rejects.
+			if _, ok := e.netIdx[op.name]; !ok {
+				return nil, fmt.Errorf("genroute: ECO edit removes net %q, which a commit since staging removed", op.name)
+			}
 			removed[op.name] = true
 		case opMoveCell:
 			moves[op.name] = moves[op.name].Add(op.d)
@@ -276,11 +294,11 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}
 	}
 
-	// 2. Validate the edited layout as a whole. Failure leaves the engine
-	// untouched. This is the largest cost of a net-only commit: 22.5 of
-	// 25.2 ms on perfbench's 32×32 serve-eco-mix32 session, and roughly
-	// 0.4–0.5 s per commit at 64×64 (DESIGN.md, "Validation cost").
-	if err := l2.Validate(); err != nil {
+	// 2. Validate what the edit touched. e.l passed Validate (the invariant
+	// every install keeps), so ValidateEdit returns exactly what
+	// l2.Validate() would, at a fraction of the cost (DESIGN.md,
+	// "Validation cost"). Failure leaves the engine untouched.
+	if err := l2.ValidateEdit(movedOrder, numKept); err != nil {
 		return nil, fmt.Errorf("genroute: ECO edit produces an invalid layout: %w", err)
 	}
 	if ferr := faultinject.Fire(faultinject.Commit, "validated"); ferr != nil {

@@ -3,12 +3,14 @@ package genroute
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/snapshot"
 )
 
 // routesByName collects each net's canonical segment list.
@@ -582,11 +584,18 @@ func TestECORandomizedEquivalence(t *testing.T) {
 }
 
 // FuzzECOEdits drives arbitrary edit scripts and checks that the session
-// invariants survive: map consistency, route legality, connectivity.
+// invariants survive: map consistency, route legality, connectivity. The
+// edited layout is also built from the script independently of the engine,
+// and whole-layout Validate is the oracle for the commit's verdict: the
+// commit succeeds iff Validate accepts that layout, installs exactly it,
+// and on a rejection wraps Validate's error text.
 func FuzzECOEdits(f *testing.F) {
 	f.Add([]byte{0, 1, 2})
 	f.Add([]byte{1, 0, 0, 3, 2, 9})
 	f.Add([]byte{2, 2, 2, 1, 1, 0})
+	// 24 moves of one cell by (3,-2) drive it into its neighbours, so the
+	// seed corpus also reaches the rejection verdict.
+	f.Add(bytes.Repeat([]byte{20}, 24))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 24 {
 			script = script[:24]
@@ -600,35 +609,103 @@ func FuzzECOEdits(f *testing.F) {
 			t.Fatal(err)
 		}
 		tx := e.Edit()
+		want := stagedLayout{base: e.Layout(), moves: map[string]Point{}, removed: map[string]bool{}}
 		added := 0
 		for i, b := range script {
 			switch b % 3 {
 			case 0:
 				added++
 				y := int64(1 + int(b/3)%20)
-				_ = tx.AddNet(padNet(fmt.Sprintf("f%d_%d", i, added), y, l.Bounds.MaxX))
+				n := padNet(fmt.Sprintf("f%d_%d", i, added), y, l.Bounds.MaxX)
+				if tx.AddNet(n) == nil {
+					want.adds = append(want.adds, n)
+				}
 			case 1:
 				nets := e.Layout().Nets
 				if len(nets) > 0 {
-					_ = tx.RemoveNet(nets[int(b/3)%len(nets)].Name)
+					name := nets[int(b/3)%len(nets)].Name
+					if tx.RemoveNet(name) == nil {
+						want.removed[name] = true
+					}
 				}
 			case 2:
 				cells := e.Layout().Cells
 				name := cells[int(b/3)%len(cells)].Name
-				_ = tx.MoveCell(name, int64(b%7)-3, int64(b%5)-2)
+				d := Pt(int64(b%7)-3, int64(b%5)-2)
+				if tx.MoveCell(name, d.X, d.Y) == nil {
+					want.moves[name] = want.moves[name].Add(d)
+				}
 			}
 		}
+		wl := want.build()
+		verr := wl.Clone().Validate()
 		if _, err := tx.Commit(context.Background()); err != nil {
-			// Geometric rejection is fine; the engine must be untouched
-			// and still consistent.
+			if verr == nil {
+				t.Fatalf("commit rejected a layout Validate accepts: %v", err)
+			}
+			if u := errors.Unwrap(err); u == nil || u.Error() != verr.Error() {
+				t.Fatalf("commit error %q does not wrap Validate's %q", err, verr)
+			}
+			// The engine must be untouched and still consistent.
 			checkEngineConsistency(t, e)
 			return
+		}
+		if verr != nil {
+			t.Fatalf("commit accepted a layout Validate rejects: %v", verr)
+		}
+		if got, want := snapshot.LayoutHash(e.Layout()), snapshot.LayoutHash(wl); got != want {
+			t.Fatalf("committed layout fingerprints %016x, the script's edit %016x", got, want)
 		}
 		checkEngineConsistency(t, e)
 		if err := e.CheckConnectivity(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// stagedLayout is FuzzECOEdits' model of an edit, built from the script
+// without the engine: the staged additions, removals and accumulated cell
+// moves over the pre-edit layout.
+type stagedLayout struct {
+	base    *Layout
+	adds    []Net
+	removed map[string]bool
+	moves   map[string]Point
+}
+
+// build returns the edited layout: the kept nets in order, then the
+// additions, with every moved cell translated together with the pins on it.
+func (s *stagedLayout) build() *Layout {
+	l := s.base.Clone()
+	kept := l.Nets[:0]
+	for _, n := range l.Nets {
+		if !s.removed[n.Name] {
+			kept = append(kept, n)
+		}
+	}
+	for i := range s.adds {
+		kept = append(kept, cloneNet(&s.adds[i]))
+	}
+	l.Nets = kept
+	for ci := range l.Cells {
+		d := s.moves[l.Cells[ci].Name]
+		c := &l.Cells[ci]
+		c.Box = c.Box.Translate(d)
+		for vi := range c.Poly {
+			c.Poly[vi] = c.Poly[vi].Add(d)
+		}
+		for ni := range l.Nets {
+			for ti := range l.Nets[ni].Terminals {
+				pins := l.Nets[ni].Terminals[ti].Pins
+				for pi := range pins {
+					if int(pins[pi].Cell) == ci {
+						pins[pi].Pos = pins[pi].Pos.Add(d)
+					}
+				}
+			}
+		}
+	}
+	return l
 }
 
 // TestECOMacroGridDemo is the acceptance demo: on MacroGrid 32×32,

@@ -287,3 +287,37 @@ func TestECOCommitFaultsLeaveEngineUntouched(t *testing.T) {
 		checkEngineConsistency(t, e)
 	})
 }
+
+// TestECORetryAfterFaultMovesAddedPinsOnce: a commit that adds a net on a
+// cell and moves that cell, failed by an injected fault before install,
+// leaves the staged net as it was, so the retried commit translates its
+// pin once.
+func TestECORetryAfterFaultMovesAddedPinsOnce(t *testing.T) {
+	e, _ := routeAll(t, demoLayout(), WithWorkers(1))
+	tx := e.Edit()
+	if err := tx.AddNet(romTap()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.MoveCell("rom", 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	disarm := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
+		if s.Point == faultinject.Commit && s.Label == "install" {
+			return faultinject.Error
+		}
+		return faultinject.None
+	})
+	_, err := tx.Commit(context.Background())
+	disarm()
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if _, err := tx.Commit(context.Background()); err != nil {
+		t.Fatalf("retried commit: %v", err)
+	}
+	nets := e.Layout().Nets
+	if got := nets[len(nets)-1].Terminals[0].Pins[0].Pos; got != Pt(264, 60) {
+		t.Fatalf("committed rom pin at %v, want (264,60)", got)
+	}
+	checkEngineConsistency(t, e)
+}

@@ -721,6 +721,76 @@ func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
 	}
 }
 
+// romTap is a net with a pin on demoLayout's rom cell at (260,60) and a
+// pad east of it: committed together with MoveCell("rom", 4, 0), its rom
+// pin rides with the cell to (264,60).
+func romTap() Net {
+	return Net{Name: "tap", Terminals: []Terminal{
+		{Name: "rom", Pins: []Pin{{Name: "p", Pos: Pt(260, 60), Cell: 1}}},
+		{Name: "pad", Pins: []Pin{{Name: "p", Pos: Pt(300, 60), Cell: NoCell}}},
+	}}
+}
+
+// journaledDemo builds a routed demoLayout session with the ECO journal at a
+// temp path.
+func journaledDemo(t *testing.T) (*Engine, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "eco.jrnl")
+	e, err := NewEngine(demoLayout(), WithWorkers(1), WithJournalFile(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return e, path
+}
+
+// TestJournalAddNetOnMovedCell: an edit that adds a net on a cell and moves
+// that cell journals the added pins as they were staged, so replay
+// translates them once, as the live commit did.
+func TestJournalAddNetOnMovedCell(t *testing.T) {
+	e, path := journaledDemo(t)
+	commitOps(t, e, func(tx *Edit) error {
+		if err := tx.AddNet(romTap()); err != nil {
+			return err
+		}
+		return tx.MoveCell("rom", 4, 0)
+	})
+	if got := e.Layout().Nets[len(e.Layout().Nets)-1].Terminals[0].Pins[0].Pos; got != Pt(264, 60) {
+		t.Fatalf("committed rom pin at %v, want (264,60)", got)
+	}
+	checkRecovered(t, e, path, demoLayout())
+}
+
+// TestJournalStaleRemoveNetRejected: two transactions staged against the
+// same layout both remove one net. The second commit finds it gone and
+// fails, leaving the engine and the journal as the first commit left them,
+// so recovery still converges to the live session.
+func TestJournalStaleRemoveNetRejected(t *testing.T) {
+	e, path := journaledDemo(t)
+	tx1, tx2 := e.Edit(), e.Edit()
+	for _, tx := range []*Edit{tx1, tx2} {
+		if err := tx.RemoveNet("bus"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx1.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Result()
+	if _, err := tx2.Commit(context.Background()); err == nil {
+		t.Fatal("a commit removing an already removed net succeeded")
+	}
+	if e.Result() != before {
+		t.Fatal("the rejected commit installed a new state")
+	}
+	if st, ok := e.JournalStats(); !ok || st.Records != 1 {
+		t.Fatalf("journal stats = %+v ok=%v, want 1 record", st, ok)
+	}
+	checkRecovered(t, e, path, demoLayout())
+}
+
 // TestJournalUnjournaledEngineHasNoJournal: without WithJournalFile, ECO
 // commits write nothing and JournalStats reports absence.
 func TestJournalUnjournaledEngineHasNoJournal(t *testing.T) {

@@ -36,11 +36,15 @@ func funnelLayout(nNets int) *Layout {
 	return l
 }
 
-// checkEngineConsistency asserts the session invariant: the live map equals
-// a fresh build over the session's routes, and every found route is legal
-// and connected.
+// checkEngineConsistency asserts the session invariant: the installed
+// layout passes whole-layout Validate (what Edit.Commit's footprint check
+// relies on), the live map equals a fresh build over the session's routes,
+// and every found route is legal and connected.
 func checkEngineConsistency(t *testing.T, e *Engine) {
 	t.Helper()
+	if err := e.l.Validate(); err != nil {
+		t.Fatalf("installed layout fails Validate: %v", err)
+	}
 	if e.cur == nil {
 		t.Fatal("engine holds no routed state")
 	}

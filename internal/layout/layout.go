@@ -244,71 +244,195 @@ func (l *Layout) Validate() error {
 			return fmt.Errorf("layout %q: duplicate cell name %q", l.Name, c.Name)
 		}
 		names[c.Name] = true
-		if len(c.Poly) > 0 {
-			p := c.Polygon()
-			if err := p.Validate(); err != nil {
-				return fmt.Errorf("cell %q: %w", c.Name, err)
-			}
-			bb := p.Bounds()
-			if c.Box == (geom.Rect{}) {
-				c.Box = bb // fill in the bounding box for a bare polygon
-			} else if c.Box != bb {
-				return fmt.Errorf("cell %q: box %v does not match polygon bounds %v", c.Name, c.Box, bb)
-			}
-		}
-		if !c.Box.IsValid() || c.Box.Width() <= 0 || c.Box.Height() <= 0 {
-			return fmt.Errorf("cell %q: box %v must have positive area", c.Name, c.Box)
-		}
-		if !l.Bounds.ContainsRect(c.Box) {
-			return fmt.Errorf("cell %q: box %v outside bounds %v", c.Name, c.Box, l.Bounds)
+		if err := l.validateCellPlace(c); err != nil {
+			return err
 		}
 	}
 	// The cache must be built after the loop above so bare-polygon cells
 	// have their bounding boxes filled in.
 	geos := l.cellGeoms()
-	// Restriction 3: finite, non-zero inter-cell distance. Touching
-	// boundaries leave no room for wire and are rejected. The check is
-	// exact for polygon cells (their decomposed rectangles), so two
-	// interlocking L-shapes with a positive gap are legal even when their
-	// bounding boxes overlap. Disjoint bounding boxes cannot intersect, so
-	// the decompositions are only consulted when the boxes actually touch.
+	// Restriction 3: finite, non-zero inter-cell distance. Disjoint
+	// bounding boxes cannot intersect, so separated consults the
+	// decompositions only when the boxes actually touch.
 	for i := range l.Cells {
 		for j := i + 1; j < len(l.Cells); j++ {
-			if !l.Cells[i].Box.Intersects(l.Cells[j].Box) {
-				continue
-			}
-			for _, a := range geos[i].obstacles() {
-				for _, b := range geos[j].obstacles() {
-					if a.Intersects(b) {
-						return fmt.Errorf("cells %q and %q touch or overlap; the paper requires non-zero separation",
-							l.Cells[i].Name, l.Cells[j].Name)
-					}
+			if l.Cells[i].Box.Intersects(l.Cells[j].Box) {
+				if err := l.separated(geos, i, j); err != nil {
+					return err
 				}
 			}
 		}
 	}
 	netNames := make(map[string]bool, len(l.Nets))
 	for i := range l.Nets {
-		n := &l.Nets[i]
-		if n.Name == "" {
-			return fmt.Errorf("layout %q: net %d has no name", l.Name, i)
+		if err := l.validateNet(i, netNames, geos); err != nil {
+			return err
 		}
-		if netNames[n.Name] {
-			return fmt.Errorf("layout %q: duplicate net name %q", l.Name, n.Name)
+	}
+	return nil
+}
+
+// ValidateEdit returns exactly what Validate returns for l — nil, or an
+// error with the same text — when l is an edit of a layout that passed
+// Validate: the same name, bounds and cells, except that the cells listed
+// in moved (ascending, each once) were translated together with every pin
+// on them; the kept nets l.Nets[:firstAdded] in their old relative order,
+// some perhaps removed; and added nets l.Nets[firstAdded:], about which
+// nothing is assumed. Every layout an Engine installs passed Validate, so
+// this is the check an ECO commit runs.
+//
+// Under that precondition only these checks can fail, and ValidateEdit runs
+// just them, in Validate's order and with Validate's code:
+//
+//   - each moved cell's placement (bounds, outline), in ascending order;
+//   - every cell pair with a moved member, in Validate's (i, j) order;
+//   - for kept nets, the full pin check of pins on moved cells, and for
+//     every other pin only the strictly-inside test against moved cells;
+//   - for added nets, every net check: name, duplicate name, terminal and
+//     pin counts, and the full pin check.
+//
+// It costs O(cells·moved + pins·moved + nets + added pins·cells), plus a
+// full pin check per pin on a moved cell, where Validate costs
+// O(cells² + pins·cells).
+func (l *Layout) ValidateEdit(moved []int, firstAdded int) error {
+	for _, ci := range moved {
+		if err := l.validateCellPlace(&l.Cells[ci]); err != nil {
+			return err
 		}
-		netNames[n.Name] = true
-		if len(n.Terminals) < 2 {
-			return fmt.Errorf("net %q: needs at least two terminals, has %d", n.Name, len(n.Terminals))
-		}
-		for ti := range n.Terminals {
-			t := &n.Terminals[ti]
-			if len(t.Pins) == 0 {
-				return fmt.Errorf("net %q terminal %q: has no pins", n.Name, t.Name)
+	}
+	geos := l.cellGeoms()
+	isMoved := make([]bool, len(l.Cells))
+	for _, ci := range moved {
+		isMoved[ci] = true
+	}
+	for i := range l.Cells {
+		if isMoved[i] {
+			for j := i + 1; j < len(l.Cells); j++ {
+				if l.Cells[i].Box.Intersects(l.Cells[j].Box) {
+					if err := l.separated(geos, i, j); err != nil {
+						return err
+					}
+				}
 			}
-			for _, p := range t.Pins {
-				if err := l.validatePin(n, t, p, geos); err != nil {
+			continue
+		}
+		for _, j := range moved {
+			if j > i && l.Cells[i].Box.Intersects(l.Cells[j].Box) {
+				if err := l.separated(geos, i, j); err != nil {
 					return err
 				}
+			}
+		}
+	}
+	if len(moved) > 0 {
+		for i := range l.Nets[:firstAdded] {
+			n := &l.Nets[i]
+			for ti := range n.Terminals {
+				t := &n.Terminals[ti]
+				for _, p := range t.Pins {
+					if p.Cell != NoCell && isMoved[p.Cell] {
+						// The pair check already implies this one: a pin on
+						// a cell's outline inside another cell means the two
+						// cells overlap. The full check keeps every moved pin
+						// independent of that argument.
+						if err := l.validatePin(n, t, p, geos); err != nil {
+							return err
+						}
+						continue
+					}
+					for _, ci := range moved {
+						if geos[ci].containsStrict(p.Pos) {
+							return l.pinInsideError(n, t, p, ci)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Only an added name can repeat, so the names Validate would have seen
+	// before the first added net matter only where an added net reuses them.
+	seen := make(map[string]bool, len(l.Nets)-firstAdded)
+	for i := firstAdded; i < len(l.Nets); i++ {
+		seen[l.Nets[i].Name] = false
+	}
+	for i := range l.Nets[:firstAdded] {
+		if _, reused := seen[l.Nets[i].Name]; reused {
+			seen[l.Nets[i].Name] = true
+		}
+	}
+	for i := firstAdded; i < len(l.Nets); i++ {
+		if err := l.validateNet(i, seen, geos); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateCellPlace checks one cell's outline and placement: a valid
+// orthogonal polygon whose bounding box is the cell's box (filled in for a
+// bare polygon), a box of positive area, inside the bounds.
+func (l *Layout) validateCellPlace(c *Cell) error {
+	if len(c.Poly) > 0 {
+		p := c.Polygon()
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("cell %q: %w", c.Name, err)
+		}
+		bb := p.Bounds()
+		if c.Box == (geom.Rect{}) {
+			c.Box = bb // fill in the bounding box for a bare polygon
+		} else if c.Box != bb {
+			return fmt.Errorf("cell %q: box %v does not match polygon bounds %v", c.Name, c.Box, bb)
+		}
+	}
+	if !c.Box.IsValid() || c.Box.Width() <= 0 || c.Box.Height() <= 0 {
+		return fmt.Errorf("cell %q: box %v must have positive area", c.Name, c.Box)
+	}
+	if !l.Bounds.ContainsRect(c.Box) {
+		return fmt.Errorf("cell %q: box %v outside bounds %v", c.Name, c.Box, l.Bounds)
+	}
+	return nil
+}
+
+// separated checks restriction 3 for cells i and j, whose bounding boxes
+// intersect: touching boundaries leave no room for wire and are rejected.
+// The check is exact for polygon cells (their decomposed rectangles), so two
+// interlocking L-shapes with a positive gap are legal even when their
+// bounding boxes overlap.
+func (l *Layout) separated(geos []cellGeom, i, j int) error {
+	for _, a := range geos[i].obstacles() {
+		for _, b := range geos[j].obstacles() {
+			if a.Intersects(b) {
+				return fmt.Errorf("cells %q and %q touch or overlap; the paper requires non-zero separation",
+					l.Cells[i].Name, l.Cells[j].Name)
+			}
+		}
+	}
+	return nil
+}
+
+// validateNet checks net i: a unique name (seen holds the names of the nets
+// before it and gains this one), at least two terminals, every terminal
+// with pins, and every pin's placement.
+func (l *Layout) validateNet(i int, seen map[string]bool, geos []cellGeom) error {
+	n := &l.Nets[i]
+	if n.Name == "" {
+		return fmt.Errorf("layout %q: net %d has no name", l.Name, i)
+	}
+	if seen[n.Name] {
+		return fmt.Errorf("layout %q: duplicate net name %q", l.Name, n.Name)
+	}
+	seen[n.Name] = true
+	if len(n.Terminals) < 2 {
+		return fmt.Errorf("net %q: needs at least two terminals, has %d", n.Name, len(n.Terminals))
+	}
+	for ti := range n.Terminals {
+		t := &n.Terminals[ti]
+		if len(t.Pins) == 0 {
+			return fmt.Errorf("net %q terminal %q: has no pins", n.Name, t.Name)
+		}
+		for _, p := range t.Pins {
+			if err := l.validatePin(n, t, p, geos); err != nil {
+				return err
 			}
 		}
 	}
@@ -335,15 +459,17 @@ func (l *Layout) validatePin(n *Net, t *Terminal, p Pin, geos []cellGeom) error 
 	// No pin may sit strictly inside any cell: the router could never
 	// reach it.
 	for i := range geos {
-		if CellID(i) == p.Cell {
-			continue
-		}
-		if geos[i].containsStrict(p.Pos) {
-			return fmt.Errorf("net %q terminal %q pin %q: %v strictly inside cell %q",
-				n.Name, t.Name, p.Name, p.Pos, l.Cells[i].Name)
+		if CellID(i) != p.Cell && geos[i].containsStrict(p.Pos) {
+			return l.pinInsideError(n, t, p, i)
 		}
 	}
 	return nil
+}
+
+// pinInsideError reports pin p strictly inside cell ci.
+func (l *Layout) pinInsideError(n *Net, t *Terminal, p Pin, ci int) error {
+	return fmt.Errorf("net %q terminal %q pin %q: %v strictly inside cell %q",
+		n.Name, t.Name, p.Name, p.Pos, l.Cells[ci].Name)
 }
 
 // MinSeparation returns the smallest Manhattan gap between any two cells,

@@ -88,8 +88,9 @@ func TestValidateRectBoundaryFastPath(t *testing.T) {
 }
 
 // BenchmarkValidateMacroGrid measures the memoized whole-layout validation
-// on a macro-style grid (the ECO commit path revalidates the full layout,
-// so this must stay far below routing cost).
+// on a macro-style grid. NewEngine pays it once per session, so it must
+// stay far below routing cost; an ECO commit runs ValidateEdit over the
+// edit's footprint instead.
 func BenchmarkValidateMacroGrid(b *testing.B) {
 	l := &Layout{Name: "grid", Bounds: geom.R(0, 0, 16*52+12, 16*42+12)}
 	for r := 0; r < 16; r++ {

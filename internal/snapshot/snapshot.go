@@ -380,24 +380,34 @@ func LayoutHash(l *layout.Layout) uint64 {
 	return h.sum
 }
 
-// fnv is FNV-1a 64 with length-prefixed helpers.
+// fnv is FNV-1a 64 with length-prefixed helpers. Each value's bytes go
+// straight into the running state: i feeds the bytes binary.PutVarint
+// would write (zig-zag, then base-128 little-endian), and str its length
+// that way and then the string's bytes, so no value is staged in a buffer.
 type fnv struct{ sum uint64 }
 
-func (h *fnv) bytes(b []byte) {
-	for _, c := range b {
-		h.sum ^= uint64(c)
-		h.sum *= 1099511628211
-	}
-}
+const fnvPrime = 1099511628211
 
 func (h *fnv) i(v int64) {
-	var b [binary.MaxVarintLen64]byte
-	h.bytes(b[:binary.PutVarint(b[:], v)])
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	sum := h.sum
+	for ux >= 0x80 {
+		sum = (sum ^ (ux&0x7f | 0x80)) * fnvPrime
+		ux >>= 7
+	}
+	h.sum = (sum ^ ux) * fnvPrime
 }
 
 func (h *fnv) str(s string) {
 	h.i(int64(len(s)))
-	h.bytes([]byte(s))
+	sum := h.sum
+	for k := 0; k < len(s); k++ {
+		sum = (sum ^ uint64(s[k])) * fnvPrime
+	}
+	h.sum = sum
 }
 
 func (h *fnv) rect(r geom.Rect) {

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	stdfnv "hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/congest"
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/router"
@@ -306,6 +310,80 @@ func TestLayoutHashDiscriminates(t *testing.T) {
 		mutate(l)
 		if LayoutHash(l) == h0 {
 			t.Errorf("mutation %d does not change the hash", i)
+		}
+	}
+}
+
+// referenceLayoutHash is LayoutHash's specification: stdlib FNV-1a 64 over
+// the length-prefixed encoding, every integer written by
+// binary.AppendVarint and every string as its length, then its bytes.
+func referenceLayoutHash(l *layout.Layout) uint64 {
+	var b []byte
+	i := func(v int64) { b = binary.AppendVarint(b, v) }
+	str := func(s string) { i(int64(len(s))); b = append(b, s...) }
+	rect := func(r geom.Rect) { i(int64(r.MinX)); i(int64(r.MinY)); i(int64(r.MaxX)); i(int64(r.MaxY)) }
+	str("genroute-layout-v1")
+	str(l.Name)
+	rect(l.Bounds)
+	i(int64(len(l.Cells)))
+	for _, c := range l.Cells {
+		str(c.Name)
+		rect(c.Box)
+		i(int64(len(c.Poly)))
+		for _, p := range c.Poly {
+			i(int64(p.X))
+			i(int64(p.Y))
+		}
+	}
+	i(int64(len(l.Nets)))
+	for _, n := range l.Nets {
+		str(n.Name)
+		i(int64(len(n.Terminals)))
+		for _, term := range n.Terminals {
+			str(term.Name)
+			i(int64(len(term.Pins)))
+			for _, p := range term.Pins {
+				str(p.Name)
+				i(int64(p.Pos.X))
+				i(int64(p.Pos.Y))
+				i(int64(p.Cell))
+			}
+		}
+	}
+	h := stdfnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// TestLayoutHashMatchesReferenceEncoding pins LayoutHash, which feeds each
+// value's bytes straight into the FNV state, to the reference encoding on
+// generated layouts (rectangles, polygons, pads) and on one whose values
+// span every varint length, negative and extreme ones included.
+func TestLayoutHashMatchesReferenceEncoding(t *testing.T) {
+	var layouts []*layout.Layout
+	keep := func(l *layout.Layout, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts = append(layouts, l)
+	}
+	keep(gen.MacroGrid(4, 4, 40, 30, 12, 1))
+	keep(gen.MacroGrid(32, 32, 40, 30, 12, 9))
+	keep(gen.PolyChip(3, 12, 30))
+	keep(gen.RandomLayout(gen.Config{Seed: 4, MaxTerminals: 4, MultiPinProb: 30, PadProb: 30}))
+	extreme := &layout.Layout{Name: "extreme \u00e9", Bounds: geom.R(math.MinInt64, -1, math.MaxInt64, 1<<62)}
+	for k := 0; k < 64; k++ {
+		v := geom.Coord(int64(1) << k)
+		extreme.Cells = append(extreme.Cells, layout.Cell{Name: strings.Repeat("c", k), Box: geom.R(-v, v-1, v, -v+1)})
+		extreme.Nets = append(extreme.Nets, layout.Net{Name: strings.Repeat("n", 2*k), Terminals: []layout.Terminal{
+			{Pins: []layout.Pin{{Pos: geom.Pt(-v, v), Cell: layout.CellID(-k)}}},
+		}})
+	}
+	layouts = append(layouts, extreme, &layout.Layout{})
+	for _, l := range layouts {
+		if got, want := LayoutHash(l), referenceLayoutHash(l); got != want {
+			t.Errorf("%q: LayoutHash %016x, reference encoding %016x", l.Name, got, want)
 		}
 	}
 }
