@@ -352,7 +352,8 @@ func BenchmarkNegotiatedCongestion(b *testing.B) {
 
 // macroNegotiate is the shared body of the large macro-grid negotiation
 // benchmarks: an n×n macro array negotiated to convergence with the
-// escalating schedule, reporting passes/op and overflow/op.
+// escalating schedule, reporting passes/op, overflow/op and the wall time
+// per pass (the engine's preparation included, over all iterations).
 func macroNegotiate(b *testing.B, n int, pitch geom.Coord) {
 	l, err := gen.MacroGrid(n, n, 40, 30, 12, 10)
 	if err != nil {
@@ -360,15 +361,27 @@ func macroNegotiate(b *testing.B, n int, pitch geom.Coord) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var passes, overflow int
+	var passes, overflow, allPasses int
 	for i := 0; i < b.N; i++ {
 		res := negotiate(b, l, genroute.WithPitch(pitch), genroute.WithPenaltyWeight(40),
 			genroute.WithWeightStep(40), genroute.WithHistory(1, 10), genroute.WithMaxPasses(12))
 		passes = len(res.Passes)
 		overflow = res.Passes[passes-1].Overflow
+		allPasses += passes
 	}
 	b.ReportMetric(float64(passes), "passes/op")
 	b.ReportMetric(float64(overflow), "overflow/op")
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(allPasses), "ms-per-pass")
+}
+
+// BenchmarkMacroGrid24Congested measures rip-up at a congested scale: at
+// pitch 8 the 24x24 array's corridors (gap 12) hold two tracks, so the
+// penalized reroutes of the 24-terminal column control trees dominate, and
+// the run ends at the 12-pass budget with overflow left. Its ms-per-pass is
+// gated in CI to catch a silent fallback to one successor per corner
+// instead of one per corner line.
+func BenchmarkMacroGrid24Congested(b *testing.B) {
+	macroNegotiate(b, 24, 8)
 }
 
 // BenchmarkMacroGrid64Negotiate is the 64x64 workload (4096 macros, over

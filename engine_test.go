@@ -6,10 +6,12 @@ import (
 	"errors"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/search"
 )
 
 // funnelLayout overloads a narrow slit between two cells, the standard
@@ -369,11 +371,35 @@ func TestEngineTraceOption(t *testing.T) {
 	}
 }
 
-// TestRouteAllMacro32Pinned pins a whole-layout route at macro scale: an
-// FNV-1a digest of every net's segments, in layout order, plus the total
-// search expansions. Successor generation, visibility and emission order
-// all feed both numbers, so an optimisation of the search's hot path that
-// changes any route or the order states are explored fails here.
+// segmentDigest is an FNV-1a digest of every net's segments, in layout
+// order: two runs route alike exactly when their digests match.
+func segmentDigest(nets []NetRoute) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, nr := range nets {
+		h.Write([]byte(nr.Net))
+		word(int64(len(nr.Segments)))
+		for _, s := range nr.Segments {
+			word(s.A.X)
+			word(s.A.Y)
+			word(s.B.X)
+			word(s.B.Y)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRouteAllMacro32Pinned pins a whole-layout route at macro scale: the
+// segment digest plus the total search expansions and generated
+// successors. Successor generation, visibility and emission order all feed
+// these numbers, so an optimisation of the search's hot path that changes
+// any route or the order states are explored fails here. Generated also
+// holds the successor generator to counting every visible corner, including
+// the ones it emits once per corner line.
 func TestRouteAllMacro32Pinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes a 32x32 macro grid")
@@ -390,27 +416,64 @@ func TestRouteAllMacro32Pinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	for _, nr := range res.Nets {
-		h.Write([]byte(nr.Net))
-		word(int64(len(nr.Segments)))
-		for _, s := range nr.Segments {
-			word(s.A.X)
-			word(s.A.Y)
-			word(s.B.X)
-			word(s.B.Y)
-		}
-	}
 	const (
-		wantDigest   uint64 = 0xae18d4031aec19de
-		wantExpanded        = 59065
+		wantDigest    uint64 = 0xae18d4031aec19de
+		wantExpanded         = 59065
+		wantGenerated        = 3335683
 	)
-	if got := h.Sum64(); got != wantDigest || res.Stats.Expanded != wantExpanded {
-		t.Fatalf("segment digest %#016x, expanded %d; want %#016x, %d", got, res.Stats.Expanded, wantDigest, wantExpanded)
+	if got := segmentDigest(res.Nets); got != wantDigest || res.Stats.Expanded != wantExpanded || res.Stats.Generated != wantGenerated {
+		t.Fatalf("segment digest %#016x, expanded %d, generated %d; want %#016x, %d, %d",
+			got, res.Stats.Expanded, res.Stats.Generated, wantDigest, wantExpanded, wantGenerated)
+	}
+}
+
+// TestNegotiateMacroGrid16Pinned pins a penalty-priced negotiation above
+// funnel size: the MacroGrid16 scene and schedule of
+// BenchmarkNegotiatedCongestion, at 1 and 4 workers. Every rip-up prices its
+// successors through the congestion map, so a change to successor
+// generation or pricing that alters a route, a pass's overflow, its rip-up
+// order or the search effort fails here.
+func TestNegotiateMacroGrid16Pinned(t *testing.T) {
+	l, err := MacroGrid(16, 16, 40, 30, 12, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantDigest uint64 = 0xc173dedee3646d60
+	wantOverflow := []int{37, 4, 1, 1, 0}
+	wantRerouted := [][]string{
+		nil,
+		{"hb11_1", "hb14_3", "hb15_11", "ctl1", "ctl2", "ctl3", "ctl4", "ctl5", "ctl6", "ctl7",
+			"ctl8", "ctl9", "ctl10", "ctl11", "ctl12", "ctl13", "ctl14", "ctl15",
+			"x1", "x3", "x4", "x5", "x7", "x8", "x9", "x11", "x12", "x13", "x14", "x2"},
+		{"ctl2", "ctl3", "ctl4", "ctl11", "ctl12", "ctl13", "ctl14", "x2", "x4", "x12", "x13"},
+		{"ctl3", "ctl4", "x12"},
+		{"ctl3", "ctl4", "x12", "ctl2"},
+	}
+	wantStats := search.Stats{Expanded: 17097, Generated: 1302513, Reopened: 0, MaxOpen: 322}
+	for _, workers := range []int{1, 4} {
+		e, err := NewEngine(l, WithWorkers(workers), WithPitch(8), WithPenaltyWeight(40),
+			WithWeightStep(40), WithHistory(1, 10), WithMaxPasses(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RouteNegotiated(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := segmentDigest(res.Final().Nets); got != wantDigest {
+			t.Errorf("workers=%d: final segment digest %#016x, want %#016x", workers, got, wantDigest)
+		}
+		if len(res.Passes) != len(wantOverflow) {
+			t.Fatalf("workers=%d: %d passes, want %d", workers, len(res.Passes), len(wantOverflow))
+		}
+		for i, p := range res.Passes {
+			if p.Overflow != wantOverflow[i] || !slices.Equal(p.Rerouted, wantRerouted[i]) {
+				t.Errorf("workers=%d pass %d: overflow %d rerouted %v; want %d %v",
+					workers, i+1, p.Overflow, p.Rerouted, wantOverflow[i], wantRerouted[i])
+			}
+		}
+		if got := res.Passes[len(res.Passes)-1].Stats; got != wantStats {
+			t.Errorf("workers=%d: last pass stats %+v, want %+v", workers, got, wantStats)
+		}
 	}
 }

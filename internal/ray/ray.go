@@ -60,13 +60,19 @@ type Gen struct {
 
 // Successors invokes emit for every successor point of `at` when searching
 // toward `guide`. The emitted via is the direction of travel from `at` to
-// the successor. guide supplies the goal-aligned ray limits; for multi-goal
-// searches the caller passes the nearest goal point.
-func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via geom.Dir)) {
+// the successor, and n is the number of successors the emission stands
+// for: 1 for a ray's stop point, and for a corner projection the number of
+// visible obstacle corners on its corner line. A corner line is emitted
+// once per ray however many corners it carries, at its first position in
+// the ray's (cell, coordinate) order (see cornerProjections); the point is
+// the same for every corner on the line, so a per-corner emission would
+// only repeat it. guide supplies the goal-aligned ray limits; for
+// multi-goal searches the caller passes the nearest goal point.
+func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via geom.Dir, n int)) {
 	b := g.Ix.Bounds()
 
 	// emitRay casts one ray, emitting the final stop point plus an escape
-	// point at every visible obstacle-corner projection along the ray (see
+	// point at every visible obstacle-corner line along the ray (see
 	// cornerProjections) — the track-graph vertices a shortest route may
 	// need to turn at.
 	emitRay := func(d geom.Dir, limit geom.Coord) {
@@ -78,7 +84,7 @@ func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via ge
 			next = geom.Pt(at.X, h.Stop)
 		}
 		if next != at {
-			emit(next, d)
+			emit(next, d, 1)
 			g.cornerProjections(at, d, h.Stop, emit)
 		}
 	}
@@ -127,10 +133,14 @@ func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via ge
 // the ray is unobstructed — otherwise the crossing lies on a different
 // maximal free segment of the same line and is not a track vertex.
 //
-// Projections are emitted in (cell, coordinate) order — the order a scan
-// over every cell produces, which the search's deterministic tie-breaking
-// depends on.
-func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit func(geom.Point, geom.Dir)) {
+// Every visible corner on one corner line projects to the same point, so
+// each line is emitted once, with n the number of its visible corners. The
+// lines are emitted in the order of their first visible corner in (cell,
+// coordinate) order — the order a scan over every cell produces, which the
+// search's deterministic tie-breaking depends on. A per-corner emission
+// would add only repeats of a line's point after its first, which the
+// search rejects as no better than the first.
+func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit func(geom.Point, geom.Dir, int)) {
 	horiz := d.Horizontal()
 	// along is at's coordinate on the travel axis, across its coordinate on
 	// the other one: the ray line.
@@ -156,15 +166,16 @@ func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit
 		}
 		return geom.Pt(across, c)
 	}
-	// Keep the visible candidates, compacted in place. Every candidate on
-	// one corner line — a whole column or row of cells shares it on a macro
-	// grid — is judged by a single FreeExtent stab from the line's crossing
-	// with the ray: the corner at cross coordinate cc is visible exactly
-	// when the free stretch [flo, fhi] reaches it, which is SegBlocked's
-	// answer for the corner-to-ray segment on any index, overlapping or not
-	// (see FreeExtent; the ray line lies inside the routing bounds because
-	// every search state does).
-	vis := cands[:0]
+	// Collect the visible corner lines. Every candidate on one corner line —
+	// a whole column or row of cells shares it on a macro grid — is judged
+	// by a single FreeExtent stab from the line's crossing with the ray: the
+	// corner at cross coordinate cc is visible exactly when the free stretch
+	// [flo, fhi] reaches it, which is SegBlocked's answer for the
+	// corner-to-ray segment on any index, overlapping or not (see
+	// FreeExtent; the ray line lies inside the routing bounds because every
+	// search state does). A line's candidates arrive in cell order, so its
+	// first visible one names the cell the line sorts by.
+	lines := sc.lines[:0]
 	line := lo // no candidate lies on lo, so the first one always stabs
 	var flo, fhi geom.Coord
 	for _, cd := range cands {
@@ -190,46 +201,61 @@ func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit
 			flo, fhi = g.Ix.FreeExtent(point(line), horiz)
 		}
 		if flo <= cc && cc <= fhi {
-			vis = append(vis, cd)
+			if k := len(lines) - 1; k >= 0 && lines[k].at == cd.At {
+				lines[k].n++
+			} else {
+				lines = append(lines, cornerLine{at: cd.At, cell: cd.Cell, n: 1})
+			}
 		}
 	}
-	sc.tmp = sortByCell(vis, sc.tmp)
-	for _, cd := range vis {
-		emit(point(cd.At), d)
+	sc.lines = lines
+	sc.tmp = sortByCell(lines, sc.tmp)
+	for _, ln := range lines {
+		emit(point(ln.at), d, int(ln.n))
 	}
 }
 
-// scratch holds the corner buffers of one cornerProjections call. On a
-// macro grid a ray that finds corners at all finds dozens to thousands (one
-// crossing macro channels), so the buffers are recycled through a pool
-// rather than allocated per call, which keeps Gen stateless and safe for
-// concurrent use.
+// cornerLine is one visible corner line of a ray: its coordinate along the
+// ray, the lowest-numbered cell with a visible corner on it, and the number
+// of cells with one.
+type cornerLine struct {
+	at   geom.Coord
+	cell int32
+	n    int32
+}
+
+// scratch holds the buffers of one cornerProjections call. On a macro grid
+// a ray that finds corners at all finds dozens to thousands (one crossing
+// macro channels), so the buffers are recycled through a pool rather than
+// allocated per call, which keeps Gen stateless and safe for concurrent
+// use.
 type scratch struct {
-	cands, tmp []plane.Corner
+	cands      []plane.Corner
+	lines, tmp []cornerLine
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// sortByCell stably sorts corners by cell id with a least-significant-digit
-// radix sort, one byte of the cell id per pass and no comparator calls,
-// using tmp (grown as needed and returned) as scratch space. The corners
-// arrive in (coordinate, cell) order, so the result is in (cell,
-// coordinate) order: one cell's two corners have distinct coordinates and
-// keep their relative order.
-func sortByCell(s, tmp []plane.Corner) []plane.Corner {
+// sortByCell stably sorts corner lines by cell id with a
+// least-significant-digit radix sort, one byte of the cell id per pass and
+// no comparator calls, using tmp (grown as needed and returned) as scratch
+// space. The lines arrive in coordinate order, so the result is in (cell,
+// coordinate) order: the two lines one cell can name have distinct
+// coordinates and keep their relative order.
+func sortByCell(s, tmp []cornerLine) []cornerLine {
 	if len(s) < 2 {
 		return tmp
 	}
 	var top int32
 	for _, c := range s {
-		top = max(top, c.Cell)
+		top = max(top, c.cell)
 	}
 	tmp = slices.Grow(tmp[:0], len(s))[:len(s)]
 	src, dst := s, tmp
 	for shift := 0; shift == 0 || top>>shift > 0; shift += 8 {
 		var next [256]int
 		for _, c := range src {
-			next[c.Cell>>shift&0xff]++
+			next[c.cell>>shift&0xff]++
 		}
 		pos := 0
 		for k, n := range next {
@@ -237,7 +263,7 @@ func sortByCell(s, tmp []plane.Corner) []plane.Corner {
 			pos += n
 		}
 		for _, c := range src {
-			k := c.Cell >> shift & 0xff
+			k := c.cell >> shift & 0xff
 			dst[next[k]] = c
 			next[k]++
 		}

@@ -1,8 +1,10 @@
 package ray
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/plane"
 )
@@ -22,7 +24,7 @@ func fixture(t testing.TB, mode Mode) *Gen {
 // collect gathers successors into a map point → direction.
 func collect(g *Gen, at, guide geom.Point) map[geom.Point]geom.Dir {
 	out := map[geom.Point]geom.Dir{}
-	g.Successors(at, guide, func(p geom.Point, d geom.Dir) { out[p] = d })
+	g.Successors(at, guide, func(p geom.Point, d geom.Dir, _ int) { out[p] = d })
 	return out
 }
 
@@ -179,7 +181,7 @@ func TestSuccessorsNeverInsideObstacles(t *testing.T) {
 	guides := []geom.Point{geom.Pt(100, 100), geom.Pt(0, 0), geom.Pt(50, 50)}
 	for _, at := range pts {
 		for _, guide := range guides {
-			g.Successors(at, guide, func(p geom.Point, d geom.Dir) {
+			g.Successors(at, guide, func(p geom.Point, d geom.Dir, _ int) {
 				if _, blocked := ix.PointBlocked(p); blocked {
 					t.Errorf("successor %v of %v (via %v) is inside an obstacle", p, at, d)
 				}
@@ -207,7 +209,7 @@ func BenchmarkSuccessorsDirected(b *testing.B) {
 	g := fixture(b, Directed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Successors(geom.Pt(0, 50), geom.Pt(100, 50), func(geom.Point, geom.Dir) {})
+		g.Successors(geom.Pt(0, 50), geom.Pt(100, 50), func(geom.Point, geom.Dir, int) {})
 	}
 }
 
@@ -261,5 +263,42 @@ func TestCornerProjectionRequiresVisibility(t *testing.T) {
 	// The blocker's own corners project instead.
 	if _, ok := succ[geom.Pt(40, 18)]; !ok {
 		t.Fatalf("blocker corner projection missing: %v", succ)
+	}
+}
+
+// TestCornerLinesOncePerRayOnMacroGrid casts a horizontal ray down the
+// channel between the first two macro rows, across the whole chip. Every
+// cell of a column has a corner on each of the column's two edge lines, and
+// the line runs along the column's cell edges, so each of those corners is
+// visible from the ray. The ray must emit each column-edge line once, in
+// column order, with the number of rows as its count, where a per-corner
+// emission would repeat the line once per cell.
+func TestCornerLinesOncePerRayOnMacroGrid(t *testing.T) {
+	const (
+		rows, cols        = 6, 5
+		cellW, cellH, gap = 40, 30, 12
+	)
+	l, err := gen.MacroGrid(rows, cols, cellW, cellH, gap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ix.Bounds()
+	y := geom.Coord(gap + cellH + gap/2)
+	var got []hit
+	g := &Gen{Ix: ix}
+	g.Successors(geom.Pt(b.MinX, y), geom.Pt(b.MaxX, y), func(p geom.Point, d geom.Dir, n int) {
+		got = append(got, hit{p, d, n})
+	})
+	want := []hit{{geom.Pt(b.MaxX, y), geom.East, 1}} // the ray's stop point
+	for c := 0; c < cols; c++ {
+		x := geom.Coord(gap + c*(cellW+gap))
+		want = append(want, hit{geom.Pt(x, y), geom.East, rows}, hit{geom.Pt(x+cellW, y), geom.East, rows})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("emissions\n got %v\nwant %v", got, want)
 	}
 }

@@ -363,7 +363,11 @@ type connProblem struct {
 	directional bool
 	cur         State
 	emit        func(State, search.Cost)
-	wrap        func(geom.Point, geom.Dir)
+	wrap        func(geom.Point, geom.Dir, int)
+	// collapsed counts the successors the generator folded into a corner
+	// line's single emission (see Successors); routeConnection adds it to
+	// the search's Generated.
+	collapsed int
 }
 
 var (
@@ -443,15 +447,22 @@ func (p *connProblem) Successors(s State, emit func(State, search.Cost)) {
 	p.emit = emit
 	if p.wrap == nil {
 		p.directional = p.cost.Directional()
-		p.wrap = func(next geom.Point, via geom.Dir) {
+		p.wrap = func(next geom.Point, via geom.Dir, n int) {
 			s := p.cur
 			p.emitMove(s, next, via)
+			per := 1
 			// If the travel segment crosses the target set before reaching
 			// `next`, emit the crossing too so mid-segment attachments are
 			// reachable goals.
 			if q, ok := p.targets.crossing(s.At, next); ok && q != next && q != s.At {
 				p.emitMove(s, q, via)
+				per = 2
 			}
+			// The other n-1 corners on next's corner line would each have
+			// emitted these same states at the same costs, which the search
+			// rejects as no better than the first emission. Count them, so
+			// Generated still counts one successor per visible corner.
+			p.collapsed += (n - 1) * per
 		}
 	}
 	guide, _ := p.targets.nearest(s.At)

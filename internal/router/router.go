@@ -255,6 +255,7 @@ func (r *Router) routeConnection(done <-chan struct{}, sources []geom.Point, tar
 		Done:          done,
 	})
 	searchCtxPool.Put(sctx)
+	res.Stats.Generated += prob.collapsed
 	if err != nil && !errors.Is(err, search.ErrBudget) {
 		return Route{Stats: res.Stats}, err
 	}

@@ -293,6 +293,45 @@ func TestTransversalCrossingDetected(t *testing.T) {
 	}
 }
 
+// TestGeneratedCountsFoldedCorners pins Generated where the ray generator
+// folds corners that share a line and each folded corner's travel also
+// crosses the target set. The source (0,50) is the top-left corner of a
+// long cell; above it stand two cells of one column, so the lines x=40 and
+// x=60 each carry two visible corners. The target segment x=20 touches the
+// long cell's top edge, so (20,50) is the guide and the goal.
+//
+// Expanding (0,50), one successor per visible corner gives: the goal-ward
+// ray's stop (20,50); the east hug's stop (100,50) and its crossing
+// (20,50); per corner on x=40 and on x=60 the projection and the crossing
+// (20,50), four each; the south hug's stop (0,40). That is 12, plus the
+// virtual start's emission of the source: 13. The generator emits each of
+// x=40 and x=60 once, so the router has to add the other corner's two
+// successors for each line. The five distinct points are OPEN when the
+// goal is popped.
+func TestGeneratedCountsFoldedCorners(t *testing.T) {
+	ix, err := plane.New(geom.R(0, 0, 100, 100), []geom.Rect{
+		geom.R(0, 40, 100, 50),
+		geom.R(40, 60, 60, 70),
+		geom.R(40, 80, 60, 90),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, err := New(ix, Options{}).RouteConnection(
+		[]geom.Point{geom.Pt(0, 50)},
+		nil,
+		[]geom.Seg{geom.S(geom.Pt(20, 50), geom.Pt(20, 58))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !route.Found || route.Length != 20 {
+		t.Fatalf("should attach at (20,50): %+v", route)
+	}
+	if want := (search.Stats{Expanded: 2, Generated: 13, MaxOpen: 5}); route.Stats != want {
+		t.Fatalf("stats %+v, want %+v", route.Stats, want)
+	}
+}
+
 func threeTermNet() *layout.Net {
 	return &layout.Net{
 		Name: "steiner",

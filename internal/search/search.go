@@ -134,8 +134,13 @@ func tracerOf[S comparable](p Problem[S]) Tracer[S] {
 // Stats counts the work a search performed. The paper's Figure 1 claim is a
 // statement about Expanded for the gridless successor generator.
 type Stats struct {
-	Expanded  int // nodes removed from OPEN and expanded
-	Generated int // successor states produced (before dedup)
+	Expanded int // nodes removed from OPEN and expanded
+	// Generated counts successor states produced, before dedup. For the
+	// gridless router every visible obstacle corner on a ray counts,
+	// including corners that project to the same point: the ray generator
+	// emits such a corner line once with its corner count, and the router
+	// adds the repeats it folded (see ray.Gen.Successors).
+	Generated int
 	Reopened  int // CLOSED nodes moved back to OPEN on a cheaper path
 	MaxOpen   int // high-water mark of the OPEN list
 }
