@@ -24,10 +24,13 @@ import (
 // — the readiness flip is observable in the grace window while liveness
 // stays green, the in-flight negotiation completes, and the process drains
 // to exit 0 — then restart over the same persistence directory and verify
-// both sessions warm-start from their journals. The warm-vs-cold prepare
-// ratio is measured on a 64×64 session, where preparation (validate +
-// passage extraction) is heavy enough to dominate the journal replay; CI
-// gates it with `benchreport -require '...:warm-vs-cold-pct<=10'`.
+// every session warm-starts from its journal. Two 64×64 sessions measure
+// the warm start. One is routed once (a one-pass /negotiate) before the
+// restart: routed-warm-vs-cold-pct is its warm create against its cold
+// create plus that route, the work a warm start saves, and CI gates it
+// with `benchreport -require '...:routed-warm-vs-cold-pct<=10'`. The other
+// stays unrouted: warm-vs-cold-pct is its warm create against its cold
+// one, reported only, since both pay about the same index build.
 //
 // Run as: go test -run=NONE -bench=DaemonSmoke -benchtime=1x ./cmd/groutd
 func BenchmarkDaemonSmoke(b *testing.B) {
@@ -49,30 +52,41 @@ func BenchmarkDaemonSmoke(b *testing.B) {
 	if err := genroute.WriteLayout(&layoutJSON, l); err != nil {
 		b.Fatal(err)
 	}
-	big, err := genroute.MacroGrid(64, 64, 40, 30, 12, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bigJSON bytes.Buffer
-	if err := genroute.WriteLayout(&bigJSON, big); err != nil {
-		b.Fatal(err)
+	var bigJSON [2]bytes.Buffer // unrouted, routed
+	for k := range bigJSON {
+		big, err := genroute.MacroGrid(64, 64, 40, 30, 12, int64(10+k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := genroute.WriteLayout(&bigJSON[k], big); err != nil {
+			b.Fatal(err)
+		}
 	}
 
 	for i := 0; i < b.N; i++ {
-		runDaemonSmoke(b, bin, snapdir, l, layoutJSON.Bytes(), bigJSON.Bytes())
+		runDaemonSmoke(b, bin, snapdir, l, layoutJSON.Bytes(), bigJSON[0].Bytes(), bigJSON[1].Bytes())
 	}
 }
 
-func runDaemonSmoke(b *testing.B, bin, snapdir string, l *genroute.Layout, layoutJSON, bigJSON []byte) {
+func runDaemonSmoke(b *testing.B, bin, snapdir string, l *genroute.Layout, layoutJSON, bigJSON, routedJSON []byte) {
 	os.RemoveAll(snapdir)
 
-	// Cold daemon: prepare both sessions and serve concurrent routes.
+	// Cold daemon: prepare the three sessions, route one 64×64 session once,
+	// and serve concurrent routes.
 	d := startDaemon(b, bin, snapdir)
 	cold := smokeCreateSession(b, d, layoutJSON, "pitch=8&weight=40&passes=2")
 	if cold.Warm || !cold.Created {
 		b.Fatalf("first create = %+v, want a cold build", cold)
 	}
 	coldBig := smokeCreateSession(b, d, bigJSON, "pitch=8")
+	coldRouted := smokeCreateSession(b, d, routedJSON, "pitch=4&passes=1")
+	var route struct {
+		Passes    []json.RawMessage `json:"passes"`
+		ElapsedMS float64           `json:"elapsed_ms"`
+	}
+	if code := smokePost(b, d.url("/v1/sessions/"+coldRouted.Hash+"/negotiate"), []byte(`{}`), &route); code != http.StatusOK || len(route.Passes) != 1 {
+		b.Fatalf("one-pass route of the 64×64 session = %d after %d passes, want 200 after 1", code, len(route.Passes))
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -129,6 +143,10 @@ func runDaemonSmoke(b *testing.B, bin, snapdir string, l *genroute.Layout, layou
 	if !warmBig.Warm || !warmBig.Created {
 		b.Fatalf("restart create (64×64) = %+v, want a warm start", warmBig)
 	}
+	warmRouted := smokeCreateSession(b, d2, routedJSON, "pitch=4&passes=1")
+	if !warmRouted.Warm || !warmRouted.Routed {
+		b.Fatalf("restart create (routed 64×64) = %+v, want a warm start of a routed session", warmRouted)
+	}
 	warm := smokeCreateSession(b, d2, layoutJSON, "pitch=8&weight=40&passes=2")
 	if !warm.Warm || !warm.Created {
 		b.Fatalf("restart create (32×32) = %+v, want a warm start", warm)
@@ -146,6 +164,9 @@ func runDaemonSmoke(b *testing.B, bin, snapdir string, l *genroute.Layout, layou
 	b.ReportMetric(coldBig.PrepareMS, "cold-prepare-ms")
 	b.ReportMetric(warmBig.PrepareMS, "warm-prepare-ms")
 	b.ReportMetric(100*warmBig.PrepareMS/coldBig.PrepareMS, "warm-vs-cold-pct")
+	b.ReportMetric(route.ElapsedMS, "cold-route-ms")
+	b.ReportMetric(warmRouted.PrepareMS, "routed-warm-prepare-ms")
+	b.ReportMetric(100*warmRouted.PrepareMS/(coldRouted.PrepareMS+route.ElapsedMS), "routed-warm-vs-cold-pct")
 }
 
 // BenchmarkDaemonSmokeKillRecover is the crash-recovery smoke for the real
@@ -290,6 +311,7 @@ type smokeSession struct {
 	Hash      string  `json:"hash"`
 	Created   bool    `json:"created"`
 	Warm      bool    `json:"warm"`
+	Routed    bool    `json:"routed"`
 	PrepareMS float64 `json:"prepare_ms"`
 }
 

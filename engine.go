@@ -96,17 +96,18 @@ type Engine struct {
 	lhash atomic.Uint64
 }
 
-// NewEngine validates the layout (the paper's three placement restrictions
-// plus pin well-formedness) and prepares a routing session over a private
-// clone of it: obstacle index, router, and the congestion passage tables at
-// the configured pitch. With WithJournalFile it then writes the session's
-// journal.
+// NewEngine validates a private clone of the layout (the paper's three
+// placement restrictions plus pin well-formedness) and prepares a routing
+// session over it: obstacle index, router, and the congestion passage
+// tables at the configured pitch. With WithJournalFile it then writes the
+// session's journal. l itself is only read, so concurrent calls may share
+// it.
 func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
-	if err := l.Validate(); err != nil {
+	// Validate fills in bare-polygon bounding boxes: the clone's, not l's.
+	e := &Engine{l: l.Clone(), cfg: newConfig(opts)}
+	if err := e.l.Validate(); err != nil {
 		return nil, err
 	}
-	// Clone after Validate so bare-polygon bounding boxes are filled in.
-	e := &Engine{l: l.Clone(), cfg: newConfig(opts)}
 	var err error
 	e.ix, e.spans, err = plane.FromLayoutSpans(e.l)
 	if err != nil {

@@ -104,3 +104,48 @@ func TestEngineConcurrentRouteAndCommit(t *testing.T) {
 	wg.Wait()
 	checkEngineConsistency(t, e)
 }
+
+// TestNewEngineOnlyReadsItsLayout: NewEngine validates and prepares a
+// private clone, so the caller's layout is never written — not even the
+// bounding boxes Validate fills in for bare-polygon cells — and goroutines
+// may build sessions over one layout at once (under -race, a write to the
+// shared layout is reported).
+func TestNewEngineOnlyReadsItsLayout(t *testing.T) {
+	l, err := PolyChip(3, 10, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare []int
+	for ci := range l.Cells {
+		if len(l.Cells[ci].Poly) > 0 {
+			l.Cells[ci].Box = Rect{}
+			bare = append(bare, ci)
+		}
+	}
+	if len(bare) == 0 {
+		t.Fatal("fixture has no polygon cell")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := NewEngine(l, WithWorkers(1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, ci := range bare {
+				if e.Layout().Cells[ci].Box == (Rect{}) {
+					t.Errorf("session cell %d: bounding box not filled in", ci)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ci := range bare {
+		if box := l.Cells[ci].Box; box != (Rect{}) {
+			t.Errorf("caller's cell %d: box %v written by NewEngine, want it left zero", ci, box)
+		}
+	}
+}

@@ -6,8 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/snapshot"
 )
 
 // persistOpts is the shared engine configuration for the snapshot tests —
@@ -329,11 +333,102 @@ func TestSaveRefingerprintsAfterECO(t *testing.T) {
 	checkEngineConsistency(t, e2)
 }
 
-// BenchmarkEngineLoad measures the warm-start claim: rebuilding a 64×64
-// macro-grid session from a snapshot (layout fingerprint check + index
-// rebuild, no re-validation, no passage extraction) against the cold
-// NewEngine preparation. CI gates warm-vs-cold-pct at ≤10.
+// TestWarmStartSkipsPreparation pins, without timing anything, what a warm
+// start must not redo: LoadEngine, and LoadEngineJournal over the journal a
+// load writes, restore a routed session from its frame without routing (the
+// RouteNet and Search seams must not fire), without re-extracting passages
+// (a capacity edited in the frame survives the load), and without
+// re-validating (a frame over a layout Validate rejects still loads, as
+// restoreEngine documents).
+func TestWarmStartSkipsPreparation(t *testing.T) {
+	l, err := MacroGrid(6, 6, 40, 30, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(l, WithPitch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := e.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := snapshot.DecodeSession(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Passages[0].Capacity += 7
+	wantCap := sess.Passages[0].Capacity
+	var edited bytes.Buffer
+	if err := snapshot.EncodeSession(&edited, sess); err != nil {
+		t.Fatal(err)
+	}
+	// The same frame over a layout with a pad strictly inside a cell.
+	bad := l.Clone()
+	box := bad.Cells[0].Box
+	bad.Nets[0].Terminals[0].Pins[0] = Pin{Name: "in", Pos: Pt((box.MinX+box.MaxX)/2, (box.MinY+box.MaxY)/2), Cell: NoCell}
+	if bad.Validate() == nil {
+		t.Fatal("Validate accepts the planted pad")
+	}
+	sess.LayoutHash = snapshot.LayoutHash(bad)
+	var invalid bytes.Buffer
+	if err := snapshot.EncodeSession(&invalid, sess); err != nil {
+		t.Fatal(err)
+	}
+
+	var fired atomic.Int32
+	defer faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
+		if s.Point == faultinject.RouteNet || s.Point == faultinject.Search {
+			fired.Add(1)
+		}
+		return faultinject.None
+	})()
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		l     *Layout
+	}{{"edited capacity", edited.Bytes(), l}, {"invalid layout", invalid.Bytes(), bad}} {
+		path := filepath.Join(dir, tc.name+".jrnl")
+		warm, err := LoadEngine(bytes.NewReader(tc.frame), tc.l, WithJournalFile(path))
+		if err != nil {
+			t.Fatalf("%s: LoadEngine: %v", tc.name, err)
+		}
+		if err := warm.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := LoadEngineJournal(path, tc.l)
+		if err != nil {
+			t.Fatalf("%s: LoadEngineJournal: %v", tc.name, err)
+		}
+		if n := fired.Load(); n != 0 {
+			t.Fatalf("%s: warm starts routed: the route seams fired %d times", tc.name, n)
+		}
+		for _, got := range []*Engine{warm, rec} {
+			if !got.Routed() || got.passages[0].Capacity != wantCap {
+				t.Errorf("%s: routed %v, passage 0 capacity %d; want the frame's routes and capacity %d",
+					tc.name, got.Routed(), got.passages[0].Capacity, wantCap)
+			}
+		}
+		if err := rec.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineLoad measures the warm-start claim on a 64×64 macro-grid
+// session. routed-warm-vs-cold-pct, which CI gates at ≤10, is LoadEngine of
+// the routed session's frame (fingerprint check, index rebuild, routes
+// decoded; no validation, extraction or routing) against what it saves:
+// NewEngine plus one RouteAll. warm-vs-cold-pct is LoadEngine of the
+// unrouted frame against NewEngine alone, reported only: both sides pay
+// about the same index build, so it measures the index more than the warm
+// start. TestWarmStartSkipsPreparation pins what a warm start skips.
 func BenchmarkEngineLoad(b *testing.B) {
+	ctx := context.Background()
 	l, err := MacroGrid(64, 64, 40, 30, 12, 10)
 	if err != nil {
 		b.Fatal(err)
@@ -342,28 +437,44 @@ func BenchmarkEngineLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
+	var unrouted, routed bytes.Buffer
+	if err := e.Save(&unrouted); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	if _, err := e.RouteAll(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Save(&routed); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var cold, warm time.Duration
+	var prepare, route, warm, warmRouted time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := NewEngine(l); err != nil {
+		cold, err := NewEngine(l)
+		if err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if _, err := LoadEngine(bytes.NewReader(data), l); err != nil {
+		if _, err := cold.RouteAll(ctx); err != nil {
 			b.Fatal(err)
 		}
-		warm += time.Since(t1)
-		cold += t1.Sub(t0)
+		t2 := time.Now()
+		if _, err := LoadEngine(bytes.NewReader(unrouted.Bytes()), l); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		if _, err := LoadEngine(bytes.NewReader(routed.Bytes()), l); err != nil {
+			b.Fatal(err)
+		}
+		warmRouted += time.Since(t3)
+		prepare, route, warm = prepare+t1.Sub(t0), route+t2.Sub(t1), warm+t3.Sub(t2)
 	}
 	b.ReportMetric(float64(warm.Nanoseconds())/float64(b.N), "warm-ns/op")
-	b.ReportMetric(float64(warm)*100/float64(cold), "warm-vs-cold-pct")
+	b.ReportMetric(float64(warm)*100/float64(prepare), "warm-vs-cold-pct")
+	b.ReportMetric(float64(warmRouted.Nanoseconds())/float64(b.N), "routed-warm-ns/op")
+	b.ReportMetric(float64(warmRouted)*100/float64(prepare+route), "routed-warm-vs-cold-pct")
 }
 
 // BenchmarkJournalRecover measures a session's one durable file against a

@@ -1,7 +1,6 @@
 package layout
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -83,46 +82,6 @@ func TestValidateRectBoundaryFastPath(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("pin %v (cell %d): accepted", tc.pin.Pos, tc.pin.Cell)
-		}
-	}
-}
-
-// BenchmarkValidateMacroGrid measures the memoized whole-layout validation
-// on a macro-style grid. NewEngine pays it once per session, so it must
-// stay far below routing cost; an ECO commit runs ValidateEdit over the
-// edit's footprint instead.
-func BenchmarkValidateMacroGrid(b *testing.B) {
-	l := &Layout{Name: "grid", Bounds: geom.R(0, 0, 16*52+12, 16*42+12)}
-	for r := 0; r < 16; r++ {
-		for c := 0; c < 16; c++ {
-			x := geom.Coord(12 + c*52)
-			y := geom.Coord(12 + r*42)
-			l.Cells = append(l.Cells, Cell{
-				Name: fmt.Sprintf("m%d_%d", r, c),
-				Box:  geom.R(x, y, x+40, y+30),
-			})
-		}
-	}
-	for i := 0; i < 255; i++ {
-		ci := CellID(i)
-		cell := l.Cells[ci].Box
-		nxt := l.Cells[ci+1].Box
-		l.Nets = append(l.Nets, Net{
-			Name: fmt.Sprintf("n%d", i),
-			Terminals: []Terminal{
-				{Name: "a", Pins: []Pin{{Name: "p", Pos: geom.Pt(cell.MaxX, cell.MinY), Cell: ci}}},
-				{Name: "b", Pins: []Pin{{Name: "p", Pos: geom.Pt(nxt.MinX, nxt.MinY), Cell: ci + 1}}},
-			},
-		})
-	}
-	if err := l.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Validate(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
