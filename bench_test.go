@@ -493,7 +493,9 @@ func BenchmarkECOReroute(b *testing.B) {
 // journaled cost is everything durability adds to a commit: the post-edit
 // fingerprint, per-record encode and CRC, and the fsync before each
 // install. The journal's base is written by NewEngine and folded after the
-// negotiation, outside the timed commits.
+// negotiation, outside the timed commits. The two sessions' commits
+// interleave, and which goes first alternates, so a slow stretch of the
+// machine lands on both sides rather than on one.
 func BenchmarkECOJournalCommit(b *testing.B) {
 	l, err := genroute.MacroGrid(64, 64, 40, 30, 12, 9)
 	if err != nil {
@@ -511,28 +513,27 @@ func BenchmarkECOJournalCommit(b *testing.B) {
 		}
 		return e
 	}
-	const commits = 8
-	run := func(e *genroute.Engine) time.Duration {
+	const commits = 32
+	// commit stages and commits the i-th edit on e and returns its time.
+	commit := func(e *genroute.Engine, i int) time.Duration {
 		start := time.Now()
-		for i := 0; i < commits; i++ {
-			tx := e.Edit()
-			for k := 0; k < 5; k++ {
-				net := e.Layout().Nets[500*k+7]
-				if err := tx.RemoveNet(net.Name); err != nil {
-					b.Fatal(err)
-				}
-				net.Name = fmt.Sprintf("eco%d_%d", i, k)
-				if err := tx.AddNet(net); err != nil {
-					b.Fatal(err)
-				}
-			}
-			eco, err := tx.Commit(ctx)
-			if err != nil {
+		tx := e.Edit()
+		for k := 0; k < 5; k++ {
+			net := e.Layout().Nets[500*k+7]
+			if err := tx.RemoveNet(net.Name); err != nil {
 				b.Fatal(err)
 			}
-			if len(eco.Dirty) != 5 {
-				b.Fatalf("commit dirtied %d nets, want 5", len(eco.Dirty))
+			net.Name = fmt.Sprintf("eco%d_%d", i, k)
+			if err := tx.AddNet(net); err != nil {
+				b.Fatal(err)
 			}
+		}
+		eco, err := tx.Commit(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(eco.Dirty) != 5 {
+			b.Fatalf("commit dirtied %d nets, want 5", len(eco.Dirty))
 		}
 		return time.Since(start)
 	}
@@ -542,8 +543,16 @@ func BenchmarkECOJournalCommit(b *testing.B) {
 		plain := prep()
 		journaled := prep(genroute.WithJournalFile(filepath.Join(b.TempDir(), "eco.jrnl")))
 		b.StartTimer()
-		tu := run(plain)
-		tj := run(journaled)
+		var tu, tj time.Duration
+		for c := 0; c < commits; c++ {
+			if c%2 == 0 {
+				tu += commit(plain, c)
+				tj += commit(journaled, c)
+			} else {
+				tj += commit(journaled, c)
+				tu += commit(plain, c)
+			}
+		}
 		b.ReportMetric(float64(tu)/commits/1e6, "unjournaled-ms/commit")
 		b.ReportMetric(float64(tj)/commits/1e6, "journaled-ms/commit")
 		b.ReportMetric(100*(float64(tj)-float64(tu))/float64(tu), "journal-overhead-pct")

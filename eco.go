@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/congest"
@@ -219,11 +220,15 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}, nil
 	}
 
-	// 1. Build the edited layout on a private clone. The staged nets are
-	// copied too: the pins of an added net ride with a moved cell below,
-	// and the staged ops must keep the coordinates the caller gave, which
-	// are what the journal records and what a retried commit translates.
-	removed := map[string]bool{}
+	// 1. Build the edited layout on top of the installed one, which is
+	// never written after install (see Engine.Layout): the new layout
+	// shares every cell and net the edit leaves alone. The net slice is
+	// always new; a move also copies the cell slice, the moved cells'
+	// outlines and the nets with pins on them. The staged nets are copied
+	// too: the pins of an added net ride with a moved cell below, and the
+	// staged ops must keep the coordinates the caller gave, which are what
+	// the journal records and what a retried commit translates.
+	next := make([]int, len(e.l.Nets)) // old net index → new, -1 if removed
 	var adds []Net
 	moves := map[string]Point{} // cell name → accumulated delta
 	for _, op := range tx.ops {
@@ -234,27 +239,26 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 			// Staging checked the removal against the layout of its day; a
 			// commit installed since may have removed the net already.
 			// Skipping the name would journal a record replay rejects.
-			if _, ok := e.netIdx[op.name]; !ok {
+			i, ok := e.netIdx[op.name]
+			if !ok {
 				return nil, fmt.Errorf("genroute: ECO edit removes net %q, which a commit since staging removed", op.name)
 			}
-			removed[op.name] = true
+			next[i] = -1
 		case opMoveCell:
 			moves[op.name] = moves[op.name].Add(op.d)
 		}
 	}
-	l2 := e.l.Clone()
-	var keptOld []int // old net indices kept, in order
-	nets2 := l2.Nets[:0]
-	for i := range l2.Nets {
-		if removed[l2.Nets[i].Name] {
+	l2 := &Layout{Name: e.l.Name, Bounds: e.l.Bounds, Cells: e.l.Cells}
+	l2.Nets = make([]Net, 0, len(e.l.Nets)+len(adds))
+	for i := range e.l.Nets {
+		if next[i] < 0 {
 			continue
 		}
-		keptOld = append(keptOld, i)
-		nets2 = append(nets2, l2.Nets[i])
+		next[i] = len(l2.Nets)
+		l2.Nets = append(l2.Nets, e.l.Nets[i])
 	}
-	numKept := len(nets2)
-	nets2 = append(nets2, adds...)
-	l2.Nets = nets2
+	numKept := len(l2.Nets)
+	l2.Nets = append(l2.Nets, adds...)
 
 	// One scan over the cells in index order resolves every move: cheaper
 	// than the per-name scan it replaces (O(cells) vs O(moves·cells)) and it
@@ -272,17 +276,33 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		movedCells[ci] = d
 		movedOrder = append(movedOrder, ci)
 	}
-	for _, ci := range movedOrder {
-		d := movedCells[ci]
-		c := &l2.Cells[ci]
-		c.Box = c.Box.Translate(d)
-		for vi := range c.Poly {
-			c.Poly[vi] = c.Poly[vi].Add(d)
+	var pinMoved []bool // by kept net: a pin on a moved cell (moves only)
+	if len(movedOrder) > 0 {
+		l2.Cells = append([]Cell(nil), l2.Cells...)
+		for _, ci := range movedOrder {
+			d := movedCells[ci]
+			c := &l2.Cells[ci]
+			c.Box = c.Box.Translate(d)
+			if len(c.Poly) > 0 {
+				poly := make([]Point, len(c.Poly))
+				for vi, v := range c.Poly {
+					poly[vi] = v.Add(d)
+				}
+				c.Poly = poly
+			}
 		}
-	}
-	if len(movedCells) > 0 {
-		// Pins ride with their cell, exactly like placement adjustment.
+		// Pins ride with their cell, exactly like placement adjustment. A
+		// kept net is copied before its pins move; an added net is the
+		// commit's own copy already.
+		pinMoved = make([]bool, numKept)
 		for ni := range l2.Nets {
+			if !netTouchesCells(&l2.Nets[ni], movedCells) {
+				continue
+			}
+			if ni < numKept {
+				l2.Nets[ni] = cloneNet(&l2.Nets[ni])
+				pinMoved[ni] = true
+			}
 			for ti := range l2.Nets[ni].Terminals {
 				pins := l2.Nets[ni].Terminals[ti].Pins
 				for pi := range pins {
@@ -303,6 +323,21 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	}
 	if ferr := faultinject.Fire(faultinject.Commit, "validated"); ferr != nil {
 		return nil, ferr
+	}
+	// l2 is final from here on. The journal record carries its fingerprint,
+	// a whole-layout pass that runs beside the repair instead of before the
+	// append. Every return waits for it, so no commit outlives its reads.
+	var (
+		postHash uint64 // 0 = not computed: Save/checkpoints fingerprint on demand
+		hashing  sync.WaitGroup
+	)
+	if e.jr != nil {
+		hashing.Add(1)
+		go func() {
+			defer hashing.Done()
+			postHash = snapshot.LayoutHash(l2)
+		}()
+		defer hashing.Wait()
 	}
 
 	// 3. Edit the obstacle index: splice the moved cells' obstacle ids
@@ -357,8 +392,10 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 
 	// 4. Carry the routing state over to the new net numbering.
 	cur2 := &router.LayoutResult{Nets: make([]router.NetRoute, len(l2.Nets))}
-	for k, oldi := range keptOld {
-		cur2.Nets[k] = e.cur.Nets[oldi]
+	for i, k := range next {
+		if k >= 0 {
+			cur2.Nets[k] = e.cur.Nets[i]
+		}
 	}
 	for ni := numKept; ni < len(l2.Nets); ni++ {
 		cur2.Nets[ni] = router.NetRoute{Net: l2.Nets[ni].Name}
@@ -375,8 +412,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	for ni := range l2.Nets {
 		isDirty := ni >= numKept
 		if !isDirty && geometryChanged {
-			isDirty = !cur2.Nets[ni].Found || netTouchesCells(&l2.Nets[ni], movedCells) ||
-				routeBlocked(ix2, cur2.Nets[ni].Segments)
+			isDirty = !cur2.Nets[ni].Found || pinMoved[ni] || routeBlocked(ix2, cur2.Nets[ni].Segments)
 		}
 		if isDirty {
 			dirtyList = append(dirtyList, ni)
@@ -384,10 +420,10 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	}
 
 	// 6. The live map. With unchanged passages and numbering (pure
-	// additions) the session's map carries over; a removal renumbers the
-	// nets and a move changes the passage set, so those rebuild from the
-	// carried-over routes. History survives as long as the passage set
-	// does.
+	// additions) the session's map carries over as a copy; a removal
+	// renumbers a copy, dropping the removed nets' routes. A move changes
+	// the passage set, so the map is rebuilt from the carried-over routes.
+	// History survives as long as the passage set does.
 	var m2 *congest.Map
 	history2 := e.history
 	switch {
@@ -395,9 +431,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		m2 = congest.BuildMap(passages2, netSegments(cur2))
 		history2 = nil // per-passage history is meaningless across a re-extract
 	case numKept != len(e.l.Nets):
-		// Removals renumbered the surviving nets; the map files routes by
-		// net index, so rebuild it over the carried-over routes.
-		m2 = congest.BuildMap(passages2, netSegments(cur2))
+		m2 = e.m.Renumber(next)
 	default:
 		m2 = e.m.Clone()
 	}
@@ -431,9 +465,8 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// below, which replay then completes (unacked-record-may-apply, the
 	// standard WAL contract). A journal failure aborts the commit with the
 	// engine untouched.
-	var postHash uint64 // 0 = not computed: Save/checkpoints fingerprint on demand
 	if e.jr != nil {
-		postHash = snapshot.LayoutHash(l2)
+		hashing.Wait()
 		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
 			return nil, fmt.Errorf("%w: %w", ErrJournalAppend, jerr)
 		}

@@ -588,7 +588,8 @@ func TestECORandomizedEquivalence(t *testing.T) {
 // edited layout is also built from the script independently of the engine,
 // and whole-layout Validate is the oracle for the commit's verdict: the
 // commit succeeds iff Validate accepts that layout, installs exactly it,
-// and on a rejection wraps Validate's error text.
+// and on a rejection wraps Validate's error text. Either way the layout
+// installed before the commit keeps its fingerprint.
 func FuzzECOEdits(f *testing.F) {
 	f.Add([]byte{0, 1, 2})
 	f.Add([]byte{1, 0, 0, 3, 2, 9})
@@ -639,7 +640,15 @@ func FuzzECOEdits(f *testing.F) {
 		}
 		wl := want.build()
 		verr := wl.Clone().Validate()
-		if _, err := tx.Commit(context.Background()); err != nil {
+		// The commit builds on the installed layout; accepted or rejected,
+		// moves included, it must not write through it.
+		prev := e.Layout()
+		prevHash := snapshot.LayoutHash(prev)
+		_, err = tx.Commit(context.Background())
+		if got := snapshot.LayoutHash(prev); got != prevHash {
+			t.Fatalf("the pre-commit layout fingerprints %016x after the commit, %016x before", got, prevHash)
+		}
+		if err != nil {
 			if verr == nil {
 				t.Fatalf("commit rejected a layout Validate accepts: %v", err)
 			}

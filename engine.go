@@ -57,8 +57,10 @@ import (
 //
 // The lock is not context-aware: a method waits for the lock before its
 // context is consulted. Layout reads the layout pointer under RLock but
-// returns an interior pointer — treat the returned value as read-only; a
-// concurrent Edit.Commit installs a fresh clone rather than mutating it.
+// returns an interior pointer — treat the returned value as read-only. An
+// installed layout is never written after install: Edit.Commit installs a
+// new layout that shares every unchanged cell and net with the old one and
+// writes neither, so a layout read before a commit stays valid after it.
 type Engine struct {
 	// mu enforces the readers–writer contract above. State-replacing flows
 	// (RouteAll, RouteNegotiated, ResumeNegotiated, Edit.Commit) hold it
@@ -136,8 +138,11 @@ func (e *Engine) reindexNets() {
 
 // Layout returns the engine's private copy of the layout, including every
 // committed edit. Treat it as read-only; mutate through Edit instead. The
-// pointer itself is read under the lock — Edit.Commit swaps it for the
-// edited clone, and an unsynchronized read of the pointer word would race
+// engine never writes it either: Edit.Commit installs a new layout that
+// shares every cell and net the edit left unchanged with this one, so a
+// layout returned before a commit still describes the session as it was.
+// The pointer itself is read under the lock — Edit.Commit swaps it for the
+// edited layout, and an unsynchronized read of the pointer word would race
 // with that install.
 func (e *Engine) Layout() *Layout {
 	e.mu.RLock()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -476,4 +477,69 @@ func TestNegotiateMacroGrid16Pinned(t *testing.T) {
 			t.Errorf("workers=%d: last pass stats %+v, want %+v", workers, got, wantStats)
 		}
 	}
+}
+
+// TestNegotiateTranslationInvariant negotiates one congested scene in three
+// placements: as generated, moved to just below MaxInt64 and moved to just
+// above MinInt64. Translation changes no distance, so the passes, total
+// length and overflow must agree. A passage cross-section taken as
+// (Min+Max)/2 overflows in the translated placements and lands outside
+// its corridor, where no route is counted.
+func TestNegotiateTranslationInvariant(t *testing.T) {
+	l, err := MacroGrid(4, 4, 40, 30, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		passes   int
+		length   int64
+		overflow int
+	}
+	negotiate := func(l *Layout) outcome {
+		t.Helper()
+		e, err := NewEngine(l, WithWorkers(1), WithPitch(8), WithPenaltyWeight(40),
+			WithWeightStep(40), WithHistory(1, 10), WithMaxPasses(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RouteNegotiated(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{len(res.Passes), int64(res.Final().TotalLength), e.Overflow()}
+	}
+	want := negotiate(l)
+	b := l.Bounds
+	for _, tc := range []struct {
+		name string
+		d    Point
+	}{
+		{"near MaxInt64", Pt(math.MaxInt64-1-b.MaxX, math.MaxInt64-1-b.MaxY)},
+		{"near MinInt64", Pt(math.MinInt64+1-b.MinX, math.MinInt64+1-b.MinY)},
+	} {
+		if got := negotiate(translateLayout(l, tc.d)); got != want {
+			t.Errorf("%s: %d passes, length %d, overflow %d; untranslated %d passes, length %d, overflow %d",
+				tc.name, got.passes, got.length, got.overflow, want.passes, want.length, want.overflow)
+		}
+	}
+}
+
+// translateLayout returns a copy of l moved by d: bounds, cells and pins.
+func translateLayout(l *Layout, d Point) *Layout {
+	c := l.Clone()
+	c.Bounds = c.Bounds.Translate(d)
+	for i := range c.Cells {
+		c.Cells[i].Box = c.Cells[i].Box.Translate(d)
+		for k := range c.Cells[i].Poly {
+			c.Cells[i].Poly[k] = c.Cells[i].Poly[k].Add(d)
+		}
+	}
+	for i := range c.Nets {
+		for _, term := range c.Nets[i].Terminals {
+			for k := range term.Pins {
+				term.Pins[k].Pos = term.Pins[k].Pos.Add(d)
+			}
+		}
+	}
+	return c
 }

@@ -13,7 +13,8 @@
 // extract.go), with ExtractEdit splicing a passage list incrementally
 // after an obstacle edit. BuildMap counts how many nets
 // run through each passage; AddNet/RemoveNet splice single nets in and out
-// incrementally. Negotiate iterates the paper's reroute loop to
+// incrementally, and Renumber drops removed nets from a copy. Negotiate
+// iterates the paper's reroute loop to
 // convergence, PathFinder-style: after a parallel first pass, each pass
 // sequentially rips one overflowed net at a time out of the live map and
 // reroutes it against a penalty that combines the live present overflow
@@ -231,16 +232,49 @@ func (m *Map) RemoveNet(ni int, segs []geom.Seg) {
 // passages and the section index are immutable and shared. Negotiate
 // records a clone after every pass so the reported per-pass maps stay
 // frozen while the live map keeps mutating.
-func (m *Map) Clone() *Map {
+func (m *Map) Clone() *Map { return m.copyLists(nil) }
+
+// Renumber returns a copy of the map with its nets renumbered after a
+// removal: next[ni] is net ni's new index, or -1 for a net dropped from
+// the map together with its route. next has an entry for every net of the
+// map and keeps the kept nets in their old relative order, so each
+// passage's list stays ascending. The result equals BuildMap over the kept
+// routes in their new numbering; passages and the section index are
+// shared, as by Clone.
+func (m *Map) Renumber(next []int) *Map { return m.copyLists(next) }
+
+// copyLists copies the map, passing every net index through next (nil
+// keeps it). The copy's net lists are sub-slices of one backing array, each
+// capped at its own length, so AddNet on one passage reallocates that list
+// instead of writing into its neighbour's, and neither the copy nor m can
+// write into the other's lists. Usage[pi] is the length of passage pi's
+// list, which AddNet and RemoveNet keep true of every map.
+func (m *Map) copyLists(next []int) *Map {
+	total := 0
+	for _, nt := range m.netsThrough {
+		total += len(nt)
+	}
 	c := &Map{
 		Passages:    m.Passages,
-		Usage:       append([]int(nil), m.Usage...),
+		Usage:       make([]int, len(m.Usage)),
 		netsThrough: make([][]int, len(m.netsThrough)),
 		index:       m.index,
 	}
-	for i, nt := range m.netsThrough {
-		if len(nt) > 0 {
-			c.netsThrough[i] = append([]int(nil), nt...)
+	flat := make([]int, 0, total)
+	for pi, nt := range m.netsThrough {
+		start := len(flat)
+		if next == nil {
+			flat = append(flat, nt...)
+		} else {
+			for _, ni := range nt {
+				if k := next[ni]; k >= 0 {
+					flat = append(flat, k)
+				}
+			}
+		}
+		if n := len(flat); n > start {
+			c.netsThrough[pi] = flat[start:n:n]
+			c.Usage[pi] = n - start
 		}
 	}
 	return c
@@ -561,8 +595,8 @@ func (ng *negotiator) record(rerouted []string) {
 // pass prologue (beginPass) is not part of it: it runs once per pass,
 // before the first checkpoint can observe the pass.
 type passRun struct {
-	// next is the routing state under construction (a copy of the previous
-	// pass with reroutes spliced in as they land).
+	// next is the routing state under construction (the previous pass's
+	// routes with reroutes spliced in as they land).
 	next *router.LayoutResult
 	// ripped flags the nets already ripped this pass.
 	ripped []bool
@@ -578,17 +612,19 @@ type passRun struct {
 }
 
 // beginPass opens a sequential rip-up pass seeded with the rip order
-// initial: it accrues history for the passages overflowed at pass start
-// (overflow still present when the run ends is folded in by finish) and
-// sets the pass's present weight per the schedule (Config.WeightStep).
-func (ng *negotiator) beginPass(initial []int) *passRun {
+// initial, splicing its reroutes into next: a copy of the previous pass's
+// routes, or RepairCtx's cur itself. It accrues history for the passages
+// overflowed at pass start (overflow still present when the run ends is
+// folded in by finish) and sets the pass's present weight per the schedule
+// (Config.WeightStep).
+func (ng *negotiator) beginPass(initial []int, next *router.LayoutResult) *passRun {
 	for _, pi := range ng.m.Overflowed() {
 		ng.res.History[pi]++
 	}
 	ng.presWeight = ng.cfg.Weight + ng.cfg.WeightStep*geom.Coord(ng.reroutePass)
 	ng.reroutePass++
 	return &passRun{
-		next:    &router.LayoutResult{Nets: append([]router.NetRoute(nil), ng.cur.Nets...)},
+		next:    next,
 		ripped:  make([]bool, len(ng.l.Nets)),
 		initial: initial,
 	}
@@ -735,7 +771,8 @@ func (ng *negotiator) run(ctx context.Context, first *passRun) (*NegotiateResult
 			if ng.m.TotalOverflow() == 0 {
 				break
 			}
-			st = ng.beginPass(ng.m.AffectedNets())
+			st = ng.beginPass(ng.m.AffectedNets(),
+				&router.LayoutResult{Nets: append([]router.NetRoute(nil), ng.cur.Nets...)})
 		}
 		changed, err := ng.runPassFrom(ctx, st)
 		if err != nil {
@@ -826,9 +863,11 @@ func Negotiate(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 // Negotiate's. Unlike Negotiate there is no initial full-route pass, which
 // is the point: untouched nets keep their routes byte-identical.
 //
-// m is mutated in place and cur is taken over; on return (including
-// cancellation) the final recorded state, m, and the returned History are
-// mutually consistent.
+// m is mutated in place and cur is taken over: the first pass splices its
+// reroutes into cur itself rather than into a copy, so cur becomes that
+// pass's recorded state (on a routing error, a partial one the caller must
+// discard). On return (including cancellation) the final recorded state,
+// m, and the returned History are mutually consistent.
 func RepairCtx(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, m *Map, cur *router.LayoutResult, dirty []int, cfg Config, history []int) (*NegotiateResult, error) {
 	if len(cur.Nets) != len(l.Nets) {
 		return nil, fmt.Errorf("congest: repair state has %d nets, layout %d", len(cur.Nets), len(l.Nets))
@@ -849,7 +888,7 @@ func RepairCtx(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 		return ng.finish(), err
 	}
 	// First pass: the edit's dirty set seeds the rip order.
-	return ng.run(ctx, ng.beginPass(work))
+	return ng.run(ctx, ng.beginPass(work, cur))
 }
 
 // sameRoute reports whether two routes of the same net have identical

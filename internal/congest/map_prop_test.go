@@ -69,37 +69,60 @@ func mapsEqual(t *testing.T, seed int64, step int, got, want *Map) {
 	}
 }
 
+// churn applies one random rip-up step to m and to routes, the route of
+// each of its nets (nil = currently ripped out): rip a net out, or reroute
+// it.
+func churn(r *rand.Rand, m *Map, routes [][]geom.Seg) {
+	ni := r.Intn(len(routes))
+	if routes[ni] != nil && r.Intn(3) == 0 {
+		m.RemoveNet(ni, routes[ni])
+		routes[ni] = nil
+		return
+	}
+	if routes[ni] != nil {
+		m.RemoveNet(ni, routes[ni])
+	}
+	routes[ni] = randomNetSegs(r) // the rip-up/reroute cycle
+	m.AddNet(ni, routes[ni])
+}
+
 // checkIncrementalMapAgainstRebuild runs one random add/remove/reroute
 // sequence, comparing the live map against a from-scratch BuildMap after
-// every mutation; shared by the quick.Check test and the fuzz target.
+// every mutation. Then it drops a random subset of the nets by Renumber, as
+// an ECO removal does, and holds the copy to BuildMap over the kept routes
+// in their new numbering, before and after more rip-up steps on it. Shared
+// by the quick.Check test and the fuzz target.
 func checkIncrementalMapAgainstRebuild(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	passages := randomPassages(r)
 	nNets := r.Intn(8) + 2
-	routes := make([][]geom.Seg, nNets) // nil = currently ripped out
+	routes := make([][]geom.Seg, nNets)
 	for ni := range routes {
 		routes[ni] = randomNetSegs(r)
 	}
 	m := BuildMap(passages, routes)
-	for step := 0; step < 30; step++ {
-		ni := r.Intn(nNets)
-		if routes[ni] != nil && r.Intn(3) == 0 {
-			m.RemoveNet(ni, routes[ni])
-			routes[ni] = nil
-		} else {
-			if routes[ni] != nil {
-				m.RemoveNet(ni, routes[ni])
-			}
-			routes[ni] = randomNetSegs(r) // the rip-up/reroute cycle
-			m.AddNet(ni, routes[ni])
+	step := 0
+	for ; step < 30; step++ {
+		churn(r, m, routes)
+		mapsEqual(t, seed, step, m, BuildMap(passages, routes))
+	}
+
+	next := make([]int, nNets)
+	var kept [][]geom.Seg
+	for ni := range next {
+		if r.Intn(3) == 0 {
+			next[ni] = -1
+			continue
 		}
-		rebuild := make([][]geom.Seg, nNets)
-		for k := range routes {
-			if routes[k] != nil {
-				rebuild[k] = routes[k]
-			}
-		}
-		mapsEqual(t, seed, step, m, BuildMap(passages, rebuild))
+		next[ni] = len(kept)
+		kept = append(kept, routes[ni])
+	}
+	rn := m.Renumber(next)
+	mapsEqual(t, seed, step, rn, BuildMap(passages, kept))
+	mapsEqual(t, seed, step, m, BuildMap(passages, routes))
+	for end := step + 10; step < end && len(kept) > 0; step++ {
+		churn(r, rn, kept)
+		mapsEqual(t, seed, step, rn, BuildMap(passages, kept))
 	}
 }
 
@@ -127,8 +150,39 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	mapsEqual(t, 7, 0, m, before)
 }
 
-// FuzzIncrementalMap explores the same live-vs-rebuild comparison from
-// arbitrary seeds.
+// TestMapCopiesAreIndependent mutates a map and its copy in turn — Clone's
+// and Renumber's, whose net lists share one backing array — and holds each
+// to a rebuild of its own routes after every step: neither may write into
+// the other, and no list of a copy into its neighbour's.
+func TestMapCopiesAreIndependent(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		passages := randomPassages(r)
+		routes := make([][]geom.Seg, 6)
+		for ni := range routes {
+			routes[ni] = randomNetSegs(r)
+		}
+		identity := []int{0, 1, 2, 3, 4, 5}
+		for _, copyOf := range []func(*Map) *Map{(*Map).Clone, func(m *Map) *Map { return m.Renumber(identity) }} {
+			src := BuildMap(passages, routes)
+			srcRoutes := append([][]geom.Seg(nil), routes...)
+			cp := copyOf(src)
+			cpRoutes := append([][]geom.Seg(nil), routes...)
+			for step := 0; step < 20; step++ {
+				if step%2 == 0 {
+					churn(r, cp, cpRoutes)
+				} else {
+					churn(r, src, srcRoutes)
+				}
+				mapsEqual(t, seed, step, src, BuildMap(passages, srcRoutes))
+				mapsEqual(t, seed, step, cp, BuildMap(passages, cpRoutes))
+			}
+		}
+	}
+}
+
+// FuzzIncrementalMap explores the same live-vs-rebuild comparison, renumber
+// step included, from arbitrary seeds.
 func FuzzIncrementalMap(f *testing.F) {
 	for _, seed := range []int64{0, 1, 5, 42, -11, 1 << 35} {
 		f.Add(seed)

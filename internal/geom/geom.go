@@ -202,9 +202,21 @@ func (r Rect) Area() Coord { return r.Width() * r.Height() }
 // HalfPerimeter returns Width+Height (the HPWL of the rectangle).
 func (r Rect) HalfPerimeter() Coord { return r.Width() + r.Height() }
 
-// Center returns the (floor) midpoint of the rectangle.
+// Center returns the midpoint of the rectangle, each coordinate by mid.
 func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+	return Point{mid(r.MinX, r.MaxX), mid(r.MinY, r.MaxY)}
+}
+
+// mid returns (a+b)/2 rounded toward zero, computed without overflow: it
+// equals Go's (a+b)/2 wherever a+b fits in a Coord, and for every other
+// pair, such as the edges of a rectangle near the int64 limits, it is the
+// exact sum halved and rounded the same way.
+func mid(a, b Coord) Coord {
+	m := a>>1 + b>>1 + a&b&1 // floor((a+b)/2)
+	if m < 0 && (a^b)&1 != 0 {
+		m++ // a negative odd sum rounds up toward zero
+	}
+	return m
 }
 
 // Contains reports whether p lies inside or on the boundary of r.

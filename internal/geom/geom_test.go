@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -482,5 +484,51 @@ func TestRectDistanceZeroIffContains(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMidMatchesBigQuotient holds mid to math/big's truncated quotient of
+// the exact sum, on random pairs and on pairs at and near the int64 limits,
+// and to Go's own (a+b)/2 wherever that sum does not overflow.
+func TestMidMatchesBigQuotient(t *testing.T) {
+	check := func(a, b Coord) {
+		t.Helper()
+		sum := new(big.Int).Add(big.NewInt(int64(a)), big.NewInt(int64(b)))
+		want := new(big.Int).Quo(sum, big.NewInt(2)).Int64()
+		if got := mid(a, b); int64(got) != want {
+			t.Fatalf("mid(%d, %d) = %d, want %d", a, b, got, want)
+		}
+		if sum.IsInt64() && (a+b)/2 != mid(a, b) {
+			t.Fatalf("mid(%d, %d) = %d, Go's (a+b)/2 = %d", a, b, mid(a, b), (a+b)/2)
+		}
+	}
+	var edge []Coord
+	for d := Coord(0); d < 4; d++ {
+		edge = append(edge, math.MaxInt64-d, math.MinInt64+d, d, -d, math.MaxInt64/2-d, math.MinInt64/2+d)
+	}
+	for _, a := range edge {
+		for _, b := range edge {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		a, b := Coord(r.Uint64()), Coord(r.Uint64())
+		check(a, b)
+		check(a>>r.Intn(63), b>>r.Intn(63)) // small magnitudes too
+	}
+}
+
+// TestRectCenterNearLimits pins the midpoint of rectangles whose edge sums
+// overflow: the center stays inside the rectangle.
+func TestRectCenterNearLimits(t *testing.T) {
+	for _, r := range []Rect{
+		R(math.MaxInt64-40, math.MaxInt64-30, math.MaxInt64, math.MaxInt64-10),
+		R(math.MinInt64, math.MinInt64+11, math.MinInt64+40, math.MinInt64+31),
+	} {
+		c := r.Center()
+		if !r.Contains(c) || c.X-r.MinX != (r.MaxX-r.MinX)/2 || c.Y-r.MinY != (r.MaxY-r.MinY)/2 {
+			t.Fatalf("%v: center %v is not its midpoint", r, c)
+		}
 	}
 }
