@@ -202,6 +202,15 @@ func (g *cellGeom) containsStrict(p geom.Point) bool {
 	return false
 }
 
+// geomOf returns cell i's geometry: its entry in geos, or, when geos is nil,
+// a fresh one that serves a single check.
+func (l *Layout) geomOf(geos []cellGeom, i int) *cellGeom {
+	if geos == nil {
+		return &cellGeom{cell: &l.Cells[i]}
+	}
+	return &geos[i]
+}
+
 // obstacles returns the memoized obstacle rectangles.
 func (g *cellGeom) obstacles() []geom.Rect {
 	if g.obst == nil {
@@ -328,7 +337,7 @@ func (l *Layout) validateNets(geos []cellGeom, inside pinCells) error {
 type pinCells func(p Pin) []int32
 
 // everyCell returns the pinCells that lists every cell: the pin check of
-// validateNaive, and of ValidateEdit's pins.
+// validateNaive.
 func (l *Layout) everyCell() pinCells {
 	all := make([]int32, len(l.Cells))
 	for i := range all {
@@ -356,15 +365,48 @@ func (l *Layout) everyCell() pinCells {
 //   - for added nets, every net check: name, duplicate name, terminal and
 //     pin counts, and the full pin check.
 //
-// It costs O(cells·moved + pins·moved + nets + added pins·cells), plus a
-// full pin check per pin on a moved cell, and builds no box index.
+// The full pin check reads every cell's box and builds a cell's geometry
+// only when the box strictly contains the pin. So an edit that moves no
+// cell costs O(nets + added pins·cells) and allocates nothing that grows
+// with the layout; a move adds O(cells·moved + pins·moved) and the per-cell
+// geometry cache. No box index is built.
 func (l *Layout) ValidateEdit(moved []int, firstAdded int) error {
-	for _, ci := range moved {
-		if err := l.validateCellPlace(&l.Cells[ci]); err != nil {
+	var geos []cellGeom // nil: each check builds the geometry it needs
+	inside := l.boxScan()
+	if len(moved) > 0 {
+		for _, ci := range moved {
+			if err := l.validateCellPlace(&l.Cells[ci]); err != nil {
+				return err
+			}
+		}
+		geos = l.cellGeoms()
+		if err := l.validateMoves(geos, moved, firstAdded, inside); err != nil {
 			return err
 		}
 	}
-	geos, all := l.cellGeoms(), l.everyCell()
+	// Only an added name can repeat, so the names Validate would have seen
+	// before the first added net matter only where an added net reuses them.
+	seen := make(map[string]bool, len(l.Nets)-firstAdded)
+	for i := firstAdded; i < len(l.Nets); i++ {
+		seen[l.Nets[i].Name] = false
+	}
+	for i := range l.Nets[:firstAdded] {
+		if _, reused := seen[l.Nets[i].Name]; reused {
+			seen[l.Nets[i].Name] = true
+		}
+	}
+	for i := firstAdded; i < len(l.Nets); i++ {
+		if err := l.validateNet(i, seen, geos, inside); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateMoves runs ValidateEdit's checks of the moved cells, whose
+// placements have passed: every cell pair with a moved member, and the
+// kept nets' pins against the moved cells.
+func (l *Layout) validateMoves(geos []cellGeom, moved []int, firstAdded int, inside pinCells) error {
 	isMoved := make([]bool, len(l.Cells))
 	for _, ci := range moved {
 		isMoved[ci] = true
@@ -388,48 +430,48 @@ func (l *Layout) ValidateEdit(moved []int, firstAdded int) error {
 			}
 		}
 	}
-	if len(moved) > 0 {
-		for i := range l.Nets[:firstAdded] {
-			n := &l.Nets[i]
-			for ti := range n.Terminals {
-				t := &n.Terminals[ti]
-				for _, p := range t.Pins {
-					if p.Cell != NoCell && isMoved[p.Cell] {
-						// The pair check already implies this one: a pin on
-						// a cell's outline inside another cell means the two
-						// cells overlap. The full check keeps every moved pin
-						// independent of that argument.
-						if err := l.validatePin(n, t, p, geos, all); err != nil {
-							return err
-						}
-						continue
+	for i := range l.Nets[:firstAdded] {
+		n := &l.Nets[i]
+		for ti := range n.Terminals {
+			t := &n.Terminals[ti]
+			for _, p := range t.Pins {
+				if p.Cell != NoCell && isMoved[p.Cell] {
+					// The pair check already implies this one: a pin on a
+					// cell's outline inside another cell means the two cells
+					// overlap. The full check keeps every moved pin
+					// independent of that argument.
+					if err := l.validatePin(n, t, p, geos, inside); err != nil {
+						return err
 					}
-					for _, ci := range moved {
-						if geos[ci].containsStrict(p.Pos) {
-							return l.pinInsideError(n, t, p, ci)
-						}
+					continue
+				}
+				for _, ci := range moved {
+					if geos[ci].containsStrict(p.Pos) {
+						return l.pinInsideError(n, t, p, ci)
 					}
 				}
 			}
 		}
 	}
-	// Only an added name can repeat, so the names Validate would have seen
-	// before the first added net matter only where an added net reuses them.
-	seen := make(map[string]bool, len(l.Nets)-firstAdded)
-	for i := firstAdded; i < len(l.Nets); i++ {
-		seen[l.Nets[i].Name] = false
-	}
-	for i := range l.Nets[:firstAdded] {
-		if _, reused := seen[l.Nets[i].Name]; reused {
-			seen[l.Nets[i].Name] = true
-		}
-	}
-	for i := firstAdded; i < len(l.Nets); i++ {
-		if err := l.validateNet(i, seen, geos, all); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// boxScan returns the pinCells that reads every cell's box and lists the
+// cells whose box strictly contains the pin: containsStrict's exact
+// prefilter, so no other cell can hold the pin strictly inside. The list is
+// reused from pin to pin.
+func (l *Layout) boxScan() pinCells {
+	var hits []int32
+	return func(p Pin) []int32 {
+		hits = hits[:0]
+		for i := range l.Cells {
+			b := &l.Cells[i].Box
+			if p.Pos.X > b.MinX && p.Pos.X < b.MaxX && p.Pos.Y > b.MinY && p.Pos.Y < b.MaxY {
+				hits = append(hits, int32(i))
+			}
+		}
+		return hits
+	}
 }
 
 // validateCellPlace checks one cell's outline and placement: a valid
@@ -503,8 +545,9 @@ func (l *Layout) validateNet(i int, seen map[string]bool, geos []cellGeom, insid
 	return nil
 }
 
-// validatePin checks a single pin's placement against the memoized cell
-// geometry, testing strict containment in the cells inside lists.
+// validatePin checks a single pin's placement against the cell geometry in
+// geos (built per check when geos is nil), testing strict containment in
+// the cells inside lists.
 func (l *Layout) validatePin(n *Net, t *Terminal, p Pin, geos []cellGeom, inside pinCells) error {
 	if !l.Bounds.Contains(p.Pos) {
 		return fmt.Errorf("net %q terminal %q pin %q: %v outside bounds %v",
@@ -515,7 +558,7 @@ func (l *Layout) validatePin(n *Net, t *Terminal, p Pin, geos []cellGeom, inside
 			return fmt.Errorf("net %q terminal %q pin %q: cell id %d out of range",
 				n.Name, t.Name, p.Name, p.Cell)
 		}
-		if !geos[p.Cell].onBoundary(p.Pos) {
+		if !l.geomOf(geos, int(p.Cell)).onBoundary(p.Pos) {
 			return fmt.Errorf("net %q terminal %q pin %q: %v must lie on the boundary of cell %q",
 				n.Name, t.Name, p.Name, p.Pos, l.Cells[p.Cell].Name)
 		}
@@ -523,7 +566,7 @@ func (l *Layout) validatePin(n *Net, t *Terminal, p Pin, geos []cellGeom, inside
 	// No pin may sit strictly inside any cell: the router could never
 	// reach it.
 	for _, i := range inside(p) {
-		if CellID(i) != p.Cell && geos[i].containsStrict(p.Pos) {
+		if CellID(i) != p.Cell && l.geomOf(geos, int(i)).containsStrict(p.Pos) {
 			return l.pinInsideError(n, t, p, int(i))
 		}
 	}
@@ -634,16 +677,19 @@ func (l *Layout) WriteJSON(w io.Writer) error {
 	return enc.Encode(l)
 }
 
-// ReadJSON decodes a layout from JSON and validates it.
+// ReadJSON reads r to its end, decodes a layout from the bytes with
+// DecodeJSON and validates it.
 func ReadJSON(r io.Reader) (*Layout, error) {
-	var l Layout
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&l); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("layout: decode: %w", err)
+	}
+	l, err := DecodeJSON(b)
+	if err != nil {
+		return nil, err
 	}
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	return &l, nil
+	return l, nil
 }

@@ -3,6 +3,7 @@ package layout_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -628,4 +629,41 @@ func FuzzValidateEdit(f *testing.F) {
 		}
 		checkEdit(t, randomEdit(bases[int(base)%len(bases)], rand.New(&scriptSource{b: script})))
 	})
+}
+
+// TestValidateEditNetOnlyAllocsFlat: an edit that moves no cell builds no
+// per-cell state, so the bytes ValidateEdit allocates per call do not grow
+// with the layout. The edit removes five bus nets and adds them back, as
+// an ECO reroute of five nets does, on 16×16 and 64×64 macro grids.
+func TestValidateEditNetOnlyAllocsFlat(t *testing.T) {
+	perCall := func(n int) uint64 {
+		l, err := gen.MacroGrid(n, n, 40, 30, 12, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept, added []layout.Net
+		for _, net := range l.Nets {
+			if strings.HasPrefix(net.Name, "hb") && len(added) < 5 {
+				added = append(added, net)
+			} else {
+				kept = append(kept, net)
+			}
+		}
+		ed := &layout.Layout{Name: l.Name, Bounds: l.Bounds, Cells: l.Cells, Nets: append(kept, added...)}
+		if err := ed.ValidateEdit(nil, len(kept)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			ed.ValidateEdit(nil, len(kept))
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	small, large := perCall(16), perCall(64)
+	t.Logf("bytes per net-only ValidateEdit: %d at 16×16, %d at 64×64", small, large)
+	if large > small+small/4+256 { // slack for a stray runtime allocation
+		t.Fatalf("a net-only ValidateEdit allocates %d B per call at 64×64 against %d B at 16×16: it grows with the layout", large, small)
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/layout"
 	"repro/internal/snapshot"
 )
 
@@ -26,6 +28,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// presize bounds the buffer readBody allocates before reading, so a client
+// that declares a large body and sends little cannot make the server
+// allocate it.
+const presize = 64 << 20
+
+// readBody reads a request body of at most limit bytes into one buffer,
+// sized from Content-Length when the client sent one. The MinRead spare
+// bytes let the read that reports io.EOF land without a reallocation.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || n > presize {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // decodeBody decodes a JSON request body into v; an empty body leaves v at
@@ -93,8 +113,18 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 // resident session without rebuilding, and concurrent posts of one layout
 // share a single preparation. A session whose journal cannot be written
 // answers 500: the failure is the server's, not the layout's.
+//
+// The body is decoded, not validated: a cold build's NewEngine validates
+// the layout, and a warm start or a resident session is vouched for by its
+// fingerprint, taken over a layout that passed NewEngine. An invalid layout
+// therefore answers 400 from the cold build, before its journal is written.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	l, err := genroute.ReadLayout(http.MaxBytesReader(w, r.Body, maxLayoutBytes))
+	body, err := readBody(w, r, maxLayoutBytes)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "invalid layout: layout: decode: %v", err)
+		return
+	}
+	l, err := layout.DecodeJSON(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid layout: %v", err)
 		return

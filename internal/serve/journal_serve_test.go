@@ -327,6 +327,46 @@ func TestCreateSessionJournalWriteFailure(t *testing.T) {
 	}
 }
 
+// TestInvalidLayoutLeavesNoTrace: a create decodes the body without
+// validating it, so NewEngine's validation in the cold build is the only
+// check. With persistence on, a layout that decodes but breaks a placement
+// rule answers 400, lists no session and leaves no journal or checkpoint.
+func TestInvalidLayoutLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	touching := funnel(2)
+	touching.Cells[1].Box = genroute.R(190, 96, 210, 200) // meets "lower" at y = 96
+	inside := funnel(2)
+	inside.Nets[1].Terminals[0].Pins[0].Pos = genroute.Pt(200, 50) // a pad within "lower"
+	duplicate := funnel(2)
+	duplicate.Nets[1].Name = duplicate.Nets[0].Name
+	for _, c := range []struct {
+		l    *genroute.Layout
+		want string
+	}{
+		{touching, `cells "lower" and "upper" touch or overlap`},
+		{inside, `strictly inside cell "lower"`},
+		{duplicate, `duplicate net name "n00"`},
+	} {
+		var buf bytes.Buffer
+		if err := genroute.WriteLayout(&buf, c.l); err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		code, _ := postJSON(t, ts.URL+"/v1/sessions?pitch=2", buf.Bytes(), &er)
+		if code != http.StatusBadRequest || !strings.Contains(er.Error, c.want) {
+			t.Fatalf("create = %d %q, want 400 naming %q", code, er.Error, c.want)
+		}
+	}
+	var list []sessionResponse
+	if code := getJSON(t, ts.URL+"/v1/sessions", &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("sessions after invalid creates = %d %+v, want none", code, list)
+	}
+	if got := dirFiles(t, dir); len(got) != 0 {
+		t.Fatalf("invalid creates left files behind: %v", got)
+	}
+}
+
 // TestQuarantineCapBoundsLitter: repeated quarantines of one path keep
 // only the newest quarantineKeep .bad files — evidence retained, litter
 // bounded.
