@@ -33,11 +33,15 @@ var everywhere = scope{}
 // package; the table mirrors the invariants' blast radius:
 //
 //   - maporder guards the determinism-critical route/penalty paths: the
-//     congest/router/search pipeline plus the Engine files that splice
-//     results (engine*.go, eco.go). Elsewhere (generators, reports, CLI
-//     summaries) map order feeds humans, not routes.
-//   - ctxpoll guards the negotiation/search hot path — the only loops that
-//     run long enough for a deadline to matter.
+//     congest/router/search pipeline, the box tree the router's target
+//     queries run on, plus the Engine files that splice results
+//     (engine*.go, eco.go). Elsewhere (generators, reports, CLI summaries)
+//     map order feeds humans, not routes.
+//   - ctxpoll guards the negotiation/search hot path, the box tree's walks
+//     included — the only loops that run long enough for a deadline to
+//     matter. A //grlint:bounded or //grlint:polls directive outside its
+//     scope would be read by nothing; TestLoopDirectivesInCtxpollScope
+//     fails on one.
 //   - atomicwrite guards the packages that persist snapshots, checkpoints
 //     and the ECO journal (whose fsync-before-ack discipline it also
 //     checks).
@@ -45,11 +49,11 @@ var everywhere = scope{}
 //     and blessed-guard annotations scope them per-site.
 var scopes = map[string]scope{
 	"maporder": {
-		paths: []string{"", "internal/congest", "internal/router", "internal/search"},
+		paths: []string{"", "internal/boxtree", "internal/congest", "internal/router", "internal/search"},
 		files: map[string][]string{"": {"engine*.go", "eco.go"}},
 	},
 	"ctxpoll": {
-		paths: []string{"internal/search", "internal/congest", "internal/router"},
+		paths: []string{"internal/search", "internal/congest", "internal/router", "internal/boxtree"},
 	},
 	"atomicwrite": {
 		paths: []string{"", "internal/serve", "internal/snapshot", "internal/journal"},

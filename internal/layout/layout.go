@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/boxtree"
 	"repro/internal/geom"
 	"repro/internal/polygon"
 )
@@ -236,30 +237,31 @@ func (l *Layout) NormalizeBoxes() {
 // well-formedness. It returns the first violation found, or nil: exactly
 // what validateNaive, the all-pairs reference, returns for every input.
 //
-// After the cell loop it files the cell boxes in a boxIndex, which hands
-// the separation check, for each cell i, the cells j > i whose boxes meet
-// cell i's, and the pin check, for each pin, the cells whose boxes strictly
-// contain it, each in ascending order. Those are the only pairs and cells
-// the reference's loops can fail on, and they arrive in the reference's
-// order, so the first failing check is the same. On layouts whose boxes
-// rarely meet, which includes every gen layout, this costs about
-// O((cells + pins) log cells) instead of O(cells² + pins·cells), in O(cells)
-// extra memory; on any input it costs at most a constant times the
+// After the cell loop it files the cell boxes in a boxtree.Tree, which
+// hands the separation check, for each cell i, the cells j > i whose boxes
+// meet cell i's, and the pin check, for each pin, the cells whose boxes
+// strictly contain it, each in ascending order. Those are the only pairs
+// and cells the reference's loops can fail on, and they arrive in the
+// reference's order, so the first failing check is the same. On layouts
+// whose boxes rarely meet, which includes every gen layout, this costs
+// about O((cells + pins) log cells) instead of O(cells² + pins·cells), in
+// O(cells) extra memory; on any input it costs at most a constant times the
 // reference.
 func (l *Layout) Validate() error {
 	if err := l.validateCells(); err != nil {
 		return err
 	}
-	// The cache and the index must be built after the cell loop so
+	// The cache and the tree must be built after the cell loop so
 	// bare-polygon cells have their bounding boxes filled in.
 	geos := l.cellGeoms()
-	ix := newBoxIndex(l.Cells)
+	var ix boxtree.Tree
+	ix.Build(len(l.Cells), func(i int) geom.Rect { return l.Cells[i].Box })
 	// Restriction 3: finite, non-zero inter-cell distance. Disjoint
 	// bounding boxes cannot intersect, so separated consults the
 	// decompositions only when the boxes actually touch.
 	meets := make([]bool, len(l.Cells)) // the cells whose box meets another's
 	for i := range l.Cells {
-		for _, j := range ix.meeting(i) {
+		for _, j := range ix.Meeting(l.Cells[i].Box, false, int32(i)) {
 			meets[i], meets[j] = true, true
 			if err := l.separated(geos, i, int(j)); err != nil {
 				return err
@@ -272,7 +274,7 @@ func (l *Layout) Validate() error {
 		if p.Cell != NoCell && !meets[p.Cell] {
 			return nil
 		}
-		return ix.around(p.Pos)
+		return ix.Meeting(geom.Rect{MinX: p.Pos.X, MinY: p.Pos.Y, MaxX: p.Pos.X, MaxY: p.Pos.Y}, true, -1)
 	})
 }
 
@@ -369,7 +371,7 @@ func (l *Layout) everyCell() pinCells {
 // only when the box strictly contains the pin. So an edit that moves no
 // cell costs O(nets + added pins·cells) and allocates nothing that grows
 // with the layout; a move adds O(cells·moved + pins·moved) and the per-cell
-// geometry cache. No box index is built.
+// geometry cache. No box tree is built.
 func (l *Layout) ValidateEdit(moved []int, firstAdded int) error {
 	var geos []cellGeom // nil: each check builds the geometry it needs
 	inside := l.boxScan()

@@ -44,7 +44,7 @@ func TestIndexedTargetDeterminism(t *testing.T) {
 			maxSegs = n
 		}
 	}
-	if maxSegs <= targetLeaf {
+	if maxSegs <= 4 { // a boxtree leaf files at most four boxes
 		t.Fatalf("largest tree has %d segments; workload too small to exercise the hierarchy", maxSegs)
 	}
 	for round := 0; round < 2; round++ {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -649,6 +650,31 @@ func TestPolygonAdmissibility(t *testing.T) {
 		nr := &NetRoute{Net: "q", Segments: pathSegs(route.Points)}
 		if err := r.Validate(nr); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecycledTargetSetAllocatesNothing pins what netScratchPool recycling
+// relies on: once a target set has held a control net's tree, refilling it
+// with that tree or a smaller one, preparing it and answering every query
+// allocate nothing.
+func TestRecycledTargetSetAllocatesNothing(t *testing.T) {
+	pts, segs := controlTreeTargets(rand.New(rand.NewSource(3)))
+	ts := preparedSet(pts, segs)
+	p, to := geom.Pt(-20, 7), geom.Pt(40, 7)
+	for _, keep := range []int{len(segs), len(segs) / 3} {
+		refill := func() {
+			ts.reset()
+			ts.addPoints(pts[:keep*len(pts)/len(segs)]...)
+			ts.addSegs(segs[:keep]...)
+			ts.prepare()
+			ts.nearest(p)
+			ts.contains(p)
+			ts.crossing(p, to)
+			ts.crossing(p, p)
+		}
+		if a := testing.AllocsPerRun(10, refill); a != 0 {
+			t.Errorf("refill with %d segments allocates %v times", keep, a)
 		}
 	}
 }
