@@ -19,16 +19,17 @@
 //
 // With -snapshots, each session keeps one durable file there, its journal
 // <hash>.jrnl: written when the session is built, appended and fsynced
-// before every ECO commit is acknowledged, and folded after every
-// negotiation. A negotiation in flight also checkpoints to <hash>.ckpt.
-// Re-posting a layout, after an eviction or a restart (even kill -9),
-// replays its journal; an unusable journal is quarantined and the session
-// is built cold.
+// before every ECO commit is acknowledged, folded at every negotiation
+// checkpoint (-checkpointevery) and after every negotiation. Re-posting a
+// layout, after an eviction or a restart (even kill -9), replays its
+// journal, and the next /negotiate continues a negotiation it left in
+// flight; an unusable journal is quarantined and the session is built
+// cold.
 //
 // SIGTERM/SIGINT drain gracefully: readiness flips, in-flight requests
 // finish under -drain (past it they are cancelled cooperatively and
-// running negotiations checkpoint), and every resident session's journal
-// is flushed and closed.
+// running negotiations fold a final checkpoint into their journals), and
+// every resident session's journal is flushed and closed.
 package main
 
 import (
@@ -46,7 +47,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":7474", "listen address")
-		snapshots = flag.String("snapshots", "", "persistence directory for session journals and negotiation checkpoints (empty disables persistence)")
+		snapshots = flag.String("snapshots", "", "persistence directory for session journals, negotiation checkpoints included (empty disables persistence)")
 		sessions  = flag.Int("max-sessions", 8, "resident session LRU bound")
 		conc      = flag.Int("max-concurrent", 0, "concurrent routing requests (0 = GOMAXPROCS)")
 		queue     = flag.Int("max-queue", 0, "queued requests before load shedding (0 = 4x max-concurrent)")

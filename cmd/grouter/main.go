@@ -8,16 +8,19 @@
 //	grouter -input chip.json -congestion -pitch 4 -weight 100
 //	grouter -input chip.json -congestion -passes 2 -history 0   # the paper's plain two-pass flow
 //	grouter -input chip.json -congestion -timeout 30s           # budgeted: partial report on expiry
-//	grouter -input chip.json -congestion -checkpoint run.ckpt   # crash-safe: checkpoint as it goes
-//	grouter -input chip.json -congestion -checkpoint run.ckpt -resume   # continue an interrupted run
+//	grouter -input chip.json -congestion -checkpoint run.jrnl   # crash-safe: checkpoint into a journal
+//	grouter -input chip.json -congestion -checkpoint run.jrnl -resume   # continue an interrupted run
 //	grouter -input chip.json -tracks          # include detailed tracks
 //	grouter -input chip.json -wires           # dump the routed wires
 //
-// SIGINT/SIGTERM cancel the run cooperatively: the router finishes the rip
-// in flight, writes a final checkpoint (with -checkpoint), prints the
-// partial per-pass report and exits 1. Rerunning with -resume continues
-// from the checkpoint and produces routes byte-identical to an
-// uninterrupted run.
+// -checkpoint names the session's journal: it is written when the session
+// is prepared, and the negotiation checkpoints into it as it goes. SIGINT
+// and SIGTERM cancel the run cooperatively: the router finishes the rip in
+// flight, folds a final checkpoint into the journal (with -checkpoint),
+// prints the partial per-pass report and exits 1. Rerunning with -resume
+// recovers the session from the journal and continues the negotiation,
+// producing routes byte-identical to an uninterrupted run; a run stopped
+// inside pass 1 has taken no checkpoint yet, so its rerun starts afresh.
 //
 // Exit codes: 0 success, 1 failure or interruption, 2 usage, 3 the report
 // contains DEGRADED (panic-poisoned) nets — pass -degraded-ok to treat
@@ -51,9 +54,9 @@ func main() {
 		weightStep = flag.Int64("weightstep", 0, "present-cost escalation per pass (0 = flat weight)")
 		historyW   = flag.Int64("historyweight", 0, "history step decoupled from -weight (0 = coupled)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget; on expiry the partial per-pass report is printed (0 = none)")
-		checkpoint = flag.String("checkpoint", "", "negotiation checkpoint file (with -congestion): written atomically at pass boundaries, mid-pass per -checkpointevery, and on interruption")
+		checkpoint = flag.String("checkpoint", "", "session journal (with -congestion): written at preparation; the negotiation checkpoints into it at pass boundaries, mid-pass per -checkpointevery, and on interruption")
 		ckptEvery  = flag.Int("checkpointevery", 64, "mid-pass checkpoint cadence in rip-ups (0 = pass boundaries only; with -checkpoint)")
-		resume     = flag.Bool("resume", false, "resume the -congestion run from the -checkpoint file instead of starting fresh")
+		resume     = flag.Bool("resume", false, "recover the session from the -checkpoint journal and continue its -congestion run instead of starting fresh")
 		tracks     = flag.Bool("tracks", false, "run detailed track assignment")
 		wires      = flag.Bool("wires", false, "print the routed segments")
 		draw       = flag.Bool("draw", false, "render the routed layout as ASCII art")
@@ -90,23 +93,29 @@ func main() {
 		opts = append(opts, genroute.WithCornerRule())
 	}
 	if *checkpoint != "" {
-		opts = append(opts, genroute.WithCheckpointFile(*checkpoint, *ckptEvery))
+		opts = append(opts, genroute.WithJournalFile(*checkpoint), genroute.WithCheckpointEvery(*ckptEvery))
 	}
 	if *resume && (*checkpoint == "" || !*congestion) {
 		fmt.Fprintln(os.Stderr, "grouter: -resume requires -congestion and -checkpoint")
 		os.Exit(2)
 	}
 	prepStart := time.Now()
-	e, err := genroute.NewEngine(l, opts...)
+	var e *genroute.Engine
+	how := "validate + obstacle index + passage extraction"
+	if *resume {
+		e, err = genroute.LoadEngineJournal(*checkpoint, l, opts...)
+		how = "recovered from " + *checkpoint
+	} else {
+		e, err = genroute.NewEngine(l, opts...)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("session prepared in %v (validate + obstacle index + passage extraction)\n",
-		time.Since(prepStart).Round(time.Millisecond))
+	fmt.Printf("session prepared in %v (%s)\n", time.Since(prepStart).Round(time.Millisecond), how)
 
 	// SIGINT/SIGTERM cancel cooperatively: the run stops at the next poll
-	// point, writes its final checkpoint (with -checkpoint) and reports the
-	// partial state.
+	// point, folds its final checkpoint into the journal (with -checkpoint)
+	// and reports the partial state.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
@@ -116,28 +125,7 @@ func main() {
 	}
 
 	if *congestion {
-		var res *genroute.NegotiatedResult
-		var err error
-		if *resume {
-			cf, oerr := os.Open(*checkpoint)
-			if oerr != nil {
-				fatal(oerr)
-			}
-			cp, rerr := genroute.ReadCheckpoint(cf)
-			cf.Close()
-			if rerr != nil {
-				fatal(rerr)
-			}
-			where := "a pass boundary"
-			if cp.InPass() {
-				where = "mid-pass"
-			}
-			fmt.Printf("resuming from %s: %d passes recorded, checkpoint at %s\n",
-				*checkpoint, cp.Passes(), where)
-			res, err = e.ResumeNegotiated(ctx, cp)
-		} else {
-			res, err = e.RouteNegotiated(ctx)
-		}
+		res, err := e.RouteNegotiated(ctx)
 		interrupted := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 		if err != nil && !interrupted {
 			fatal(err)
@@ -145,9 +133,19 @@ func main() {
 		if res == nil {
 			fatal(err)
 		}
+		if *resume {
+			if res.PassesBefore > 0 {
+				fmt.Printf("resumed the negotiation in %s after %d recorded passes\n", *checkpoint, res.PassesBefore)
+			} else {
+				fmt.Printf("no negotiation in flight in %s: negotiating afresh\n", *checkpoint)
+			}
+		}
+		// Passes of a resumed run are numbered after the recorded ones, and
+		// the verdict below describes the whole negotiation.
+		passes := res.PassesBefore + len(res.Passes)
 		for i, p := range res.Passes {
 			fmt.Printf("pass %d: length=%d overflow=%d (over %d passages), rerouted %d nets, routed %d/%d, %d layout expansions, pass took %v\n",
-				i+1, p.TotalLength, p.Overflow, p.Overflowed,
+				res.PassesBefore+i+1, p.TotalLength, p.Overflow, p.Overflowed,
 				len(p.Rerouted), p.Routed, s.Nets, p.Stats.Expanded, p.Elapsed.Round(time.Microsecond))
 		}
 		if n := len(res.Panics); n > 0 {
@@ -161,21 +159,25 @@ func main() {
 				what = "INTERRUPTED"
 			}
 			fmt.Printf("%s: best state kept (%d passes recorded, session overflow %d)\n",
-				what, len(res.Passes), e.Overflow())
+				what, passes, e.Overflow())
 			if *checkpoint != "" {
-				fmt.Printf("checkpoint saved to %s; rerun with -resume to continue\n", *checkpoint)
+				note := ""
+				if passes == 1 {
+					note = " (a run stopped inside pass 1 has none and starts afresh)"
+				}
+				fmt.Printf("session saved in the journal %s; rerun with -resume to continue from its last checkpoint%s\n", *checkpoint, note)
 			}
 			os.Exit(1)
-		case res.Converged && len(res.Passes) == 1:
+		case res.Converged && passes == 1:
 			fmt.Println("no congestion: single pass suffices")
 		case res.Converged:
-			fmt.Printf("converged: zero overflow after %d passes\n", len(res.Passes))
+			fmt.Printf("converged: zero overflow after %d passes\n", passes)
 		case res.Stalled:
 			fmt.Printf("stalled after %d passes with overflow %d (raise -weight or -history)\n",
-				len(res.Passes), res.FinalMap().TotalOverflow())
+				passes, res.FinalMap().TotalOverflow())
 		default:
 			fmt.Printf("pass budget exhausted after %d passes with overflow %d\n",
-				len(res.Passes), res.FinalMap().TotalOverflow())
+				passes, res.FinalMap().TotalOverflow())
 		}
 		report(e, *tracks, *wires, *draw)
 		if len(res.Panics) > 0 && !*degradedOK {

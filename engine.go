@@ -49,11 +49,11 @@ import (
 //     relies on: many simultaneous RouteNet calls against one prepared
 //     session (per-net routing depends only on the obstacle geometry, so
 //     reads never contend on anything but the lock).
-//   - Write-side methods — RouteAll, RouteNegotiated, ResumeNegotiated and
-//     Edit.Commit — replace the session state and take the lock
-//     exclusively. A long negotiation therefore blocks concurrent reads on
-//     the same session until it completes or is cancelled; bound it with a
-//     context deadline if readers must not starve.
+//   - Write-side methods — RouteAll, RouteNegotiated and Edit.Commit —
+//     replace the session state and take the lock exclusively. A long
+//     negotiation therefore blocks concurrent reads on the same session
+//     until it completes or is cancelled; bound it with a context deadline
+//     if readers must not starve.
 //
 // The lock is not context-aware: a method waits for the lock before its
 // context is consulted. Layout reads the layout pointer under RLock but
@@ -63,8 +63,8 @@ import (
 // writes neither, so a layout read before a commit stays valid after it.
 type Engine struct {
 	// mu enforces the readers–writer contract above. State-replacing flows
-	// (RouteAll, RouteNegotiated, ResumeNegotiated, Edit.Commit) hold it
-	// exclusively; everything else reads under RLock.
+	// (RouteAll, RouteNegotiated, Edit.Commit) hold it exclusively;
+	// everything else reads under RLock.
 	mu sync.RWMutex
 
 	l   *Layout      //grlint:guardedby mu
@@ -81,6 +81,11 @@ type Engine struct {
 	cur     *router.LayoutResult //grlint:guardedby mu
 	m       *congest.Map         //grlint:guardedby mu
 	history []int                //grlint:guardedby mu
+	// pending is the negotiation in flight: the latest checkpoint of an
+	// interrupted RouteNegotiated, which the next one continues. Every
+	// other install retires it (see setState); Save and the journal carry
+	// it. nil when there is none.
+	pending *congest.Checkpoint //grlint:guardedby mu
 
 	// jr is the write-ahead ECO journal: written by NewEngine or LoadEngine
 	// under WithJournalFile, attached by LoadEngineJournal after its replay,
@@ -91,10 +96,10 @@ type Engine struct {
 	// appending (see journalFoldAfterFlowLocked).
 	jrStale bool //grlint:guardedby mu
 
-	// lhash memoizes the layout fingerprint for Save and checkpoint writes
-	// (0 = not yet computed; ECO commits reset it). Atomic so concurrent
-	// readers (Save under RLock) can memoize without a data race; a
-	// duplicate compute is benign.
+	// lhash memoizes the layout fingerprint for Save and the journal (0 =
+	// not yet computed; ECO commits set the edited layout's). Atomic so
+	// concurrent readers (Save under RLock) can memoize without a data race;
+	// a duplicate compute is benign.
 	lhash atomic.Uint64
 }
 
@@ -192,9 +197,13 @@ func errNotRouted(flow string) error {
 }
 
 // setState installs a fresh routing state and its congestion bookkeeping.
+// The install retires the negotiation in flight, if any: it would continue
+// from routes the session no longer holds. (An interrupted RouteNegotiated
+// re-arms its own checkpoint after installing; see installNegotiated.)
 func (e *Engine) setState(res *router.LayoutResult, m *congest.Map, history []int) {
 	e.cur = res
 	e.m = m
+	e.pending = nil
 	if history == nil {
 		history = make([]int, len(e.passages))
 	}
@@ -259,13 +268,25 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 // receives one "negotiate" event per pass. On cancellation or deadline
 // expiry the best pass seen so far — minimum overflow, then most nets
 // routed — is installed and the passes completed are returned together
-// with the context's error. With WithCheckpointFile, the run also persists
-// a restartable checkpoint that Engine.ResumeNegotiated can continue from.
-// Like RouteAll, it folds an existing ECO journal after the install.
+// with the context's error. With WithCheckpointEvery the run checkpoints
+// into the session's journal, and an interrupted run leaves its last
+// checkpoint as the negotiation in flight: the next RouteNegotiated — on
+// this session, or on the one LoadEngineJournal recovers after a crash —
+// continues it from the exact rip it stopped at (congest.NegotiateResume),
+// under the original pass budget, and installs the routes the
+// uninterrupted run would have. The result then covers the continued
+// passes only, and its PassesBefore counts the ones recorded before. Like
+// RouteAll, it folds an existing ECO journal after the install.
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, err := congest.Negotiate(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
+	var res *congest.NegotiateResult
+	var err error
+	if e.pending != nil {
+		res, err = congest.NegotiateResume(ctx, e.l, e.ix, e.passages, e.negotiateConfig(), e.pending)
+	} else {
+		res, err = congest.Negotiate(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
+	}
 	return res, e.installNegotiated(res, err)
 }
 

@@ -1,10 +1,15 @@
 package genroute
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // TestEngineConcurrentRouteAndCommit hammers one routed session with the
@@ -102,6 +107,66 @@ func TestEngineConcurrentRouteAndCommit(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	checkEngineConsistency(t, e)
+}
+
+// TestEngineConcurrentSaveDuringCheckpoints: Save reads the negotiation
+// in flight under the shared lock while the writer sets it at every
+// checkpoint, keeps it across an interruption and retires it on the
+// resumed run's completion. Under -race this pins that every access to it
+// goes through the lock; every frame Save writes meanwhile must decode.
+func TestEngineConcurrentSaveDuringCheckpoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jrnl")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e, err := NewEngine(funnelLayout(8), persistOpts(
+		WithJournalFile(path),
+		WithCheckpointEvery(1),
+		WithProgress(func(p Progress) {
+			if p.Pass == 2 {
+				cancel()
+			}
+		}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var buf bytes.Buffer
+				if err := e.Save(&buf); err != nil {
+					t.Errorf("concurrent Save: %v", err)
+					return
+				}
+				if _, err := snapshot.DecodeSession(&buf); err != nil {
+					t.Errorf("concurrent Save wrote an undecodable frame: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	if _, err := e.RouteNegotiated(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PassesBefore == 0 {
+		t.Fatal("the second run did not resume the interrupted one")
+	}
 	checkEngineConsistency(t, e)
 }
 

@@ -24,8 +24,9 @@ import (
 // post-commit fingerprint.
 //
 // The journal is a session's one durable file: a journal without records is
-// a snapshot, restored as LoadEngine restores one. Only a negotiation in
-// flight keeps a second file, its checkpoint (WithCheckpointFile).
+// a snapshot, restored as LoadEngine restores one. A negotiation in flight
+// lives there too: with WithCheckpointEvery every checkpoint is a fold
+// whose base carries it.
 
 // WithJournalFile makes the session durable in one append-only journal at
 // path. NewEngine and LoadEngine write the journal's header — the
@@ -37,20 +38,18 @@ import (
 // layout (and, for an uninterrupted history, the same routes) as the live
 // session. After DefaultCompactRecords records or DefaultCompactBytes bytes
 // a commit folds the journal into a fresh base so replay cost stays
-// bounded. RouteAll, RouteNegotiated and ResumeNegotiated fold it after
-// every run as well: the routes they install are described by no record.
-// When that fold fails they return ErrJournalFold, and the next commit
-// folds before it appends.
+// bounded. RouteAll and RouteNegotiated fold it after every run as well:
+// the routes they install are described by no record. When that fold fails
+// they return ErrJournalFold, and the next commit folds before it appends.
 func WithJournalFile(path string) Option {
 	return func(c *config) { c.jrnlPath = path }
 }
 
-// ErrJournalFold marks the error RouteAll, RouteNegotiated and
-// ResumeNegotiated return when they installed their routes but could not
-// fold the session's ECO journal into a fresh base. Until a fold succeeds
-// — the next Edit.Commit retries it before appending, and fails if it
-// cannot — recovery from the journal yields the session as it was before
-// the flow.
+// ErrJournalFold marks the error RouteAll and RouteNegotiated return when
+// they installed their routes but could not fold the session's ECO journal
+// into a fresh base. Until a fold succeeds — the next Edit.Commit retries
+// it before appending, and fails if it cannot — recovery from the journal
+// yields the session as it was before the flow.
 var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 
 // ErrJournalAppend marks a failure to write the ECO journal durably: an
@@ -88,9 +87,14 @@ func (e *Engine) CloseJournal() error {
 
 // journalCreate writes the journal's header and base for a freshly built
 // session, when WithJournalFile asks for one. The session's layout is the
-// creation layout, so the base carries no layout of its own.
+// creation layout, so the base carries no layout of its own. Without a
+// journal, WithCheckpointEvery fails construction: its checkpoints would
+// have nowhere to go.
 func (e *Engine) journalCreate() error {
 	if e.cfg.jrnlPath == "" {
+		if e.cfg.checkpoint {
+			return errors.New("genroute: WithCheckpointEvery needs WithJournalFile: checkpoints are folds of the session's journal")
+		}
 		return nil
 	}
 	hdr := journal.Header{LayoutHash: e.layoutHash(), Pitch: e.cfg.congest.Pitch}
@@ -168,9 +172,9 @@ func (e *Engine) journalCompactLocked() {
 }
 
 // journalFoldAfterFlowLocked folds the journal after a whole-layout flow
-// (RouteAll, RouteNegotiated, ResumeNegotiated) installed its routes,
-// under the same exclusive lock. The flow replaced routes that no journal
-// record describes, so without the fold LoadEngineJournal would replay the
+// (RouteAll, RouteNegotiated) installed its routes, under the same
+// exclusive lock. The flow replaced routes that no journal record
+// describes, so without the fold LoadEngineJournal would replay the
 // records onto the old base and revive the replaced routes. A failed fold
 // marks the journal stale and is returned joined to the flow's own error
 // err, matching ErrJournalFold.
@@ -243,7 +247,9 @@ func applyJournalOp(tx *Edit, op *journal.Op) error {
 // is decoded and validated like any other input. Each replayed commit is
 // verified against the record's post-commit layout fingerprint —
 // divergence fails closed with ErrSnapshotCorrupt rather than resurrecting
-// a wrong session.
+// a wrong session. A negotiation in flight in the base is restored with it;
+// a replayed commit retires it exactly as the live commit did, and
+// RouteNegotiated on the recovered session continues one that survives.
 //
 // Replay-equals-live: Edit.Commit's repair is deterministic (fixed rip-up
 // order, byte-identical across worker counts), so replaying the records of
@@ -326,5 +332,6 @@ func (e *Engine) saveLocked(w io.Writer) error {
 		sess.Nets = e.cur.Nets
 		sess.History = e.history
 	}
+	sess.Negotiation = e.pending
 	return snapshot.EncodeSession(w, sess)
 }

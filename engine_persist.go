@@ -1,7 +1,6 @@
 package genroute
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -12,10 +11,10 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Typed persistence errors, for errors.Is. Save/LoadEngine and the
-// checkpoint flows fail closed: a snapshot that cannot be proven to match
-// is rejected with one of these rather than producing a silently wrong
-// session.
+// Typed persistence errors, for errors.Is. LoadEngine and
+// LoadEngineJournal fail closed: a snapshot or journal that cannot be
+// proven to match is rejected with one of these rather than producing a
+// silently wrong session.
 var (
 	// ErrSnapshotFormat marks a stream that is not a snapshot at all.
 	ErrSnapshotFormat = snapshot.ErrFormat
@@ -26,8 +25,8 @@ var (
 	ErrSnapshotChecksum = snapshot.ErrChecksum
 	// ErrSnapshotCorrupt marks a checksummed payload that does not decode.
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
-	// ErrSnapshotLayout marks a snapshot or checkpoint applied to a layout
-	// (or pitch) other than the one it was saved over.
+	// ErrSnapshotLayout marks a snapshot or journal applied to a layout
+	// other than the one it was saved over.
 	ErrSnapshotLayout = snapshot.ErrLayout
 )
 
@@ -45,11 +44,12 @@ func (e *Engine) layoutHash() uint64 {
 }
 
 // Save serializes the prepared session to w: the layout fingerprint, the
-// congestion pitch and passage tables, and — when the session has routed —
-// the per-net routes and overflow history. The obstacle index, interval
-// trees and memoized validation geometry are NOT serialized: they are
-// deterministic functions of the layout and rebuilding them is far cheaper
-// than re-validating, so LoadEngine reconstructs them from the layout it is
+// congestion pitch and passage tables, the per-net routes and overflow
+// history once the session has routed, and the negotiation in flight, if
+// any (see WithCheckpointEvery). The obstacle index, interval trees and
+// memoized validation geometry are NOT serialized: they are deterministic
+// functions of the layout and rebuilding them is far cheaper than
+// re-validating, so LoadEngine reconstructs them from the layout it is
 // handed and uses the embedded fingerprint to prove that layout is
 // byte-identical to the validated one saved over.
 func (e *Engine) Save(w io.Writer) error {
@@ -68,7 +68,9 @@ func (e *Engine) Save(w io.Writer) error {
 //
 // The snapshot's pitch overrides any WithPitch option: the serialized
 // passage capacities were extracted at that pitch, and a session must stay
-// consistent with its own tables. Other options apply as in NewEngine.
+// consistent with its own tables. Other options apply as in NewEngine. A
+// negotiation in flight in the snapshot is restored, and the loaded
+// session's RouteNegotiated continues it.
 func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
 	sess, err := snapshot.DecodeSession(r)
 	if err != nil {
@@ -90,7 +92,10 @@ func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
 // private box-normalized layout that fingerprints to h. Any other
 // fingerprint than the frame's fails closed with ErrSnapshotLayout. Nothing
 // is validated: the layout the frame was saved over passed Validate, and
-// the fingerprint proves lc is that layout. No journal is attached.
+// the fingerprint proves lc is that layout. Routes and a negotiation in
+// flight that do not cover lc's nets fail closed with ErrSnapshotCorrupt
+// (DecodeSession made the checks that need no layout). No journal is
+// attached.
 func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*Engine, error) {
 	if h != sess.LayoutHash {
 		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, snapshot was saved over %016x",
@@ -118,72 +123,24 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 		res.Finalize(time.Now())
 		e.setState(res, congest.BuildMap(e.passages, netSegments(res)), sess.History)
 	}
+	if cp := sess.Negotiation; cp != nil {
+		if len(cp.Nets) != len(lc.Nets) {
+			return nil, fmt.Errorf("%w: negotiation in flight routes %d nets, layout has %d",
+				ErrSnapshotCorrupt, len(cp.Nets), len(lc.Nets))
+		}
+		// The codec stores no net names: they are positional in lc.
+		for i := range cp.Nets {
+			cp.Nets[i].Net = lc.Nets[i].Name
+		}
+		e.pending = cp
+	}
 	return e, nil
-}
-
-// Checkpoint is a decoded negotiation checkpoint (see ReadCheckpoint and
-// Engine.ResumeNegotiated). It is opaque apart from a few read-only
-// descriptors for reporting.
-type Checkpoint struct {
-	f *snapshot.CheckpointFile
-}
-
-// Passes reports how many negotiation passes were recorded when the
-// checkpoint was taken.
-func (cp *Checkpoint) Passes() int { return cp.f.CP.PassesRecorded }
-
-// InPass reports whether the checkpoint was taken mid-pass (true) or at a
-// pass boundary.
-func (cp *Checkpoint) InPass() bool { return cp.f.CP.InPass }
-
-// ReadCheckpoint decodes a checkpoint file written by a session configured
-// with WithCheckpointFile.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	f, err := snapshot.DecodeCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{f: f}, nil
-}
-
-// ResumeNegotiated continues a negotiation run from a checkpoint taken over
-// this session's layout and pitch (anything else fails closed with
-// ErrSnapshotLayout). The resumed run is byte-identical to the
-// uninterrupted one: it finishes the interrupted pass from the exact rip it
-// stopped at and continues under the original pass budget. The returned
-// result covers the resumed portion only; the session's state is installed
-// exactly as RouteNegotiated would.
-func (e *Engine) ResumeNegotiated(ctx context.Context, cp *Checkpoint) (*NegotiatedResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cp.f.LayoutHash != e.layoutHash() {
-		return nil, fmt.Errorf("%w: checkpoint was taken over a different layout", ErrSnapshotLayout)
-	}
-	if cp.f.Pitch != e.cfg.congest.Pitch {
-		return nil, fmt.Errorf("%w: checkpoint pitch %d, session pitch %d",
-			ErrSnapshotLayout, cp.f.Pitch, e.cfg.congest.Pitch)
-	}
-	inner := cp.f.CP
-	if len(inner.Nets) != len(e.l.Nets) {
-		return nil, fmt.Errorf("%w: checkpoint routes %d nets, layout has %d",
-			ErrSnapshotLayout, len(inner.Nets), len(e.l.Nets))
-	}
-	// The codec does not store net names; they are positional in the
-	// layout the checkpoint belongs to.
-	nets := make([]router.NetRoute, len(inner.Nets))
-	copy(nets, inner.Nets)
-	for i := range nets {
-		nets[i].Net = e.l.Nets[i].Name
-	}
-	inner.Nets = nets
-	res, err := congest.NegotiateResume(ctx, e.l, e.ix, e.passages, e.negotiateConfig(), &inner)
-	return res, e.installNegotiated(res, err)
 }
 
 // negotiateConfig assembles the congest.Config for a (fresh or resumed)
 // negotiation run: congestion parameters, workers, base router options,
-// the progress adapter and — with WithCheckpointFile — the atomic
-// checkpoint writer.
+// the progress adapter and — with WithCheckpointEvery — the checkpoint
+// hook that folds the journal.
 func (e *Engine) negotiateConfig() congest.Config {
 	ccfg := e.cfg.congest
 	ccfg.Workers = e.cfg.workers
@@ -194,18 +151,32 @@ func (e *Engine) negotiateConfig() congest.Config {
 			e.emit(passProgress("negotiate", n, p, total))
 		}
 	}
-	if e.cfg.ckptPath != "" {
-		path := e.cfg.ckptPath
+	if e.cfg.checkpoint {
 		ccfg.CheckpointEvery = e.cfg.ckptEvery
-		ccfg.Checkpoint = func(cp *congest.Checkpoint) error {
-			return writeCheckpointFile(path, &snapshot.CheckpointFile{
-				LayoutHash: e.layoutHash(),
-				Pitch:      e.cfg.congest.Pitch,
-				CP:         *cp,
-			})
-		}
+		ccfg.Checkpoint = e.checkpointLocked
 	}
 	return ccfg
+}
+
+// checkpointLocked is the negotiation's checkpoint hook, run under the
+// exclusive lock RouteNegotiated holds: cp becomes the negotiation in
+// flight and the journal is folded, so its base carries it. When the fold
+// fails or panics, the journal is left as it was and so is the pending
+// state, which still matches it; the hook's error aborts the run.
+func (e *Engine) checkpointLocked(cp *congest.Checkpoint) error {
+	prev := e.pending
+	e.pending = cp
+	folded := false
+	defer func() {
+		if !folded {
+			e.pending = prev
+		}
+	}()
+	if err := e.journalFoldLocked(); err != nil {
+		return err
+	}
+	folded = true
+	return nil
 }
 
 // installNegotiated installs a negotiation result as the session state. A
@@ -214,10 +185,12 @@ func (e *Engine) negotiateConfig() congest.Config {
 // most nets routed — rather than the last partial one: overflow is not
 // monotone across passes, and the best state seen is what a deadline-bound
 // caller wants to keep. The History installed is the whole run's (it
-// accrues monotonically and seeds any follow-up negotiation). After an
-// install the ECO journal, if any, is folded (see
-// journalFoldAfterFlowLocked). It returns the run's error joined with a
-// failed fold's.
+// accrues monotonically and seeds any follow-up negotiation). A completed
+// run retires the negotiation in flight, as every install does; an
+// interrupted one keeps its last checkpoint as the point the next
+// RouteNegotiated resumes from. After an install the ECO journal, if any,
+// is folded (see journalFoldAfterFlowLocked). It returns the run's error
+// joined with a failed fold's.
 func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) error {
 	if res == nil || len(res.Results) == 0 {
 		return err
@@ -228,15 +201,10 @@ func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) erro
 			k = b
 		}
 	}
+	pending := e.pending
 	e.setState(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...))
+	if err != nil {
+		e.pending = pending
+	}
 	return e.journalFoldAfterFlowLocked(err)
-}
-
-// writeCheckpointFile writes a checkpoint atomically (see
-// snapshot.WriteFileAtomic) — a crash mid-write leaves the previous
-// checkpoint intact, never a torn one.
-func writeCheckpointFile(path string, cf *snapshot.CheckpointFile) error {
-	return snapshot.WriteFileAtomic(path, func(w io.Writer) error {
-		return snapshot.EncodeCheckpoint(w, cf)
-	}, nil)
 }

@@ -1,6 +1,7 @@
 package genroute
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 )
 
 // failSnapshotWrites injects an error on the Nth write to the given
@@ -35,57 +37,82 @@ func tmpLitter(t *testing.T, path string) []string {
 	return m
 }
 
-// TestCheckpointWriteFailureLeavesNoTempFiles: a checkpoint write that
-// fails mid-stream must surface the error, leave no *.tmp-* litter, and
-// keep the previous checkpoint file byte-intact.
+// TestCheckpointWriteFailureLeavesNoTempFiles: a checkpoint whose journal
+// fold fails mid-write must surface the error, leave no *.tmp-* litter and
+// keep the previous journal byte-intact, and the engine's negotiation in
+// flight must still be the one that journal holds.
 func TestCheckpointWriteFailureLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	l := funnelLayout(6)
-
-	// First, a healthy run writes a valid checkpoint.
-	e, err := NewEngine(l, append(persistOpts(), WithCheckpointFile(path, 1))...)
+	path := filepath.Join(dir, "run.jrnl")
+	e, err := NewEngine(funnelLayout(6), persistOpts(WithJournalFile(path), WithCheckpointEvery(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteNegotiated(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	prev, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("healthy run wrote no checkpoint: %v", err)
-	}
 
-	// Now fail the second write of the next checkpoint attempt (header
-	// lands, payload does not — a mid-stream failure, not an open error).
-	restore := failSnapshotWrites(path, 1)
+	// The first checkpoint (pass 1's boundary) folds; the second fails on
+	// its write, once its temp file exists. The journal that first fold
+	// left is read just before the failure.
+	var prev []byte
+	writes := 0
+	restore := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
+		if s.Point != faultinject.SnapshotWrite || s.Label != path {
+			return faultinject.None
+		}
+		if writes++; writes < 2 {
+			return faultinject.None
+		}
+		if prev == nil {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Error(err)
+			}
+			prev = b
+		}
+		return faultinject.Error
+	})
 	defer restore()
-	e2, err := NewEngine(l, append(persistOpts(), WithCheckpointFile(path, 1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e2.RouteNegotiated(context.Background())
+	_, err = e.RouteNegotiated(context.Background())
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("negotiation error = %v, want injected write failure", err)
 	}
 	if litter := tmpLitter(t, path); len(litter) != 0 {
-		t.Fatalf("failed checkpoint write left temp files behind: %v", litter)
+		t.Fatalf("failed checkpoint fold left temp files behind: %v", litter)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("previous checkpoint gone after failed write: %v", err)
+		t.Fatalf("journal gone after a failed checkpoint fold: %v", err)
 	}
-	if string(got) != string(prev) {
-		t.Fatal("failed checkpoint write corrupted the previous checkpoint")
+	if prev == nil || !bytes.Equal(got, prev) {
+		t.Fatal("failed checkpoint fold corrupted the previous journal")
+	}
+	if e.pending == nil || e.pending.InPass || e.pending.PassesRecorded != 1 {
+		t.Fatalf("negotiation in flight %+v, want pass 1's boundary, the checkpoint the journal holds", e.pending)
+	}
+	rb, err := e.journalRebase(e.jr.Header().LayoutHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journal.EncodeBase(e.jr.Header(), rb), got) {
+		t.Fatal("the engine's state no longer matches its journal")
 	}
 }
 
 // TestCheckpointWritePanicLeavesNoTempFiles: even a panic inside the
-// encode (the one path the old writer's error plumbing could not clean
-// up) removes the temp file on the way out.
+// checkpoint fold's write (the one path the old writer's error plumbing
+// could not clean up) removes the temp file on the way out, leaves the
+// journal written at construction byte-intact, and leaves no negotiation
+// in flight that the journal does not hold.
 func TestCheckpointWritePanicLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
+	path := filepath.Join(dir, "run.jrnl")
+	e, err := NewEngine(funnelLayout(6), persistOpts(WithJournalFile(path), WithCheckpointEvery(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	restore := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
 		if s.Point == faultinject.SnapshotWrite && s.Label == path {
 			return faultinject.Panic
@@ -94,10 +121,6 @@ func TestCheckpointWritePanicLeavesNoTempFiles(t *testing.T) {
 	})
 	defer restore()
 
-	e, err := NewEngine(funnelLayout(6), append(persistOpts(), WithCheckpointFile(path, 1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	func() {
 		defer func() {
 			v := recover()
@@ -108,10 +131,13 @@ func TestCheckpointWritePanicLeavesNoTempFiles(t *testing.T) {
 		e.RouteNegotiated(context.Background())
 	}()
 	if litter := tmpLitter(t, path); len(litter) != 0 {
-		t.Fatalf("panicking checkpoint write left temp files behind: %v", litter)
+		t.Fatalf("panicking checkpoint fold left temp files behind: %v", litter)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("no checkpoint should exist after a failed first write, stat: %v", err)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("panicking checkpoint fold changed the journal (read err %v)", err)
+	}
+	if e.pending != nil {
+		t.Fatal("the engine keeps a negotiation in flight its journal does not hold")
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/congest"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/snapshot"
 )
 
@@ -191,11 +193,11 @@ func TestLoadAdoptsSnapshotPitch(t *testing.T) {
 }
 
 // TestEngineCheckpointResumeEndToEnd is the engine-level kill-and-resume
-// flow grouter uses: a checkpointed run is interrupted, a fresh engine
-// resumes from the file, and the merged run matches an uninterrupted one
-// byte-identically.
+// flow grouter uses: a run checkpointing into its journal is interrupted, a
+// session recovered from the journal continues it, and the merged run
+// matches an uninterrupted one byte-identically.
 func TestEngineCheckpointResumeEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
+	path := filepath.Join(t.TempDir(), "run.jrnl")
 
 	ref, err := NewEngine(funnelLayout(8), persistOpts()...)
 	if err != nil {
@@ -212,7 +214,8 @@ func TestEngineCheckpointResumeEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ea, err := NewEngine(funnelLayout(8), persistOpts(
-		WithCheckpointFile(path, 1),
+		WithJournalFile(path),
+		WithCheckpointEvery(1),
 		WithProgress(func(p Progress) {
 			if p.Pass == 2 {
 				cancel()
@@ -224,31 +227,24 @@ func TestEngineCheckpointResumeEndToEnd(t *testing.T) {
 	if _, err := ea.RouteNegotiated(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
-	cp, err := ReadCheckpoint(f)
-	f.Close()
-	if err != nil {
+	if err := ea.CloseJournal(); err != nil {
 		t.Fatal(err)
-	}
-	if cp.Passes() < 1 {
-		t.Fatalf("checkpoint records %d passes", cp.Passes())
 	}
 
-	eb, err := NewEngine(funnelLayout(8), persistOpts(WithCheckpointFile(path, 1))...)
+	eb, err := LoadEngineJournal(path, funnelLayout(8), persistOpts(WithCheckpointEvery(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eb.ResumeNegotiated(context.Background(), cp)
+	res, err := eb.RouteNegotiated(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cp.Passes()+len(res.Passes), len(refRes.Passes); got != want {
+	if res.PassesBefore < 1 {
+		t.Fatalf("recovered session ran fresh (%d passes recorded before); the journal lost the checkpoint", res.PassesBefore)
+	}
+	if got, want := res.PassesBefore+len(res.Passes), len(refRes.Passes); got != want {
 		t.Fatalf("checkpointed %d + resumed %d passes, uninterrupted run took %d",
-			cp.Passes(), len(res.Passes), want)
+			res.PassesBefore, len(res.Passes), want)
 	}
 	checkSameRoutes(t, eb.Result(), ref.Result())
 	if eb.Overflow() != ref.Overflow() {
@@ -257,40 +253,195 @@ func TestEngineCheckpointResumeEndToEnd(t *testing.T) {
 	checkEngineConsistency(t, eb)
 }
 
-// TestResumeRejectsMismatch: a checkpoint only resumes over the exact
-// layout and pitch it was taken over.
-func TestResumeRejectsMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	e, err := NewEngine(funnelLayout(8), persistOpts(WithCheckpointFile(path, 1))...)
+// writeJournal writes a journal at path whose base embeds the session frame
+// and whose header names funnelLayout(8) at pitch 2, the layout and pitch
+// the frames of these tests come from.
+func writeJournal(t *testing.T, path string, frame []byte) {
+	t.Helper()
+	l := funnelLayout(8)
+	l.NormalizeBoxes()
+	j, err := journal.Create(path, journal.Header{LayoutHash: snapshot.LayoutHash(l), Pitch: 2}, journal.Rebase{Session: frame})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteNegotiated(context.Background()); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	other, err := NewEngine(funnelLayout(6), persistOpts()...)
+// TestLoadRejectsInconsistentNegotiation: a negotiation in flight that
+// passes its checksum but would not resume into the session it travels
+// with fails LoadEngine and LoadEngineJournal with ErrSnapshotCorrupt, the
+// class groutd quarantines, instead of failing later inside
+// congest.NegotiateResume with an error nobody can classify. The frame is
+// the funnel's mid-pass checkpoint (an unrouted session, so the net count
+// is the loader's check, not the decoder's).
+func TestLoadRejectsInconsistentNegotiation(t *testing.T) {
+	frame := midPassFrame(t)
+	for _, tc := range []struct {
+		name   string
+		break_ func(cp *congest.Checkpoint)
+	}{
+		{"intact", func(*congest.Checkpoint) {}},
+		{"history-entry-extra", func(cp *congest.Checkpoint) { cp.History = append(cp.History, 0) }},
+		{"nets-missing", func(cp *congest.Checkpoint) {
+			cp.Nets = cp.Nets[:len(cp.Nets)-1]
+			cp.InPass = false
+		}},
+		{"rip-flags-missing", func(cp *congest.Checkpoint) { cp.Ripped = nil }},
+		{"mid-pass-without-reroute", func(cp *congest.Checkpoint) { cp.ReroutePass = 0 }},
+		{"rip-position-out-of-range", func(cp *congest.Checkpoint) { cp.InitialPos = len(cp.Initial) + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := snapshot.DecodeSession(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.break_(sess.Negotiation)
+			var buf bytes.Buffer
+			if err := snapshot.EncodeSession(&buf, sess); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "run.jrnl")
+			writeJournal(t, path, buf.Bytes())
+			e1, err1 := LoadEngine(bytes.NewReader(buf.Bytes()), funnelLayout(8), persistOpts()...)
+			e2, err2 := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
+			if tc.name == "intact" {
+				if err1 != nil || err2 != nil || e1.pending == nil || e2.pending == nil {
+					t.Fatalf("intact frame: LoadEngine %v, LoadEngineJournal %v; want both to restore the negotiation", err1, err2)
+				}
+				return
+			}
+			if !errors.Is(err1, ErrSnapshotCorrupt) {
+				t.Errorf("LoadEngine: err = %v, want ErrSnapshotCorrupt", err1)
+			}
+			if !errors.Is(err2, ErrSnapshotCorrupt) {
+				t.Errorf("LoadEngineJournal: err = %v, want ErrSnapshotCorrupt", err2)
+			}
+		})
+	}
+}
+
+// TestVersion1FilesFailClosed: the frames this build's predecessor wrote —
+// a routed session and a mid-pass checkpoint, kept as the *-v1 goldens —
+// fail LoadEngine with ErrSnapshotVersion, and so does a journal whose base
+// embeds the Version 1 session frame. groutd quarantines such a journal
+// and builds the session cold.
+func TestVersion1FilesFailClosed(t *testing.T) {
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, name := range []string{"session-routed-v1.golden", "checkpoint-midpass-v1.golden"} {
+		if _, err := LoadEngine(bytes.NewReader(read(name)), funnelLayout(8), persistOpts()...); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("LoadEngine(%s): err = %v, want ErrSnapshotVersion", name, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "v1.jrnl")
+	writeJournal(t, path, read("session-routed-v1.golden"))
+	if _, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...); !errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("LoadEngineJournal over a Version 1 base: err = %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// TestCheckpointEveryNeedsJournal: checkpoints are folds of the session's
+// journal, so asking for them without one fails construction instead of
+// silently running without crash safety.
+func TestCheckpointEveryNeedsJournal(t *testing.T) {
+	if _, err := NewEngine(funnelLayout(8), persistOpts(WithCheckpointEvery(1))...); err == nil {
+		t.Error("NewEngine accepted WithCheckpointEvery without WithJournalFile")
+	}
+	e, err := NewEngine(funnelLayout(8), persistOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.ResumeNegotiated(context.Background(), cp); !errors.Is(err, ErrSnapshotLayout) {
-		t.Fatalf("layout drift: err = %v, want ErrSnapshotLayout", err)
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	repitched, err := NewEngine(funnelLayout(8), WithPitch(4), WithPenaltyWeight(40), WithWorkers(1), WithHistory(1, 0))
+	if _, err := LoadEngine(&buf, funnelLayout(8), persistOpts(WithCheckpointEvery(1))...); err == nil {
+		t.Error("LoadEngine accepted WithCheckpointEvery without WithJournalFile")
+	}
+}
+
+// interruptedNegotiation builds a funnel session journaled at path with a
+// checkpoint after every rip-up and cancels its negotiation once pass 2
+// completes, which leaves that pass boundary as the negotiation in flight.
+func interruptedNegotiation(t *testing.T, path string) *Engine {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e, err := NewEngine(funnelLayout(8), persistOpts(
+		WithJournalFile(path),
+		WithCheckpointEvery(1),
+		WithProgress(func(p Progress) {
+			if p.Pass == 2 {
+				cancel()
+			}
+		}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repitched.ResumeNegotiated(context.Background(), cp); !errors.Is(err, ErrSnapshotLayout) {
-		t.Fatalf("pitch drift: err = %v, want ErrSnapshotLayout", err)
+	if _, err := e.RouteNegotiated(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	e.cfg.progress = nil
+	if e.pending == nil {
+		t.Fatal("the interrupted run left no negotiation in flight")
+	}
+	return e
+}
+
+// TestInstallsRetireNegotiationInFlight: an edit commit or a RouteAll on a
+// session with a negotiation in flight replaces the routes that negotiation
+// would continue from, so it retires it, on the live session and in the
+// journal alike. RouteNegotiated afterwards runs fresh on both, and both
+// end byte-identical to an uninterrupted negotiation of the same layout.
+func TestInstallsRetireNegotiationInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(t *testing.T, e *Engine)
+	}{
+		{"Edit.Commit", func(t *testing.T, e *Engine) {
+			commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("eco", 80, 400)) })
+		}},
+		{"RouteAll", func(t *testing.T, e *Engine) {
+			if _, err := e.RouteAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jrnl")
+			live := interruptedNegotiation(t, path)
+			tc.install(t, live)
+			ref, err := NewEngine(live.Layout(), persistOpts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.RouteNegotiated(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := LoadEngineJournal(path, funnelLayout(8), persistOpts(WithCheckpointEvery(1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []*Engine{live, rec} {
+				res, err := e.RouteNegotiated(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PassesBefore != 0 {
+					t.Fatalf("RouteNegotiated resumed a retired negotiation after %d passes", res.PassesBefore)
+				}
+				checkSameRoutes(t, e.Result(), ref.Result())
+				checkEngineConsistency(t, e)
+			}
+		})
 	}
 }
 
@@ -533,11 +684,12 @@ func BenchmarkJournalRecover(b *testing.B) {
 }
 
 // BenchmarkNegotiateResume32 is the crash-safety smoke at macro scale: a
-// checkpointed 32×32 negotiation killed after its first pass, resumed from
-// the file by a fresh engine, must still drain to zero overflow with routes
-// byte-identical to an uninterrupted run (CI gates overflow/op=0 and
-// identical/op=1). Pitch 6 (capacity 2 per corridor) congests the grid
-// enough to need rip-up passes while still converging in seconds.
+// 32×32 negotiation checkpointing into its journal, killed after its first
+// pass, and continued by RouteNegotiated on a session recovered from the
+// journal, must still drain to zero overflow with routes byte-identical to
+// an uninterrupted run (CI gates overflow/op=0 and identical/op=1). Pitch 6
+// (capacity 2 per corridor) congests the grid enough to need rip-up passes
+// while still converging in seconds.
 func BenchmarkNegotiateResume32(b *testing.B) {
 	l, err := MacroGrid(32, 32, 40, 30, 12, 10)
 	if err != nil {
@@ -579,10 +731,11 @@ func BenchmarkNegotiateResume32(b *testing.B) {
 	b.ResetTimer()
 	var overflow, identical float64
 	for i := 0; i < b.N; i++ {
-		path := filepath.Join(b.TempDir(), "run.ckpt")
+		path := filepath.Join(b.TempDir(), "run.jrnl")
 		ctx, cancel := context.WithCancel(context.Background())
 		ea, err := NewEngine(l, macroOpts(
-			WithCheckpointFile(path, 64),
+			WithJournalFile(path),
+			WithCheckpointEvery(64),
 			WithProgress(func(p Progress) {
 				if p.Pass == 1 {
 					cancel()
@@ -595,21 +748,19 @@ func BenchmarkNegotiateResume32(b *testing.B) {
 			b.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 		}
 		cancel()
-		f, err := os.Open(path)
+		if err := ea.CloseJournal(); err != nil {
+			b.Fatal(err)
+		}
+		eb, err := LoadEngineJournal(path, l, macroOpts()...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cp, err := ReadCheckpoint(f)
-		f.Close()
+		res, err := eb.RouteNegotiated(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		eb, err := NewEngine(l, macroOpts()...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eb.ResumeNegotiated(context.Background(), cp); err != nil {
-			b.Fatal(err)
+		if res.PassesBefore < 1 {
+			b.Fatal("recovered session ran fresh; the journal lost the checkpoint")
 		}
 		overflow = float64(eb.Overflow())
 		identical = 0

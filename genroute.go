@@ -98,7 +98,7 @@ const (
 
 // config collects the Engine's option set: base routing options, the
 // congestion/negotiation parameters, the placement-adjustment budget, the
-// progress observer and the checkpoint and journal files.
+// progress observer, the journal file and the checkpoint cadence.
 type config struct {
 	opts        router.Options
 	workers     int
@@ -106,7 +106,7 @@ type config struct {
 	congest     congest.Config
 	adjustIters int
 	progress    ProgressFunc
-	ckptPath    string
+	checkpoint  bool
 	ckptEvery   int
 	jrnlPath    string
 	jrnlRecords int
@@ -206,16 +206,21 @@ func WithWeightStep(step int64) Option {
 	return func(c *config) { c.congest.WeightStep = step }
 }
 
-// WithCheckpointFile makes RouteNegotiated (and ResumeNegotiated) persist a
-// restartable checkpoint to path at every pass boundary and, when every > 0,
-// after every `every` rip-ups within a pass. Writes are atomic (temp file +
-// rename), so a crash at any instant leaves either the previous or the new
-// checkpoint, never a torn one. A run resumed from the file with
-// Engine.ResumeNegotiated produces byte-identical routes to the
-// uninterrupted run.
-func WithCheckpointFile(path string, every int) Option {
+// WithCheckpointEvery makes RouteNegotiated checkpoint its progress into
+// the session's journal at every pass boundary and, when every > 0, after
+// every `every` rip-ups within a pass. Each checkpoint folds the journal
+// (temp file, fsync, rename) into a base that carries the negotiation in
+// flight, so a crash at any instant leaves the previous or the new
+// checkpoint, never a torn one; a fold that fails aborts the run. After an
+// interruption, a drain or a crash, RouteNegotiated on the same session or
+// on the one LoadEngineJournal recovers continues the negotiation, with
+// routes byte-identical to the uninterrupted run. The journal is the
+// checkpoint's file, so NewEngine and LoadEngine refuse this option without
+// WithJournalFile: a caller asking for crash safety must not silently go
+// without it.
+func WithCheckpointEvery(every int) Option {
 	return func(c *config) {
-		c.ckptPath = path
+		c.checkpoint = true
 		c.ckptEvery = every
 	}
 }

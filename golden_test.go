@@ -7,14 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/journal"
+	"repro/internal/snapshot"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden frame files under testdata")
 
 // checkGolden compares an encoded frame with testdata/<name>. The golden
-// files pin the bytes on disk: a snapshot or checkpoint written by one
-// build must decode in the next, so any change here needs a codec Version
-// bump, not a refreshed golden. -update rewrites the files.
+// files pin the bytes on disk: a session frame written by one build must
+// decode in the next, so any change here needs a codec Version bump, not a
+// refreshed golden (the *-v1 files are the Version 1 frames, kept to prove
+// they fail closed). -update rewrites the files.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -49,24 +53,27 @@ func TestGoldenSessionFrame(t *testing.T) {
 	checkGolden(t, "session-routed.golden", buf.Bytes())
 }
 
-// TestGoldenCheckpointFrame pins a mid-pass checkpoint. With a checkpoint
-// after every rip-up, the file on disk when pass 2's progress event fires
-// is the one written after that pass's last rip, before its boundary
-// checkpoint replaces it.
-func TestGoldenCheckpointFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
+// midPassFrame negotiates the funnel with a checkpoint after every rip-up
+// and returns the session frame its journal's base held when pass 2's
+// progress event fired: the fold after that pass's last rip, before the
+// pass-boundary checkpoint replaced it.
+func midPassFrame(t *testing.T) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jrnl")
 	var frame []byte
 	e, err := NewEngine(funnelLayout(8), persistOpts(
-		WithCheckpointFile(path, 1),
+		WithJournalFile(path),
+		WithCheckpointEvery(1),
 		WithProgress(func(p Progress) {
 			if p.Pass != 2 {
 				return
 			}
-			b, err := os.ReadFile(path)
+			s, err := journal.ScanFile(path)
 			if err != nil {
 				t.Error(err)
+				return
 			}
-			frame = b
+			frame = s.Rebase.Session
 		}))...)
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +81,19 @@ func TestGoldenCheckpointFrame(t *testing.T) {
 	if _, err := e.RouteNegotiated(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ReadCheckpoint(bytes.NewReader(frame))
+	return frame
+}
+
+// TestGoldenCheckpointFrame pins a session frame carrying a mid-pass
+// negotiation, as a checkpoint folds it into the session's journal.
+func TestGoldenCheckpointFrame(t *testing.T) {
+	frame := midPassFrame(t)
+	sess, err := snapshot.DecodeSession(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cp.InPass() || cp.Passes() != 1 {
-		t.Fatalf("captured checkpoint: in pass %v after %d passes, want mid-pass 2", cp.InPass(), cp.Passes())
+	if cp := sess.Negotiation; cp == nil || !cp.InPass || cp.PassesRecorded != 1 {
+		t.Fatalf("captured frame carries negotiation %+v, want one mid-pass 2", cp)
 	}
 	checkGolden(t, "checkpoint-midpass.golden", frame)
 }

@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// Atomicwrite keeps snapshot/checkpoint/journal persistence torn-file-free:
-// in the packages that persist them (the driver scopes this to the package
+// Atomicwrite keeps persistence torn-file-free — the session journal, whose
+// base embeds a snapshot frame and any negotiation checkpoint: in the
+// packages that persist them (the driver scopes this to the package
 // root, internal/serve, internal/snapshot and internal/journal), files must
 // be produced through the one helper, snapshot.WriteFileAtomic (temp file
 // in the target dir + Sync + Close + Rename), never by writing the

@@ -42,9 +42,9 @@ var everywhere = scope{}
 //     matter. A //grlint:bounded or //grlint:polls directive outside its
 //     scope would be read by nothing; TestLoopDirectivesInCtxpollScope
 //     fails on one.
-//   - atomicwrite guards the packages that persist snapshots, checkpoints
-//     and the ECO journal (whose fsync-before-ack discipline it also
-//     checks).
+//   - atomicwrite guards the packages that persist the session journal,
+//     with the snapshots and negotiation checkpoints folded into it (its
+//     fsync-before-ack discipline is checked too).
 //   - lockcontract and recoverguard run everywhere: guardedby annotations
 //     and blessed-guard annotations scope them per-site.
 var scopes = map[string]scope{

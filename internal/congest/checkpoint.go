@@ -145,6 +145,7 @@ func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, pas
 	}
 	ng := newNegotiator(l, ix, cfg, BuildMap(passages, segs), cp.History)
 	ng.passOffset = cp.PassesRecorded
+	ng.res.PassesBefore = cp.PassesRecorded
 	ng.reroutePass = cp.ReroutePass
 	ng.cur = &router.LayoutResult{Nets: cp.Nets}
 	ng.cur.Finalize(time.Now())

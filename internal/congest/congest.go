@@ -483,6 +483,10 @@ type NegotiateResult struct {
 	Maps []*Map
 	// Passes summarizes each pass, in order.
 	Passes []Pass
+	// PassesBefore counts the passes a resumed run's checkpoint had
+	// recorded before NegotiateResume continued it, 0 for a fresh run:
+	// Passes[i] is pass PassesBefore+i+1 of the whole negotiation.
+	PassesBefore int
 	// History is the final per-passage overflow history (the number of
 	// passes each passage ended over capacity).
 	History []int

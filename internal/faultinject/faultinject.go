@@ -35,7 +35,7 @@ const (
 	// state is installed.
 	Commit
 	// SnapshotWrite fires on every write of an atomic file replacement
-	// (snapshot.WriteFileAtomic: snapshots, checkpoints and journal bases),
+	// (snapshot.WriteFileAtomic: journal bases, checkpoint folds included),
 	// before the bytes reach the temp file (the label is the destination
 	// path). An injected fault must leave no temp file behind and keep any
 	// previous file intact.

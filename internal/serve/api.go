@@ -125,10 +125,13 @@ type negotiateResponse struct {
 	Stalled   bool       `json:"stalled,omitempty"`
 	// Partial marks a run cut short by the request deadline or a drain:
 	// the session keeps the best pass seen (minimum overflow, most nets
-	// routed) and the on-disk checkpoint is the resume point.
+	// routed), and with persistence on its last checkpoint, folded into
+	// the session's journal, is the resume point.
 	Partial bool `json:"partial"`
-	// Resumed reports that the run continued a checkpoint left by an
-	// earlier interrupted negotiation on this session.
+	// Resumed reports that the run continued the negotiation an earlier
+	// interrupted request on this session (or on the journal a restart
+	// recovered it from) left in flight; Passes then lists the continued
+	// passes only.
 	Resumed  bool `json:"resumed"`
 	Overflow int  `json:"overflow"`
 	// Degraded names nets whose reroute panicked and was isolated (they

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -250,12 +249,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNegotiate runs (or resumes) the negotiated-congestion flow on the
-// session. With persistence on, the run checkpoints as it goes and the
-// engine folds the installed routes into the session's journal; if a
-// checkpoint from an interrupted run exists it is resumed — producing
+// session. With persistence on, the run checkpoints into the session's
+// journal as it goes and the engine folds the installed routes into it; a
+// negotiation an earlier request left in flight is resumed — producing
 // routes byte-identical to the uninterrupted run — and a completed run
 // retires it. An expired deadline or drain returns the best-pass partial
-// with "partial": true, leaving the checkpoint as the resume point.
+// with "partial": true, leaving the last checkpoint as the resume point.
 func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -268,11 +267,8 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqContext(r, req.DeadlineMS)
 	defer cancel()
-
-	sess.negMu.Lock()
-	defer sess.negMu.Unlock()
 	start := time.Now()
-	res, resumed, err := s.runNegotiation(ctx, sess)
+	res, err := sess.e.RouteNegotiated(ctx)
 	// A failed journal fold fails the request even on an interrupted run:
 	// the installed routes would not survive a restart.
 	partial := err != nil && isInterrupted(err) && !errors.Is(err, genroute.ErrJournalFold)
@@ -280,16 +276,11 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "negotiation failed: %v", err)
 		return
 	}
-	if s.cfg.SnapshotDir != "" && !partial {
-		// The run completed; a leftover checkpoint would wrongly resume a
-		// finished negotiation next time.
-		os.Remove(s.sessions.ckptPath(sess.hash))
-	}
 	resp := negotiateResponse{
 		Converged: res.Converged,
 		Stalled:   res.Stalled,
 		Partial:   partial,
-		Resumed:   resumed,
+		Resumed:   res.PassesBefore > 0,
 		Overflow:  sess.e.Overflow(),
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
@@ -312,30 +303,6 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// runNegotiation picks resume-from-checkpoint when a checkpoint file
-// exists, walking the same fail-open ladder as session preparation: a
-// checkpoint that cannot be used (corrupt, wrong layout or pitch) is
-// quarantined and the negotiation runs fresh instead of erroring.
-func (s *Server) runNegotiation(ctx context.Context, sess *session) (*genroute.NegotiatedResult, bool, error) {
-	if s.cfg.SnapshotDir != "" {
-		path := s.sessions.ckptPath(sess.hash)
-		if f, err := os.Open(path); err == nil {
-			cp, rerr := genroute.ReadCheckpoint(f)
-			f.Close()
-			if rerr == nil {
-				res, nerr := sess.e.ResumeNegotiated(ctx, cp)
-				if nerr == nil || !isSnapshotErr(nerr) {
-					return res, true, nerr
-				}
-				rerr = nerr
-			}
-			s.sessions.quarantine(path, rerr)
-		}
-	}
-	res, err := sess.e.RouteNegotiated(ctx)
-	return res, false, err
 }
 
 // handleECO applies a staged edit transaction to the session and repairs
@@ -383,8 +350,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqContext(r, req.DeadlineMS)
 	defer cancel()
-	sess.negMu.Lock()
-	defer sess.negMu.Unlock()
 	eco, err := tx.Commit(ctx)
 	partial := err != nil && isInterrupted(err) && eco != nil
 	switch {
@@ -400,12 +365,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, http.StatusBadRequest, "eco commit: %v", err)
 		return
-	}
-	if s.cfg.SnapshotDir != "" {
-		// Durability already happened inside Commit (the journal append is
-		// fsynced before the install); all that is left is retiring any
-		// negotiation checkpoint, which belongs to the pre-edit problem.
-		os.Remove(s.sessions.ckptPath(sess.hash))
 	}
 	writeJSON(w, http.StatusOK, ecoResponse{
 		Dirty:     eco.Dirty,

@@ -18,6 +18,8 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
+	"repro/internal/snapshot"
 )
 
 // getBody fetches url and returns the raw response bytes — the form the
@@ -232,6 +234,22 @@ func TestSessionReportsPitch(t *testing.T) {
 	}
 }
 
+// journalNegotiating reports whether the base of the journal at path
+// carries a negotiation in flight: the last checkpoint of a negotiation
+// that has not completed.
+func journalNegotiating(t *testing.T, path string) bool {
+	t.Helper()
+	s, err := journal.ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := snapshot.DecodeSession(bytes.NewReader(s.Rebase.Session))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess.Negotiation != nil
+}
+
 // dirFiles lists the names in dir, sorted.
 func dirFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -247,9 +265,10 @@ func dirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestOneDurableFilePerSession: create, negotiate, eco and drain leave the
-// persistence directory holding the session's journal and nothing else. An
-// interrupted negotiation adds its checkpoint until a run completes.
+// TestOneDurableFilePerSession: create, an interrupted negotiation, a
+// completed one, eco and drain each leave the persistence directory
+// holding the session's journal and nothing else. The interrupted
+// negotiation's checkpoint lives in that journal until a run completes.
 func TestOneDurableFilePerSession(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{SnapshotDir: dir, Workers: 1, CheckpointEvery: 1,
@@ -279,11 +298,18 @@ func TestOneDurableFilePerSession(t *testing.T) {
 	if code != http.StatusOK || !nr.Partial {
 		t.Fatalf("deadline-bound negotiate = %d %+v, want a 200 partial", code, nr)
 	}
-	if got, want := dirFiles(t, dir), []string{sr.Hash + ".ckpt", sr.Hash + ".jrnl"}; !slices.Equal(got, want) {
-		t.Fatalf("after an interrupted negotiation: %v, want %v", got, want)
+	if got := dirFiles(t, dir); !slices.Equal(got, journalOnly) {
+		t.Fatalf("after an interrupted negotiation: %v, want %v", got, journalOnly)
+	}
+	jrnl := filepath.Join(dir, sr.Hash+".jrnl")
+	if !journalNegotiating(t, jrnl) {
+		t.Fatal("the interrupted negotiation's checkpoint is not in the journal")
 	}
 
 	negotiateOK(t, ts, sr.Hash)
+	if journalNegotiating(t, jrnl) {
+		t.Fatal("the completed negotiation left its checkpoint in the journal")
+	}
 	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
 	stop() // SIGTERM
 	if err := <-served; err != nil {

@@ -350,24 +350,31 @@ func TestNegotiateDeadlinePartial(t *testing.T) {
 
 // TestNegotiatePartialWithFailedFoldFails: on a journaled session, an
 // interrupted negotiation whose journal fold fails is an error, not a
-// partial: the routes it installed would not survive a restart.
+// partial: the routes it installed would not survive a restart. Only the
+// folds after the deadline fail: the checkpoint folds before it must land,
+// or the run would abort at its first checkpoint instead of being
+// interrupted.
 func TestNegotiatePartialWithFailedFoldFails(t *testing.T) {
 	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
 	sr := createSession(t, ts, funnel(16), "pitch=2&weight=40")
 	negotiateOK(t, ts, sr.Hash)
 	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
 
+	const deadline = 5 * time.Millisecond
+	expired := time.Now().Add(deadline) // no later than the server's deadline
 	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
 		switch site.Point {
 		case faultinject.Reroute:
 			time.Sleep(50 * time.Millisecond)
 		case faultinject.JournalCompact:
-			return faultinject.Error
+			if time.Now().After(expired) {
+				return faultinject.Error
+			}
 		}
 		return faultinject.None
 	})
 	var nr negotiateResponse
-	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: 5}, &nr)
+	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: deadline.Milliseconds()}, &nr)
 	restore()
 	if code != http.StatusInternalServerError {
 		t.Fatalf("interrupted negotiate with a failing fold = %d %+v, want 500", code, nr)

@@ -21,9 +21,9 @@ import (
 type Config struct {
 	// SnapshotDir, when set, enables persistence: every session keeps
 	// its one durable file, the journal <dir>/<hash>.jrnl, written when
-	// the session is built and replayed when its layout is re-posted, and
-	// a negotiation checkpoints to <dir>/<hash>.ckpt while it runs. Empty
-	// disables all persistence.
+	// the session is built, folded at every negotiation checkpoint and
+	// replayed when its layout is re-posted. Empty disables all
+	// persistence.
 	SnapshotDir string
 	// MaxSessions bounds the resident session LRU (default 8).
 	MaxSessions int

@@ -24,10 +24,6 @@ type session struct {
 	// ratio).
 	warm bool
 	prep time.Duration
-	// negMu serializes the negotiate/eco handlers' checkpoint-file
-	// bookkeeping for this session (the Engine's own lock serializes the
-	// routing work; this keeps the read-resume-delete sequence atomic).
-	negMu sync.Mutex
 }
 
 func (s *session) key() string { return fmt.Sprintf("%016x", s.hash) }
@@ -67,10 +63,6 @@ func newSessionCache(max int, dir string, every int, baseOpts []genroute.Option,
 		lru:      list.New(),
 		inflight: make(map[uint64]*prepareCall),
 	}
-}
-
-func (c *sessionCache) ckptPath(hash uint64) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%016x.ckpt", hash))
 }
 
 func (c *sessionCache) jrnlPath(hash uint64) string {
@@ -136,7 +128,7 @@ func (c *sessionCache) build(l *genroute.Layout, hash uint64, opts []genroute.Op
 	opts = append(append([]genroute.Option(nil), c.baseOpts...), opts...)
 	if c.dir != "" {
 		opts = append(opts,
-			genroute.WithCheckpointFile(c.ckptPath(hash), c.every),
+			genroute.WithCheckpointEvery(c.every),
 			genroute.WithJournalFile(c.jrnlPath(hash)))
 		if sess := c.replayJournal(l, hash, opts); sess != nil {
 			return sess, nil
@@ -175,16 +167,6 @@ func (c *sessionCache) replayJournal(l *genroute.Layout, hash uint64, opts []gen
 	return &session{hash: hash, e: e, warm: true, prep: time.Since(start)}
 }
 
-// isSnapshotErr reports a typed persistence failure — the fail-open class:
-// the file is provably unusable, so quarantining it loses nothing.
-func isSnapshotErr(err error) bool {
-	return errors.Is(err, genroute.ErrSnapshotFormat) ||
-		errors.Is(err, genroute.ErrSnapshotVersion) ||
-		errors.Is(err, genroute.ErrSnapshotChecksum) ||
-		errors.Is(err, genroute.ErrSnapshotCorrupt) ||
-		errors.Is(err, genroute.ErrSnapshotLayout)
-}
-
 // quarantineKeep bounds the retained quarantine files per source path: the
 // newest quarantineKeep stay for post-mortem, older ones are deleted, so
 // repeated corruption of one session's files cannot litter the persistence
@@ -209,10 +191,10 @@ func snapshotErrName(err error) string {
 	return "untyped"
 }
 
-// quarantine moves an unusable checkpoint or journal aside —
-// to path.<UTC timestamp>.bad, so successive quarantines of one path never
-// overwrite each other's evidence — and prunes all but the newest
-// quarantineKeep copies. The log line carries the typed failure class
+// quarantine moves an unusable journal aside — to path.<UTC
+// timestamp>.bad, so successive quarantines of one path never overwrite
+// each other's evidence — and prunes all but the newest quarantineKeep
+// copies. The log line carries the typed failure class
 // (checksum, version, layout, ...) so the cause is diagnosable without the
 // file.
 func (c *sessionCache) quarantine(path string, cause error) {

@@ -17,11 +17,11 @@ import (
 
 // TestDrainCheckpointsAndWarmRestartResumes is the service-level kill test:
 // a drain lands mid-negotiation — readiness flips to 503, new work is
-// refused, the in-flight request returns a well-formed partial and leaves a
-// checkpoint, and every session's journal is closed. A second daemon over
-// the same directory warm-starts the session and resumes the negotiation
-// from the checkpoint, finishing with wires byte-identical (at the JSON
-// service boundary) to an uninterrupted run.
+// refused, the in-flight request returns a well-formed partial and leaves
+// its checkpoint in the session's journal, and every session's journal is
+// closed. A second daemon over the same directory warm-starts the session
+// and resumes the negotiation from that checkpoint, finishing with wires
+// byte-identical (at the JSON service boundary) to an uninterrupted run.
 func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	l := funnel(16)
@@ -44,7 +44,6 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	ts := &httptest.Server{URL: "http://" + ln.Addr().String()} // the helpers read only URL
 	sr := createSession(t, ts, l, "pitch=2&weight=40")
 	snap := filepath.Join(dir, sr.Hash+".jrnl")
-	ckpt := filepath.Join(dir, sr.Hash+".ckpt")
 
 	var ready readyzResponse
 	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK || ready.Status != "ready" {
@@ -65,8 +64,7 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 		negDone <- result{code, nr}
 	}()
 	waitFor(t, "mid-negotiation checkpoint", func() bool {
-		_, err := os.Stat(ckpt)
-		return err == nil
+		return journalNegotiating(t, snap)
 	})
 
 	stop() // SIGTERM
@@ -89,8 +87,8 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("drain persisted no session snapshot: %v", err)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("interrupted negotiation left no checkpoint: %v", err)
+	if !journalNegotiating(t, snap) {
+		t.Fatal("interrupted negotiation left no checkpoint in the journal")
 	}
 
 	// Restart over the same directory: warm session, resumed negotiation.
@@ -104,7 +102,7 @@ func TestDrainCheckpointsAndWarmRestartResumes(t *testing.T) {
 	if code != http.StatusOK || !nr.Resumed || !nr.Converged || nr.Partial {
 		t.Fatalf("resumed negotiate = %d %+v, want a resumed converged run", code, nr)
 	}
-	if _, err := os.Stat(ckpt); err == nil {
+	if journalNegotiating(t, snap) {
 		t.Fatal("completed negotiation did not retire its checkpoint")
 	}
 

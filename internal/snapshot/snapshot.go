@@ -1,25 +1,27 @@
 // Package snapshot is the versioned, checksummed binary codec behind
 // crash-safe sessions: it serializes a prepared (and possibly routed)
-// engine session and the negotiator's restartable checkpoints.
+// engine session, including a negotiation in flight, which makes the frame
+// a negotiation checkpoint as well.
 //
 // A snapshot stream is a single frame:
 //
 //	magic "GRSNAP" | version u16 | kind u8 | payload length u64 | payload | crc32(payload)
 //
 // (little-endian fixed-width header fields; varint-coded payload). The
-// payload does not carry the obstacle index, the interval trees or the
-// memoized validate geometry: all of them are deterministic functions of
-// the layout, and rebuilding them from spans is orders of magnitude
-// cheaper than validating from scratch — the snapshot instead embeds a
-// hash of the layout (LayoutHash), so the loader can prove it is rebuilding
-// over byte-identical geometry and skip validation entirely. Decoding fails
-// closed with typed errors (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt,
-// ErrLayout) and never panics, whatever the input bytes; every count is
-// bounds-checked against the remaining payload before allocation.
+// kind byte is 1, a session, the only kind. The payload does not carry the
+// obstacle index, the interval trees or the memoized validate geometry:
+// all of them are deterministic functions of the layout, and rebuilding
+// them from spans is orders of magnitude cheaper than validating from
+// scratch — the snapshot instead embeds a hash of the layout (LayoutHash),
+// so the loader can prove it is rebuilding over byte-identical geometry
+// and skip validation entirely. Decoding fails closed with typed errors
+// (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt, ErrLayout) and never
+// panics, whatever the input bytes; every count is bounds-checked against
+// the remaining payload before allocation.
 //
 // The payload codec (Encoder, Decoder) and the atomic file replacement
 // (WriteFileAtomic) are shared with internal/journal, the other durable
-// format.
+// format, whose base embeds a session frame.
 package snapshot
 
 import (
@@ -40,15 +42,16 @@ import (
 	"repro/internal/search"
 )
 
-// Version is the codec version this build reads and writes.
-const Version = 1
+// Version is the codec version this build reads and writes. Version 2
+// added the negotiation in flight to the session payload and retired the
+// separate checkpoint frame.
+const Version = 2
 
 const (
 	magic       = "GRSNAP"
 	headerLen   = len(magic) + 2 + 1 + 8
 	maxPayload  = 1 << 30 // decode allocation cap; real payloads are far smaller
 	kindSession = 1
-	kindCkpt    = 2
 )
 
 // Typed decode errors. Every failure wraps exactly one of these, so callers
@@ -59,8 +62,6 @@ var (
 	ErrFormat = errors.New("snapshot: not a snapshot stream")
 	// ErrVersion marks a snapshot written by an incompatible codec version.
 	ErrVersion = errors.New("snapshot: unsupported version")
-	// ErrKind marks a session snapshot read as a checkpoint or vice versa.
-	ErrKind = errors.New("snapshot: wrong snapshot kind")
 	// ErrChecksum marks a payload whose CRC does not match.
 	ErrChecksum = errors.New("snapshot: payload checksum mismatch")
 	// ErrCorrupt marks a payload that passes the checksum but does not
@@ -92,15 +93,10 @@ type Session struct {
 	Nets []router.NetRoute
 	// History is the per-passage overflow history (len == len(Passages)).
 	History []int
-}
-
-// CheckpointFile wraps a negotiation checkpoint with the identity of the
-// session it belongs to, so a resume onto the wrong layout or pitch fails
-// closed.
-type CheckpointFile struct {
-	LayoutHash uint64
-	Pitch      geom.Coord
-	CP         congest.Checkpoint
+	// Negotiation is the negotiation in flight, nil when there is none: the
+	// latest checkpoint of a negotiation that has not completed, which the
+	// loaded session continues. Its routes are positional like Nets.
+	Negotiation *congest.Checkpoint
 }
 
 // EncodeSession writes a session snapshot frame.
@@ -121,18 +117,43 @@ func EncodeSession(w io.Writer, s *Session) error {
 	e.Bool(s.Routed)
 	if s.Routed {
 		encodeNets(e, s.Nets)
-		e.Uvarint(uint64(len(s.History)))
-		for _, h := range s.History {
-			e.Varint(int64(h))
+		encodeHistory(e, s.History)
+	}
+	e.Bool(s.Negotiation != nil)
+	if cp := s.Negotiation; cp != nil {
+		e.Uvarint(uint64(cp.PassesRecorded))
+		e.Uvarint(uint64(cp.ReroutePass))
+		encodeHistory(e, cp.History)
+		encodeNets(e, cp.Nets)
+		e.Bool(cp.InPass)
+		if cp.InPass {
+			e.Bool(cp.Changed)
+			e.Uvarint(uint64(len(cp.Ripped)))
+			for _, r := range cp.Ripped {
+				e.Bool(r)
+			}
+			e.Uvarint(uint64(len(cp.Initial)))
+			for _, ni := range cp.Initial {
+				e.Uvarint(uint64(ni))
+			}
+			e.Uvarint(uint64(cp.InitialPos))
+			e.Uvarint(uint64(len(cp.Rerouted)))
+			for _, name := range cp.Rerouted {
+				e.Str(name)
+			}
 		}
 	}
-	return writeFrame(w, kindSession, e.Bytes())
+	return writeFrame(w, e.Bytes())
 }
 
 // DecodeSession reads a session snapshot frame. The returned NetRoutes have
-// empty Net names (the loader fills them from its layout).
+// empty Net names (the loader fills them from its layout). A negotiation in
+// flight is held to the checks NegotiateResume makes before it resumes,
+// except the net count against the layout, which the loader makes: its
+// history covers the passages, its routes match the session's, and a
+// mid-pass state has a started reroute pass and rip state within its nets.
 func DecodeSession(r io.Reader) (*Session, error) {
-	payload, err := readFrame(r, kindSession)
+	payload, err := readFrame(r)
 	if err != nil {
 		return nil, err
 	}
@@ -155,18 +176,10 @@ func DecodeSession(r io.Reader) (*Session, error) {
 	}
 	if s.Routed = d.Bool(); s.Routed {
 		s.Nets = decodeNets(d)
-		hn := d.Count(1)
-		if hn != len(s.Passages) {
-			d.Corrupt("history length does not match passages")
-		}
-		s.History = make([]int, 0, hn)
-		for i := 0; i < hn && d.Err() == nil; i++ {
-			h := int(d.Varint())
-			if h < 0 {
-				d.Corrupt("negative history")
-			}
-			s.History = append(s.History, h)
-		}
+		s.History = decodeHistory(d, len(s.Passages))
+	}
+	if d.Bool() {
+		s.Negotiation = decodeNegotiation(d, s)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
@@ -174,99 +187,80 @@ func DecodeSession(r io.Reader) (*Session, error) {
 	return s, nil
 }
 
-// EncodeCheckpoint writes a checkpoint frame.
-func EncodeCheckpoint(w io.Writer, c *CheckpointFile) error {
-	e := &Encoder{}
-	e.U64(c.LayoutHash)
-	e.Varint(int64(c.Pitch))
-	cp := &c.CP
-	e.Uvarint(uint64(cp.PassesRecorded))
-	e.Uvarint(uint64(cp.ReroutePass))
-	e.Uvarint(uint64(len(cp.History)))
-	for _, h := range cp.History {
-		e.Varint(int64(h))
+// decodeNegotiation reads the negotiation in flight of the session s.
+func decodeNegotiation(d *Decoder, s *Session) *congest.Checkpoint {
+	cp := &congest.Checkpoint{
+		PassesRecorded: int(d.Uvarint()),
+		ReroutePass:    int(d.Uvarint()),
 	}
-	encodeNets(e, cp.Nets)
-	e.Bool(cp.InPass)
-	if cp.InPass {
-		e.Bool(cp.Changed)
-		e.Uvarint(uint64(len(cp.Ripped)))
-		for _, r := range cp.Ripped {
-			e.Bool(r)
-		}
-		e.Uvarint(uint64(len(cp.Initial)))
-		for _, ni := range cp.Initial {
-			e.Uvarint(uint64(ni))
-		}
-		e.Uvarint(uint64(cp.InitialPos))
-		e.Uvarint(uint64(len(cp.Rerouted)))
-		for _, name := range cp.Rerouted {
-			e.Str(name)
-		}
+	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
+		d.Corrupt("negative pass counters")
 	}
-	return writeFrame(w, kindCkpt, e.Bytes())
+	cp.History = decodeHistory(d, len(s.Passages))
+	cp.Nets = decodeNets(d)
+	if s.Routed && len(cp.Nets) != len(s.Nets) {
+		d.Corrupt("negotiation routes do not match the session's nets")
+	}
+	if cp.InPass = d.Bool(); !cp.InPass {
+		return cp
+	}
+	if cp.ReroutePass < 1 {
+		d.Corrupt("mid-pass negotiation without a started reroute pass")
+	}
+	cp.Changed = d.Bool()
+	rn := d.Count(1)
+	if rn != len(cp.Nets) {
+		d.Corrupt("rip flags do not match nets")
+	}
+	cp.Ripped = make([]bool, 0, rn)
+	for i := 0; i < rn && d.Err() == nil; i++ {
+		cp.Ripped = append(cp.Ripped, d.Bool())
+	}
+	in := d.Count(1)
+	cp.Initial = make([]int, 0, in)
+	for i := 0; i < in && d.Err() == nil; i++ {
+		ni := int(d.Uvarint())
+		if ni < 0 || ni >= len(cp.Nets) {
+			d.Corrupt("rip index out of range")
+		}
+		cp.Initial = append(cp.Initial, ni)
+	}
+	cp.InitialPos = int(d.Uvarint())
+	if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
+		d.Corrupt("rip position out of range")
+	}
+	sn := d.Count(1)
+	cp.Rerouted = make([]string, 0, sn)
+	for i := 0; i < sn && d.Err() == nil; i++ {
+		cp.Rerouted = append(cp.Rerouted, d.Str())
+	}
+	return cp
 }
 
-// DecodeCheckpoint reads a checkpoint frame. The returned NetRoutes have
-// empty Net names; structural consistency against a session (net counts,
-// rip indices) is the resumer's job — the codec only guarantees the blob is
-// internally well-formed.
-func DecodeCheckpoint(r io.Reader) (*CheckpointFile, error) {
-	payload, err := readFrame(r, kindCkpt)
-	if err != nil {
-		return nil, err
+// encodeHistory writes a per-passage overflow history.
+func encodeHistory(e *Encoder, history []int) {
+	e.Uvarint(uint64(len(history)))
+	for _, h := range history {
+		e.Varint(int64(h))
 	}
-	d := NewDecoder(payload)
-	c := &CheckpointFile{LayoutHash: d.U64(), Pitch: geom.Coord(d.Varint())}
-	cp := &c.CP
-	cp.PassesRecorded = int(d.Uvarint())
-	cp.ReroutePass = int(d.Uvarint())
+}
+
+// decodeHistory reads a per-passage overflow history, which must have one
+// non-negative entry per passage.
+func decodeHistory(d *Decoder, passages int) []int {
 	hn := d.Count(1)
-	cp.History = make([]int, 0, hn)
+	if hn != passages {
+		d.Corrupt("history length does not match passages")
+	}
+	history := make([]int, 0, hn)
 	for i := 0; i < hn && d.Err() == nil; i++ {
 		h := int(d.Varint())
 		if h < 0 {
 			d.Corrupt("negative history")
 		}
-		cp.History = append(cp.History, h)
+		history = append(history, h)
 	}
-	cp.Nets = decodeNets(d)
-	if cp.InPass = d.Bool(); cp.InPass {
-		cp.Changed = d.Bool()
-		rn := d.Count(1)
-		if rn != len(cp.Nets) {
-			d.Corrupt("rip flags do not match nets")
-		}
-		cp.Ripped = make([]bool, 0, rn)
-		for i := 0; i < rn && d.Err() == nil; i++ {
-			cp.Ripped = append(cp.Ripped, d.Bool())
-		}
-		in := d.Count(1)
-		cp.Initial = make([]int, 0, in)
-		for i := 0; i < in && d.Err() == nil; i++ {
-			ni := int(d.Uvarint())
-			if ni < 0 || ni >= len(cp.Nets) {
-				d.Corrupt("rip index out of range")
-			}
-			cp.Initial = append(cp.Initial, ni)
-		}
-		cp.InitialPos = int(d.Uvarint())
-		if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
-			d.Corrupt("rip position out of range")
-		}
-		sn := d.Count(1)
-		cp.Rerouted = make([]string, 0, sn)
-		for i := 0; i < sn && d.Err() == nil; i++ {
-			cp.Rerouted = append(cp.Rerouted, d.Str())
-		}
-	}
-	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
-		d.Corrupt("negative pass counters")
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return history
 }
 
 // encodeNets writes a per-net routing state. Only the identity-bearing
@@ -417,12 +411,12 @@ func (h *fnv) rect(r geom.Rect) {
 	h.i(int64(r.MaxY))
 }
 
-// writeFrame frames a payload: header, payload, CRC.
-func writeFrame(w io.Writer, kind byte, payload []byte) error {
+// writeFrame frames a session payload: header, payload, CRC.
+func writeFrame(w io.Writer, payload []byte) error {
 	hdr := make([]byte, 0, headerLen)
 	hdr = append(hdr, magic...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-	hdr = append(hdr, kind)
+	hdr = append(hdr, kindSession)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -436,10 +430,10 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads and verifies one frame, returning the payload. The
-// payload is read through a growing buffer so a forged huge length cannot
-// force a huge allocation before the (short) input runs out.
-func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
+// readFrame reads and verifies one session frame, returning the payload.
+// The payload is read through a growing buffer so a forged huge length
+// cannot force a huge allocation before the (short) input runs out.
+func readFrame(r io.Reader) ([]byte, error) {
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: short header", ErrFormat)
@@ -451,9 +445,8 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 	if ver != Version {
 		return nil, fmt.Errorf("%w: stream version %d, this build reads %d", ErrVersion, ver, Version)
 	}
-	kind := hdr[len(magic)+2]
-	if kind != wantKind {
-		return nil, fmt.Errorf("%w: stream kind %d, want %d", ErrKind, kind, wantKind)
+	if kind := hdr[len(magic)+2]; kind != kindSession {
+		return nil, fmt.Errorf("%w: stream kind %d, want a session (%d)", ErrFormat, kind, kindSession)
 	}
 	n := binary.LittleEndian.Uint64(hdr[len(magic)+3:])
 	if n > maxPayload {
@@ -485,8 +478,8 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 // through the faultinject.SnapshotWrite seam (labelled with path), and
 // beforeRename, when non-nil, runs once the temp file is durable,
 // immediately before the rename; its error aborts the replacement. It is
-// the one temp+fsync+rename sequence behind snapshots, checkpoints and the
-// journal's base rewrites.
+// the one temp+fsync+rename sequence behind the journal's base rewrites,
+// negotiation checkpoints included.
 func WriteFileAtomic(path string, write func(io.Writer) error, beforeRename func() error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-")
 	if err != nil {
@@ -536,8 +529,8 @@ func (fw faultableWriter) Write(p []byte) (int, error) {
 }
 
 // Encoder builds a varint-coded payload by plain byte-slice appends. It is
-// the payload codec of both durable formats: snapshot and checkpoint
-// frames here, and the ECO journal's records.
+// the payload codec of both durable formats: session frames here, and the
+// ECO journal's records.
 type Encoder struct{ buf []byte }
 
 // Bytes returns the payload encoded so far.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	stdfnv "hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,28 +47,32 @@ func fixtureSession() *Session {
 	}
 }
 
-func fixtureCheckpoint() *CheckpointFile {
-	return &CheckpointFile{
-		LayoutHash: 42,
-		Pitch:      2,
-		CP: congest.Checkpoint{
-			PassesRecorded: 2,
-			ReroutePass:    2,
-			History:        []int{1, 0, 3},
-			Nets: []router.NetRoute{
-				{Found: true, Length: 4, Paths: [][]geom.Point{{geom.Pt(0, 0), geom.Pt(4, 0)}},
-					Segments: []geom.Seg{geom.S(geom.Pt(0, 0), geom.Pt(4, 0))}},
-				{Found: true, Length: 6, Paths: [][]geom.Point{{geom.Pt(0, 2), geom.Pt(6, 2)}},
-					Segments: []geom.Seg{geom.S(geom.Pt(0, 2), geom.Pt(6, 2))}},
-			},
-			InPass:     true,
-			Changed:    true,
-			Ripped:     []bool{true, false},
-			Initial:    []int{0, 1},
-			InitialPos: 1,
-			Rerouted:   []string{"a"},
+// fixtureNegotiating returns the routed fixture session with a negotiation
+// in flight: a mid-pass one when inPass, else one at a pass boundary.
+func fixtureNegotiating(inPass bool) *Session {
+	s := fixtureSession()
+	cp := &congest.Checkpoint{
+		PassesRecorded: 2,
+		ReroutePass:    1,
+		History:        []int{1, 3},
+		Nets: []router.NetRoute{
+			{Found: true, Length: 4, Paths: [][]geom.Point{{geom.Pt(0, 0), geom.Pt(4, 0)}},
+				Segments: []geom.Seg{geom.S(geom.Pt(0, 0), geom.Pt(4, 0))}},
+			{Found: true, Length: 6, Paths: [][]geom.Point{{geom.Pt(0, 2), geom.Pt(6, 2)}},
+				Segments: []geom.Seg{geom.S(geom.Pt(0, 2), geom.Pt(6, 2))}},
 		},
 	}
+	if inPass {
+		cp.ReroutePass = 2
+		cp.InPass = true
+		cp.Changed = true
+		cp.Ripped = []bool{true, false}
+		cp.Initial = []int{0, 1}
+		cp.InitialPos = 1
+		cp.Rerouted = []string{"a"}
+	}
+	s.Negotiation = cp
+	return s
 }
 
 func TestSessionRoundTrip(t *testing.T) {
@@ -78,6 +83,8 @@ func TestSessionRoundTrip(t *testing.T) {
 		{"routed", fixtureSession()},
 		{"prepared-only", &Session{LayoutHash: 7, Pitch: 8,
 			Passages: []congest.Passage{{Between: [2]int{0, 1}, Rect: geom.R(0, 0, 4, 4), Width: 4, Capacity: 1}}}},
+		{"negotiating-pass-boundary", fixtureNegotiating(false)},
+		{"negotiating-mid-pass", fixtureNegotiating(true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -108,7 +115,34 @@ func TestSessionRoundTrip(t *testing.T) {
 			if len(got.History) != len(tc.s.History) {
 				t.Fatalf("history %v, want %v", got.History, tc.s.History)
 			}
+			checkNegotiation(t, got.Negotiation, tc.s.Negotiation)
 		})
+	}
+}
+
+// checkNegotiation compares a decoded negotiation in flight to the
+// original, field by field.
+func checkNegotiation(t *testing.T, g, w *congest.Checkpoint) {
+	t.Helper()
+	if (g == nil) != (w == nil) {
+		t.Fatalf("negotiation %+v, want %+v", g, w)
+	}
+	if w == nil {
+		return
+	}
+	if g.PassesRecorded != w.PassesRecorded || g.ReroutePass != w.ReroutePass ||
+		g.InPass != w.InPass || g.Changed != w.Changed || g.InitialPos != w.InitialPos {
+		t.Fatalf("scalars = %+v, want %+v", g, w)
+	}
+	if len(g.Nets) != len(w.Nets) {
+		t.Fatalf("negotiation nets %d, want %d", len(g.Nets), len(w.Nets))
+	}
+	for i := range g.Nets {
+		checkNetRoute(t, &g.Nets[i], &w.Nets[i])
+	}
+	if !slices.Equal(g.History, w.History) || !slices.Equal(g.Ripped, w.Ripped) ||
+		!slices.Equal(g.Initial, w.Initial) || !slices.Equal(g.Rerouted, w.Rerouted) {
+		t.Fatalf("negotiation slices = %+v, want %+v", g, w)
 	}
 }
 
@@ -144,49 +178,6 @@ func checkNetRoute(t *testing.T, got, want *router.NetRoute) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	cf := fixtureCheckpoint()
-	var buf bytes.Buffer
-	if err := EncodeCheckpoint(&buf, cf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LayoutHash != cf.LayoutHash || got.Pitch != cf.Pitch {
-		t.Fatalf("identity = (%d, %d), want (%d, %d)", got.LayoutHash, got.Pitch, cf.LayoutHash, cf.Pitch)
-	}
-	g, w := &got.CP, &cf.CP
-	if g.PassesRecorded != w.PassesRecorded || g.ReroutePass != w.ReroutePass ||
-		g.InPass != w.InPass || g.Changed != w.Changed || g.InitialPos != w.InitialPos {
-		t.Fatalf("scalars = %+v, want %+v", g, w)
-	}
-	for i := range g.Nets {
-		checkNetRoute(t, &g.Nets[i], &w.Nets[i])
-	}
-	for i, r := range g.Ripped {
-		if r != w.Ripped[i] {
-			t.Fatalf("ripped[%d] = %v", i, r)
-		}
-	}
-	for i, ni := range g.Initial {
-		if ni != w.Initial[i] {
-			t.Fatalf("initial[%d] = %d", i, ni)
-		}
-	}
-	for i, name := range g.Rerouted {
-		if name != w.Rerouted[i] {
-			t.Fatalf("rerouted[%d] = %q", i, name)
-		}
-	}
-	for i, h := range g.History {
-		if h != w.History[i] {
-			t.Fatalf("history[%d] = %d", i, h)
-		}
-	}
-}
-
 // sessionBytes returns a valid encoded session frame for tampering tests.
 func sessionBytes(t testing.TB) []byte {
 	var buf bytes.Buffer
@@ -216,11 +207,6 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
 	})
-	t.Run("wrong-kind", func(t *testing.T) {
-		if _, err := DecodeCheckpoint(bytes.NewReader(valid)); !errors.Is(err, ErrKind) {
-			t.Fatalf("err = %v, want ErrKind", err)
-		}
-	})
 	t.Run("bit-rot", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[headerLen+3] ^= 0x40 // flip a payload bit; CRC must catch it
@@ -238,7 +224,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		// A correctly framed, correctly checksummed payload of garbage must
 		// fail as corrupt, not panic or mis-decode.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, kindSession, bytes.Repeat([]byte{0xff}, 64)); err != nil {
+		if err := writeFrame(&buf, bytes.Repeat([]byte{0xff}, 64)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
@@ -250,7 +236,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		// the decoder must reject the leftovers.
 		payload := append(append([]byte(nil), valid[headerLen:len(valid)-4]...), 0, 0, 0)
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, kindSession, payload); err != nil {
+		if err := writeFrame(&buf, payload); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
@@ -281,6 +267,38 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestDecodeRejectsInconsistentNegotiation: a negotiation in flight that
+// passes its checksum but would not resume into the session it travels
+// with fails the decode as corrupt, before anything tries to resume it.
+func TestDecodeRejectsInconsistentNegotiation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inPass bool
+		break_ func(cp *congest.Checkpoint)
+	}{
+		{"history-longer-than-passages", false, func(cp *congest.Checkpoint) { cp.History = append(cp.History, 0) }},
+		{"history-shorter-than-passages", true, func(cp *congest.Checkpoint) { cp.History = cp.History[:1] }},
+		{"negative-history", false, func(cp *congest.Checkpoint) { cp.History[0] = -1 }},
+		{"routes-other-nets", false, func(cp *congest.Checkpoint) { cp.Nets = cp.Nets[:1] }},
+		{"mid-pass-before-reroute", true, func(cp *congest.Checkpoint) { cp.ReroutePass = 0 }},
+		{"rip-flags-short", true, func(cp *congest.Checkpoint) { cp.Ripped = cp.Ripped[:1] }},
+		{"rip-index-out-of-range", true, func(cp *congest.Checkpoint) { cp.Initial = []int{0, 2} }},
+		{"rip-position-out-of-range", true, func(cp *congest.Checkpoint) { cp.InitialPos = 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fixtureNegotiating(tc.inPass)
+			tc.break_(s.Negotiation)
+			var buf bytes.Buffer
+			if err := EncodeSession(&buf, s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 func TestLayoutHashDiscriminates(t *testing.T) {
