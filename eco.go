@@ -163,9 +163,9 @@ type ECOResult struct {
 // cells, the cell pairs and pins they could collide with, added nets) and
 // returns exactly what Validate of the whole edited layout would. It rests
 // on the invariant that every layout an Engine installs passed Validate:
-// NewEngine validates; LoadEngine and LoadEngineJournal restore over a
-// layout that fingerprints to a validated one, or decode and validate an
-// embedded one; Commit installs only what the footprint check accepted.
+// NewEngine validates; LoadEngineJournal restores over a layout that
+// fingerprints to a validated one, or decodes and validates an embedded
+// one; Commit installs only what the footprint check accepted.
 //
 // The repair then reroutes the dirty nets — in ascending net order, each
 // against the live congestion map — and extends, worklist-style, to every
@@ -328,7 +328,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// a whole-layout pass that runs beside the repair instead of before the
 	// append. Every return waits for it, so no commit outlives its reads.
 	var (
-		postHash uint64 // 0 = not computed: Save/checkpoints fingerprint on demand
+		postHash uint64 // 0 = not computed: folds and checkpoints fingerprint on demand
 		hashing  sync.WaitGroup
 	)
 	if e.jr != nil {
@@ -479,7 +479,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e.ix = ix2
 	e.spans = spans2
 	e.passages = passages2
-	e.lhash.Store(postHash) // the new layout's fingerprint, if the journal took one
+	e.lhash = postHash // the new layout's fingerprint, if the journal took one
 	e.r = router.New(ix2, e.cfg.routerOptions(ix2))
 	e.reindexNets()
 	final := cur2

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/adjust"
 	"repro/internal/congest"
@@ -44,7 +43,7 @@ import (
 //
 //   - Read-side methods — RouteNet, RoutePoints, Validate,
 //     CheckConnectivity, AssignTracks, AssignLayers, AdjustPlacement,
-//     Save, Routed, Result, Overflow — only observe the session state and
+//     Routed, Result, Overflow — only observe the session state and
 //     may run concurrently with each other. This is the pattern a server
 //     relies on: many simultaneous RouteNet calls against one prepared
 //     session (per-net routing depends only on the obstacle geometry, so
@@ -83,24 +82,22 @@ type Engine struct {
 	history []int                //grlint:guardedby mu
 	// pending is the negotiation in flight: the latest checkpoint of an
 	// interrupted RouteNegotiated, which the next one continues. Every
-	// other install retires it (see setState); Save and the journal carry
+	// other install retires it (see setState); the journal's base carries
 	// it. nil when there is none.
 	pending *congest.Checkpoint //grlint:guardedby mu
 
-	// jr is the write-ahead ECO journal: written by NewEngine or LoadEngine
-	// under WithJournalFile, attached by LoadEngineJournal after its replay,
-	// nil otherwise.
+	// jr is the write-ahead ECO journal: written by NewEngine under
+	// WithJournalFile, attached by LoadEngineJournal after its replay, nil
+	// otherwise.
 	jr *journal.Journal //grlint:guardedby mu
 	// jrStale is set while jr describes the session as it was before a
 	// whole-layout flow whose fold failed; the next commit folds before
 	// appending (see journalFoldAfterFlowLocked).
 	jrStale bool //grlint:guardedby mu
 
-	// lhash memoizes the layout fingerprint for Save and the journal (0 =
-	// not yet computed; ECO commits set the edited layout's). Atomic so
-	// concurrent readers (Save under RLock) can memoize without a data race;
-	// a duplicate compute is benign.
-	lhash atomic.Uint64
+	// lhash memoizes the layout fingerprint for the journal (0 = not yet
+	// computed; ECO commits set the edited layout's).
+	lhash uint64 //grlint:guardedby mu
 }
 
 // NewEngine validates a private clone of the layout (the paper's three
@@ -173,7 +170,7 @@ func (e *Engine) Result() *Result {
 
 // Pitch returns the wire pitch the session's passage capacities were
 // extracted at: WithPitch for NewEngine, and the persisted pitch for a
-// session loaded by LoadEngine or LoadEngineJournal.
+// session recovered by LoadEngineJournal.
 func (e *Engine) Pitch() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -24,19 +23,19 @@ import (
 // post-commit fingerprint.
 //
 // The journal is a session's one durable file: a journal without records is
-// a snapshot, restored as LoadEngine restores one. A negotiation in flight
-// lives there too: with WithCheckpointEvery every checkpoint is a fold
-// whose base carries it.
+// a snapshot, whose base carries the session payload (internal/snapshot)
+// and is restored over the creation layout without re-validation. A
+// negotiation in flight lives there too: with WithCheckpointEvery every
+// checkpoint is a fold whose base carries it.
 
 // WithJournalFile makes the session durable in one append-only journal at
-// path. NewEngine and LoadEngine write the journal's header — the
-// fingerprint and pitch of the layout the session is created over — and a
-// base state, replacing any file at path; a failed write fails construction
-// with an error matching ErrJournalAppend. Every Edit.Commit then appends its
-// staged edit set and fsyncs before installing. Recover with
-// LoadEngineJournal, which replays the journal and converges to the same
-// layout (and, for an uninterrupted history, the same routes) as the live
-// session. After DefaultCompactRecords records or DefaultCompactBytes bytes
+// path. NewEngine writes the journal's header — the fingerprint and pitch
+// of the layout the session is created over — and a base state, replacing
+// any file at path; a failed write fails construction with an error
+// matching ErrJournalAppend. Every Edit.Commit then appends its staged edit
+// set and fsyncs before installing. Recover with LoadEngineJournal, which
+// replays the journal and converges to the same layout (and, for an
+// uninterrupted history, the same routes) as the live session. After DefaultCompactRecords records or DefaultCompactBytes bytes
 // a commit folds the journal into a fresh base so replay cost stays
 // bounded. RouteAll and RouteNegotiated fold it after every run as well:
 // the routes they install are described by no record. When that fold fails
@@ -55,8 +54,8 @@ var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 // ErrJournalAppend marks a failure to write the ECO journal durably: an
 // Edit.Commit that could not append its edit set (a write, fsync or
 // pre-append fold failure), which leaves the engine untouched, or a
-// NewEngine or LoadEngine that could not write the journal's base. The
-// failure is the server's, not the edit's or the layout's.
+// NewEngine that could not write the journal's base. The failure is the
+// server's, not the edit's or the layout's.
 var ErrJournalAppend = errors.New("genroute: ECO journal append failed")
 
 // JournalStats reports the ECO journal's durability counters (records and
@@ -109,14 +108,14 @@ func (e *Engine) journalCreate() error {
 	return nil
 }
 
-// journalRebase builds a base state from the *current* session state: a
-// full Save frame, plus the layout as compact JSON once edits have moved it
+// journalRebase builds a base state from the *current* session state: the
+// session payload, plus the layout as compact JSON once edits have moved it
 // off created, the journal header's fingerprint. While the layout still
 // fingerprints to the header, recovery restores the base over the creation
-// layout its caller presents. Callers hold mu (any mode — only reads happen
-// here).
+// layout its caller presents. Callers hold mu exclusively or own the
+// engine during construction (layoutHash memoizes).
 func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
-	var rb journal.Rebase
+	rb := journal.Rebase{Session: snapshot.EncodeSession(e.sessionLocked())}
 	if e.layoutHash() != created {
 		lj, err := json.Marshal(e.l)
 		if err != nil {
@@ -124,11 +123,6 @@ func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
 		}
 		rb.LayoutJSON = lj
 	}
-	var sbuf bytes.Buffer
-	if err := e.saveLocked(&sbuf); err != nil {
-		return journal.Rebase{}, err
-	}
-	rb.Session = sbuf.Bytes()
 	return rb, nil
 }
 
@@ -241,15 +235,18 @@ func applyJournalOp(tx *Edit, op *journal.Op) error {
 // base state, re-apply every edit record in order, and attach the journal
 // for further appends (truncating a torn tail first). l is the layout the
 // session was created over; a journal created over any other layout fails
-// closed with ErrSnapshotLayout. A base that carries no layout of its own is
-// restored over l the way LoadEngine restores a snapshot, so nothing is
-// re-validated; a base folded after edits embeds the edited layout, which
-// is decoded and validated like any other input. Each replayed commit is
-// verified against the record's post-commit layout fingerprint —
-// divergence fails closed with ErrSnapshotCorrupt rather than resurrecting
-// a wrong session. A negotiation in flight in the base is restored with it;
-// a replayed commit retires it exactly as the live commit did, and
-// RouteNegotiated on the recovered session continues one that survives.
+// closed with ErrSnapshotLayout, and one written by a build of another
+// codec version with ErrSnapshotVersion. A base that carries no layout of
+// its own is restored over l: the obstacle index is rebuilt from its
+// cells, and the fingerprint match proves l is the layout that passed
+// Validate, so nothing is re-validated. A base folded after edits embeds
+// the edited layout, which is decoded and validated like any other input.
+// Each replayed commit is verified against the record's post-commit layout
+// fingerprint — divergence fails closed with ErrSnapshotCorrupt rather
+// than resurrecting a wrong session. A negotiation in flight in the base is
+// restored with it; a replayed commit retires it exactly as the live commit
+// did, and RouteNegotiated on the recovered session continues one that
+// survives.
 //
 // Replay-equals-live: Edit.Commit's repair is deterministic (fixed rip-up
 // order, byte-identical across worker counts), so replaying the records of
@@ -260,7 +257,8 @@ func applyJournalOp(tx *Edit, op *journal.Op) error {
 // check still holds because cancellation never changes the edited
 // geometry, only how much overflow has drained.
 //
-// opts apply as in LoadEngine (the base's pitch wins). The journal at path
+// opts apply as in NewEngine, except WithPitch: the base's pitch wins,
+// since its passage capacities were extracted at it. The journal at path
 // stays the session's journal whatever WithJournalFile says.
 func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) {
 	s, err := journal.ScanFile(path)
@@ -280,7 +278,7 @@ func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) 
 		}
 		h = snapshot.LayoutHash(base)
 	}
-	sess, err := snapshot.DecodeSession(bytes.NewReader(s.Rebase.Session))
+	sess, err := snapshot.DecodeSession(s.Rebase.Session)
 	if err != nil {
 		return nil, err
 	}
@@ -318,10 +316,14 @@ func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) 
 	return e, nil
 }
 
-// saveLocked is Save without the lock acquisition, for callers already
-// holding mu in either mode (Commit holds it exclusively when folding the
-// journal; RWMutex is not reentrant).
-func (e *Engine) saveLocked(w io.Writer) error {
+// sessionLocked is the state a journal base carries: the layout
+// fingerprint, the congestion pitch and passage tables, the per-net routes
+// and overflow history once the session has routed, and the negotiation in
+// flight, if any. The obstacle index, interval trees and memoized
+// validation geometry are left out: they are deterministic functions of the
+// layout, rebuilt far more cheaply than re-validating. Callers hold mu as
+// journalRebase's do.
+func (e *Engine) sessionLocked() *snapshot.Session {
 	sess := &snapshot.Session{
 		LayoutHash: e.layoutHash(),
 		Pitch:      e.cfg.congest.Pitch,
@@ -333,5 +335,5 @@ func (e *Engine) saveLocked(w io.Writer) error {
 		sess.History = e.history
 	}
 	sess.Negotiation = e.pending
-	return snapshot.EncodeSession(w, sess)
+	return sess
 }

@@ -159,24 +159,15 @@ func TestLoadEngineJournalRejectsOtherLayout(t *testing.T) {
 }
 
 // embeddedLayoutJournal writes a journal whose base embeds layout as JSON
-// next to e's Save frame, as every base did before unedited layouts were
-// left out, and returns its path.
+// next to e's session payload, as every base did before unedited layouts
+// were left out, and returns its path.
 func embeddedLayoutJournal(t *testing.T, e *Engine, layout *Layout) string {
 	t.Helper()
 	lj, err := json.Marshal(layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frame bytes.Buffer
-	if err := e.Save(&frame); err != nil {
-		t.Fatal(err)
-	}
-	hdr := journal.Header{LayoutHash: e.layoutHash(), Pitch: e.Pitch()}
-	path := filepath.Join(t.TempDir(), "embedded.jrnl")
-	if err := os.WriteFile(path, journal.EncodeBase(hdr, journal.Rebase{LayoutJSON: lj, Session: frame.Bytes()}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeBase(t, e.Layout(), e.Pitch(), journal.Rebase{LayoutJSON: lj, Session: snapshot.EncodeSession(e.sessionLocked())})
 }
 
 // TestJournalEmbeddedLayoutBaseRecovers: a base that embeds the unchanged
@@ -688,7 +679,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 
 // TestJournaledCommitKeepsLayoutHash: a journaled commit fingerprints the
 // edited layout for its record, and the install keeps that fingerprint as
-// the session's memo, so the next fold, Save or checkpoint does not hash
+// the session's memo, so the next fold or checkpoint does not hash
 // the same layout again. Without a journal no fingerprint is taken and the
 // memo stays empty until one is needed.
 func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
@@ -696,7 +687,7 @@ func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
 	commitOps(t, e, func(tx *Edit) error {
 		return tx.AddNet(padNet("hash_a", 5, e.Layout().Bounds.MaxX))
 	})
-	if got, want := e.lhash.Load(), snapshot.LayoutHash(e.l); got != want {
+	if got, want := e.lhash, snapshot.LayoutHash(e.l); got != want {
 		t.Fatalf("layout fingerprint memo after a journaled commit = %016x, want %016x", got, want)
 	}
 
@@ -710,7 +701,7 @@ func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
 	commitOps(t, plain, func(tx *Edit) error {
 		return tx.AddNet(padNet("hash_b", 5, plain.Layout().Bounds.MaxX))
 	})
-	if h := plain.lhash.Load(); h != 0 {
+	if h := plain.lhash; h != 0 {
 		t.Fatalf("unjournaled commit memoized a layout fingerprint %016x", h)
 	}
 }

@@ -2,7 +2,6 @@ package genroute
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/congest"
@@ -11,99 +10,52 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Typed persistence errors, for errors.Is. LoadEngine and
-// LoadEngineJournal fail closed: a snapshot or journal that cannot be
-// proven to match is rejected with one of these rather than producing a
-// silently wrong session.
+// Typed persistence errors, for errors.Is. LoadEngineJournal fails closed:
+// a journal that cannot be proven to match is rejected with one of these
+// rather than producing a silently wrong session.
 var (
-	// ErrSnapshotFormat marks a stream that is not a snapshot at all.
+	// ErrSnapshotFormat marks a file that is not a session journal at all.
 	ErrSnapshotFormat = snapshot.ErrFormat
-	// ErrSnapshotVersion marks a snapshot from an incompatible codec
-	// version (version skew across builds).
+	// ErrSnapshotVersion marks a journal from an incompatible codec version
+	// (version skew across builds).
 	ErrSnapshotVersion = snapshot.ErrVersion
-	// ErrSnapshotChecksum marks a snapshot whose payload checksum fails.
+	// ErrSnapshotChecksum marks a journal frame whose payload checksum
+	// fails.
 	ErrSnapshotChecksum = snapshot.ErrChecksum
 	// ErrSnapshotCorrupt marks a checksummed payload that does not decode.
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
-	// ErrSnapshotLayout marks a snapshot or journal applied to a layout
-	// other than the one it was saved over.
+	// ErrSnapshotLayout marks a journal applied to a layout other than the
+	// one it was created over.
 	ErrSnapshotLayout = snapshot.ErrLayout
 )
 
-// layoutHash memoizes the session layout's fingerprint; ECO commits reset
-// the memo because they mutate the layout. (A genuine hash of 0 only costs
-// a recompute, never a wrong value; the memo is atomic so concurrent
-// readers can race on it benignly.)
+// layoutHash memoizes the session layout's fingerprint; ECO commits set
+// the edited layout's, or reset the memo when they took none. (A genuine
+// hash of 0 only costs a recompute, never a wrong value.) Callers hold mu
+// exclusively or own the engine during construction.
 func (e *Engine) layoutHash() uint64 {
-	if h := e.lhash.Load(); h != 0 {
-		return h
+	if e.lhash == 0 {
+		e.lhash = snapshot.LayoutHash(e.l)
 	}
-	h := snapshot.LayoutHash(e.l)
-	e.lhash.Store(h)
-	return h
+	return e.lhash
 }
 
-// Save serializes the prepared session to w: the layout fingerprint, the
-// congestion pitch and passage tables, the per-net routes and overflow
-// history once the session has routed, and the negotiation in flight, if
-// any (see WithCheckpointEvery). The obstacle index, interval trees and
-// memoized validation geometry are NOT serialized: they are deterministic
-// functions of the layout and rebuilding them is far cheaper than
-// re-validating, so LoadEngine reconstructs them from the layout it is
-// handed and uses the embedded fingerprint to prove that layout is
-// byte-identical to the validated one saved over.
-func (e *Engine) Save(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.saveLocked(w)
-}
-
-// LoadEngine rebuilds a prepared session from a snapshot written by Save.
-// l must be the same layout the snapshot was saved over: it is fingerprinted
-// (after normalizing bare polygon boxes, as Validate would) and any drift
-// fails closed with ErrSnapshotLayout. The match is also what makes the
-// warm start fast — the saved layout passed Validate, so a byte-identical
-// layout need not be re-validated, and the obstacle index is rebuilt
-// directly from the cells.
-//
-// The snapshot's pitch overrides any WithPitch option: the serialized
-// passage capacities were extracted at that pitch, and a session must stay
-// consistent with its own tables. Other options apply as in NewEngine. A
-// negotiation in flight in the snapshot is restored, and the loaded
-// session's RouteNegotiated continues it.
-func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
-	sess, err := snapshot.DecodeSession(r)
-	if err != nil {
-		return nil, err
-	}
-	lc := l.Clone()
-	lc.NormalizeBoxes()
-	e, err := restoreEngine(sess, lc, snapshot.LayoutHash(lc), newConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	if err := e.journalCreate(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// restoreEngine rebuilds a session from a decoded Save frame over lc, a
-// private box-normalized layout that fingerprints to h. Any other
-// fingerprint than the frame's fails closed with ErrSnapshotLayout. Nothing
-// is validated: the layout the frame was saved over passed Validate, and
-// the fingerprint proves lc is that layout. Routes and a negotiation in
-// flight that do not cover lc's nets fail closed with ErrSnapshotCorrupt
-// (DecodeSession made the checks that need no layout). No journal is
-// attached.
+// restoreEngine rebuilds a session from the decoded payload of a journal
+// base over lc, a private box-normalized layout that fingerprints to h. Any
+// other fingerprint than the payload's fails closed with ErrSnapshotLayout.
+// The pitch is the payload's: its passage capacities were extracted at it.
+// Nothing is validated: the layout the base was written over passed
+// Validate, and the fingerprint proves lc is that layout. Routes and a
+// negotiation in flight that do not cover lc's nets fail closed with
+// ErrSnapshotCorrupt (DecodeSession made the checks that need no layout).
+// No journal is attached.
 func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*Engine, error) {
 	if h != sess.LayoutHash {
-		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, snapshot was saved over %016x",
+		return nil, fmt.Errorf("%w: layout %q fingerprints %016x, base was written over %016x",
 			ErrSnapshotLayout, lc.Name, h, sess.LayoutHash)
 	}
 	cfg.congest.Pitch = sess.Pitch
-	e := &Engine{l: lc, cfg: cfg}
-	e.lhash.Store(h)
+	e := &Engine{l: lc, cfg: cfg, lhash: h}
 	var err error
 	if e.ix, e.spans, err = plane.FromLayoutSpans(e.l); err != nil {
 		return nil, err
@@ -113,7 +65,7 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 	e.reindexNets()
 	if sess.Routed {
 		if len(sess.Nets) != len(lc.Nets) {
-			return nil, fmt.Errorf("%w: snapshot routes %d nets, layout has %d",
+			return nil, fmt.Errorf("%w: base routes %d nets, layout has %d",
 				ErrSnapshotCorrupt, len(sess.Nets), len(lc.Nets))
 		}
 		res := &router.LayoutResult{Nets: sess.Nets}

@@ -164,3 +164,94 @@ func TestJournalBaseWriteFailureLeavesNoTempFiles(t *testing.T) {
 		t.Fatalf("round-trip through the journal base: %v", err)
 	}
 }
+
+// TestCancelledPassFailedCheckpointStillInterrupts: when a checkpoint fold
+// fails on a cancelled pass's way out — the checkpoint the pass delivers
+// once cancelled, or a mid-pass one whose fold the cancellation overtook —
+// the run still reports the interruption next to the failure, records the
+// partial pass and installs the best pass, which the fold after the flow
+// makes durable. The last checkpoint that folded stays the negotiation in
+// flight, so the session recovered from the journal continues from it to
+// the routes of an uninterrupted run.
+func TestCancelledPassFailedCheckpointStillInterrupts(t *testing.T) {
+	ref, err := NewEngine(funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.RouteNegotiated(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// duringFold cancels inside the fold of the checkpoint after the
+		// second reroute; otherwise the third reroute cancels. Pass 1
+		// routes without rip-up, so both land in pass 2.
+		duringFold bool
+	}{{"final-checkpoint", false}, {"mid-pass-checkpoint", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jrnl")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			passes, cancelledIn := 0, 0
+			e, err := NewEngine(funnelLayout(8), persistOpts(
+				WithJournalFile(path),
+				WithCheckpointEvery(1),
+				WithProgress(func(p Progress) { passes = p.Pass }))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first journal fold once cancelled fails.
+			reroutes, failed := 0, false
+			restore := faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
+				switch s.Point {
+				case faultinject.Reroute:
+					if reroutes++; !tc.duringFold && reroutes == 3 {
+						cancelledIn = passes + 1
+						cancel()
+					}
+				case faultinject.JournalCompact:
+					if tc.duringFold && reroutes == 2 && ctx.Err() == nil {
+						cancelledIn = passes + 1
+						cancel()
+					}
+					if ctx.Err() != nil && !failed {
+						failed = true
+						return faultinject.Error
+					}
+				}
+				return faultinject.None
+			})
+			res, err := e.RouteNegotiated(ctx)
+			restore()
+			if !errors.Is(err, context.Canceled) || !errors.Is(err, faultinject.ErrInjected) || errors.Is(err, ErrJournalFold) {
+				t.Fatalf("err = %v, want the cancellation joined with the failed checkpoint, and the fold after the flow landed", err)
+			}
+			if !failed || cancelledIn < 2 {
+				t.Fatalf("cancelled in pass %d, failed fold %v: the fixture must cancel a rip-up pass and fail a checkpoint", cancelledIn, failed)
+			}
+			if res == nil || len(res.Passes) != cancelledIn {
+				t.Fatalf("result %+v, want %d passes, the partial one included", res, cancelledIn)
+			}
+			if err := e.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, err := LoadEngineJournal(path, funnelLayout(8), persistOpts(WithCheckpointEvery(1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameRoutes(t, rec.Result(), e.Result())
+			got, err := rec.RouteNegotiated(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PassesBefore < 1 || got.PassesBefore+len(got.Passes) != len(refRes.Passes) {
+				t.Fatalf("recovered run: %d passes before + %d resumed, uninterrupted run took %d",
+					got.PassesBefore, len(got.Passes), len(refRes.Passes))
+			}
+			checkSameRoutes(t, rec.Result(), ref.Result())
+			checkEngineConsistency(t, rec)
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package genroute
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// persistOpts is the shared engine configuration for the snapshot tests —
+// persistOpts is the shared engine configuration for the persistence tests —
 // the standard funnel negotiation setup the other engine tests use.
 func persistOpts(extra ...Option) []Option {
 	opts := []Option{WithPitch(2), WithPenaltyWeight(40), WithWorkers(1), WithHistory(1, 0)}
@@ -49,24 +48,45 @@ func checkSameRoutes(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestEngineSaveLoadPrepared snapshots a session before any routing: the
-// loaded engine must be an equivalent prepared session — same passage
-// tables, and the same negotiation outcome when routed afterwards.
-func TestEngineSaveLoadPrepared(t *testing.T) {
-	e1, err := NewEngine(funnelLayout(8), persistOpts()...)
+// savedFunnel builds the funnel session journaled at a fresh path, routes
+// it with route when non-nil (the flow folds the journal), and closes the
+// journal, so the file holds the session as a recovery finds it.
+func savedFunnel(t *testing.T, route func(*Engine) error, opts ...Option) (*Engine, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	e, err := NewEngine(funnelLayout(8), append(persistOpts(WithJournalFile(path)), opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e1.Save(&buf); err != nil {
+	if route != nil {
+		if err := route(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := LoadEngine(bytes.NewReader(buf.Bytes()), funnelLayout(8), persistOpts()...)
+	return e, path
+}
+
+// negotiate is savedFunnel's route for a negotiated session.
+func negotiate(e *Engine) error {
+	_, err := e.RouteNegotiated(context.Background())
+	return err
+}
+
+// TestEngineSaveLoadPrepared recovers a session from the journal it wrote
+// before any routing: the recovered engine must be an equivalent prepared
+// session — same passage tables, and the same negotiation outcome when
+// routed afterwards.
+func TestEngineSaveLoadPrepared(t *testing.T) {
+	e1, path := savedFunnel(t, nil)
+	e2, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e2.Routed() {
-		t.Fatal("prepared-only snapshot loaded as routed")
+		t.Fatal("prepared-only journal recovered as routed")
 	}
 	if len(e2.passages) != len(e1.passages) {
 		t.Fatalf("loaded %d passages, want %d", len(e2.passages), len(e1.passages))
@@ -91,27 +111,17 @@ func TestEngineSaveLoadPrepared(t *testing.T) {
 	checkEngineConsistency(t, e2)
 }
 
-// TestEngineSaveLoadRouted snapshots a negotiated session and reloads it:
+// TestEngineSaveLoadRouted recovers a negotiated session from its journal:
 // routes, overflow, and history must survive byte-identically, and the
-// loaded session must be fully usable.
+// recovered session must be fully usable.
 func TestEngineSaveLoadRouted(t *testing.T) {
-	e1, err := NewEngine(funnelLayout(8), persistOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.RouteNegotiated(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := LoadEngine(bytes.NewReader(buf.Bytes()), funnelLayout(8), persistOpts()...)
+	e1, path := savedFunnel(t, negotiate)
+	e2, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !e2.Routed() {
-		t.Fatal("routed snapshot loaded without state")
+		t.Fatal("routed journal recovered without state")
 	}
 	checkSameRoutes(t, e2.Result(), e1.Result())
 	if e2.Overflow() != e1.Overflow() {
@@ -135,55 +145,61 @@ func TestEngineSaveLoadRouted(t *testing.T) {
 	}
 }
 
-// TestLoadEngineFailsClosed: streams that cannot be proven to match fail
+// writeFile writes data to a fresh file and returns its path.
+func writeFile(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadEngineFailsClosed: files that cannot be proven to match fail
 // with the typed errors, never a half-initialized engine.
 func TestLoadEngineFailsClosed(t *testing.T) {
-	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	_, path := savedFunnel(t, nil)
+	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
 
-	if _, err := LoadEngine(bytes.NewReader([]byte("not a snapshot")), funnelLayout(8)); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := LoadEngineJournal(writeFile(t, []byte("not a journal at all")), funnelLayout(8)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Fatalf("garbage: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := LoadEngine(bytes.NewReader(valid[:len(valid)-6]), funnelLayout(8)); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, err := LoadEngineJournal(writeFile(t, valid[:len(valid)-6]), funnelLayout(8)); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("truncated: err = %v, want ErrSnapshotCorrupt", err)
 	}
 	// A different net count is layout drift.
-	if _, err := LoadEngine(bytes.NewReader(valid), funnelLayout(9)); !errors.Is(err, ErrSnapshotLayout) {
+	if _, err := LoadEngineJournal(path, funnelLayout(9)); !errors.Is(err, ErrSnapshotLayout) {
 		t.Fatalf("net drift: err = %v, want ErrSnapshotLayout", err)
 	}
 	// So is a moved cell with identical topology.
 	moved := funnelLayout(8)
 	moved.Cells[0].Box = R(188, 0, 208, 96)
-	if _, err := LoadEngine(bytes.NewReader(valid), moved); !errors.Is(err, ErrSnapshotLayout) {
+	if _, err := LoadEngineJournal(path, moved); !errors.Is(err, ErrSnapshotLayout) {
 		t.Fatalf("cell drift: err = %v, want ErrSnapshotLayout", err)
 	}
 }
 
-// TestLoadAdoptsSnapshotPitch: the serialized passage capacities were
-// extracted at the snapshot's pitch, so a conflicting WithPitch at load
-// time must lose.
+// TestLoadAdoptsSnapshotPitch: the journaled passage capacities were
+// extracted at the base's pitch, so a conflicting WithPitch at load time
+// must lose.
 func TestLoadAdoptsSnapshotPitch(t *testing.T) {
-	e1, err := NewEngine(funnelLayout(8), WithPitch(2))
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	e1, err := NewEngine(funnelLayout(8), WithPitch(2), WithJournalFile(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e1.Save(&buf); err != nil {
+	if err := e1.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := LoadEngine(bytes.NewReader(buf.Bytes()), funnelLayout(8), WithPitch(8))
+	e2, err := LoadEngineJournal(path, funnelLayout(8), WithPitch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e2.cfg.congest.Pitch != 2 {
-		t.Fatalf("loaded pitch %d, want the snapshot's 2", e2.cfg.congest.Pitch)
+		t.Fatalf("loaded pitch %d, want the journal's 2", e2.cfg.congest.Pitch)
 	}
 	for i := range e2.passages {
 		if e2.passages[i].Capacity != e1.passages[i].Capacity {
@@ -253,31 +269,24 @@ func TestEngineCheckpointResumeEndToEnd(t *testing.T) {
 	checkEngineConsistency(t, eb)
 }
 
-// writeJournal writes a journal at path whose base embeds the session frame
-// and whose header names funnelLayout(8) at pitch 2, the layout and pitch
-// the frames of these tests come from.
-func writeJournal(t *testing.T, path string, frame []byte) {
+// writeBase writes a journal holding a header for l at pitch and the base
+// rb, as NewEngine writes one, and returns its path.
+func writeBase(t *testing.T, l *Layout, pitch int64, rb journal.Rebase) string {
 	t.Helper()
-	l := funnelLayout(8)
-	l.NormalizeBoxes()
-	j, err := journal.Create(path, journal.Header{LayoutHash: snapshot.LayoutHash(l), Pitch: 2}, journal.Rebase{Session: frame})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	lc := l.Clone()
+	lc.NormalizeBoxes()
+	return writeFile(t, journal.EncodeBase(journal.Header{LayoutHash: snapshot.LayoutHash(lc), Pitch: pitch}, rb))
 }
 
 // TestLoadRejectsInconsistentNegotiation: a negotiation in flight that
 // passes its checksum but would not resume into the session it travels
-// with fails LoadEngine and LoadEngineJournal with ErrSnapshotCorrupt, the
-// class groutd quarantines, instead of failing later inside
-// congest.NegotiateResume with an error nobody can classify. The frame is
-// the funnel's mid-pass checkpoint (an unrouted session, so the net count
-// is the loader's check, not the decoder's).
+// with fails LoadEngineJournal with ErrSnapshotCorrupt, the class groutd
+// quarantines, instead of failing later inside congest.NegotiateResume
+// with an error nobody can classify. The payload is the funnel's mid-pass
+// checkpoint (an unrouted session, so the net count is the loader's check,
+// not the decoder's).
 func TestLoadRejectsInconsistentNegotiation(t *testing.T) {
-	frame := midPassFrame(t)
+	payload := midPassBase(t).Session
 	for _, tc := range []struct {
 		name   string
 		break_ func(cp *congest.Checkpoint)
@@ -293,58 +302,41 @@ func TestLoadRejectsInconsistentNegotiation(t *testing.T) {
 		{"rip-position-out-of-range", func(cp *congest.Checkpoint) { cp.InitialPos = len(cp.Initial) + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := snapshot.DecodeSession(bytes.NewReader(frame))
+			sess, err := snapshot.DecodeSession(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.break_(sess.Negotiation)
-			var buf bytes.Buffer
-			if err := snapshot.EncodeSession(&buf, sess); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "run.jrnl")
-			writeJournal(t, path, buf.Bytes())
-			e1, err1 := LoadEngine(bytes.NewReader(buf.Bytes()), funnelLayout(8), persistOpts()...)
-			e2, err2 := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
+			path := writeBase(t, funnelLayout(8), 2, journal.Rebase{Session: snapshot.EncodeSession(sess)})
+			e, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
 			if tc.name == "intact" {
-				if err1 != nil || err2 != nil || e1.pending == nil || e2.pending == nil {
-					t.Fatalf("intact frame: LoadEngine %v, LoadEngineJournal %v; want both to restore the negotiation", err1, err2)
+				if err != nil || e.pending == nil {
+					t.Fatalf("intact payload: LoadEngineJournal %v; want it to restore the negotiation", err)
 				}
 				return
 			}
-			if !errors.Is(err1, ErrSnapshotCorrupt) {
-				t.Errorf("LoadEngine: err = %v, want ErrSnapshotCorrupt", err1)
-			}
-			if !errors.Is(err2, ErrSnapshotCorrupt) {
-				t.Errorf("LoadEngineJournal: err = %v, want ErrSnapshotCorrupt", err2)
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("LoadEngineJournal: err = %v, want ErrSnapshotCorrupt", err)
 			}
 		})
 	}
 }
 
-// TestVersion1FilesFailClosed: the frames this build's predecessor wrote —
-// a routed session and a mid-pass checkpoint, kept as the *-v1 goldens —
-// fail LoadEngine with ErrSnapshotVersion, and so does a journal whose base
-// embeds the Version 1 session frame. groutd quarantines such a journal
-// and builds the session cold.
+// TestVersion1FilesFailClosed: the journals this build's predecessor wrote
+// for a negotiated funnel and for its mid-pass checkpoint, kept as the
+// *-v1 goldens, fail LoadEngineJournal with ErrSnapshotVersion alone, not
+// as corruption. groutd quarantines such a journal and builds the session
+// cold.
 func TestVersion1FilesFailClosed(t *testing.T) {
-	read := func(name string) []byte {
-		t.Helper()
+	for _, name := range []string{"session-routed-v1.golden", "checkpoint-midpass-v1.golden"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
-	}
-	for _, name := range []string{"session-routed-v1.golden", "checkpoint-midpass-v1.golden"} {
-		if _, err := LoadEngine(bytes.NewReader(read(name)), funnelLayout(8), persistOpts()...); !errors.Is(err, ErrSnapshotVersion) {
-			t.Errorf("LoadEngine(%s): err = %v, want ErrSnapshotVersion", name, err)
+		_, err = LoadEngineJournal(writeFile(t, b), funnelLayout(8), persistOpts()...)
+		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("LoadEngineJournal(%s): err = %v, want ErrSnapshotVersion alone", name, err)
 		}
-	}
-	path := filepath.Join(t.TempDir(), "v1.jrnl")
-	writeJournal(t, path, read("session-routed-v1.golden"))
-	if _, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("LoadEngineJournal over a Version 1 base: err = %v, want ErrSnapshotVersion", err)
 	}
 }
 
@@ -354,17 +346,6 @@ func TestVersion1FilesFailClosed(t *testing.T) {
 func TestCheckpointEveryNeedsJournal(t *testing.T) {
 	if _, err := NewEngine(funnelLayout(8), persistOpts(WithCheckpointEvery(1))...); err == nil {
 		t.Error("NewEngine accepted WithCheckpointEvery without WithJournalFile")
-	}
-	e, err := NewEngine(funnelLayout(8), persistOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEngine(&buf, funnelLayout(8), persistOpts(WithCheckpointEvery(1))...); err == nil {
-		t.Error("LoadEngine accepted WithCheckpointEvery without WithJournalFile")
 	}
 }
 
@@ -445,19 +426,15 @@ func TestInstallsRetireNegotiationInFlight(t *testing.T) {
 	}
 }
 
-// TestSaveRefingerprintsAfterECO: an ECO commit mutates the layout, so a
-// snapshot taken before the edit must not load over the edited layout (and
-// vice versa) — the memoized fingerprint has to be recomputed.
+// TestSaveRefingerprintsAfterECO: an ECO commit replaces the layout, so the
+// memoized fingerprint has to follow it: a base written before the edit
+// must not load over the edited layout, and a base folded after it, which
+// carries the edited layout, must fingerprint to that layout and recover
+// with its routes.
 func TestSaveRefingerprintsAfterECO(t *testing.T) {
-	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	e, path := savedFunnel(t, negotiate, withJournalCompaction(1, 0))
+	before, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RouteNegotiated(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var before bytes.Buffer
-	if err := e.Save(&before); err != nil {
 		t.Fatal(err)
 	}
 	tx := e.Edit()
@@ -467,16 +444,18 @@ func TestSaveRefingerprintsAfterECO(t *testing.T) {
 	if _, err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var after bytes.Buffer
-	if err := e.Save(&after); err != nil {
+	if st, _ := e.JournalStats(); st.Records != 0 {
+		t.Fatalf("journal holds %d records after the commit, want it folded", st.Records)
+	}
+	if err := e.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	// The pre-edit snapshot no longer matches the engine's layout...
-	if _, err := LoadEngine(bytes.NewReader(before.Bytes()), e.Layout()); !errors.Is(err, ErrSnapshotLayout) {
-		t.Fatalf("stale snapshot: err = %v, want ErrSnapshotLayout", err)
+	// The pre-edit base no longer matches the engine's layout...
+	if _, err := LoadEngineJournal(writeFile(t, before), e.Layout()); !errors.Is(err, ErrSnapshotLayout) {
+		t.Fatalf("stale base: err = %v, want ErrSnapshotLayout", err)
 	}
 	// ...but the post-edit one round-trips, routes included.
-	e2, err := LoadEngine(bytes.NewReader(after.Bytes()), e.Layout(), persistOpts()...)
+	e2, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,39 +464,39 @@ func TestSaveRefingerprintsAfterECO(t *testing.T) {
 }
 
 // TestWarmStartSkipsPreparation pins, without timing anything, what a warm
-// start must not redo: LoadEngine, and LoadEngineJournal over the journal a
-// load writes, restore a routed session from its frame without routing (the
-// RouteNet and Search seams must not fire), without re-extracting passages
-// (a capacity edited in the frame survives the load), and without
-// re-validating (a frame over a layout Validate rejects still loads, as
-// restoreEngine documents).
+// start must not redo: LoadEngineJournal restores a routed session from its
+// base without routing (the RouteNet and Search seams must not fire),
+// without re-extracting passages (a capacity edited in the payload survives
+// the load), and without re-validating (a base over a layout Validate
+// rejects still loads, as restoreEngine documents).
 func TestWarmStartSkipsPreparation(t *testing.T) {
 	l, err := MacroGrid(6, 6, 40, 30, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(l, WithPitch(4))
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	e, err := NewEngine(l, WithPitch(4), WithJournalFile(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RouteAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var saved bytes.Buffer
-	if err := e.Save(&saved); err != nil {
+	if err := e.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := snapshot.DecodeSession(bytes.NewReader(saved.Bytes()))
+	saved, err := journal.ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := snapshot.DecodeSession(saved.Rebase.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Passages[0].Capacity += 7
 	wantCap := sess.Passages[0].Capacity
-	var edited bytes.Buffer
-	if err := snapshot.EncodeSession(&edited, sess); err != nil {
-		t.Fatal(err)
-	}
-	// The same frame over a layout with a pad strictly inside a cell.
+	edited := snapshot.EncodeSession(sess)
+	// The same payload over a layout with a pad strictly inside a cell.
 	bad := l.Clone()
 	box := bad.Cells[0].Box
 	bad.Nets[0].Terminals[0].Pins[0] = Pin{Name: "in", Pos: Pt((box.MinX+box.MaxX)/2, (box.MinY+box.MaxY)/2), Cell: NoCell}
@@ -525,10 +504,7 @@ func TestWarmStartSkipsPreparation(t *testing.T) {
 		t.Fatal("Validate accepts the planted pad")
 	}
 	sess.LayoutHash = snapshot.LayoutHash(bad)
-	var invalid bytes.Buffer
-	if err := snapshot.EncodeSession(&invalid, sess); err != nil {
-		t.Fatal(err)
-	}
+	invalid := snapshot.EncodeSession(sess)
 
 	var fired atomic.Int32
 	defer faultinject.Enable(func(s faultinject.Site) faultinject.Fault {
@@ -537,32 +513,21 @@ func TestWarmStartSkipsPreparation(t *testing.T) {
 		}
 		return faultinject.None
 	})()
-	dir := t.TempDir()
 	for _, tc := range []struct {
-		name  string
-		frame []byte
-		l     *Layout
-	}{{"edited capacity", edited.Bytes(), l}, {"invalid layout", invalid.Bytes(), bad}} {
-		path := filepath.Join(dir, tc.name+".jrnl")
-		warm, err := LoadEngine(bytes.NewReader(tc.frame), tc.l, WithJournalFile(path))
-		if err != nil {
-			t.Fatalf("%s: LoadEngine: %v", tc.name, err)
-		}
-		if err := warm.CloseJournal(); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := LoadEngineJournal(path, tc.l)
+		name    string
+		payload []byte
+		l       *Layout
+	}{{"edited capacity", edited, l}, {"invalid layout", invalid, bad}} {
+		rec, err := LoadEngineJournal(writeBase(t, tc.l, 4, journal.Rebase{Session: tc.payload}), tc.l)
 		if err != nil {
 			t.Fatalf("%s: LoadEngineJournal: %v", tc.name, err)
 		}
 		if n := fired.Load(); n != 0 {
-			t.Fatalf("%s: warm starts routed: the route seams fired %d times", tc.name, n)
+			t.Fatalf("%s: warm start routed: the route seams fired %d times", tc.name, n)
 		}
-		for _, got := range []*Engine{warm, rec} {
-			if !got.Routed() || got.passages[0].Capacity != wantCap {
-				t.Errorf("%s: routed %v, passage 0 capacity %d; want the frame's routes and capacity %d",
-					tc.name, got.Routed(), got.passages[0].Capacity, wantCap)
-			}
+		if !rec.Routed() || rec.passages[0].Capacity != wantCap {
+			t.Errorf("%s: routed %v, passage 0 capacity %d; want the payload's routes and capacity %d",
+				tc.name, rec.Routed(), rec.passages[0].Capacity, wantCap)
 		}
 		if err := rec.CloseJournal(); err != nil {
 			t.Fatal(err)
@@ -571,32 +536,48 @@ func TestWarmStartSkipsPreparation(t *testing.T) {
 }
 
 // BenchmarkEngineLoad measures the warm-start claim on a 64×64 macro-grid
-// session. routed-warm-vs-cold-pct, which CI gates at ≤10, is LoadEngine of
-// the routed session's frame (fingerprint check, index rebuild, routes
-// decoded; no validation, extraction or routing) against what it saves:
-// NewEngine plus one RouteAll. warm-vs-cold-pct is LoadEngine of the
-// unrouted frame against NewEngine alone, reported only: both sides pay
+// session. routed-warm-vs-cold-pct, which CI gates at ≤10, is
+// LoadEngineJournal over the journal a routed session wrote (scan,
+// fingerprint check, index rebuild, routes decoded; no validation,
+// extraction or routing) against what it saves: NewEngine plus one
+// RouteAll. warm-vs-cold-pct is LoadEngineJournal over an unrouted
+// session's journal against NewEngine alone, reported only: both sides pay
 // about the same index build, so it measures the index more than the warm
-// start. TestWarmStartSkipsPreparation pins what a warm start skips.
+// start. Each recovered journal is closed outside the timings.
+// TestWarmStartSkipsPreparation pins what a warm start skips.
 func BenchmarkEngineLoad(b *testing.B) {
 	ctx := context.Background()
 	l, err := MacroGrid(64, 64, 40, 30, 12, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(l)
-	if err != nil {
-		b.Fatal(err)
+	dir := b.TempDir()
+	unrouted, routed := filepath.Join(dir, "unrouted.jrnl"), filepath.Join(dir, "routed.jrnl")
+	for _, path := range []string{unrouted, routed} {
+		e, err := NewEngine(l, WithJournalFile(path))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if path == routed {
+			if _, err := e.RouteAll(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := e.CloseJournal(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	var unrouted, routed bytes.Buffer
-	if err := e.Save(&unrouted); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.RouteAll(ctx); err != nil {
-		b.Fatal(err)
-	}
-	if err := e.Save(&routed); err != nil {
-		b.Fatal(err)
+	load := func(path string) time.Duration {
+		t0 := time.Now()
+		e, err := LoadEngineJournal(path, l)
+		d := time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.CloseJournal(); err != nil {
+			b.Fatal(err)
+		}
+		return d
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -611,16 +592,9 @@ func BenchmarkEngineLoad(b *testing.B) {
 		if _, err := cold.RouteAll(ctx); err != nil {
 			b.Fatal(err)
 		}
-		t2 := time.Now()
-		if _, err := LoadEngine(bytes.NewReader(unrouted.Bytes()), l); err != nil {
-			b.Fatal(err)
-		}
-		t3 := time.Now()
-		if _, err := LoadEngine(bytes.NewReader(routed.Bytes()), l); err != nil {
-			b.Fatal(err)
-		}
-		warmRouted += time.Since(t3)
-		prepare, route, warm = prepare+t1.Sub(t0), route+t2.Sub(t1), warm+t3.Sub(t2)
+		prepare, route = prepare+t1.Sub(t0), route+time.Since(t1)
+		warm += load(unrouted)
+		warmRouted += load(routed)
 	}
 	b.ReportMetric(float64(warm.Nanoseconds())/float64(b.N), "warm-ns/op")
 	b.ReportMetric(float64(warm)*100/float64(prepare), "warm-vs-cold-pct")
@@ -628,12 +602,14 @@ func BenchmarkEngineLoad(b *testing.B) {
 	b.ReportMetric(float64(warmRouted)*100/float64(prepare+route), "routed-warm-vs-cold-pct")
 }
 
-// BenchmarkJournalRecover measures a session's one durable file against a
-// snapshot: an unedited 64×64 macro-grid session whose journal base was
-// folded after RouteAll recovers from that journal and, for comparison,
-// from the same session's Save frame. The base is that frame plus a header,
-// restored over the creation layout without re-validation, so the two cost
-// about the same. CI gates journal-vs-snapshot-pct at ≤200.
+// BenchmarkJournalRecover measures a session's one durable file against
+// the in-memory restore of its base: an unedited 64×64 macro-grid session
+// whose journal base was folded after RouteAll recovers from that journal
+// and, for reference, from the base's session payload already in memory
+// (DecodeSession and restoreEngine over a normalized copy of the layout,
+// the restore a recovery runs once the file is read and checked). The
+// difference is the file read, the frames' CRCs and attaching the journal.
+// CI gates journal-vs-snapshot-pct at ≤200.
 func BenchmarkJournalRecover(b *testing.B) {
 	l, err := MacroGrid(64, 64, 40, 30, 12, 10)
 	if err != nil {
@@ -650,20 +626,22 @@ func BenchmarkJournalRecover(b *testing.B) {
 	if err := e.CloseJournal(); err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	st, err := os.Stat(path)
+	s, err := journal.ScanFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
+	payload := s.Rebase.Session
 	b.ResetTimer()
 	var snap, jrnl time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := LoadEngine(bytes.NewReader(data), l); err != nil {
+		sess, err := snapshot.DecodeSession(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lc := l.Clone()
+		lc.NormalizeBoxes()
+		if _, err := restoreEngine(sess, lc, snapshot.LayoutHash(lc), newConfig(nil)); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
@@ -680,7 +658,7 @@ func BenchmarkJournalRecover(b *testing.B) {
 	b.ReportMetric(float64(snap)/1e6/float64(b.N), "snapshot-ms/op")
 	b.ReportMetric(float64(jrnl)/1e6/float64(b.N), "journal-ms/op")
 	b.ReportMetric(float64(jrnl)*100/float64(snap), "journal-vs-snapshot-pct")
-	b.ReportMetric(float64(st.Size()-int64(len(data))), "journal-extra-bytes")
+	b.ReportMetric(float64(s.Size-int64(len(payload))), "journal-extra-bytes")
 }
 
 // BenchmarkNegotiateResume32 is the crash-safety smoke at macro scale: a

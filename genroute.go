@@ -215,7 +215,7 @@ func WithWeightStep(step int64) Option {
 // interruption, a drain or a crash, RouteNegotiated on the same session or
 // on the one LoadEngineJournal recovers continues the negotiation, with
 // routes byte-identical to the uninterrupted run. The journal is the
-// checkpoint's file, so NewEngine and LoadEngine refuse this option without
+// checkpoint's file, so NewEngine refuses this option without
 // WithJournalFile: a caller asking for crash safety must not silently go
 // without it.
 func WithCheckpointEvery(every int) Option {

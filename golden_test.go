@@ -12,13 +12,14 @@ import (
 	"repro/internal/snapshot"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden frame files under testdata")
+var updateGolden = flag.Bool("update", false, "rewrite the golden journal files under testdata")
 
-// checkGolden compares an encoded frame with testdata/<name>. The golden
-// files pin the bytes on disk: a session frame written by one build must
-// decode in the next, so any change here needs a codec Version bump, not a
-// refreshed golden (the *-v1 files are the Version 1 frames, kept to prove
-// they fail closed). -update rewrites the files.
+// checkGolden compares a journal image with testdata/<name>. The golden
+// files pin the bytes on disk: a journal written by one build must recover
+// in the next, so any change here needs a journal.Version bump, not a
+// refreshed golden (the *-v1 files are what the Version 1 build wrote for
+// the same sessions, kept to prove they fail closed). -update rewrites the
+// files.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -36,31 +37,26 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenSessionFrame pins the session snapshot of a negotiated funnel:
-// passage tables, per-net routes with their search effort, and history.
+// TestGoldenSessionFrame pins the journal of a negotiated funnel: a header
+// and the base the negotiation's fold wrote, whose session payload holds
+// the passage tables, per-net routes with their search effort, and history.
 func TestGoldenSessionFrame(t *testing.T) {
-	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	_, path := savedFunnel(t, negotiate)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteNegotiated(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "session-routed.golden", buf.Bytes())
+	checkGolden(t, "session-routed.golden", b)
 }
 
-// midPassFrame negotiates the funnel with a checkpoint after every rip-up
-// and returns the session frame its journal's base held when pass 2's
-// progress event fired: the fold after that pass's last rip, before the
-// pass-boundary checkpoint replaced it.
-func midPassFrame(t *testing.T) []byte {
+// midPassJournal negotiates the funnel with a checkpoint after every
+// rip-up and returns its journal as it stood when pass 2's progress event
+// fired: the fold after that pass's last rip, before the pass-boundary
+// checkpoint replaced it.
+func midPassJournal(t *testing.T) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jrnl")
-	var frame []byte
+	var image []byte
 	e, err := NewEngine(funnelLayout(8), persistOpts(
 		WithJournalFile(path),
 		WithCheckpointEvery(1),
@@ -68,12 +64,11 @@ func midPassFrame(t *testing.T) []byte {
 			if p.Pass != 2 {
 				return
 			}
-			s, err := journal.ScanFile(path)
+			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			frame = s.Rebase.Session
+			image = b
 		}))...)
 	if err != nil {
 		t.Fatal(err)
@@ -81,19 +76,33 @@ func midPassFrame(t *testing.T) []byte {
 	if _, err := e.RouteNegotiated(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return frame
+	return image
 }
 
-// TestGoldenCheckpointFrame pins a session frame carrying a mid-pass
-// negotiation, as a checkpoint folds it into the session's journal.
+// midPassBase is the base of midPassJournal's image.
+func midPassBase(t *testing.T) journal.Rebase {
+	t.Helper()
+	s, err := journal.Scan(midPassJournal(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Rebase
+}
+
+// TestGoldenCheckpointFrame pins a journal whose base carries a mid-pass
+// negotiation, as a checkpoint folds it.
 func TestGoldenCheckpointFrame(t *testing.T) {
-	frame := midPassFrame(t)
-	sess, err := snapshot.DecodeSession(bytes.NewReader(frame))
+	image := midPassJournal(t)
+	s, err := journal.Scan(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := snapshot.DecodeSession(s.Rebase.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp := sess.Negotiation; cp == nil || !cp.InPass || cp.PassesRecorded != 1 {
-		t.Fatalf("captured frame carries negotiation %+v, want one mid-pass 2", cp)
+		t.Fatalf("captured base carries negotiation %+v, want one mid-pass 2", cp)
 	}
-	checkGolden(t, "checkpoint-midpass.golden", frame)
+	checkGolden(t, "checkpoint-midpass.golden", image)
 }

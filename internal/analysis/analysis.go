@@ -9,7 +9,7 @@
 //     touching guarded fields (the readers–writer contract from engine.go);
 //   - ctxpoll: hot-path loops poll cancellation (the poll-every-64-expansions
 //     discipline threaded through search/congest/router);
-//   - atomicwrite: journal files (snapshot frames and negotiation
+//   - atomicwrite: journal files (session payloads and negotiation
 //     checkpoints are folded into them) go through
 //     snapshot.WriteFileAtomic, never raw os.WriteFile/os.Create (no torn
 //     files);

@@ -7,14 +7,14 @@ import (
 )
 
 // Atomicwrite keeps persistence torn-file-free — the session journal, whose
-// base embeds a snapshot frame and any negotiation checkpoint: in the
-// packages that persist them (the driver scopes this to the package
+// base carries the session payload and any negotiation checkpoint: in the
+// packages that persist it (the driver scopes this to the package
 // root, internal/serve, internal/snapshot and internal/journal), files must
 // be produced through the one helper, snapshot.WriteFileAtomic (temp file
 // in the target dir + Sync + Close + Rename), never by writing the
 // destination path directly. A direct os.WriteFile/os.Create — or
 // os.OpenFile opened for writing or creation — is exactly the call that
-// leaves `*.tmp` debris and half-written snapshots behind.
+// leaves `*.tmp` debris and half-written journals behind.
 //
 // os.CreateTemp is allowed (it is how snapshot.WriteFileAtomic itself
 // starts), as is os.OpenFile in read-only mode. A deliberate non-atomic write carries

@@ -43,7 +43,7 @@ var everywhere = scope{}
 //     scope would be read by nothing; TestLoopDirectivesInCtxpollScope
 //     fails on one.
 //   - atomicwrite guards the packages that persist the session journal,
-//     with the snapshots and negotiation checkpoints folded into it (its
+//     with the session payloads and negotiation checkpoints folded into it (its
 //     fsync-before-ack discipline is checked too).
 //   - lockcontract and recoverguard run everywhere: guardedby annotations
 //     and blessed-guard annotations scope them per-site.

@@ -660,7 +660,8 @@ func (ng *negotiator) ripRoute(ctx context.Context, ni int) (nr router.NetRoute,
 // On cancellation the pass stops between nets — a net interrupted
 // mid-search keeps its previous route and the map stays consistent with the
 // recorded routing state — the partial pass is recorded, and the context's
-// error is returned. Any other routing error aborts without recording.
+// error is returned, joined with a checkpoint's that failed on the way out.
+// Any other routing error aborts without recording.
 func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed bool, err error) {
 	start := time.Now()
 	m := ng.m
@@ -740,9 +741,17 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 		// pass is recorded. The blob, not the recorded partial pass, is
 		// the resume point — a resumed run finishes this pass exactly as
 		// the uninterrupted run would have, rather than double-counting
-		// it against MaxPasses.
+		// it against MaxPasses. Whatever failed on the way out — this
+		// delivery, or a mid-pass checkpoint the cancellation overtook —
+		// the pass is still recorded, as on any cancellation: a failed
+		// delivery leaves the previous blob as the resume point, and the
+		// failure is returned joined with the context's error, so the
+		// caller sees the interruption as well as the failure.
+		if !errors.Is(err, ctx.Err()) {
+			err = errors.Join(ctx.Err(), err)
+		}
 		if cerr := ng.checkpoint(st); cerr != nil {
-			return st.changed, cerr
+			err = errors.Join(err, cerr)
 		}
 	}
 	st.next.Finalize(start)

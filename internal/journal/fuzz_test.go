@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -9,10 +8,11 @@ import (
 
 // FuzzJournalDecode is the journal's fail-closed contract, mirroring
 // snapshot.FuzzSnapshotDecode: arbitrary bytes scan to either a valid
-// journal (possibly torn) or one of the typed snapshot errors — never a
-// panic, never an unclassifiable error. The seed corpus covers the shapes
-// recovery actually meets: clean journals, torn tails, bit flips, version
-// skew.
+// journal (possibly torn) whose base's session payload decodes or fails
+// typed, or one of the typed snapshot errors — never a panic, never an
+// unclassifiable error. The seed corpus covers the shapes recovery
+// actually meets: clean journals, torn tails, bit flips, version skew, and
+// a negotiated funnel's real base.
 func FuzzJournalDecode(f *testing.F) {
 	base := EncodeBase(fixtureHeader(), fixtureRebase())
 	rec1 := fixtureRecord(1)
@@ -31,6 +31,8 @@ func FuzzJournalDecode(f *testing.F) {
 	skew := append([]byte(nil), full...)
 	skew[len(magic)] = 9 // version skew
 	f.Add(skew)
+	funnel, _, _ := funnelBase(f)
+	f.Add(funnel)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Scan(data)
@@ -51,13 +53,13 @@ func FuzzJournalDecode(f *testing.F) {
 				t.Fatalf("truncated rescan: torn=%v records=%d want %d",
 					s2.Torn, len(s2.Records), len(s.Records))
 			}
+			if _, err := snapshot.DecodeSession(s.Rebase.Session); err != nil && !typed(err) {
+				t.Fatalf("base session error %v is not one of the typed errors", err)
+			}
 			return
 		}
-		for _, typed := range []error{snapshot.ErrFormat, snapshot.ErrVersion, snapshot.ErrChecksum, snapshot.ErrCorrupt} {
-			if errors.Is(err, typed) {
-				return
-			}
+		if !typed(err) {
+			t.Fatalf("scan error %v is not one of the typed errors", err)
 		}
-		t.Fatalf("scan error %v is not one of the typed errors", err)
 	})
 }

@@ -9,17 +9,18 @@
 //
 // with payloads in the internal/snapshot codec (snapshot.Encoder and
 // snapshot.Decoder: little-endian fixed-width fields, varints,
-// bounds-checked decode that never panics) and a CRC-32 per record. Three
-// record kinds exist, in a fixed structural order:
+// bounds-checked decode that never panics) and a CRC-32 per record. This is
+// the one frame of the session's durable file, and Version the one codec
+// version. Three record kinds exist, in a fixed structural order:
 //
 //   - header (first record): the identity of the layout the session was
 //     created over — its fingerprint and congestion pitch. Replay onto any
 //     other layout fails closed.
-//   - rebase (second record): a complete base state — an embedded
-//     internal/snapshot session frame (routes, passages, history), plus
-//     the session's layout as JSON once edits have changed it. Compaction
-//     rewrites the journal as header+rebase, folding every edit so far
-//     into a fresh base.
+//   - rebase (second record): a complete base state — the
+//     internal/snapshot session payload (routes, passages, history, a
+//     negotiation in flight), plus the session's layout as JSON once edits
+//     have changed it. Compaction rewrites the journal as header+rebase,
+//     folding every edit so far into a fresh base.
 //   - edit (any number): one committed ECO edit set (AddNet/RemoveNet/
 //     MoveCell ops), its sequence number, and the fingerprint of the layout
 //     after the commit — the anchor replay verifies against.
@@ -31,7 +32,9 @@
 // every acknowledged record before it is intact because appends are
 // fsynced before Commit acknowledges. A record that fails *mid-file* (a
 // decodable record follows the damage) is real corruption and scanning
-// fails closed with a typed error, exactly like a snapshot would.
+// fails closed with a typed error. A file that does not open with the
+// magic is not a journal (ErrFormat), and one whose first record carries
+// another Version was written by another build (ErrVersion).
 //
 // A Journal (the writer) is not safe for concurrent use; the engine
 // serializes appends under its exclusive commit lock.
@@ -50,13 +53,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Version is the journal codec version this build reads and writes.
-const Version = 1
+// Version is the codec version this build reads and writes: of the frame
+// and of every payload in it, the session included. Version 2 carries the
+// session payload bare in the rebase record, where Version 1 wrapped it in
+// a second frame of its own.
+const Version = 2
 
 const (
 	magic      = "GRJRNL"
 	headerLen  = len(magic) + 2 + 1 // + uvarint length follows
-	maxPayload = 1 << 30            // decode allocation cap, as in snapshot
+	maxPayload = 1 << 30            // decode allocation cap; real payloads are far smaller
 
 	kindHeader byte = 1
 	kindRebase byte = 2
@@ -83,12 +89,13 @@ type Header struct {
 	Pitch      geom.Coord
 }
 
-// Rebase is a complete base state: an embedded snapshot session frame
-// (written by snapshot.EncodeSession) carrying routes, passages and
-// history, and LayoutJSON, the session layout as JSON. LayoutJSON is empty
-// while the layout still fingerprints to the header's: replay then
-// restores the frame over the creation layout its caller presents. Replay
-// starts here and applies the edit records that follow.
+// Rebase is a complete base state: Session, the session payload (written
+// by snapshot.EncodeSession, guarded by the rebase record's CRC) carrying
+// routes, passages, history and any negotiation in flight, and LayoutJSON,
+// the session layout as JSON. LayoutJSON is empty while the layout still
+// fingerprints to the header's: replay then restores the session over the
+// creation layout its caller presents. Replay starts here and applies the
+// edit records that follow.
 type Rebase struct {
 	LayoutJSON []byte
 	Session    []byte
@@ -205,8 +212,18 @@ func anyFrameAfter(data []byte, from int) bool {
 // Scan decodes a journal image. Structural order is enforced (header, then
 // rebase, then edits with consecutive sequence numbers); a torn tail is
 // tolerated and reported via Torn/ValidLen; damage with decodable records
-// after it fails closed.
+// after it fails closed. An image that does not open with the magic is not
+// a journal (ErrFormat), and one whose first record carries another version
+// was written by another build (ErrVersion): neither is reported as damage.
 func Scan(data []byte) (*Scanned, error) {
+	if len(data) >= headerLen {
+		if string(data[:len(magic)]) != magic {
+			return nil, fmt.Errorf("%w: bad journal magic", errFormat)
+		}
+		if ver := binary.LittleEndian.Uint16(data[len(magic):]); ver != Version {
+			return nil, fmt.Errorf("%w: journal version %d, this build reads %d", errVersion, ver, Version)
+		}
+	}
 	s := &Scanned{Size: int64(len(data))}
 	off := 0
 	for i := 0; off < len(data); i++ {

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
@@ -481,6 +482,116 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: encoded %d bytes differ from the %d golden bytes", name, len(got), len(want))
+		}
+	}
+}
+
+// funnelBase is the journal a negotiated funnel session leaves, pinned at
+// the module root as testdata/session-routed.golden: a real header and a
+// base whose rebase record carries a routed session payload. It returns
+// the image and the bounds of that session payload within it.
+func funnelBase(t testing.TB) (image []byte, sessionStart, sessionEnd int) {
+	t.Helper()
+	image, err := os.ReadFile(filepath.Join("..", "..", "testdata", "session-routed.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, n0, err := frameAt(image, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, n1, err := frameAt(image, n0)
+	if err != nil || kind != kindRebase || n0+n1 != len(image) {
+		t.Fatalf("funnel base: second frame kind %d, %d of %d bytes (%v); want the rebase ending the image", kind, n0+n1, len(image), err)
+	}
+	var rb Rebase
+	if err := decodeRebase(payload, &rb); err != nil {
+		t.Fatal(err)
+	}
+	// The session is the rebase payload's last field, just before the CRC.
+	sessionEnd = n0 + n1 - 4
+	return image, sessionEnd - len(rb.Session), sessionEnd
+}
+
+// typed reports whether err wraps one of the typed errors a caller can
+// classify.
+func typed(err error) bool {
+	for _, e := range []error{snapshot.ErrFormat, snapshot.ErrVersion, snapshot.ErrChecksum, snapshot.ErrCorrupt} {
+		if errors.Is(err, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDecodeTypedErrors: a damaged or foreign funnel base fails Scan with
+// the typed error of its class, never a half-read base.
+func TestDecodeTypedErrors(t *testing.T) {
+	valid, start, _ := funnelBase(t)
+
+	t.Run("not-a-snapshot", func(t *testing.T) {
+		if _, err := Scan([]byte("definitely not a snapshot")); !errors.Is(err, snapshot.ErrFormat) {
+			t.Fatalf("err = %v, want ErrFormat", err)
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		if _, err := Scan(nil); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("version-skew", func(t *testing.T) {
+		// Another build writes every frame at its own version; that is
+		// skew, not damage, so ErrVersion comes alone.
+		b := bytes.ReplaceAll(valid, binary.LittleEndian.AppendUint16([]byte(magic), Version),
+			binary.LittleEndian.AppendUint16([]byte(magic), Version+1))
+		_, err := Scan(b)
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrVersion alone", err)
+		}
+	})
+	t.Run("bit-rot", func(t *testing.T) {
+		b := append([]byte(nil), valid...)
+		b[start+3] ^= 0x40 // flip a session payload bit; the rebase CRC must catch it
+		if _, err := Scan(b); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("truncated-payload", func(t *testing.T) {
+		if _, err := Scan(valid[:len(valid)-8]); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("forged-huge-length", func(t *testing.T) {
+		// A forged rebase length far beyond the actual input must fail on
+		// truncation, without allocating the forged size.
+		_, _, n0, err := frameAt(valid, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, plen := binary.Uvarint(valid[n0+headerLen:])
+		b := append([]byte(nil), valid[:n0+headerLen]...)
+		b = binary.AppendUvarint(b, maxPayload)
+		b = append(b, valid[n0+headerLen+plen:]...)
+		if _, err := Scan(b); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+}
+
+// TestCRCGuardsEveryPayloadByte flips each byte of the funnel base's
+// session payload in turn, then each byte of the rest of the image: every
+// flip must fail Scan with a typed error, never yield a base that decodes
+// to a different session.
+func TestCRCGuardsEveryPayloadByte(t *testing.T) {
+	valid, start, end := funnelBase(t)
+	if _, err := snapshot.DecodeSession(valid[start:end]); err != nil {
+		t.Fatalf("funnel base payload does not decode: %v", err)
+	}
+	for i := range valid {
+		b := append([]byte(nil), valid...)
+		b[i] ^= 0x01
+		if s, err := Scan(b); !typed(err) {
+			t.Fatalf("byte %d flipped (session payload is %d..%d): scan %+v, err = %v, want a typed error", i, start, end, s, err)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,6 +172,60 @@ func TestCorruptJournalFailOpen(t *testing.T) {
 	mustRouteOK(t, ts2, got.Hash, "n01")
 }
 
+// TestOtherVersionJournalFailOpen: a journal another build wrote, every
+// frame at another codec version, fails as version skew; it is quarantined
+// and the session is built cold with a fresh journal, as a corrupt one is.
+func TestOtherVersionJournalFailOpen(t *testing.T) {
+	dir := t.TempDir()
+	l := funnel(8)
+
+	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	sr := createSession(t, ts, l, "pitch=2")
+	negotiateOK(t, ts, sr.Hash)
+	ecoPost(t, ts, sr.Hash, []ecoOp{{Op: "remove_net", Name: "n07"}})
+	ts.Close()
+
+	jrnl := filepath.Join(dir, sr.Hash+".jrnl")
+	data, err := os.ReadFile(jrnl)
+	if err != nil {
+		t.Fatalf("eco left no journal: %v", err)
+	}
+	frame := func(version uint16) []byte { return binary.LittleEndian.AppendUint16([]byte("GRJRNL"), version) }
+	if n := bytes.Count(data, frame(journal.Version)); n != 3 {
+		t.Fatalf("journal holds %d frames, want header, rebase and one edit", n)
+	}
+	other := bytes.ReplaceAll(data, frame(journal.Version), frame(journal.Version-1))
+	if err := os.WriteFile(jrnl, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	_, ts2 := newTestServer(t, Config{SnapshotDir: dir, Workers: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	got := createSession(t, ts2, l, "pitch=2")
+	if !got.Created || got.Warm || !got.Journaled || got.JournalRecords != 0 {
+		t.Fatalf("create over another version's journal = %+v, want a cold build with a fresh journal", got)
+	}
+	bad := quarantined(t, jrnl)
+	if len(bad) != 1 {
+		t.Fatalf("%d quarantined journals, want 1", len(bad))
+	}
+	if kept, err := os.ReadFile(bad[0]); err != nil || !bytes.Equal(kept, other) {
+		t.Fatalf("quarantined journal differs from the one the restart found (read err %v)", err)
+	}
+	mu.Lock()
+	logged := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, "(version error)") {
+		t.Fatalf("quarantine not logged as version skew:\n%s", logged)
+	}
+	mustRouteOK(t, ts2, got.Hash, "n01")
+}
+
 // TestUntypedJournalFailureQuarantines: a journal the warm-start ladder
 // cannot use is moved aside whatever its failure — here an injected replay
 // fault, which carries no ErrSnapshot* type — so the cold build's fresh
@@ -243,7 +300,7 @@ func journalNegotiating(t *testing.T, path string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := snapshot.DecodeSession(bytes.NewReader(s.Rebase.Session))
+	sess, err := snapshot.DecodeSession(s.Rebase.Session)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -381,6 +381,49 @@ func TestNegotiatePartialWithFailedFoldFails(t *testing.T) {
 	}
 }
 
+// TestNegotiatePartialWithFailedCheckpointIsPartial: when only the
+// checkpoint an interrupted pass delivers on its way out fails to fold, the
+// run still installs its best pass and the fold after it lands, so the
+// session's durable state did change: the request answers a 200 partial
+// that reports the interrupted pass, not a 500.
+func TestNegotiatePartialWithFailedCheckpointIsPartial(t *testing.T) {
+	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
+	sr := createSession(t, ts, funnel(16), "pitch=2&weight=40")
+
+	const deadline = 500 * time.Millisecond
+	var mu sync.Mutex
+	expired, folds := false, 0
+	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		mu.Lock()
+		defer mu.Unlock()
+		switch site.Point {
+		case faultinject.Reroute:
+			// The request's deadline started before this hook ran, so the
+			// first rip-up outlives it.
+			if !expired {
+				time.Sleep(deadline)
+				expired = true
+			}
+		case faultinject.JournalCompact:
+			if expired {
+				if folds++; folds == 1 {
+					return faultinject.Error
+				}
+			}
+		}
+		return faultinject.None
+	})
+	var nr negotiateResponse
+	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: deadline.Milliseconds()}, &nr)
+	restore()
+	if code != http.StatusOK || !nr.Partial || len(nr.Passes) < 2 {
+		t.Fatalf("interrupted negotiate with a failing checkpoint = %d %+v, want a 200 partial reporting the interrupted pass", code, nr)
+	}
+	if folds != 2 {
+		t.Fatalf("%d journal folds after the deadline, want the failed checkpoint and the fold after the flow", folds)
+	}
+}
+
 // TestLRUEvictionAndWarmReadmission: past the LRU bound the oldest session
 // drops to 404, and re-POSTing its layout warm-starts from its journal.
 func TestLRUEvictionAndWarmReadmission(t *testing.T) {

@@ -1,32 +1,28 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
 
-// FuzzSnapshotDecode is the fail-closed contract for the session decoder,
-// which also reads the frame embedded in every journal base: arbitrary
-// bytes must produce either a successful decode or one of the typed errors
-// — never a panic, and never an untyped error a caller could not classify.
-// (The fuzz harness itself converts panics into failures.) The seeds
-// include sessions carrying a negotiation in flight, at a pass boundary and
-// mid-pass.
+// FuzzSnapshotDecode is the fail-closed contract for the session payload
+// decoder, which reads the payload of every journal base: arbitrary bytes
+// must produce either a successful decode or one of the typed errors —
+// never a panic, and never an untyped error a caller could not classify.
+// (The fuzz harness itself converts panics into failures.) The seeds are a
+// cut and an overlong payload, and sessions carrying no negotiation and one
+// in flight, at a pass boundary and mid-pass.
 func FuzzSnapshotDecode(f *testing.F) {
+	valid := EncodeSession(fixtureSession())
 	f.Add([]byte{})
-	f.Add([]byte(magic))
-	f.Add([]byte("GRSNAPxxxxxxxxxxxxxxxxxxxxxxxx"))
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte(nil), valid...), 0))
 	for _, s := range []*Session{fixtureSession(), fixtureNegotiating(false), fixtureNegotiating(true)} {
-		var buf bytes.Buffer
-		if err := EncodeSession(&buf, s); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(EncodeSession(s))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := DecodeSession(bytes.NewReader(data)); err != nil {
+		if _, err := DecodeSession(data); err != nil {
 			checkTyped(t, err)
 		}
 	})

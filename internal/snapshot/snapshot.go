@@ -1,35 +1,27 @@
-// Package snapshot is the versioned, checksummed binary codec behind
-// crash-safe sessions: it serializes a prepared (and possibly routed)
-// engine session, including a negotiation in flight, which makes the frame
-// a negotiation checkpoint as well.
+// Package snapshot is the session payload codec of crash-safe sessions: it
+// serializes a prepared (and possibly routed) engine session, including a
+// negotiation in flight, as the payload a journal base carries (see
+// internal/journal, whose rebase record frames and checksums it).
 //
-// A snapshot stream is a single frame:
+// The payload does not carry the obstacle index, the interval trees or the
+// memoized validate geometry: all of them are deterministic functions of
+// the layout, and rebuilding them from spans is orders of magnitude cheaper
+// than validating from scratch — the payload instead embeds a hash of the
+// layout (LayoutHash), so the loader can prove it is rebuilding over
+// byte-identical geometry and skip validation entirely. Decoding fails
+// closed with typed errors and never panics, whatever the input bytes;
+// every count is bounds-checked against the remaining payload before
+// allocation.
 //
-//	magic "GRSNAP" | version u16 | kind u8 | payload length u64 | payload | crc32(payload)
-//
-// (little-endian fixed-width header fields; varint-coded payload). The
-// kind byte is 1, a session, the only kind. The payload does not carry the
-// obstacle index, the interval trees or the memoized validate geometry:
-// all of them are deterministic functions of the layout, and rebuilding
-// them from spans is orders of magnitude cheaper than validating from
-// scratch — the snapshot instead embeds a hash of the layout (LayoutHash),
-// so the loader can prove it is rebuilding over byte-identical geometry
-// and skip validation entirely. Decoding fails closed with typed errors
-// (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt, ErrLayout) and never
-// panics, whatever the input bytes; every count is bounds-checked against
-// the remaining payload before allocation.
-//
-// The payload codec (Encoder, Decoder) and the atomic file replacement
-// (WriteFileAtomic) are shared with internal/journal, the other durable
-// format, whose base embeds a session frame.
+// The payload codec (Encoder, Decoder), the typed errors and the atomic
+// file replacement (WriteFileAtomic) are shared with internal/journal, the
+// session's durable file.
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,32 +34,24 @@ import (
 	"repro/internal/search"
 )
 
-// Version is the codec version this build reads and writes. Version 2
-// added the negotiation in flight to the session payload and retired the
-// separate checkpoint frame.
-const Version = 2
-
-const (
-	magic       = "GRSNAP"
-	headerLen   = len(magic) + 2 + 1 + 8
-	maxPayload  = 1 << 30 // decode allocation cap; real payloads are far smaller
-	kindSession = 1
-)
-
-// Typed decode errors. Every failure wraps exactly one of these, so callers
-// can distinguish "wrong file" from "stale format" from "bit rot".
+// Typed decode errors of the session's durable file, raised by this
+// package's payload decoder and by internal/journal's framer. Every failure
+// wraps exactly one of these, so callers can distinguish "wrong file" from
+// "stale format" from "bit rot".
 var (
-	// ErrFormat marks a stream that is not a snapshot at all (bad magic or
-	// a truncated header).
+	// ErrFormat marks a file that is not a session journal at all: it does
+	// not open with the journal magic.
 	ErrFormat = errors.New("snapshot: not a snapshot stream")
-	// ErrVersion marks a snapshot written by an incompatible codec version.
+	// ErrVersion marks a file written by an incompatible codec version
+	// (journal.Version, the one codec version).
 	ErrVersion = errors.New("snapshot: unsupported version")
-	// ErrChecksum marks a payload whose CRC does not match.
+	// ErrChecksum marks a frame whose payload CRC does not match.
 	ErrChecksum = errors.New("snapshot: payload checksum mismatch")
 	// ErrCorrupt marks a payload that passes the checksum but does not
-	// decode (truncated, inconsistent counts, or illegal values).
+	// decode (truncated, inconsistent counts, or illegal values), and a
+	// journal damaged anywhere but in a torn tail.
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
-	// ErrLayout marks a snapshot whose embedded layout hash does not match
+	// ErrLayout marks a session whose embedded layout hash does not match
 	// the layout it is being restored onto (layout drift).
 	ErrLayout = errors.New("snapshot: layout does not match")
 )
@@ -99,8 +83,8 @@ type Session struct {
 	Negotiation *congest.Checkpoint
 }
 
-// EncodeSession writes a session snapshot frame.
-func EncodeSession(w io.Writer, s *Session) error {
+// EncodeSession encodes a session payload.
+func EncodeSession(s *Session) []byte {
 	e := &Encoder{}
 	e.U64(s.LayoutHash)
 	e.Varint(int64(s.Pitch))
@@ -143,20 +127,16 @@ func EncodeSession(w io.Writer, s *Session) error {
 			}
 		}
 	}
-	return writeFrame(w, e.Bytes())
+	return e.Bytes()
 }
 
-// DecodeSession reads a session snapshot frame. The returned NetRoutes have
+// DecodeSession decodes a session payload. The returned NetRoutes have
 // empty Net names (the loader fills them from its layout). A negotiation in
 // flight is held to the checks NegotiateResume makes before it resumes,
 // except the net count against the layout, which the loader makes: its
 // history covers the passages, its routes match the session's, and a
 // mid-pass state has a started reroute pass and rip state within its nets.
-func DecodeSession(r io.Reader) (*Session, error) {
-	payload, err := readFrame(r)
-	if err != nil {
-		return nil, err
-	}
+func DecodeSession(payload []byte) (*Session, error) {
 	d := NewDecoder(payload)
 	s := &Session{LayoutHash: d.U64(), Pitch: geom.Coord(d.Varint())}
 	n := d.Count(9) // a passage is at least 9 payload bytes
@@ -334,9 +314,9 @@ func decodeNets(d *Decoder) []router.NetRoute {
 // cells with outlines, nets with terminals and pins) with FNV-1a over an
 // unambiguous length-prefixed encoding. Two layouts hash equal iff a
 // prepared session over one is valid over the other, which is what lets
-// LoadEngine skip re-validation: the hash is taken over the validated
-// layout at save time, so a matching load target is byte-identical to
-// geometry that already passed Validate. Call on a layout whose bare
+// LoadEngineJournal skip re-validation: the hash is taken over the
+// validated layout when the base is written, so a matching load target is
+// byte-identical to geometry that already passed Validate. Call on a layout whose bare
 // polygon boxes are filled (Validate or layout.NormalizeBoxes does).
 func LayoutHash(l *layout.Layout) uint64 {
 	h := &fnv{sum: 14695981039346656037}
@@ -411,64 +391,6 @@ func (h *fnv) rect(r geom.Rect) {
 	h.i(int64(r.MaxY))
 }
 
-// writeFrame frames a session payload: header, payload, CRC.
-func writeFrame(w io.Writer, payload []byte) error {
-	hdr := make([]byte, 0, headerLen)
-	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-	hdr = append(hdr, kindSession)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(sum[:])
-	return err
-}
-
-// readFrame reads and verifies one session frame, returning the payload.
-// The payload is read through a growing buffer so a forged huge length
-// cannot force a huge allocation before the (short) input runs out.
-func readFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: short header", ErrFormat)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	ver := binary.LittleEndian.Uint16(hdr[len(magic):])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: stream version %d, this build reads %d", ErrVersion, ver, Version)
-	}
-	if kind := hdr[len(magic)+2]; kind != kindSession {
-		return nil, fmt.Errorf("%w: stream kind %d, want a session (%d)", ErrFormat, kind, kindSession)
-	}
-	n := binary.LittleEndian.Uint64(hdr[len(magic)+3:])
-	if n > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, n)
-	}
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, io.LimitReader(r, int64(n))); err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
-	}
-	if uint64(buf.Len()) != n {
-		return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, buf.Len(), n)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(buf.Bytes()) != binary.LittleEndian.Uint32(sum[:]) {
-		return nil, ErrChecksum
-	}
-	return buf.Bytes(), nil
-}
-
 // WriteFileAtomic replaces path atomically: write encodes into a temp file
 // in the same directory, which is fsynced, closed and renamed over path
 // only if every step succeeded, so a crash at any instant leaves either the
@@ -529,8 +451,8 @@ func (fw faultableWriter) Write(p []byte) (int, error) {
 }
 
 // Encoder builds a varint-coded payload by plain byte-slice appends. It is
-// the payload codec of both durable formats: session frames here, and the
-// ECO journal's records.
+// the codec of every journal payload: the session here, and the journal's
+// header and edit records.
 type Encoder struct{ buf []byte }
 
 // Bytes returns the payload encoded so far.

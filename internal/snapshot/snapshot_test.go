@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	stdfnv "hash/fnv"
 	"math"
 	"slices"
@@ -87,11 +86,7 @@ func TestSessionRoundTrip(t *testing.T) {
 		{"negotiating-mid-pass", fixtureNegotiating(true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := EncodeSession(&buf, tc.s); err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeSession(bytes.NewReader(buf.Bytes()))
+			got, err := DecodeSession(EncodeSession(tc.s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,78 +173,44 @@ func checkNetRoute(t *testing.T, got, want *router.NetRoute) {
 	}
 }
 
-// sessionBytes returns a valid encoded session frame for tampering tests.
-func sessionBytes(t testing.TB) []byte {
-	var buf bytes.Buffer
-	if err := EncodeSession(&buf, fixtureSession()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
+// TestDecodeTypedErrors: payloads that do not decode to a session fail as
+// corrupt, never panic or mis-decode. The decoder reads what a rebase
+// record's CRC already vouched for, so these are bytes a faulty writer
+// could have checksummed; internal/journal tests the frame around them.
 func TestDecodeTypedErrors(t *testing.T) {
-	valid := sessionBytes(t)
+	valid := EncodeSession(fixtureSession())
 
-	t.Run("not-a-snapshot", func(t *testing.T) {
-		if _, err := DecodeSession(bytes.NewReader([]byte("definitely not a snapshot"))); !errors.Is(err, ErrFormat) {
-			t.Fatalf("err = %v, want ErrFormat", err)
-		}
-	})
 	t.Run("empty", func(t *testing.T) {
-		if _, err := DecodeSession(bytes.NewReader(nil)); !errors.Is(err, ErrFormat) {
-			t.Fatalf("err = %v, want ErrFormat", err)
-		}
-	})
-	t.Run("version-skew", func(t *testing.T) {
-		b := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint16(b[len(magic):], Version+1)
-		if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
-		}
-	})
-	t.Run("bit-rot", func(t *testing.T) {
-		b := append([]byte(nil), valid...)
-		b[headerLen+3] ^= 0x40 // flip a payload bit; CRC must catch it
-		if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("err = %v, want ErrChecksum", err)
-		}
-	})
-	t.Run("truncated-payload", func(t *testing.T) {
-		b := valid[:len(valid)-8]
-		if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeSession(nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
-	t.Run("checksummed-garbage", func(t *testing.T) {
-		// A correctly framed, correctly checksummed payload of garbage must
-		// fail as corrupt, not panic or mis-decode.
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, bytes.Repeat([]byte{0xff}, 64)); err != nil {
-			t.Fatal(err)
+	t.Run("truncated-payload", func(t *testing.T) {
+		for n := 0; n < len(valid); n++ {
+			if _, err := DecodeSession(valid[:n]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("payload cut to %d of %d bytes: err = %v, want ErrCorrupt", n, len(valid), err)
+			}
 		}
-		if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+	})
+	t.Run("checksummed-garbage", func(t *testing.T) {
+		if _, err := DecodeSession(bytes.Repeat([]byte{0xff}, 64)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("trailing-garbage-in-payload", func(t *testing.T) {
-		// Extend the payload with extra bytes and re-frame with a valid CRC:
-		// the decoder must reject the leftovers.
-		payload := append(append([]byte(nil), valid[headerLen:len(valid)-4]...), 0, 0, 0)
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+		payload := append(append([]byte(nil), valid...), 0, 0, 0)
+		if _, err := DecodeSession(payload); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("forged-huge-length", func(t *testing.T) {
-		// A forged payload length far beyond the actual input must fail on
-		// truncation, without allocating the forged size first.
-		b := append([]byte(nil), valid[:headerLen]...)
-		binary.LittleEndian.PutUint64(b[len(magic)+3:], maxPayload)
-		b = append(b, valid[headerLen:]...)
-		if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+		// A forged passage count far beyond the remaining bytes must fail
+		// before anything is allocated for it.
+		e := &Encoder{}
+		e.U64(1)
+		e.Varint(4)
+		e.Uvarint(1 << 40)
+		if _, err := DecodeSession(e.Bytes()); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -259,11 +220,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		s := fixtureSession()
 		s.Nets[0].Paths = [][]geom.Point{{geom.Pt(0, 0), geom.Pt(5, 7)}}
 		s.Nets[0].Segments = nil
-		var buf bytes.Buffer
-		if err := EncodeSession(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeSession(EncodeSession(s)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -290,11 +247,7 @@ func TestDecodeRejectsInconsistentNegotiation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := fixtureNegotiating(tc.inPass)
 			tc.break_(s.Negotiation)
-			var buf bytes.Buffer
-			if err := EncodeSession(&buf, s); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeSession(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodeSession(EncodeSession(s)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
 		})
@@ -404,25 +357,4 @@ func TestLayoutHashMatchesReferenceEncoding(t *testing.T) {
 			t.Errorf("%q: LayoutHash %016x, reference encoding %016x", l.Name, got, want)
 		}
 	}
-}
-
-// TestCRCGuardsEveryPayloadByte flips each payload byte in turn: every flip
-// must surface as a typed error (almost always ErrChecksum), never a
-// silently different decode.
-func TestCRCGuardsEveryPayloadByte(t *testing.T) {
-	valid := sessionBytes(t)
-	for i := headerLen; i < len(valid)-4; i++ {
-		b := append([]byte(nil), valid...)
-		b[i] ^= 0x01
-		if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("payload byte %d flipped: err = %v, want ErrChecksum", i, err)
-		}
-	}
-	// And a flipped checksum byte too.
-	b := append([]byte(nil), valid...)
-	b[len(b)-1] ^= 0x01
-	if _, err := DecodeSession(bytes.NewReader(b)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("flipped CRC byte: err = %v, want ErrChecksum", err)
-	}
-	_ = crc32.ChecksumIEEE // keep the import honest about what we are testing
 }
