@@ -58,9 +58,7 @@ func (e *Engine) Edit() *Edit { return &Edit{e: e} }
 // netExists reports whether the staged view of the layout — the engine's
 // nets minus staged removals plus staged additions — contains name.
 func (tx *Edit) netExists(name string) bool {
-	tx.e.mu.RLock()
-	_, present := tx.e.netIdx[name]
-	tx.e.mu.RUnlock()
+	_, present := tx.e.st.Load().netIdx[name]
 	for _, op := range tx.ops {
 		switch {
 		case op.kind == opAddNet && op.net.Name == name:
@@ -118,10 +116,9 @@ func (tx *Edit) MoveCell(name string, dx, dy int64) error {
 	if tx.committed {
 		return fmt.Errorf("genroute: Edit already committed")
 	}
-	tx.e.mu.RLock()
-	defer tx.e.mu.RUnlock()
-	for i := range tx.e.l.Cells {
-		if tx.e.l.Cells[i].Name == name {
+	cells := tx.e.st.Load().l.Cells
+	for i := range cells {
+		if cells[i].Name == name {
 			tx.ops = append(tx.ops, editOp{kind: opMoveCell, name: name, d: Pt(dx, dy)})
 			return nil
 		}
@@ -197,8 +194,8 @@ type ECOResult struct {
 // matching ErrCommitPanic rather than unwinding through the caller.
 // Per-net routing panics during the repair are already isolated by the
 // negotiator; any other panic can only originate before the install step
-// (the install itself is plain assignments), so the engine is left exactly
-// as it was.
+// (the install itself is one store of a state built before it), so the
+// engine is left exactly as it was.
 func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e := tx.e
 	defer recoverCommitPanic(&res, &err)
@@ -207,15 +204,16 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cur == nil {
+	s := e.st.Load()
+	if s.cur == nil {
 		return nil, errNotRouted("Edit.Commit")
 	}
 	start := time.Now()
 	if len(tx.ops) == 0 {
 		tx.committed = true
 		return &ECOResult{
-			Result:    e.cur,
-			Converged: e.m.TotalOverflow() == 0,
+			Result:    s.cur,
+			Converged: s.m.TotalOverflow() == 0,
 			Elapsed:   time.Since(start),
 		}, nil
 	}
@@ -228,7 +226,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// too: the pins of an added net ride with a moved cell below, and the
 	// staged ops must keep the coordinates the caller gave, which are what
 	// the journal records and what a retried commit translates.
-	next := make([]int, len(e.l.Nets)) // old net index → new, -1 if removed
+	next := make([]int, len(s.l.Nets)) // old net index → new, -1 if removed
 	var adds []Net
 	moves := map[string]Point{} // cell name → accumulated delta
 	for _, op := range tx.ops {
@@ -239,7 +237,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 			// Staging checked the removal against the layout of its day; a
 			// commit installed since may have removed the net already.
 			// Skipping the name would journal a record replay rejects.
-			i, ok := e.netIdx[op.name]
+			i, ok := s.netIdx[op.name]
 			if !ok {
 				return nil, fmt.Errorf("genroute: ECO edit removes net %q, which a commit since staging removed", op.name)
 			}
@@ -248,14 +246,14 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 			moves[op.name] = moves[op.name].Add(op.d)
 		}
 	}
-	l2 := &Layout{Name: e.l.Name, Bounds: e.l.Bounds, Cells: e.l.Cells}
-	l2.Nets = make([]Net, 0, len(e.l.Nets)+len(adds))
-	for i := range e.l.Nets {
+	l2 := &Layout{Name: s.l.Name, Bounds: s.l.Bounds, Cells: s.l.Cells}
+	l2.Nets = make([]Net, 0, len(s.l.Nets)+len(adds))
+	for i := range s.l.Nets {
 		if next[i] < 0 {
 			continue
 		}
 		next[i] = len(l2.Nets)
-		l2.Nets = append(l2.Nets, e.l.Nets[i])
+		l2.Nets = append(l2.Nets, s.l.Nets[i])
 	}
 	numKept := len(l2.Nets)
 	l2.Nets = append(l2.Nets, adds...)
@@ -314,7 +312,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}
 	}
 
-	// 2. Validate what the edit touched. e.l passed Validate (the invariant
+	// 2. Validate what the edit touched. s.l passed Validate (the invariant
 	// every install keeps), so ValidateEdit returns exactly what
 	// l2.Validate() would, at a fraction of the cost (DESIGN.md,
 	// "Validation cost"). Failure leaves the engine untouched.
@@ -343,7 +341,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// 3. Edit the obstacle index: splice the moved cells' obstacle ids
 	// out and their translated rectangles in. Unmoved geometry keeps its
 	// derived tables; passages are re-extracted only when geometry moved.
-	ix2, spans2, passages2 := e.ix, e.spans, e.passages
+	ix2, spans2, passages2 := s.ix, s.spans, s.passages
 	geometryChanged := len(movedCells) > 0
 	if geometryChanged {
 		// movedOrder is already the ascending cell-index order a fresh
@@ -352,8 +350,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		var removedObs []int
 		var addedRects []geom.Rect
 		for _, ci := range order {
-			s := e.spans[ci]
-			for id := s[0]; id < s[1]; id++ {
+			for id := s.spans[ci][0]; id < s.spans[ci][1]; id++ {
 				removedObs = append(removedObs, id)
 			}
 			addedRects = append(addedRects, l2.Cells[ci].ObstacleRects()...)
@@ -364,11 +361,11 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		sort.Ints(removedObs)
 		var err error
 		var remap []int32
-		ix2, remap, err = e.ix.Edit(removedObs, addedRects)
+		ix2, remap, err = s.ix.Edit(removedObs, addedRects)
 		if err != nil {
 			return nil, err
 		}
-		spans2 = remapSpans(e.spans, removedObs, order, l2)
+		spans2 = remapSpans(s.spans, removedObs, order, l2)
 		// Splice the passage tables incrementally, mirroring the index
 		// edit: Edit's returned remap carries the renumbering it applied,
 		// ExtractEdit gets the vacated and occupied rectangles, and only
@@ -377,14 +374,14 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		// ExtractEdit equivalence guarantee).
 		removedRects := make([]geom.Rect, len(removedObs))
 		for k, id := range removedObs {
-			removedRects[k] = e.ix.Cell(id)
+			removedRects[k] = s.ix.Cell(id)
 		}
 		// Added obstacles occupy the trailing ids of the edited index.
 		addedIDs := make([]int, len(addedRects))
 		for k := range addedIDs {
 			addedIDs[k] = ix2.NumCells() - len(addedRects) + k
 		}
-		passages2, err = congest.ExtractEdit(ix2, e.cfg.congest.Pitch, e.passages, remap, removedRects, addedIDs)
+		passages2, err = congest.ExtractEdit(ix2, e.cfg.congest.Pitch, s.passages, remap, removedRects, addedIDs)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +391,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	cur2 := &router.LayoutResult{Nets: make([]router.NetRoute, len(l2.Nets))}
 	for i, k := range next {
 		if k >= 0 {
-			cur2.Nets[k] = e.cur.Nets[i]
+			cur2.Nets[k] = s.cur.Nets[i]
 		}
 	}
 	for ni := numKept; ni < len(l2.Nets); ni++ {
@@ -425,15 +422,15 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// the passage set, so the map is rebuilt from the carried-over routes.
 	// History survives as long as the passage set does.
 	var m2 *congest.Map
-	history2 := e.history
+	history2 := s.history
 	switch {
 	case geometryChanged:
 		m2 = congest.BuildMap(passages2, netSegments(cur2))
 		history2 = nil // per-passage history is meaningless across a re-extract
-	case numKept != len(e.l.Nets):
-		m2 = e.m.Renumber(next)
+	case numKept != len(s.l.Nets):
+		m2 = s.m.Renumber(next)
 	default:
-		m2 = e.m.Clone()
+		m2 = s.m.Clone()
 	}
 
 	// 7. Repair: reroute the dirty set against the live map, then drain
@@ -460,11 +457,10 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 
 	// 7b. Write-ahead journal: with WithJournalFile, the staged edit set is
 	// appended and fsynced here, after everything fallible and immediately
-	// before the plain-assignment install — so a journaled record and the
-	// installed state can only diverge by a crash inside the assignments
-	// below, which replay then completes (unacked-record-may-apply, the
-	// standard WAL contract). A journal failure aborts the commit with the
-	// engine untouched.
+	// before the install — so a journaled record and the installed state
+	// can only diverge by a crash before the store below, which replay then
+	// completes (unacked-record-may-apply, the standard WAL contract). A
+	// journal failure aborts the commit with the engine untouched.
 	if e.jr != nil {
 		hashing.Wait()
 		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
@@ -475,13 +471,6 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// 8. Install the new session state (also on cancellation: the partial
 	// repair is consistent — routes, map and history agree).
 	tx.committed = true
-	e.l = l2
-	e.ix = ix2
-	e.spans = spans2
-	e.passages = passages2
-	e.lhash = postHash // the new layout's fingerprint, if the journal took one
-	e.r = router.New(ix2, e.cfg.routerOptions(ix2))
-	e.reindexNets()
 	final := cur2
 	if len(rres.Results) > 0 {
 		final = rres.Final()
@@ -492,7 +481,9 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		// such a commit.
 		final.Finalize(start)
 	}
-	e.setState(final, m2, append([]int(nil), rres.History...))
+	e.st.Store(e.prepared(l2, ix2, spans2, passages2).routed(final, m2, append([]int(nil), rres.History...)))
+	e.pending = nil
+	e.lhash = postHash // the new layout's fingerprint, if the journal took one
 
 	// 9. Fold the journal when it has outgrown its thresholds (non-fatal:
 	// the commit above is already durable either way).

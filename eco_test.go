@@ -73,10 +73,11 @@ func TestECOAddRemoveEquivalence(t *testing.T) {
 	if e.Overflow() != 0 {
 		t.Fatalf("scene must be uncongested, overflow %d", e.Overflow())
 	}
-	for pi, u := range e.m.Usage {
-		if u >= e.m.Passages[pi].Capacity {
+	m := e.st.Load().m
+	for pi, u := range m.Usage {
+		if u >= m.Passages[pi].Capacity {
 			t.Fatalf("passage %d at capacity (%d/%d); pick a larger capacity scene",
-				pi, u, e.m.Passages[pi].Capacity)
+				pi, u, m.Passages[pi].Capacity)
 		}
 	}
 
@@ -378,13 +379,14 @@ func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 // rewritten as layout cell indices (Boundary kept as is).
 func cellPassages(t *testing.T, e *Engine) []congest.Passage {
 	t.Helper()
-	toCell := make([]int, e.ix.NumCells())
-	for ci, s := range e.spans {
+	st := e.st.Load()
+	toCell := make([]int, st.ix.NumCells())
+	for ci, s := range st.spans {
 		for id := s[0]; id < s[1]; id++ {
 			toCell[id] = ci
 		}
 	}
-	out := append([]congest.Passage(nil), e.passages...)
+	out := append([]congest.Passage(nil), st.passages...)
 	for pi := range out {
 		for s := 0; s < 2; s++ {
 			if id := out[pi].Between[s]; id >= 0 {
@@ -516,7 +518,7 @@ func TestECOCancelMidCommit(t *testing.T) {
 	// The engine moved to the edited layout with a consistent state; the
 	// added net is simply not routed yet.
 	checkEngineConsistency(t, e)
-	if _, ok := e.netIdx["late"]; !ok {
+	if _, ok := e.st.Load().netIdx["late"]; !ok {
 		t.Fatal("edited layout not installed")
 	}
 }

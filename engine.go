@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/adjust"
 	"repro/internal/congest"
@@ -38,52 +39,33 @@ import (
 //
 // # Concurrency
 //
-// An Engine is safe for concurrent use, under a readers–writer contract
-// enforced by an internal sync.RWMutex:
+// An Engine is safe for concurrent use. The session it holds — layout,
+// obstacle index, router, passages and routing state — is one immutable
+// value published through an atomic pointer:
 //
-//   - Read-side methods — RouteNet, RoutePoints, Validate,
-//     CheckConnectivity, AssignTracks, AssignLayers, AdjustPlacement,
-//     Routed, Result, Overflow — only observe the session state and
-//     may run concurrently with each other. This is the pattern a server
-//     relies on: many simultaneous RouteNet calls against one prepared
-//     session (per-net routing depends only on the obstacle geometry, so
-//     reads never contend on anything but the lock).
-//   - Write-side methods — RouteAll, RouteNegotiated and Edit.Commit —
-//     replace the session state and take the lock exclusively. A long
-//     negotiation therefore blocks concurrent reads on the same session
-//     until it completes or is cancelled; bound it with a context deadline
-//     if readers must not starve.
+//   - Read-side methods — Layout, Routed, Result, Overflow, RouteNet,
+//     RoutePoints, Validate, CheckConnectivity, AssignTracks, AssignLayers,
+//     AdjustPlacement — load the installed session once and work on it.
+//     They take no lock, so they never wait, not even for a negotiation.
+//   - Write-side methods — RouteAll, RouteNegotiated and Edit.Commit — run
+//     one at a time and each installs a new session with one store. A
+//     reader sees the session before or after an install, never a mix.
 //
-// The lock is not context-aware: a method waits for the lock before its
-// context is consulted. Layout reads the layout pointer under RLock but
-// returns an interior pointer — treat the returned value as read-only. An
-// installed layout is never written after install: Edit.Commit installs a
-// new layout that shares every unchanged cell and net with the old one and
-// writes neither, so a layout read before a commit stays valid after it.
+// A writer waits for the one before it without consulting its context.
+// Values a read returns — the layout, a Result — belong to the session
+// they were read from, which nothing writes: treat them as read-only.
 type Engine struct {
-	// mu enforces the readers–writer contract above. State-replacing flows
-	// (RouteAll, RouteNegotiated, Edit.Commit) hold it exclusively;
-	// everything else reads under RLock.
-	mu sync.RWMutex
+	// cfg is fixed before NewEngine or LoadEngineJournal returns.
+	cfg config
+	// st is the installed session (see state).
+	st atomic.Pointer[state]
 
-	l   *Layout      //grlint:guardedby mu
-	cfg config       //grlint:guardedby mu
-	ix  *plane.Index //grlint:guardedby mu
-	// spans maps each layout cell to the half-open obstacle-id range it
-	// contributed to ix; ECO cell moves splice exactly those ids.
-	spans    [][2]int          //grlint:guardedby mu
-	r        *router.Router    //grlint:guardedby mu
-	passages []congest.Passage //grlint:guardedby mu
-	netIdx   map[string]int    //grlint:guardedby mu
-
-	// Routed session state (nil until a whole-layout flow has run).
-	cur     *router.LayoutResult //grlint:guardedby mu
-	m       *congest.Map         //grlint:guardedby mu
-	history []int                //grlint:guardedby mu
+	// mu serializes the writers and guards what only they touch.
+	mu sync.Mutex
 	// pending is the negotiation in flight: the latest checkpoint of an
-	// interrupted RouteNegotiated, which the next one continues. Every
-	// other install retires it (see setState); the journal's base carries
-	// it. nil when there is none.
+	// interrupted RouteNegotiated, which the next one continues, or nil.
+	// The journal's base carries it. Every other install retires it: it
+	// would continue from routes the session no longer holds.
 	pending *congest.Checkpoint //grlint:guardedby mu
 
 	// jr is the write-ahead ECO journal: written by NewEngine under
@@ -100,6 +82,52 @@ type Engine struct {
 	lhash uint64 //grlint:guardedby mu
 }
 
+// state is one installed session: a validated layout, what was prepared
+// from it, and — once a whole-layout flow has run — its routing state.
+// Nothing writes a state, or anything it points to, after it is stored:
+// Edit.Commit builds its layout on top of the installed one without
+// writing it, repairs a map of its own (from Clone, Renumber or BuildMap)
+// and hands RepairCtx a fresh route slice; installNegotiated clones the
+// map and the history; a router is shared by concurrent readers anyway.
+// So a reader may use a state it loaded for as long as it likes, while
+// writers install its successors.
+type state struct {
+	l  *Layout
+	ix *plane.Index
+	// spans maps each layout cell to the half-open obstacle-id range it
+	// contributed to ix; ECO cell moves splice exactly those ids.
+	spans    [][2]int
+	r        *router.Router
+	passages []congest.Passage
+	netIdx   map[string]int
+
+	// Routed session state (nil until a whole-layout flow has run).
+	cur     *router.LayoutResult
+	m       *congest.Map
+	history []int
+}
+
+// prepared builds the unrouted state over a validated layout, its obstacle
+// index and passages: the router and the net-name index.
+func (e *Engine) prepared(l *Layout, ix *plane.Index, spans [][2]int, passages []congest.Passage) *state {
+	netIdx := make(map[string]int, len(l.Nets))
+	for i := range l.Nets {
+		netIdx[l.Nets[i].Name] = i
+	}
+	r := router.New(ix, e.cfg.routerOptions(ix))
+	return &state{l: l, ix: ix, spans: spans, r: r, passages: passages, netIdx: netIdx}
+}
+
+// routed returns a copy of s that holds a routing state and its congestion
+// bookkeeping; a nil history starts at zero.
+func (s state) routed(res *router.LayoutResult, m *congest.Map, history []int) *state {
+	if history == nil {
+		history = make([]int, len(s.passages))
+	}
+	s.cur, s.m, s.history = res, m, history
+	return &s
+}
+
 // NewEngine validates a private clone of the layout (the paper's three
 // placement restrictions plus pin well-formedness) and prepares a routing
 // session over it: obstacle index, router, and the congestion passage
@@ -108,34 +136,24 @@ type Engine struct {
 // it.
 func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 	// Validate fills in bare-polygon bounding boxes: the clone's, not l's.
-	e := &Engine{l: l.Clone(), cfg: newConfig(opts)}
-	if err := e.l.Validate(); err != nil {
+	lc := l.Clone()
+	if err := lc.Validate(); err != nil {
 		return nil, err
 	}
-	var err error
-	e.ix, e.spans, err = plane.FromLayoutSpans(e.l)
+	ix, spans, err := plane.FromLayoutSpans(lc)
 	if err != nil {
 		return nil, err
 	}
-	e.r = router.New(e.ix, e.cfg.routerOptions(e.ix))
-	e.passages, err = congest.Extract(e.ix, e.cfg.congest.Pitch)
+	e := &Engine{cfg: newConfig(opts)}
+	passages, err := congest.Extract(ix, e.cfg.congest.Pitch)
 	if err != nil {
 		return nil, err
 	}
-	e.reindexNets()
+	e.st.Store(e.prepared(lc, ix, spans, passages))
 	if err := e.journalCreate(); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// reindexNets rebuilds the name → index table (after construction and after
-// every committed edit).
-func (e *Engine) reindexNets() {
-	e.netIdx = make(map[string]int, len(e.l.Nets))
-	for i := range e.l.Nets {
-		e.netIdx[e.l.Nets[i].Name] = i
-	}
 }
 
 // Layout returns the engine's private copy of the layout, including every
@@ -143,68 +161,34 @@ func (e *Engine) reindexNets() {
 // engine never writes it either: Edit.Commit installs a new layout that
 // shares every cell and net the edit left unchanged with this one, so a
 // layout returned before a commit still describes the session as it was.
-// The pointer itself is read under the lock — Edit.Commit swaps it for the
-// edited layout, and an unsynchronized read of the pointer word would race
-// with that install.
-func (e *Engine) Layout() *Layout {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.l
-}
+func (e *Engine) Layout() *Layout { return e.st.Load().l }
 
 // Routed reports whether the session holds a whole-layout routing state
 // (set by RouteAll and RouteNegotiated, updated by Edit.Commit).
-func (e *Engine) Routed() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cur != nil
-}
+func (e *Engine) Routed() bool { return e.st.Load().cur != nil }
 
 // Result returns the session's current whole-layout routing state, or nil
 // before the first RouteAll/RouteNegotiated.
-func (e *Engine) Result() *Result {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cur
-}
+func (e *Engine) Result() *Result { return e.st.Load().cur }
 
 // Pitch returns the wire pitch the session's passage capacities were
 // extracted at: WithPitch for NewEngine, and the persisted pitch for a
 // session recovered by LoadEngineJournal.
-func (e *Engine) Pitch() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cfg.congest.Pitch
-}
+func (e *Engine) Pitch() int64 { return e.cfg.congest.Pitch }
 
 // Overflow returns the total passage overflow of the current routing state
 // (0 before the first whole-layout route).
 func (e *Engine) Overflow() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.m == nil {
+	s := e.st.Load()
+	if s.m == nil {
 		return 0
 	}
-	return e.m.TotalOverflow()
+	return s.m.TotalOverflow()
 }
 
 // errNotRouted guards the methods that need a routed session.
 func errNotRouted(flow string) error {
 	return fmt.Errorf("genroute: %s needs a routed session; call RouteAll or RouteNegotiated first", flow)
-}
-
-// setState installs a fresh routing state and its congestion bookkeeping.
-// The install retires the negotiation in flight, if any: it would continue
-// from routes the session no longer holds. (An interrupted RouteNegotiated
-// re-arms its own checkpoint after installing; see installNegotiated.)
-func (e *Engine) setState(res *router.LayoutResult, m *congest.Map, history []int) {
-	e.cur = res
-	e.m = m
-	e.pending = nil
-	if history == nil {
-		history = make([]int, len(e.passages))
-	}
-	e.history = history
 }
 
 // emit feeds the progress observer, if any.
@@ -239,12 +223,14 @@ func passProgress(phase string, n int, p congest.Pass, total int) Progress {
 func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, err := e.r.RouteLayoutCtx(ctx, e.l, e.cfg.workers)
+	s := e.st.Load()
+	res, err := s.r.RouteLayoutCtx(ctx, s.l, e.cfg.workers)
 	if res == nil {
 		return nil, err
 	}
-	m := congest.BuildMap(e.passages, netSegments(res))
-	e.setState(res, m, nil)
+	m := congest.BuildMap(s.passages, netSegments(res))
+	e.st.Store(s.routed(res, m, nil))
+	e.pending = nil
 	err = e.journalFoldAfterFlowLocked(err)
 	e.emit(Progress{
 		Phase:      "route",
@@ -252,7 +238,7 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 		Overflow:   m.TotalOverflow(),
 		Overflowed: len(m.Overflowed()),
 		NetsRouted: len(res.Nets) - len(res.Failed),
-		NetsTotal:  len(e.l.Nets),
+		NetsTotal:  len(s.l.Nets),
 		Expanded:   res.Stats.Expanded,
 		Elapsed:    res.Elapsed,
 	})
@@ -277,14 +263,15 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	s := e.st.Load()
 	var res *congest.NegotiateResult
 	var err error
 	if e.pending != nil {
-		res, err = congest.NegotiateResume(ctx, e.l, e.ix, e.passages, e.negotiateConfig(), e.pending)
+		res, err = congest.NegotiateResume(ctx, s.l, s.ix, s.passages, e.negotiateConfig(s), e.pending)
 	} else {
-		res, err = congest.Negotiate(ctx, e.l, e.ix, e.passages, e.negotiateConfig())
+		res, err = congest.Negotiate(ctx, s.l, s.ix, s.passages, e.negotiateConfig(s))
 	}
-	return res, e.installNegotiated(res, err)
+	return res, e.installNegotiated(s, res, err)
 }
 
 // ErrUnknownNet marks a request for a net the session's layout does not
@@ -295,61 +282,53 @@ var ErrUnknownNet = errors.New("genroute: no net")
 // session's whole-layout state (which it does not modify). An unknown name
 // returns an error matching ErrUnknownNet.
 func (e *Engine) RouteNet(ctx context.Context, name string) (NetRoute, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ni, ok := e.netIdx[name]
+	s := e.st.Load()
+	ni, ok := s.netIdx[name]
 	if !ok {
 		return NetRoute{}, fmt.Errorf("%w %q", ErrUnknownNet, name)
 	}
-	return e.r.RouteNetCtx(ctx, &e.l.Nets[ni])
+	return s.r.RouteNetCtx(ctx, &s.l.Nets[ni])
 }
 
 // RoutePoints routes between two arbitrary points, avoiding all cells.
 func (e *Engine) RoutePoints(ctx context.Context, a, b Point) (Route, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.r.RoutePointsCtx(ctx, a, b)
+	return e.st.Load().r.RoutePointsCtx(ctx, a, b)
 }
 
 // Validate checks a routed net tree against the layout geometry.
 func (e *Engine) Validate(nr *NetRoute) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.r.Validate(nr)
+	return e.st.Load().r.Validate(nr)
 }
 
 // CheckConnectivity verifies that the session's current routing state
 // physically connects every net.
 func (e *Engine) CheckConnectivity() error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.cur == nil {
+	s := e.st.Load()
+	if s.cur == nil {
 		return errNotRouted("CheckConnectivity")
 	}
-	return CheckConnectivity(e.l, e.cur)
+	return CheckConnectivity(s.l, s.cur)
 }
 
 // AssignTracks runs the detailed-routing stage — dynamic channel formation
 // and left-edge track assignment — over the session's current routing
 // state. window is the interference proximity (0 for the default).
 func (e *Engine) AssignTracks(window int64) (*TrackResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.cur == nil {
+	cur := e.st.Load().cur
+	if cur == nil {
 		return nil, errNotRouted("AssignTracks")
 	}
-	return detail.Assign(e.cur, detail.Options{Window: window}), nil
+	return detail.Assign(cur, detail.Options{Window: window}), nil
 }
 
 // AssignLayers applies the two-layer HV discipline with via counting over
 // the session's current routing state.
 func (e *Engine) AssignLayers() (*LayerResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.cur == nil {
+	cur := e.st.Load().cur
+	if cur == nil {
 		return nil, errNotRouted("AssignLayers")
 	}
-	return detail.AssignLayers(e.cur), nil
+	return detail.AssignLayers(cur), nil
 }
 
 // AdjustPlacement runs the spacing feedback loop on a clone of the
@@ -361,9 +340,7 @@ func (e *Engine) AssignLayers() (*LayerResult, error) {
 // result.Layout to continue with it). On cancellation the iterations
 // completed so far are returned with the context's error.
 func (e *Engine) AdjustPlacement(ctx context.Context) (*AdjustResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return adjust.RunCtx(ctx, e.l, adjust.Options{
+	return adjust.RunCtx(ctx, e.st.Load().l, adjust.Options{
 		Pitch:    e.cfg.congest.Pitch,
 		MaxIters: e.cfg.adjustIters,
 		Workers:  e.cfg.workers,

@@ -3,9 +3,14 @@ package genroute
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/faultinject"
 )
 
 // TestEngineConcurrentRouteAndCommit hammers one routed session with the
@@ -194,4 +199,269 @@ func TestNewEngineOnlyReadsItsLayout(t *testing.T) {
 			t.Errorf("caller's cell %d: box %v written by NewEngine, want it left zero", ci, box)
 		}
 	}
+}
+
+// readWait bounds how long the tests below wait for a read that must not
+// wait at all: far past any read's own cost, far short of forever.
+const readWait = 5 * time.Second
+
+// TestReadsDoNotWaitForNegotiation: while RouteNegotiated is parked in its
+// progress observer — mid-run, the writer mutex held — every read returns
+// promptly and sees the session as it was before the negotiation: a
+// RouteNet inside a 50 ms deadline, and RoutePoints, Result, Overflow,
+// CheckConnectivity and AssignTracks.
+func TestReadsDoNotWaitForNegotiation(t *testing.T) {
+	ctx := context.Background()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e, err := NewEngine(funnelLayout(8), WithPitch(2), WithPenaltyWeight(40), WithWorkers(1),
+		WithProgress(func(p Progress) {
+			if p.Phase == "negotiate" {
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := e.RouteAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := e.Overflow()
+	negotiated := make(chan error, 1)
+	go func() {
+		_, err := e.RouteNegotiated(ctx)
+		negotiated <- err
+	}()
+	<-parked
+
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		rctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
+		if nr, err := e.RouteNet(rctx, netName(1)); err != nil || !nr.Found {
+			t.Errorf("RouteNet under a parked negotiation: found=%v err=%v, want a route inside the deadline", nr.Found, err)
+		}
+		if _, err := e.RoutePoints(ctx, Pt(10, 20), Pt(100, 20)); err != nil {
+			t.Errorf("RoutePoints: %v", err)
+		}
+		if res := e.Result(); res != before {
+			t.Error("Result is not the routing state installed before the negotiation")
+		}
+		if got := e.Overflow(); got != overflow {
+			t.Errorf("Overflow = %d, want %d from before the negotiation", got, overflow)
+		}
+		if err := e.CheckConnectivity(); err != nil {
+			t.Errorf("CheckConnectivity: %v", err)
+		}
+		if _, err := e.AssignTracks(0); err != nil {
+			t.Errorf("AssignTracks: %v", err)
+		}
+	}()
+	select {
+	case <-reads:
+	case <-time.After(readWait):
+		t.Errorf("reads still waiting after %v on a parked negotiation", readWait)
+	}
+	close(release)
+	if err := <-negotiated; err != nil {
+		t.Fatal(err)
+	}
+	<-reads
+	if e.Result() == before {
+		t.Fatal("the negotiation installed nothing")
+	}
+}
+
+// TestCommitDoesNotWaitForAdjustPlacement: a reader never holds the
+// session against a writer, so an Edit.Commit completes while an
+// AdjustPlacement is parked mid-run, and the parked run then finishes over
+// the layout it loaded.
+func TestCommitDoesNotWaitForAdjustPlacement(t *testing.T) {
+	ctx := context.Background()
+	e, err := NewEngine(funnelLayout(8), WithPitch(2), WithPenaltyWeight(40), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNegotiated(ctx); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		// AdjustPlacement routes its layout through the worker pool, which
+		// fires the RouteNet seam; a commit's repair fires Reroute instead.
+		if site.Point == faultinject.RouteNet {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		return faultinject.None
+	})()
+	adjusted := make(chan error, 1)
+	go func() {
+		_, err := e.AdjustPlacement(ctx)
+		adjusted <- err
+	}()
+	<-parked
+
+	var commitErr error
+	committed := make(chan struct{})
+	go func() {
+		defer close(committed)
+		tx := e.Edit()
+		if commitErr = tx.RemoveNet(netName(0)); commitErr == nil {
+			_, commitErr = tx.Commit(ctx)
+		}
+	}()
+	select {
+	case <-committed:
+	case <-time.After(readWait):
+		t.Errorf("commit still waiting after %v on a parked AdjustPlacement", readWait)
+	}
+	close(release)
+	<-committed
+	if commitErr != nil {
+		t.Fatalf("commit beside a parked AdjustPlacement: %v", commitErr)
+	}
+	if err := <-adjusted; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.Layout().Nets); n != 7 {
+		t.Fatalf("session has %d nets after the commit, want 7", n)
+	}
+	checkEngineConsistency(t, e)
+}
+
+// TestEngineConcurrentReadsAgainstEveryWriter: every read-side method runs
+// while the writers take turns — RouteAll, a checkpointing RouteNegotiated
+// interrupted and resumed, and commits that add and remove a net and move
+// a cell there and back. Each read must be consistent within itself: the
+// connectivity check passes on whatever state it loaded, and the nets no
+// edit touches always route. Under -race this pins that nothing writes an
+// installed state.
+func TestEngineConcurrentReadsAgainstEveryWriter(t *testing.T) {
+	ctx := context.Background()
+	l := funnelLayout(8)
+	// A spare cell clear of every funnel route, so moving it changes the
+	// geometry without invalidating routes a reader already holds.
+	l.Cells = append(l.Cells, Cell{Name: "spare", Box: R(300, 150, 320, 170)})
+	var interrupt atomic.Pointer[context.CancelFunc]
+	e, err := NewEngine(l, persistOpts(
+		WithJournalFile(filepath.Join(t.TempDir(), "stress.jrnl")),
+		WithCheckpointEvery(1),
+		WithProgress(func(p Progress) {
+			if p.Phase == "negotiate" && p.Pass == 2 {
+				if cancel := interrupt.Swap(nil); cancel != nil {
+					(*cancel)()
+				}
+			}
+		}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	reader(func(i int) error {
+		name := netName(i % 8)
+		nr, err := e.RouteNet(ctx, name)
+		if err != nil || !nr.Found {
+			return fmt.Errorf("RouteNet(%q): found=%v err=%v", name, nr.Found, err)
+		}
+		if err := e.Validate(&nr); err != nil {
+			return fmt.Errorf("Validate(%q): %v", name, err)
+		}
+		if _, err := e.RoutePoints(ctx, Pt(10, 20), Pt(100, 20)); err != nil {
+			return fmt.Errorf("RoutePoints: %v", err)
+		}
+		return nil
+	})
+	reader(func(int) error {
+		if err := e.CheckConnectivity(); err != nil {
+			return fmt.Errorf("CheckConnectivity: %v", err)
+		}
+		if res := e.Result(); !e.Routed() || res == nil || len(res.Nets) < 8 {
+			return errors.New("Result lost the routing state")
+		}
+		if n := len(e.Layout().Nets); n < 8 {
+			return fmt.Errorf("Layout has %d nets, want at least the 8 never edited", n)
+		}
+		e.Overflow()
+		if _, err := e.AssignTracks(0); err != nil {
+			return fmt.Errorf("AssignTracks: %v", err)
+		}
+		if _, err := e.AssignLayers(); err != nil {
+			return fmt.Errorf("AssignLayers: %v", err)
+		}
+		if _, ok := e.JournalStats(); !ok {
+			return errors.New("JournalStats: no journal")
+		}
+		return nil
+	})
+	reader(func(int) error {
+		actx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		defer cancel()
+		if _, err := e.AdjustPlacement(actx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("AdjustPlacement: %v", err)
+		}
+		return nil
+	})
+
+	for round := 0; round < 2; round++ {
+		if _, err := e.RouteAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		nctx, cancel := context.WithCancel(ctx)
+		interrupt.Store(&cancel)
+		_, err := e.RouteNegotiated(nctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: interrupted negotiation: err = %v, want context.Canceled", round, err)
+		}
+		res, err := e.RouteNegotiated(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PassesBefore == 0 {
+			t.Fatalf("round %d: the second run did not resume the interrupted one", round)
+		}
+		extra := padNet("extra", 64, 400)
+		for _, stage := range []func(tx *Edit) error{
+			func(tx *Edit) error { return tx.AddNet(extra) },
+			func(tx *Edit) error { return tx.MoveCell("spare", 0, 10) },
+			func(tx *Edit) error { return tx.RemoveNet("extra") },
+			func(tx *Edit) error { return tx.MoveCell("spare", 0, -10) },
+		} {
+			commitOps(t, e, stage)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	checkEngineConsistency(t, e)
 }

@@ -62,8 +62,8 @@ var ErrJournalAppend = errors.New("genroute: ECO journal append failed")
 // bytes since the last fold, last append/fsync error). ok is false when the
 // session has no journal: none was configured with WithJournalFile.
 func (e *Engine) JournalStats() (st journal.Stats, ok bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.jr == nil {
 		return journal.Stats{}, false
 	}
@@ -112,12 +112,12 @@ func (e *Engine) journalCreate() error {
 // session payload, plus the layout as compact JSON once edits have moved it
 // off created, the journal header's fingerprint. While the layout still
 // fingerprints to the header, recovery restores the base over the creation
-// layout its caller presents. Callers hold mu exclusively or own the
-// engine during construction (layoutHash memoizes).
+// layout its caller presents. Callers hold mu or own the engine during
+// construction (layoutHash memoizes).
 func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
 	rb := journal.Rebase{Session: snapshot.EncodeSession(e.sessionLocked())}
 	if e.layoutHash() != created {
-		lj, err := json.Marshal(e.l)
+		lj, err := json.Marshal(e.st.Load().l)
 		if err != nil {
 			return journal.Rebase{}, err
 		}
@@ -126,11 +126,11 @@ func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
 	return rb, nil
 }
 
-// journalAppendLocked is Commit's write-ahead hook, called under the
-// exclusive lock after the repair succeeded and before the install: it
-// encodes the staged ops and appends them with fsync. A non-nil error
-// aborts the commit with the engine untouched — on disk the journal holds
-// at worst a torn tail, which the next open truncates.
+// journalAppendLocked is Commit's write-ahead hook, called under mu after
+// the repair succeeded and before the install: it encodes the staged ops
+// and appends them with fsync. A non-nil error aborts the commit with the
+// engine untouched — on disk the journal holds at worst a torn tail, which
+// the next open truncates.
 func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 	if e.jrStale {
 		// The base predates a whole-layout flow: replaying this record on
@@ -154,10 +154,10 @@ func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 
 // journalCompactLocked folds the journal into a fresh base built from the
 // just-installed state, when it has outgrown its thresholds. Called under
-// the exclusive lock after the install. Failure is non-fatal — the commit
-// is already durable in the un-folded journal; a failed write is retained
-// in the journal's Stats (a failed base build is transient and not
-// recorded) and the next commit retries.
+// mu after the install. Failure is non-fatal — the commit is already
+// durable in the un-folded journal; a failed write is retained in the
+// journal's Stats (a failed base build is transient and not recorded) and
+// the next commit retries.
 func (e *Engine) journalCompactLocked() {
 	if e.jr == nil || !e.jr.ShouldCompact() {
 		return
@@ -166,12 +166,12 @@ func (e *Engine) journalCompactLocked() {
 }
 
 // journalFoldAfterFlowLocked folds the journal after a whole-layout flow
-// (RouteAll, RouteNegotiated) installed its routes, under the same
-// exclusive lock. The flow replaced routes that no journal record
-// describes, so without the fold LoadEngineJournal would replay the
-// records onto the old base and revive the replaced routes. A failed fold
-// marks the journal stale and is returned joined to the flow's own error
-// err, matching ErrJournalFold.
+// (RouteAll, RouteNegotiated) installed its routes, under the same hold of
+// mu. The flow replaced routes that no journal record describes, so
+// without the fold LoadEngineJournal would replay the records onto the old
+// base and revive the replaced routes. A failed fold marks the journal
+// stale and is returned joined to the flow's own error err, matching
+// ErrJournalFold.
 func (e *Engine) journalFoldAfterFlowLocked(err error) error {
 	if ferr := e.journalFoldLocked(); ferr != nil {
 		e.jrStale = true
@@ -324,15 +324,16 @@ func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) 
 // layout, rebuilt far more cheaply than re-validating. Callers hold mu as
 // journalRebase's do.
 func (e *Engine) sessionLocked() *snapshot.Session {
+	s := e.st.Load()
 	sess := &snapshot.Session{
 		LayoutHash: e.layoutHash(),
 		Pitch:      e.cfg.congest.Pitch,
-		Passages:   e.passages,
+		Passages:   s.passages,
 	}
-	if e.cur != nil {
+	if s.cur != nil {
 		sess.Routed = true
-		sess.Nets = e.cur.Nets
-		sess.History = e.history
+		sess.Nets = s.cur.Nets
+		sess.History = s.history
 	}
 	sess.Negotiation = e.pending
 	return sess

@@ -19,10 +19,8 @@ var (
 	// ErrSnapshotVersion marks a journal from an incompatible codec version
 	// (version skew across builds).
 	ErrSnapshotVersion = snapshot.ErrVersion
-	// ErrSnapshotChecksum marks a journal frame whose payload checksum
-	// fails.
-	ErrSnapshotChecksum = snapshot.ErrChecksum
-	// ErrSnapshotCorrupt marks a checksummed payload that does not decode.
+	// ErrSnapshotCorrupt marks a damaged journal: a frame whose payload
+	// fails its checksum, or a checksummed payload that does not decode.
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
 	// ErrSnapshotLayout marks a journal applied to a layout other than the
 	// one it was created over.
@@ -32,10 +30,10 @@ var (
 // layoutHash memoizes the session layout's fingerprint; ECO commits set
 // the edited layout's, or reset the memo when they took none. (A genuine
 // hash of 0 only costs a recompute, never a wrong value.) Callers hold mu
-// exclusively or own the engine during construction.
+// or own the engine during construction.
 func (e *Engine) layoutHash() uint64 {
 	if e.lhash == 0 {
-		e.lhash = snapshot.LayoutHash(e.l)
+		e.lhash = snapshot.LayoutHash(e.st.Load().l)
 	}
 	return e.lhash
 }
@@ -55,14 +53,12 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 			ErrSnapshotLayout, lc.Name, h, sess.LayoutHash)
 	}
 	cfg.congest.Pitch = sess.Pitch
-	e := &Engine{l: lc, cfg: cfg, lhash: h}
-	var err error
-	if e.ix, e.spans, err = plane.FromLayoutSpans(e.l); err != nil {
+	e := &Engine{cfg: cfg, lhash: h}
+	ix, spans, err := plane.FromLayoutSpans(lc)
+	if err != nil {
 		return nil, err
 	}
-	e.r = router.New(e.ix, e.cfg.routerOptions(e.ix))
-	e.passages = sess.Passages
-	e.reindexNets()
+	s := e.prepared(lc, ix, spans, sess.Passages)
 	if sess.Routed {
 		if len(sess.Nets) != len(lc.Nets) {
 			return nil, fmt.Errorf("%w: base routes %d nets, layout has %d",
@@ -73,8 +69,9 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 			res.Nets[i].Net = lc.Nets[i].Name
 		}
 		res.Finalize(time.Now())
-		e.setState(res, congest.BuildMap(e.passages, netSegments(res)), sess.History)
+		s = s.routed(res, congest.BuildMap(s.passages, netSegments(res)), sess.History)
 	}
+	e.st.Store(s)
 	if cp := sess.Negotiation; cp != nil {
 		if len(cp.Nets) != len(lc.Nets) {
 			return nil, fmt.Errorf("%w: negotiation in flight routes %d nets, layout has %d",
@@ -93,12 +90,12 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 // negotiation run: congestion parameters, workers, base router options,
 // the progress adapter and — with WithCheckpointEvery — the checkpoint
 // hook that folds the journal.
-func (e *Engine) negotiateConfig() congest.Config {
+func (e *Engine) negotiateConfig(s *state) congest.Config {
 	ccfg := e.cfg.congest
 	ccfg.Workers = e.cfg.workers
-	ccfg.BaseOptions = e.cfg.routerOptions(e.ix) // corner rule, mode, budget, trace hooks
+	ccfg.BaseOptions = e.cfg.routerOptions(s.ix) // corner rule, mode, budget, trace hooks
 	if e.cfg.progress != nil {
-		total := len(e.l.Nets)
+		total := len(s.l.Nets)
 		ccfg.OnPass = func(n int, p congest.Pass) {
 			e.emit(passProgress("negotiate", n, p, total))
 		}
@@ -110,11 +107,11 @@ func (e *Engine) negotiateConfig() congest.Config {
 	return ccfg
 }
 
-// checkpointLocked is the negotiation's checkpoint hook, run under the
-// exclusive lock RouteNegotiated holds: cp becomes the negotiation in
-// flight and the journal is folded, so its base carries it. When the fold
-// fails or panics, the journal is left as it was and so is the pending
-// state, which still matches it; the hook's error aborts the run.
+// checkpointLocked is the negotiation's checkpoint hook, run under the mu
+// RouteNegotiated holds: cp becomes the negotiation in flight and the
+// journal is folded, so its base carries it. When the fold fails or
+// panics, the journal is left as it was and so is the pending state, which
+// still matches it; the hook's error aborts the run.
 func (e *Engine) checkpointLocked(cp *congest.Checkpoint) error {
 	prev := e.pending
 	e.pending = cp
@@ -131,19 +128,20 @@ func (e *Engine) checkpointLocked(cp *congest.Checkpoint) error {
 	return nil
 }
 
-// installNegotiated installs a negotiation result as the session state. A
-// completed run installs its final pass. An interrupted run (cancellation
-// or deadline expiry) installs the best recorded pass — minimum overflow,
-// most nets routed — rather than the last partial one: overflow is not
-// monotone across passes, and the best state seen is what a deadline-bound
-// caller wants to keep. The History installed is the whole run's (it
-// accrues monotonically and seeds any follow-up negotiation). A completed
-// run retires the negotiation in flight, as every install does; an
-// interrupted one keeps its last checkpoint as the point the next
-// RouteNegotiated resumes from. After an install the ECO journal, if any,
-// is folded (see journalFoldAfterFlowLocked). It returns the run's error
-// joined with a failed fold's.
-func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) error {
+// installNegotiated installs a negotiation result over s, the state the
+// run negotiated, as the session state. A completed run installs its final
+// pass. An interrupted run (cancellation or deadline expiry) installs the
+// best recorded pass — minimum overflow, most nets routed — rather than
+// the last partial one: overflow is not monotone across passes, and the
+// best state seen is what a deadline-bound caller wants to keep. The
+// History installed is the whole run's (it accrues monotonically and seeds
+// any follow-up negotiation). A completed run retires the negotiation in
+// flight, as every install does; an interrupted one keeps its last
+// checkpoint as the point the next RouteNegotiated resumes from. After an
+// install the ECO journal, if any, is folded (see
+// journalFoldAfterFlowLocked). It returns the run's error joined with a
+// failed fold's.
+func (e *Engine) installNegotiated(s *state, res *congest.NegotiateResult, err error) error {
 	if res == nil || len(res.Results) == 0 {
 		return err
 	}
@@ -153,10 +151,9 @@ func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) erro
 			k = b
 		}
 	}
-	pending := e.pending
-	e.setState(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...))
-	if err != nil {
-		e.pending = pending
+	e.st.Store(s.routed(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...)))
+	if err == nil {
+		e.pending = nil
 	}
 	return e.journalFoldAfterFlowLocked(err)
 }

@@ -88,12 +88,13 @@ func TestEngineSaveLoadPrepared(t *testing.T) {
 	if e2.Routed() {
 		t.Fatal("prepared-only journal recovered as routed")
 	}
-	if len(e2.passages) != len(e1.passages) {
-		t.Fatalf("loaded %d passages, want %d", len(e2.passages), len(e1.passages))
+	p1, p2 := e1.st.Load().passages, e2.st.Load().passages
+	if len(p2) != len(p1) {
+		t.Fatalf("loaded %d passages, want %d", len(p2), len(p1))
 	}
-	for i := range e2.passages {
-		if e2.passages[i] != e1.passages[i] {
-			t.Fatalf("passage %d = %+v, want %+v", i, e2.passages[i], e1.passages[i])
+	for i := range p2 {
+		if p2[i] != p1[i] {
+			t.Fatalf("passage %d = %+v, want %+v", i, p2[i], p1[i])
 		}
 	}
 	r1, err := e1.RouteNegotiated(context.Background())
@@ -127,12 +128,13 @@ func TestEngineSaveLoadRouted(t *testing.T) {
 	if e2.Overflow() != e1.Overflow() {
 		t.Fatalf("loaded overflow %d, want %d", e2.Overflow(), e1.Overflow())
 	}
-	if len(e2.history) != len(e1.history) {
-		t.Fatalf("history %v, want %v", e2.history, e1.history)
+	h1, h2 := e1.st.Load().history, e2.st.Load().history
+	if len(h2) != len(h1) {
+		t.Fatalf("history %v, want %v", h2, h1)
 	}
-	for i := range e2.history {
-		if e2.history[i] != e1.history[i] {
-			t.Fatalf("history[%d] = %d, want %d", i, e2.history[i], e1.history[i])
+	for i := range h2 {
+		if h2[i] != h1[i] {
+			t.Fatalf("history[%d] = %d, want %d", i, h2[i], h1[i])
 		}
 	}
 	checkEngineConsistency(t, e2)
@@ -201,9 +203,10 @@ func TestLoadAdoptsSnapshotPitch(t *testing.T) {
 	if e2.cfg.congest.Pitch != 2 {
 		t.Fatalf("loaded pitch %d, want the journal's 2", e2.cfg.congest.Pitch)
 	}
-	for i := range e2.passages {
-		if e2.passages[i].Capacity != e1.passages[i].Capacity {
-			t.Fatalf("passage %d capacity %d, want %d", i, e2.passages[i].Capacity, e1.passages[i].Capacity)
+	p1, p2 := e1.st.Load().passages, e2.st.Load().passages
+	for i := range p2 {
+		if p2[i].Capacity != p1[i].Capacity {
+			t.Fatalf("passage %d capacity %d, want %d", i, p2[i].Capacity, p1[i].Capacity)
 		}
 	}
 }
@@ -525,9 +528,9 @@ func TestWarmStartSkipsPreparation(t *testing.T) {
 		if n := fired.Load(); n != 0 {
 			t.Fatalf("%s: warm start routed: the route seams fired %d times", tc.name, n)
 		}
-		if !rec.Routed() || rec.passages[0].Capacity != wantCap {
+		if got := rec.st.Load().passages[0].Capacity; !rec.Routed() || got != wantCap {
 			t.Errorf("%s: routed %v, passage 0 capacity %d; want the payload's routes and capacity %d",
-				tc.name, rec.Routed(), rec.passages[0].Capacity, wantCap)
+				tc.name, rec.Routed(), got, wantCap)
 		}
 		if err := rec.CloseJournal(); err != nil {
 			t.Fatal(err)

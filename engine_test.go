@@ -45,44 +45,45 @@ func funnelLayout(nNets int) *Layout {
 // and every found route is legal and connected.
 func checkEngineConsistency(t *testing.T, e *Engine) {
 	t.Helper()
-	if err := e.l.Validate(); err != nil {
+	st := e.st.Load()
+	if err := st.l.Validate(); err != nil {
 		t.Fatalf("installed layout fails Validate: %v", err)
 	}
-	if e.cur == nil {
+	if st.cur == nil {
 		t.Fatal("engine holds no routed state")
 	}
-	if len(e.cur.Nets) != len(e.l.Nets) {
-		t.Fatalf("state has %d nets, layout %d", len(e.cur.Nets), len(e.l.Nets))
+	if len(st.cur.Nets) != len(st.l.Nets) {
+		t.Fatalf("state has %d nets, layout %d", len(st.cur.Nets), len(st.l.Nets))
 	}
-	fresh := congest.BuildMap(e.passages, netSegments(e.cur))
-	for pi := range e.m.Usage {
-		if e.m.Usage[pi] != fresh.Usage[pi] {
-			t.Fatalf("passage %d: live usage %d, routes imply %d", pi, e.m.Usage[pi], fresh.Usage[pi])
+	fresh := congest.BuildMap(st.passages, netSegments(st.cur))
+	for pi := range st.m.Usage {
+		if st.m.Usage[pi] != fresh.Usage[pi] {
+			t.Fatalf("passage %d: live usage %d, routes imply %d", pi, st.m.Usage[pi], fresh.Usage[pi])
 		}
 	}
-	for i := range e.cur.Nets {
-		nr := &e.cur.Nets[i]
-		if nr.Net != e.l.Nets[i].Name {
-			t.Fatalf("state slot %d is %q, layout net is %q", i, nr.Net, e.l.Nets[i].Name)
+	for i := range st.cur.Nets {
+		nr := &st.cur.Nets[i]
+		if nr.Net != st.l.Nets[i].Name {
+			t.Fatalf("state slot %d is %q, layout net is %q", i, nr.Net, st.l.Nets[i].Name)
 		}
 		if nr.Found {
-			if err := e.Validate(nr); err != nil {
+			if err := st.r.Validate(nr); err != nil {
 				t.Fatalf("illegal route: %v", err)
 			}
 		}
 	}
 	// The spans table must resolve every cell to exactly its obstacle
 	// rectangles in the live index (ECO cell moves splice through it).
-	for ci := range e.l.Cells {
-		rects := e.l.Cells[ci].ObstacleRects()
-		s := e.spans[ci]
+	for ci := range st.l.Cells {
+		rects := st.l.Cells[ci].ObstacleRects()
+		s := st.spans[ci]
 		if s[1]-s[0] != len(rects) {
 			t.Fatalf("cell %d span %v, want width %d", ci, s, len(rects))
 		}
 		for k, want := range rects {
-			if got := e.ix.Cell(s[0] + k); got != want {
+			if got := st.ix.Cell(s[0] + k); got != want {
 				t.Fatalf("cell %d (%s): span obstacle %d is %v, want %v",
-					ci, e.l.Cells[ci].Name, s[0]+k, got, want)
+					ci, st.l.Cells[ci].Name, s[0]+k, got, want)
 			}
 		}
 	}

@@ -5,8 +5,8 @@
 //
 //   - maporder: no nondeterministic map iteration on the determinism-critical
 //     paths (route byte-identity across worker counts);
-//   - lockcontract: Engine methods acquire mu in the documented mode before
-//     touching guarded fields (the readers–writer contract from engine.go);
+//   - lockcontract: Engine methods acquire mu before touching the fields
+//     only its writers use (the locking contract from engine.go);
 //   - ctxpoll: hot-path loops poll cancellation (the poll-every-64-expansions
 //     discipline threaded through search/congest/router);
 //   - atomicwrite: journal files (session payloads and negotiation

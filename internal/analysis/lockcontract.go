@@ -5,12 +5,14 @@ import (
 	"go/types"
 )
 
-// Lockcontract enforces the Engine's documented readers–writer contract —
-// generically, any struct's. Fields annotated `//grlint:guardedby <mutex>`
-// declare which mutex field guards them; every *exported* method of that
-// struct that touches a guarded field through its receiver must acquire the
-// named mutex in its own body: `recv.mu.RLock()` or `recv.mu.Lock()` for
-// reads, `recv.mu.Lock()` (exclusive) if any touched field is written.
+// Lockcontract enforces a struct's documented locking contract — for the
+// Engine, that its writer-only fields (the negotiation in flight, the
+// journal, the fingerprint memo) are touched only under the writer mutex.
+// Fields annotated `//grlint:guardedby <mutex>` declare which mutex field
+// guards them; every *exported* method of that struct that touches a
+// guarded field through its receiver must acquire the named mutex in its
+// own body: `recv.mu.RLock()` or `recv.mu.Lock()` for reads,
+// `recv.mu.Lock()` (exclusive) if any touched field is written.
 //
 // Unexported methods are deliberately out of scope: the codebase's
 // convention is that unexported helpers (negotiateConfig, installNegotiated)

@@ -37,12 +37,13 @@
 // another Version was written by another build (ErrVersion).
 //
 // A Journal (the writer) is not safe for concurrent use; the engine
-// serializes appends under its exclusive commit lock.
+// serializes appends under its writer mutex.
 package journal
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,13 +72,15 @@ const (
 
 // Typed errors are shared with internal/snapshot: the journal is part of
 // the same durability ladder and callers classify failures with the same
-// errors.Is checks (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt,
-// ErrLayout re-exported as genroute.ErrSnapshot*).
+// errors.Is checks (ErrFormat, ErrVersion, ErrCorrupt, ErrLayout
+// re-exported as genroute.ErrSnapshot*).
 var (
-	errFormat   = snapshot.ErrFormat
-	errVersion  = snapshot.ErrVersion
-	errChecksum = snapshot.ErrChecksum
-	errCorrupt  = snapshot.ErrCorrupt
+	errFormat  = snapshot.ErrFormat
+	errVersion = snapshot.ErrVersion
+	errCorrupt = snapshot.ErrCorrupt
+	// errChecksum is frameAt's verdict on a complete frame whose payload
+	// fails its CRC: damage, where a short frame may be a torn write.
+	errChecksum = fmt.Errorf("%w: payload checksum mismatch", errCorrupt)
 )
 
 // Header identifies the session a journal belongs to: the fingerprint and
@@ -233,9 +236,14 @@ func Scan(data []byte) (*Scanned, error) {
 				return nil, fmt.Errorf("%w: record %d damaged mid-file (%v)", errCorrupt, i, err)
 			}
 			if i < 2 {
-				// A journal torn inside its header or rebase has no usable
-				// base state to recover to — fail closed so the caller
-				// quarantines it and builds cold.
+				// A journal torn or damaged inside its header or rebase has
+				// no usable base state to recover to — fail closed so the
+				// caller quarantines it and builds cold. Bases are written
+				// by temp file, fsync and rename, so a complete base frame
+				// that fails its checksum has rotted, not torn.
+				if errors.Is(err, errChecksum) {
+					return nil, fmt.Errorf("%w: journal base state damaged (%v)", errCorrupt, err)
+				}
 				return nil, fmt.Errorf("%w: journal torn before its base state (%v)", errCorrupt, err)
 			}
 			s.Torn = true

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -232,7 +233,7 @@ func TestMidFileCorruptionFailsClosed(t *testing.T) {
 	if err == nil {
 		t.Fatal("mid-file corruption scanned cleanly")
 	}
-	if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrChecksum) {
+	if !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("corruption error %v is not typed", err)
 	}
 }
@@ -247,8 +248,8 @@ func TestTornBaseFailsClosed(t *testing.T) {
 		if err == nil {
 			t.Fatalf("journal cut to %d bytes scanned cleanly", cut)
 		}
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("torn-base error %v is not ErrCorrupt", err)
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "torn") {
+			t.Fatalf("torn-base error %v is not ErrCorrupt calling the journal torn", err)
 		}
 	}
 	if _, err := Scan(nil); err == nil {
@@ -516,7 +517,7 @@ func funnelBase(t testing.TB) (image []byte, sessionStart, sessionEnd int) {
 // typed reports whether err wraps one of the typed errors a caller can
 // classify.
 func typed(err error) bool {
-	for _, e := range []error{snapshot.ErrFormat, snapshot.ErrVersion, snapshot.ErrChecksum, snapshot.ErrCorrupt} {
+	for _, e := range []error{snapshot.ErrFormat, snapshot.ErrVersion, snapshot.ErrCorrupt} {
 		if errors.Is(err, e) {
 			return true
 		}
@@ -552,8 +553,14 @@ func TestDecodeTypedErrors(t *testing.T) {
 	t.Run("bit-rot", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[start+3] ^= 0x40 // flip a session payload bit; the rebase CRC must catch it
-		if _, err := Scan(b); !errors.Is(err, snapshot.ErrCorrupt) {
+		_, err := Scan(b)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		// The base frame is complete, so the error names the checksum and
+		// does not call the journal torn.
+		if msg := err.Error(); !strings.Contains(msg, "checksum") || strings.Contains(msg, "torn") {
+			t.Fatalf("err = %v, want a checksum failure that is not called torn", err)
 		}
 	})
 	t.Run("truncated-payload", func(t *testing.T) {

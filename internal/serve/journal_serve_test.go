@@ -461,7 +461,7 @@ func TestQuarantineCapBoundsLitter(t *testing.T) {
 		if err := os.WriteFile(path, []byte{byte(i)}, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c.quarantine(path, genroute.ErrSnapshotChecksum)
+		c.quarantine(path, genroute.ErrSnapshotCorrupt)
 	}
 	bad := quarantined(t, path)
 	if len(bad) != quarantineKeep {

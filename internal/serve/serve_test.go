@@ -387,25 +387,27 @@ func TestNegotiatePartialWithFailedFoldFails(t *testing.T) {
 // session's durable state did change: the request answers a 200 partial
 // that reports the interrupted pass, not a 500.
 func TestNegotiatePartialWithFailedCheckpointIsPartial(t *testing.T) {
-	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
+	s, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Workers: 1})
 	sr := createSession(t, ts, funnel(16), "pitch=2&weight=40")
 
-	const deadline = 500 * time.Millisecond
 	var mu sync.Mutex
-	expired, folds := false, 0
+	interrupted, folds := false, 0
 	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
 		mu.Lock()
 		defer mu.Unlock()
 		switch site.Point {
 		case faultinject.Reroute:
-			// The request's deadline started before this hook ran, so the
-			// first rip-up outlives it.
-			if !expired {
-				time.Sleep(deadline)
-				expired = true
+			// The server's work context parents the request's, and
+			// cancelling it cancels the request before this hook returns,
+			// so the first rip-up is interrupted. (A deadline the hook
+			// sleeps past is not enough: its timer fires on a goroutine of
+			// its own, and the pass may finish first.)
+			if !interrupted {
+				s.workCancel()
+				interrupted = true
 			}
 		case faultinject.JournalCompact:
-			if expired {
+			if interrupted {
 				if folds++; folds == 1 {
 					return faultinject.Error
 				}
@@ -414,13 +416,67 @@ func TestNegotiatePartialWithFailedCheckpointIsPartial(t *testing.T) {
 		return faultinject.None
 	})
 	var nr negotiateResponse
-	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{DeadlineMS: deadline.Milliseconds()}, &nr)
+	code, _ := postJSON(t, ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", negotiateRequest{}, &nr)
 	restore()
 	if code != http.StatusOK || !nr.Partial || len(nr.Passes) < 2 {
 		t.Fatalf("interrupted negotiate with a failing checkpoint = %d %+v, want a 200 partial reporting the interrupted pass", code, nr)
 	}
 	if folds != 2 {
 		t.Fatalf("%d journal folds after the deadline, want the failed checkpoint and the fold after the flow", folds)
+	}
+}
+
+// TestRouteDoesNotWaitForNegotiate: a /route answers inside its 50 ms
+// deadline while a /negotiate on the same session is parked mid-run with
+// the engine's writer mutex held: a read loads the installed session and
+// takes no lock.
+func TestRouteDoesNotWaitForNegotiate(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2, Workers: 1})
+	sr := createSession(t, ts, funnel(8), "pitch=2&weight=40")
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	restore := faultinject.Enable(func(site faultinject.Site) faultinject.Fault {
+		// The negotiation's first pass routes through the worker pool,
+		// which fires the RouteNet seam; a /route does not.
+		if site.Point == faultinject.RouteNet {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		return faultinject.None
+	})
+	defer restore()
+	negotiated := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+sr.Hash+"/negotiate", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			negotiated <- 0
+			return
+		}
+		resp.Body.Close()
+		negotiated <- resp.StatusCode
+	}()
+	<-parked
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/sessions/"+sr.Hash+"/route", "application/json",
+		strings.NewReader(`{"net": "n01", "deadline_ms": 50}`))
+	close(release)
+	if err != nil {
+		t.Fatalf("/route beside a parked /negotiate: %v", err)
+	}
+	defer resp.Body.Close()
+	var rr routeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !rr.Found || rr.Partial {
+		t.Errorf("/route beside a parked /negotiate = %d %+v, want a 200 route found inside its deadline", resp.StatusCode, rr)
+	}
+	if code := <-negotiated; code != http.StatusOK {
+		t.Fatalf("/negotiate = %d after release, want 200", code)
 	}
 }
 

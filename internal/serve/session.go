@@ -181,8 +181,6 @@ func snapshotErrName(err error) string {
 		return "format"
 	case errors.Is(err, genroute.ErrSnapshotVersion):
 		return "version"
-	case errors.Is(err, genroute.ErrSnapshotChecksum):
-		return "checksum"
 	case errors.Is(err, genroute.ErrSnapshotCorrupt):
 		return "corrupt"
 	case errors.Is(err, genroute.ErrSnapshotLayout):
@@ -195,7 +193,7 @@ func snapshotErrName(err error) string {
 // timestamp>.bad, so successive quarantines of one path never overwrite
 // each other's evidence — and prunes all but the newest quarantineKeep
 // copies. The log line carries the typed failure class
-// (checksum, version, layout, ...) so the cause is diagnosable without the
+// (corrupt, version, layout, ...) so the cause is diagnosable without the
 // file.
 func (c *sessionCache) quarantine(path string, cause error) {
 	bad := fmt.Sprintf("%s.%s.bad", path, time.Now().UTC().Format("20060102T150405.000000000"))

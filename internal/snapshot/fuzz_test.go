@@ -30,7 +30,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 func checkTyped(t *testing.T, err error) {
 	t.Helper()
-	for _, typed := range []error{ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt} {
+	for _, typed := range []error{ErrFormat, ErrVersion, ErrCorrupt} {
 		if errors.Is(err, typed) {
 			return
 		}

@@ -45,11 +45,10 @@ var (
 	// ErrVersion marks a file written by an incompatible codec version
 	// (journal.Version, the one codec version).
 	ErrVersion = errors.New("snapshot: unsupported version")
-	// ErrChecksum marks a frame whose payload CRC does not match.
-	ErrChecksum = errors.New("snapshot: payload checksum mismatch")
-	// ErrCorrupt marks a payload that passes the checksum but does not
-	// decode (truncated, inconsistent counts, or illegal values), and a
-	// journal damaged anywhere but in a torn tail.
+	// ErrCorrupt marks a frame whose payload fails its checksum, a payload
+	// that passes the checksum but does not decode (truncated, inconsistent
+	// counts, or illegal values), and a journal damaged anywhere but in a
+	// torn tail.
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 	// ErrLayout marks a session whose embedded layout hash does not match
 	// the layout it is being restored onto (layout drift).
