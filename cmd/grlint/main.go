@@ -1,6 +1,6 @@
 // Command grlint runs the project's invariant analyzers (maporder,
-// lockcontract, ctxpoll, atomicwrite, recoverguard — see internal/analysis)
-// over the module and reports findings.
+// ctxpoll, atomicwrite, recoverguard — see internal/analysis) over the
+// module and reports findings.
 //
 // Usage:
 //

@@ -24,7 +24,9 @@
 // layout, after an eviction or a restart (even kill -9), replays its
 // journal, and the next /negotiate continues a negotiation it left in
 // flight; an unusable journal is quarantined and the session is built
-// cold.
+// cold. An /eco or /negotiate whose deadline passes while another writer
+// holds its session, or that reached a session evicted under it, changes
+// nothing and answers 503 with Retry-After.
 //
 // SIGTERM/SIGINT drain gracefully: readiness flips, in-flight requests
 // finish under -drain (past it they are cancelled cooperatively and

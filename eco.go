@@ -202,8 +202,11 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	if tx.committed {
 		return nil, fmt.Errorf("genroute: Edit already committed")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	w, err := e.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { e.w <- w }()
 	s := e.st.Load()
 	if s.cur == nil {
 		return nil, errNotRouted("Edit.Commit")
@@ -329,7 +332,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		postHash uint64 // 0 = not computed: folds and checkpoints fingerprint on demand
 		hashing  sync.WaitGroup
 	)
-	if e.jr != nil {
+	if w.jr != nil {
 		hashing.Add(1)
 		go func() {
 			defer hashing.Done()
@@ -461,9 +464,9 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	// can only diverge by a crash before the store below, which replay then
 	// completes (unacked-record-may-apply, the standard WAL contract). A
 	// journal failure aborts the commit with the engine untouched.
-	if e.jr != nil {
+	if w.jr != nil {
 		hashing.Wait()
-		if jerr := e.journalAppendLocked(tx, postHash); jerr != nil {
+		if jerr := e.journalAppend(w, tx, postHash); jerr != nil {
 			return nil, fmt.Errorf("%w: %w", ErrJournalAppend, jerr)
 		}
 	}
@@ -482,12 +485,12 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		final.Finalize(start)
 	}
 	e.st.Store(e.prepared(l2, ix2, spans2, passages2).routed(final, m2, append([]int(nil), rres.History...)))
-	e.pending = nil
-	e.lhash = postHash // the new layout's fingerprint, if the journal took one
+	w.pending = nil
+	w.lhash = postHash // the new layout's fingerprint, if the journal took one
 
 	// 9. Fold the journal when it has outgrown its thresholds (non-fatal:
 	// the commit above is already durable either way).
-	e.journalCompactLocked()
+	e.journalCompact(w)
 
 	out := &ECOResult{
 		Dirty:     netNames(l2, dirtyList),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/adjust"
@@ -45,13 +44,20 @@ import (
 //
 //   - Read-side methods — Layout, Routed, Result, Overflow, RouteNet,
 //     RoutePoints, Validate, CheckConnectivity, AssignTracks, AssignLayers,
-//     AdjustPlacement — load the installed session once and work on it.
-//     They take no lock, so they never wait, not even for a negotiation.
-//   - Write-side methods — RouteAll, RouteNegotiated and Edit.Commit — run
-//     one at a time and each installs a new session with one store. A
-//     reader sees the session before or after an install, never a mix.
+//     AdjustPlacement, JournalStats — load what is published and work on
+//     it. They take no lock and no token, so they never wait, not even
+//     for a negotiation.
+//   - Write-side methods — RouteAll, RouteNegotiated and Edit.Commit — hold
+//     the engine's one writer token while they run, so they run one at a
+//     time, and each installs a new session with one store. A reader sees
+//     the session before or after an install, never a mix. A writer that
+//     finds the token taken waits for it under its context; if the context
+//     ends first, it returns a nil result and the context's error, having
+//     installed and appended nothing.
 //
-// A writer waits for the one before it without consulting its context.
+// CloseJournal retires the engine: it takes the token for good, so every
+// later writer fails at once with ErrRetired, while reads keep working.
+//
 // Values a read returns — the layout, a Result — belong to the session
 // they were read from, which nothing writes: treat them as read-only.
 type Engine struct {
@@ -59,27 +65,65 @@ type Engine struct {
 	cfg config
 	// st is the installed session (see state).
 	st atomic.Pointer[state]
+	// w holds the writer token (see writer): empty while a writer runs,
+	// and closed once CloseJournal has retired the engine.
+	w chan *writer
+	// jstats is the journal's Stats as the token holder last published
+	// them, after an append, a fold or the close; nil without a journal.
+	jstats atomic.Pointer[journal.Stats]
+}
 
-	// mu serializes the writers and guards what only they touch.
-	mu sync.Mutex
+// writer is the state only the token holder touches. Holding the *writer
+// is holding the right to write, so a helper that takes one runs under the
+// token by construction.
+type writer struct {
 	// pending is the negotiation in flight: the latest checkpoint of an
 	// interrupted RouteNegotiated, which the next one continues, or nil.
 	// The journal's base carries it. Every other install retires it: it
 	// would continue from routes the session no longer holds.
-	pending *congest.Checkpoint //grlint:guardedby mu
+	pending *congest.Checkpoint
 
 	// jr is the write-ahead ECO journal: written by NewEngine under
 	// WithJournalFile, attached by LoadEngineJournal after its replay, nil
 	// otherwise.
-	jr *journal.Journal //grlint:guardedby mu
+	jr *journal.Journal
 	// jrStale is set while jr describes the session as it was before a
 	// whole-layout flow whose fold failed; the next commit folds before
-	// appending (see journalFoldAfterFlowLocked).
-	jrStale bool //grlint:guardedby mu
+	// appending (see journalFoldAfterFlow).
+	jrStale bool
 
 	// lhash memoizes the layout fingerprint for the journal (0 = not yet
 	// computed; ECO commits set the edited layout's).
-	lhash uint64 //grlint:guardedby mu
+	lhash uint64
+}
+
+// ErrRetired marks a write on an engine CloseJournal has retired. The
+// session's journal may already belong to a successor engine, so nothing
+// more may be installed or appended; reads keep working.
+var ErrRetired = errors.New("genroute: engine retired")
+
+// acquire takes the writer token. A free token, or a retired engine
+// (ErrRetired), answers at once whatever ctx says, so a flow called with a
+// done context still returns its partial result; only a wait for another
+// writer ends with ctx.
+func (e *Engine) acquire(ctx context.Context) (*writer, error) {
+	var (
+		w  *writer
+		ok bool
+	)
+	select {
+	case w, ok = <-e.w:
+	default:
+		select {
+		case w, ok = <-e.w:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if !ok {
+		return nil, ErrRetired
+	}
+	return w, nil
 }
 
 // state is one installed session: a validated layout, what was prepared
@@ -144,15 +188,17 @@ func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: newConfig(opts)}
+	// The constructor holds the token until the engine is ready.
+	e, w := &Engine{cfg: newConfig(opts), w: make(chan *writer, 1)}, &writer{}
 	passages, err := congest.Extract(ix, e.cfg.congest.Pitch)
 	if err != nil {
 		return nil, err
 	}
 	e.st.Store(e.prepared(lc, ix, spans, passages))
-	if err := e.journalCreate(); err != nil {
+	if err := e.journalCreate(w); err != nil {
 		return nil, err
 	}
+	e.w <- w
 	return e, nil
 }
 
@@ -221,8 +267,11 @@ func passProgress(phase string, n int, p congest.Pass, total int) Progress {
 // failed fold is returned too (joined with any routing error, and matching
 // ErrJournalFold), with the new routes installed.
 func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	w, err := e.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { e.w <- w }()
 	s := e.st.Load()
 	res, err := s.r.RouteLayoutCtx(ctx, s.l, e.cfg.workers)
 	if res == nil {
@@ -230,8 +279,8 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	}
 	m := congest.BuildMap(s.passages, netSegments(res))
 	e.st.Store(s.routed(res, m, nil))
-	e.pending = nil
-	err = e.journalFoldAfterFlowLocked(err)
+	w.pending = nil
+	err = e.journalFoldAfterFlow(w, err)
 	e.emit(Progress{
 		Phase:      "route",
 		Pass:       1,
@@ -261,17 +310,19 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 // passes only, and its PassesBefore counts the ones recorded before. Like
 // RouteAll, it folds an existing ECO journal after the install.
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	w, err := e.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { e.w <- w }()
 	s := e.st.Load()
 	var res *congest.NegotiateResult
-	var err error
-	if e.pending != nil {
-		res, err = congest.NegotiateResume(ctx, s.l, s.ix, s.passages, e.negotiateConfig(s), e.pending)
+	if w.pending != nil {
+		res, err = congest.NegotiateResume(ctx, s.l, s.ix, s.passages, e.negotiateConfig(w, s), w.pending)
 	} else {
-		res, err = congest.Negotiate(ctx, s.l, s.ix, s.passages, e.negotiateConfig(s))
+		res, err = congest.Negotiate(ctx, s.l, s.ix, s.passages, e.negotiateConfig(w, s))
 	}
-	return res, e.installNegotiated(s, res, err)
+	return res, e.installNegotiated(w, s, res, err)
 }
 
 // ErrUnknownNet marks a request for a net the session's layout does not

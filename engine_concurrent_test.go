@@ -1,9 +1,11 @@
 package genroute
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -16,9 +18,10 @@ import (
 // TestEngineConcurrentRouteAndCommit hammers one routed session with the
 // exact pattern the groutd daemon relies on: many concurrent read-side
 // calls (RouteNet, Overflow, AssignTracks) racing against a writer
-// that commits ECO transactions. Run under -race this pins the Engine's
-// readers–writer contract; without -race it still asserts every call
-// observes a consistent session (routes found, commits succeed).
+// that commits ECO transactions. Run under -race this pins that readers
+// only load published sessions while the writer holds the token; without
+// -race it still asserts every call observes a consistent session (routes
+// found, commits succeed).
 func TestEngineConcurrentRouteAndCommit(t *testing.T) {
 	ctx := context.Background()
 	e, err := NewEngine(funnelLayout(8), WithPitch(2), WithPenaltyWeight(40), WithWorkers(2))
@@ -96,11 +99,12 @@ func TestEngineConcurrentRouteAndCommit(t *testing.T) {
 }
 
 // TestEngineConcurrentSaveDuringCheckpoints: readers poll the journal's
-// counters and the routing state under the shared lock while the writer
-// folds the journal at every checkpoint, keeps the negotiation in flight
-// across an interruption and resumes it to completion. Under -race this
-// pins that every access to the journal and the installed state goes
-// through the lock; every reading meanwhile must show a healthy journal.
+// counters and the routing state, taking nothing, while the writer folds
+// the journal at every checkpoint, keeps the negotiation in flight across
+// an interruption and resumes it to completion. Under -race this pins that
+// readers touch only what is published (the installed state and the
+// journal's counters) and the journal itself only under the writer token;
+// every reading meanwhile must show a healthy journal.
 func TestEngineConcurrentSaveDuringCheckpoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jrnl")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,7 +210,7 @@ func TestNewEngineOnlyReadsItsLayout(t *testing.T) {
 const readWait = 5 * time.Second
 
 // TestReadsDoNotWaitForNegotiation: while RouteNegotiated is parked in its
-// progress observer — mid-run, the writer mutex held — every read returns
+// progress observer — mid-run, the writer token held — every read returns
 // promptly and sees the session as it was before the negotiation: a
 // RouteNet inside a 50 ms deadline, and RoutePoints, Result, Overflow,
 // CheckConnectivity and AssignTracks.
@@ -463,5 +467,143 @@ func TestEngineConcurrentReadsAgainstEveryWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	checkEngineConsistency(t, e)
+}
+
+// TestWritersWaitUnderTheirContext: while RouteNegotiated is parked in its
+// progress observer, holding the writer token, RouteAll, RouteNegotiated
+// and Edit.Commit under a 50 ms deadline each give up with
+// context.DeadlineExceeded, having installed and appended nothing, and
+// JournalStats answers without the token.
+func TestWritersWaitUnderTheirContext(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e, err := NewEngine(funnelLayout(8), WithPitch(2), WithPenaltyWeight(40), WithWorkers(1),
+		WithJournalFile(path),
+		WithProgress(func(p Progress) {
+			if p.Phase == "negotiate" {
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := e.RouteAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := e.Layout()
+	journaled, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, _ := e.JournalStats()
+	negotiated := make(chan error, 1)
+	go func() {
+		_, err := e.RouteNegotiated(ctx)
+		negotiated <- err
+	}()
+	<-parked
+
+	writes := []struct {
+		name  string
+		write func(context.Context) (bool, error) // reports a non-nil result
+	}{
+		{"RouteAll", func(ctx context.Context) (bool, error) {
+			res, err := e.RouteAll(ctx)
+			return res != nil, err
+		}},
+		{"RouteNegotiated", func(ctx context.Context) (bool, error) {
+			res, err := e.RouteNegotiated(ctx)
+			return res != nil, err
+		}},
+		{"Edit.Commit", func(ctx context.Context) (bool, error) {
+			tx := e.Edit()
+			if err := tx.RemoveNet(netName(0)); err != nil {
+				return false, err
+			}
+			res, err := tx.Commit(ctx)
+			return res != nil, err
+		}},
+	}
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		for _, w := range writes {
+			wctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+			got, err := w.write(wctx)
+			cancel()
+			if got || !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s beside a parked negotiation: result %v, err %v; want none and context.DeadlineExceeded", w.name, got, err)
+			}
+		}
+		if st, ok := e.JournalStats(); !ok || st != stats {
+			t.Errorf("JournalStats beside a parked negotiation = %+v (journaled %v), want %+v", st, ok, stats)
+		}
+	}()
+	select {
+	case <-waited:
+		if e.Result() != before || e.Layout() != layout {
+			t.Error("a writer that gave up installed a session")
+		}
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, journaled) {
+			t.Errorf("a writer that gave up changed the journal (read err %v)", err)
+		}
+	case <-time.After(readWait):
+		t.Errorf("writers still waiting after %v on a parked negotiation", readWait)
+	}
+	close(release)
+	if err := <-negotiated; err != nil {
+		t.Fatal(err)
+	}
+	<-waited
+	checkEngineConsistency(t, e)
+}
+
+// TestRetiredEngineRefusesWriters: CloseJournal retires the engine. Its
+// writers then fail at once with ErrRetired and leave the journal as the
+// close left it, its reads keep working, and a second CloseJournal returns
+// nil.
+func TestRetiredEngineRefusesWriters(t *testing.T) {
+	ctx := context.Background()
+	e, path := journaledEngine(t, 2)
+	tx := e.Edit()
+	if err := tx.AddNet(padNet("late", 5, e.Layout().Bounds.MaxX)); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Result()
+	if err := e.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteAll(ctx); !errors.Is(err, ErrRetired) {
+		t.Errorf("RouteAll on a retired engine: err = %v, want ErrRetired", err)
+	}
+	if _, err := e.RouteNegotiated(ctx); !errors.Is(err, ErrRetired) {
+		t.Errorf("RouteNegotiated on a retired engine: err = %v, want ErrRetired", err)
+	}
+	if _, err := tx.Commit(ctx); !errors.Is(err, ErrRetired) {
+		t.Errorf("Edit.Commit on a retired engine: err = %v, want ErrRetired", err)
+	}
+	if err := e.CloseJournal(); err != nil {
+		t.Errorf("second CloseJournal: %v", err)
+	}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, closed) {
+		t.Errorf("writers on a retired engine changed its journal (read err %v)", err)
+	}
+	if e.Result() != before {
+		t.Error("a refused writer installed a session")
+	}
+	if st, ok := e.JournalStats(); !ok || st.LastErr != "" {
+		t.Errorf("JournalStats on a retired engine = %+v (journaled %v), want the healthy closed journal", st, ok)
+	}
 	checkEngineConsistency(t, e)
 }

@@ -59,29 +59,42 @@ var ErrJournalFold = errors.New("genroute: ECO journal fold failed")
 var ErrJournalAppend = errors.New("genroute: ECO journal append failed")
 
 // JournalStats reports the ECO journal's durability counters (records and
-// bytes since the last fold, last append/fsync error). ok is false when the
-// session has no journal: none was configured with WithJournalFile.
+// bytes since the last fold, last append/fsync error) as of the writer's
+// last append, fold or close. ok is false when the session has no journal:
+// none was configured with WithJournalFile. It takes no writer token, so it
+// answers while a negotiation runs.
 func (e *Engine) JournalStats() (st journal.Stats, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.jr == nil {
-		return journal.Stats{}, false
+	if p := e.jstats.Load(); p != nil {
+		return *p, true
 	}
-	return e.jr.Stats(), true
+	return journal.Stats{}, false
 }
 
-// CloseJournal flushes and closes the journal file handle, if any. The
-// session remains editable — the next committed edit reopens the journal —
-// so this is the eviction hook: a cache dropping the engine first makes
-// sure every acknowledged record is on disk and the descriptor is
-// released.
+// CloseJournal retires the engine: it waits for the writer token, flushes
+// and closes the journal file, if any, and keeps the token for good. Every
+// later RouteAll, RouteNegotiated or Edit.Commit fails at once with
+// ErrRetired; reads keep working. So this is the eviction hook: once it
+// returns, every acknowledged record is on disk, the descriptor is
+// released, and nothing will append to the file again, which a successor
+// engine may then open. A second call returns nil.
 func (e *Engine) CloseJournal() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.jr == nil {
+	w, ok := <-e.w
+	if !ok {
+		return nil // retired already
+	}
+	close(e.w)
+	if w.jr == nil {
 		return nil
 	}
-	return e.jr.Close()
+	err := w.jr.Close()
+	e.publishStats(w)
+	return err
+}
+
+// publishStats publishes the journal's counters for JournalStats.
+func (e *Engine) publishStats(w *writer) {
+	st := w.jr.Stats()
+	e.jstats.Store(&st)
 }
 
 // journalCreate writes the journal's header and base for a freshly built
@@ -89,22 +102,23 @@ func (e *Engine) CloseJournal() error {
 // creation layout, so the base carries no layout of its own. Without a
 // journal, WithCheckpointEvery fails construction: its checkpoints would
 // have nowhere to go.
-func (e *Engine) journalCreate() error {
+func (e *Engine) journalCreate(w *writer) error {
 	if e.cfg.jrnlPath == "" {
 		if e.cfg.checkpoint {
 			return errors.New("genroute: WithCheckpointEvery needs WithJournalFile: checkpoints are folds of the session's journal")
 		}
 		return nil
 	}
-	hdr := journal.Header{LayoutHash: e.layoutHash(), Pitch: e.cfg.congest.Pitch}
-	rb, err := e.journalRebase(hdr.LayoutHash)
+	hdr := journal.Header{LayoutHash: e.layoutHash(w), Pitch: e.cfg.congest.Pitch}
+	rb, err := e.journalRebase(w, hdr.LayoutHash)
 	if err == nil {
-		e.jr, err = journal.Create(e.cfg.jrnlPath, hdr, rb)
+		w.jr, err = journal.Create(e.cfg.jrnlPath, hdr, rb)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrJournalAppend, err)
 	}
-	e.jr.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
+	w.jr.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
+	e.publishStats(w)
 	return nil
 }
 
@@ -112,11 +126,10 @@ func (e *Engine) journalCreate() error {
 // session payload, plus the layout as compact JSON once edits have moved it
 // off created, the journal header's fingerprint. While the layout still
 // fingerprints to the header, recovery restores the base over the creation
-// layout its caller presents. Callers hold mu or own the engine during
-// construction (layoutHash memoizes).
-func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
-	rb := journal.Rebase{Session: snapshot.EncodeSession(e.sessionLocked())}
-	if e.layoutHash() != created {
+// layout its caller presents.
+func (e *Engine) journalRebase(w *writer, created uint64) (journal.Rebase, error) {
+	rb := journal.Rebase{Session: snapshot.EncodeSession(e.session(w))}
+	if e.layoutHash(w) != created {
 		lj, err := json.Marshal(e.st.Load().l)
 		if err != nil {
 			return journal.Rebase{}, err
@@ -126,17 +139,17 @@ func (e *Engine) journalRebase(created uint64) (journal.Rebase, error) {
 	return rb, nil
 }
 
-// journalAppendLocked is Commit's write-ahead hook, called under mu after
-// the repair succeeded and before the install: it encodes the staged ops
-// and appends them with fsync. A non-nil error aborts the commit with the
-// engine untouched — on disk the journal holds at worst a torn tail, which
-// the next open truncates.
-func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
-	if e.jrStale {
+// journalAppend is Commit's write-ahead hook, called after the repair
+// succeeded and before the install: it encodes the staged ops and appends
+// them with fsync. A non-nil error aborts the commit with the engine
+// untouched — on disk the journal holds at worst a torn tail, which the
+// next open truncates.
+func (e *Engine) journalAppend(w *writer, tx *Edit, postHash uint64) error {
+	if w.jrStale {
 		// The base predates a whole-layout flow: replaying this record on
 		// it would revive the routes that flow replaced. The current state
 		// is the pre-edit one, so it becomes the base this record extends.
-		if err := e.journalFoldLocked(); err != nil {
+		if err := e.journalFold(w); err != nil {
 			return err
 		}
 	}
@@ -149,51 +162,54 @@ func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
-	return e.jr.Append(&rec)
+	err := w.jr.Append(&rec)
+	e.publishStats(w)
+	return err
 }
 
-// journalCompactLocked folds the journal into a fresh base built from the
-// just-installed state, when it has outgrown its thresholds. Called under
-// mu after the install. Failure is non-fatal — the commit is already
-// durable in the un-folded journal; a failed write is retained in the
-// journal's Stats (a failed base build is transient and not recorded) and
-// the next commit retries.
-func (e *Engine) journalCompactLocked() {
-	if e.jr == nil || !e.jr.ShouldCompact() {
+// journalCompact folds the journal into a fresh base built from the
+// just-installed state, when it has outgrown its thresholds. Called after
+// the install. Failure is non-fatal — the commit is already durable in the
+// un-folded journal; a failed write is retained in the journal's Stats (a
+// failed base build is transient and not recorded) and the next commit
+// retries.
+func (e *Engine) journalCompact(w *writer) {
+	if w.jr == nil || !w.jr.ShouldCompact() {
 		return
 	}
-	_ = e.journalFoldLocked() // non-fatal, as above
+	_ = e.journalFold(w) // non-fatal, as above
 }
 
-// journalFoldAfterFlowLocked folds the journal after a whole-layout flow
-// (RouteAll, RouteNegotiated) installed its routes, under the same hold of
-// mu. The flow replaced routes that no journal record describes, so
-// without the fold LoadEngineJournal would replay the records onto the old
-// base and revive the replaced routes. A failed fold marks the journal
-// stale and is returned joined to the flow's own error err, matching
+// journalFoldAfterFlow folds the journal after a whole-layout flow
+// (RouteAll, RouteNegotiated) installed its routes, under the same token.
+// The flow replaced routes that no journal record describes, so without
+// the fold LoadEngineJournal would replay the records onto the old base
+// and revive the replaced routes. A failed fold marks the journal stale
+// and is returned joined to the flow's own error err, matching
 // ErrJournalFold.
-func (e *Engine) journalFoldAfterFlowLocked(err error) error {
-	if ferr := e.journalFoldLocked(); ferr != nil {
-		e.jrStale = true
+func (e *Engine) journalFoldAfterFlow(w *writer, err error) error {
+	if ferr := e.journalFold(w); ferr != nil {
+		w.jrStale = true
 		return errors.Join(err, fmt.Errorf("%w: %w", ErrJournalFold, ferr))
 	}
 	return err
 }
 
-// journalFoldLocked folds the journal, when the session has one, into a
-// fresh base built from the current state, which makes it current again.
-func (e *Engine) journalFoldLocked() error {
-	if e.jr == nil {
+// journalFold folds the journal, when the session has one, into a fresh
+// base built from the current state, which makes it current again.
+func (e *Engine) journalFold(w *writer) error {
+	if w.jr == nil {
 		return nil
 	}
-	rb, err := e.journalRebase(e.jr.Header().LayoutHash)
+	rb, err := e.journalRebase(w, w.jr.Header().LayoutHash)
+	if err == nil {
+		err = w.jr.Compact(rb)
+		e.publishStats(w)
+	}
 	if err != nil {
 		return err
 	}
-	if err := e.jr.Compact(rb); err != nil {
-		return err
-	}
-	e.jrStale = false
+	w.jrStale = false
 	return nil
 }
 
@@ -302,7 +318,7 @@ func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) 
 		if _, err := tx.Commit(context.Background()); err != nil {
 			return nil, fmt.Errorf("journal replay: record %d: %w", rec.Seq, err)
 		}
-		if h := e.layoutHash(); h != rec.PostHash {
+		if h = snapshot.LayoutHash(e.Layout()); h != rec.PostHash {
 			return nil, fmt.Errorf("%w: journal replay diverged at record %d: layout fingerprints %016x, record expects %016x",
 				ErrSnapshotCorrupt, rec.Seq, h, rec.PostHash)
 		}
@@ -312,21 +328,23 @@ func LoadEngineJournal(path string, l *Layout, opts ...Option) (*Engine, error) 
 		return nil, err
 	}
 	jr.SetCompaction(e.cfg.jrnlRecords, e.cfg.jrnlBytes)
-	e.jr = jr
+	w := <-e.w // free: the engine is not shared yet
+	w.jr, w.lhash = jr, h
+	e.publishStats(w)
+	e.w <- w
 	return e, nil
 }
 
-// sessionLocked is the state a journal base carries: the layout
-// fingerprint, the congestion pitch and passage tables, the per-net routes
-// and overflow history once the session has routed, and the negotiation in
-// flight, if any. The obstacle index, interval trees and memoized
-// validation geometry are left out: they are deterministic functions of the
-// layout, rebuilt far more cheaply than re-validating. Callers hold mu as
-// journalRebase's do.
-func (e *Engine) sessionLocked() *snapshot.Session {
+// session is the state a journal base carries: the layout fingerprint, the
+// congestion pitch and passage tables, the per-net routes and overflow
+// history once the session has routed, and the negotiation in flight, if
+// any. The obstacle index, interval trees and memoized validation geometry
+// are left out: they are deterministic functions of the layout, rebuilt
+// far more cheaply than re-validating.
+func (e *Engine) session(w *writer) *snapshot.Session {
 	s := e.st.Load()
 	sess := &snapshot.Session{
-		LayoutHash: e.layoutHash(),
+		LayoutHash: e.layoutHash(w),
 		Pitch:      e.cfg.congest.Pitch,
 		Passages:   s.passages,
 	}
@@ -335,6 +353,6 @@ func (e *Engine) sessionLocked() *snapshot.Session {
 		sess.Nets = s.cur.Nets
 		sess.History = s.history
 	}
-	sess.Negotiation = e.pending
+	sess.Negotiation = w.pending
 	return sess
 }

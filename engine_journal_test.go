@@ -65,8 +65,8 @@ func checkRecovered(t *testing.T, live *Engine, path string, created *Layout) {
 	if err != nil {
 		t.Fatalf("LoadEngineJournal: %v", err)
 	}
-	if rec.layoutHash() != live.layoutHash() {
-		t.Fatalf("recovered layout fingerprint %016x, live %016x", rec.layoutHash(), live.layoutHash())
+	if got, want := fingerprint(t, rec), fingerprint(t, live); got != want {
+		t.Fatalf("recovered layout fingerprint %016x, live %016x", got, want)
 	}
 	checkSameRoutes(t, rec.Result(), live.Result())
 	checkEngineConsistency(t, rec)
@@ -137,7 +137,7 @@ func TestJournalBaseCarriesLayoutOnlyOnceEdited(t *testing.T) {
 	if err != nil {
 		t.Fatalf("folded base layout: %v", err)
 	}
-	if got, want := snapshot.LayoutHash(l), e.layoutHash(); got != want {
+	if got, want := snapshot.LayoutHash(l), fingerprint(t, e); got != want {
 		t.Fatalf("folded base layout fingerprints %016x, edited session %016x", got, want)
 	}
 	checkRecovered(t, e, path, funnelLayout(8))
@@ -167,7 +167,9 @@ func embeddedLayoutJournal(t *testing.T, e *Engine, layout *Layout) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return writeBase(t, e.Layout(), e.Pitch(), journal.Rebase{LayoutJSON: lj, Session: snapshot.EncodeSession(e.sessionLocked())})
+	var sess *snapshot.Session
+	withWriter(t, e, func(w *writer) { sess = e.session(w) })
+	return writeBase(t, e.Layout(), e.Pitch(), journal.Rebase{LayoutJSON: lj, Session: snapshot.EncodeSession(sess)})
 }
 
 // TestJournalEmbeddedLayoutBaseRecovers: a base that embeds the unchanged
@@ -581,9 +583,8 @@ func runKillAnywhereBurst(t *testing.T, seam faultinject.Point, idx int) {
 	})
 	trailingFailed := chaosBurst(t, e)
 	restore()
-	if err := e.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
+	// Recover beside the live engine, as after a kill: its journal stays
+	// open, and the reconverging commit below appends to it.
 	rec, err := LoadEngineJournal(path, gridScene(t, 2), WithWorkers(1))
 	if err != nil {
 		t.Fatalf("recovery after %v fault #%d: %v", seam, idx, err)
@@ -600,8 +601,8 @@ func runKillAnywhereBurst(t *testing.T, seam faultinject.Point, idx int) {
 	}
 	commitOps(t, e, trailingFailed)
 	checkSameRoutes(t, rec.Result(), e.Result())
-	if rec.layoutHash() != e.layoutHash() {
-		t.Fatalf("recovered fingerprint %016x, live %016x", rec.layoutHash(), e.layoutHash())
+	if got, want := fingerprint(t, rec), fingerprint(t, e); got != want {
+		t.Fatalf("recovered fingerprint %016x, live %016x", got, want)
 	}
 }
 
@@ -687,7 +688,9 @@ func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
 	commitOps(t, e, func(tx *Edit) error {
 		return tx.AddNet(padNet("hash_a", 5, e.Layout().Bounds.MaxX))
 	})
-	if got, want := e.lhash, snapshot.LayoutHash(e.Layout()); got != want {
+	var memo uint64
+	withWriter(t, e, func(w *writer) { memo = w.lhash })
+	if got, want := memo, snapshot.LayoutHash(e.Layout()); got != want {
 		t.Fatalf("layout fingerprint memo after a journaled commit = %016x, want %016x", got, want)
 	}
 
@@ -701,7 +704,8 @@ func TestJournaledCommitKeepsLayoutHash(t *testing.T) {
 	commitOps(t, plain, func(tx *Edit) error {
 		return tx.AddNet(padNet("hash_b", 5, plain.Layout().Bounds.MaxX))
 	})
-	if h := plain.lhash; h != 0 {
+	withWriter(t, plain, func(w *writer) { memo = w.lhash })
+	if h := memo; h != 0 {
 		t.Fatalf("unjournaled commit memoized a layout fingerprint %016x", h)
 	}
 }

@@ -27,15 +27,14 @@ var (
 	ErrSnapshotLayout = snapshot.ErrLayout
 )
 
-// layoutHash memoizes the session layout's fingerprint; ECO commits set
-// the edited layout's, or reset the memo when they took none. (A genuine
-// hash of 0 only costs a recompute, never a wrong value.) Callers hold mu
-// or own the engine during construction.
-func (e *Engine) layoutHash() uint64 {
-	if e.lhash == 0 {
-		e.lhash = snapshot.LayoutHash(e.st.Load().l)
+// layoutHash memoizes the session layout's fingerprint in w; ECO commits
+// set the edited layout's, or reset the memo when they took none. (A
+// genuine hash of 0 only costs a recompute, never a wrong value.)
+func (e *Engine) layoutHash(w *writer) uint64 {
+	if w.lhash == 0 {
+		w.lhash = snapshot.LayoutHash(e.st.Load().l)
 	}
-	return e.lhash
+	return w.lhash
 }
 
 // restoreEngine rebuilds a session from the decoded payload of a journal
@@ -53,7 +52,7 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 			ErrSnapshotLayout, lc.Name, h, sess.LayoutHash)
 	}
 	cfg.congest.Pitch = sess.Pitch
-	e := &Engine{cfg: cfg, lhash: h}
+	e, w := &Engine{cfg: cfg, w: make(chan *writer, 1)}, &writer{lhash: h}
 	ix, spans, err := plane.FromLayoutSpans(lc)
 	if err != nil {
 		return nil, err
@@ -81,16 +80,17 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 		for i := range cp.Nets {
 			cp.Nets[i].Net = lc.Nets[i].Name
 		}
-		e.pending = cp
+		w.pending = cp
 	}
+	e.w <- w
 	return e, nil
 }
 
 // negotiateConfig assembles the congest.Config for a (fresh or resumed)
 // negotiation run: congestion parameters, workers, base router options,
 // the progress adapter and — with WithCheckpointEvery — the checkpoint
-// hook that folds the journal.
-func (e *Engine) negotiateConfig(s *state) congest.Config {
+// hook that folds the journal, which runs under w.
+func (e *Engine) negotiateConfig(w *writer, s *state) congest.Config {
 	ccfg := e.cfg.congest
 	ccfg.Workers = e.cfg.workers
 	ccfg.BaseOptions = e.cfg.routerOptions(s.ix) // corner rule, mode, budget, trace hooks
@@ -102,26 +102,26 @@ func (e *Engine) negotiateConfig(s *state) congest.Config {
 	}
 	if e.cfg.checkpoint {
 		ccfg.CheckpointEvery = e.cfg.ckptEvery
-		ccfg.Checkpoint = e.checkpointLocked
+		ccfg.Checkpoint = func(cp *congest.Checkpoint) error { return e.checkpoint(w, cp) }
 	}
 	return ccfg
 }
 
-// checkpointLocked is the negotiation's checkpoint hook, run under the mu
+// checkpoint is the negotiation's checkpoint hook, run under the token
 // RouteNegotiated holds: cp becomes the negotiation in flight and the
 // journal is folded, so its base carries it. When the fold fails or
 // panics, the journal is left as it was and so is the pending state, which
 // still matches it; the hook's error aborts the run.
-func (e *Engine) checkpointLocked(cp *congest.Checkpoint) error {
-	prev := e.pending
-	e.pending = cp
+func (e *Engine) checkpoint(w *writer, cp *congest.Checkpoint) error {
+	prev := w.pending
+	w.pending = cp
 	folded := false
 	defer func() {
 		if !folded {
-			e.pending = prev
+			w.pending = prev
 		}
 	}()
-	if err := e.journalFoldLocked(); err != nil {
+	if err := e.journalFold(w); err != nil {
 		return err
 	}
 	folded = true
@@ -139,9 +139,9 @@ func (e *Engine) checkpointLocked(cp *congest.Checkpoint) error {
 // flight, as every install does; an interrupted one keeps its last
 // checkpoint as the point the next RouteNegotiated resumes from. After an
 // install the ECO journal, if any, is folded (see
-// journalFoldAfterFlowLocked). It returns the run's error joined with a
-// failed fold's.
-func (e *Engine) installNegotiated(s *state, res *congest.NegotiateResult, err error) error {
+// journalFoldAfterFlow). It returns the run's error joined with a failed
+// fold's.
+func (e *Engine) installNegotiated(w *writer, s *state, res *congest.NegotiateResult, err error) error {
 	if res == nil || len(res.Results) == 0 {
 		return err
 	}
@@ -153,7 +153,7 @@ func (e *Engine) installNegotiated(s *state, res *congest.NegotiateResult, err e
 	}
 	e.st.Store(s.routed(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...)))
 	if err == nil {
-		e.pending = nil
+		w.pending = nil
 	}
-	return e.journalFoldAfterFlowLocked(err)
+	return e.journalFoldAfterFlow(w, err)
 }

@@ -85,16 +85,18 @@ func TestCheckpointWriteFailureLeavesNoTempFiles(t *testing.T) {
 	if prev == nil || !bytes.Equal(got, prev) {
 		t.Fatal("failed checkpoint fold corrupted the previous journal")
 	}
-	if e.pending == nil || e.pending.InPass || e.pending.PassesRecorded != 1 {
-		t.Fatalf("negotiation in flight %+v, want pass 1's boundary, the checkpoint the journal holds", e.pending)
-	}
-	rb, err := e.journalRebase(e.jr.Header().LayoutHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(journal.EncodeBase(e.jr.Header(), rb), got) {
-		t.Fatal("the engine's state no longer matches its journal")
-	}
+	withWriter(t, e, func(w *writer) {
+		if w.pending == nil || w.pending.InPass || w.pending.PassesRecorded != 1 {
+			t.Fatalf("negotiation in flight %+v, want pass 1's boundary, the checkpoint the journal holds", w.pending)
+		}
+		rb, err := e.journalRebase(w, w.jr.Header().LayoutHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(journal.EncodeBase(w.jr.Header(), rb), got) {
+			t.Fatal("the engine's state no longer matches its journal")
+		}
+	})
 }
 
 // TestCheckpointWritePanicLeavesNoTempFiles: even a panic inside the
@@ -136,9 +138,11 @@ func TestCheckpointWritePanicLeavesNoTempFiles(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
 		t.Fatalf("panicking checkpoint fold changed the journal (read err %v)", err)
 	}
-	if e.pending != nil {
-		t.Fatal("the engine keeps a negotiation in flight its journal does not hold")
-	}
+	withWriter(t, e, func(w *writer) {
+		if w.pending != nil {
+			t.Fatal("the engine keeps a negotiation in flight its journal does not hold")
+		}
+	})
 }
 
 // TestJournalBaseWriteFailureLeavesNoTempFiles: the journal base written

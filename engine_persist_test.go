@@ -49,8 +49,9 @@ func checkSameRoutes(t *testing.T, got, want *Result) {
 }
 
 // savedFunnel builds the funnel session journaled at a fresh path, routes
-// it with route when non-nil (the flow folds the journal), and closes the
-// journal, so the file holds the session as a recovery finds it.
+// it with route when non-nil (the flow folds the journal), and retires the
+// engine (CloseJournal), so the file holds the session as a recovery finds
+// it. The engine still answers reads.
 func savedFunnel(t *testing.T, route func(*Engine) error, opts ...Option) (*Engine, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "s.jrnl")
@@ -97,7 +98,13 @@ func TestEngineSaveLoadPrepared(t *testing.T) {
 			t.Fatalf("passage %d = %+v, want %+v", i, p2[i], p1[i])
 		}
 	}
-	r1, err := e1.RouteNegotiated(context.Background())
+	// e1 is retired (savedFunnel closed its journal), so a journal-free
+	// session over the same layout negotiates the reference.
+	ref, err := NewEngine(funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := ref.RouteNegotiated(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestEngineSaveLoadPrepared(t *testing.T) {
 	if len(r1.Passes) != len(r2.Passes) {
 		t.Fatalf("loaded session took %d passes, original %d", len(r2.Passes), len(r1.Passes))
 	}
-	checkSameRoutes(t, e2.Result(), e1.Result())
+	checkSameRoutes(t, e2.Result(), ref.Result())
 	checkEngineConsistency(t, e2)
 }
 
@@ -313,9 +320,14 @@ func TestLoadRejectsInconsistentNegotiation(t *testing.T) {
 			path := writeBase(t, funnelLayout(8), 2, journal.Rebase{Session: snapshot.EncodeSession(sess)})
 			e, err := LoadEngineJournal(path, funnelLayout(8), persistOpts()...)
 			if tc.name == "intact" {
-				if err != nil || e.pending == nil {
+				if err != nil {
 					t.Fatalf("intact payload: LoadEngineJournal %v; want it to restore the negotiation", err)
 				}
+				withWriter(t, e, func(w *writer) {
+					if w.pending == nil {
+						t.Fatal("intact payload: LoadEngineJournal restored no negotiation")
+					}
+				})
 				return
 			}
 			if !errors.Is(err, ErrSnapshotCorrupt) {
@@ -374,9 +386,11 @@ func interruptedNegotiation(t *testing.T, path string) *Engine {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 	e.cfg.progress = nil
-	if e.pending == nil {
-		t.Fatal("the interrupted run left no negotiation in flight")
-	}
+	withWriter(t, e, func(w *writer) {
+		if w.pending == nil {
+			t.Fatal("the interrupted run left no negotiation in flight")
+		}
+	})
 	return e
 }
 
@@ -435,7 +449,14 @@ func TestInstallsRetireNegotiationInFlight(t *testing.T) {
 // carries the edited layout, must fingerprint to that layout and recover
 // with its routes.
 func TestSaveRefingerprintsAfterECO(t *testing.T) {
-	e, path := savedFunnel(t, negotiate, withJournalCompaction(1, 0))
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	e, err := NewEngine(funnelLayout(8), persistOpts(WithJournalFile(path), withJournalCompaction(1, 0))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := negotiate(e); err != nil {
+		t.Fatal(err)
+	}
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -89,6 +89,26 @@ func checkEngineConsistency(t *testing.T, e *Engine) {
 	}
 }
 
+// withWriter runs f holding e's writer token: the one way a test reads what
+// only a writer touches (the negotiation in flight, the journal, the
+// fingerprint memo).
+func withWriter(t testing.TB, e *Engine, f func(w *writer)) {
+	t.Helper()
+	w, err := e.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.w <- w }()
+	f(w)
+}
+
+// fingerprint is e's memoized layout fingerprint, read through withWriter.
+func fingerprint(t testing.TB, e *Engine) (h uint64) {
+	t.Helper()
+	withWriter(t, e, func(w *writer) { h = e.layoutHash(w) })
+	return h
+}
+
 func TestEngineRouteAll(t *testing.T) {
 	l := demoLayout()
 	e, err := NewEngine(l)

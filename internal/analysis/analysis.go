@@ -1,12 +1,10 @@
 // Package analysis is a minimal, dependency-free mirror of the
-// golang.org/x/tools/go/analysis framework, carrying the five
+// golang.org/x/tools/go/analysis framework, carrying the four
 // project-specific analyzers that statically enforce the engine's
 // invariants:
 //
 //   - maporder: no nondeterministic map iteration on the determinism-critical
 //     paths (route byte-identity across worker counts);
-//   - lockcontract: Engine methods acquire mu before touching the fields
-//     only its writers use (the locking contract from engine.go);
 //   - ctxpoll: hot-path loops poll cancellation (the poll-every-64-expansions
 //     discipline threaded through search/congest/router);
 //   - atomicwrite: journal files (session payloads and negotiation
@@ -34,18 +32,14 @@
 //	//grlint:bounded <reason>   — loop provably bounded; no poll needed
 //	//grlint:polls <reason>     — loop polls cancellation in a way the
 //	                              analyzer cannot see (e.g. via an interface)
-//	//grlint:locked <reason>    — method's locking is managed by its callers
-//	                              or is documented exempt from the contract
 //	//grlint:rawwrite <reason>  — deliberate non-atomic file write
 //	//grlint:nosync <reason>    — file write whose durability (fsync) is
 //	                              provably the caller's responsibility
 //	//grlint:recoverguard <reason> — function declaration annotation: this
 //	                              function is a blessed panic-isolation guard
-//	//grlint:guardedby <mutex>  — struct field annotation: the named mutex
-//	                              field guards this field (lockcontract input)
 //
-// Every directive except guardedby requires a non-empty reason; a bare
-// directive is itself reported. The grammar is deliberately per-line, not
+// Every directive requires a non-empty reason; a bare directive is itself
+// reported. The grammar is deliberately per-line, not
 // per-file or per-function: each silenced site carries its own
 // justification, reviewable in place.
 package analysis
@@ -177,7 +171,7 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 
 // Analyzers returns the full grlint suite, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Maporder, Lockcontract, Ctxpoll, Atomicwrite, Recoverguard}
+	return []*Analyzer{Maporder, Ctxpoll, Atomicwrite, Recoverguard}
 }
 
 // sortDiagnostics orders findings by position (file, offset) then message,

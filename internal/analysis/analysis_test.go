@@ -21,10 +21,10 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSuiteComplete pins the suite's composition: five analyzers, stable
+// TestSuiteComplete pins the suite's composition: four analyzers, stable
 // order, distinct names (directives and scope table key off the names).
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"maporder", "lockcontract", "ctxpoll", "atomicwrite", "recoverguard"}
+	want := []string{"maporder", "ctxpoll", "atomicwrite", "recoverguard"}
 	got := analysis.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

@@ -25,7 +25,7 @@ type scope struct {
 }
 
 // everywhere means the analyzer runs on every module package (it scopes
-// itself through annotations, as lockcontract and recoverguard do).
+// itself through annotations, as recoverguard does).
 var everywhere = scope{}
 
 // scopes is the suite's scope table. It lives in the driver, not the
@@ -45,8 +45,8 @@ var everywhere = scope{}
 //   - atomicwrite guards the packages that persist the session journal,
 //     with the session payloads and negotiation checkpoints folded into it (its
 //     fsync-before-ack discipline is checked too).
-//   - lockcontract and recoverguard run everywhere: guardedby annotations
-//     and blessed-guard annotations scope them per-site.
+//   - recoverguard runs everywhere: blessed-guard annotations scope it
+//     per-site.
 var scopes = map[string]scope{
 	"maporder": {
 		paths: []string{"", "internal/boxtree", "internal/congest", "internal/router", "internal/search"},
@@ -58,7 +58,6 @@ var scopes = map[string]scope{
 	"atomicwrite": {
 		paths: []string{"", "internal/serve", "internal/snapshot", "internal/journal"},
 	},
-	"lockcontract": everywhere,
 	"recoverguard": everywhere,
 }
 

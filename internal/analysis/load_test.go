@@ -40,35 +40,27 @@ func TestLoadTypechecksModulePackage(t *testing.T) {
 // directory outside the module graph whose imports resolve through go list.
 func TestLoadDirResolvesStdlibImports(t *testing.T) {
 	loader := NewLoader(".")
-	p, err := loader.LoadDir("testdata/src/lockcontract")
+	p, err := loader.LoadDir("testdata/src/atomicwrite")
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	if p.Name != "lockcontract" {
-		t.Errorf("package name = %q, want lockcontract", p.Name)
+	if p.Name != "atomicwrite" {
+		t.Errorf("package name = %q, want atomicwrite", p.Name)
 	}
-	eng := p.Types.Scope().Lookup("Engine")
-	if eng == nil {
-		t.Fatal("Engine not in package scope")
-	}
-	st, ok := eng.Type().Underlying().(*types.Struct)
+	fn, ok := p.Types.Scope().Lookup("writeNoSync").(*types.Func)
 	if !ok {
-		t.Fatalf("Engine underlying = %T, want struct", eng.Type().Underlying())
+		t.Fatal("func writeNoSync not in package scope")
 	}
-	// The mu field must have resolved to the real sync.RWMutex.
-	found := false
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != "mu" {
-			continue
-		}
-		named, ok := f.Type().(*types.Named)
-		if !ok || named.Obj().Pkg().Path() != "sync" {
-			t.Errorf("mu field type = %v, want sync.RWMutex", f.Type())
-		}
-		found = true
+	// Its first parameter must have resolved to the real *os.File.
+	params := fn.Type().(*types.Signature).Params()
+	if params.Len() == 0 {
+		t.Fatal("writeNoSync has no parameters")
 	}
-	if !found {
-		t.Error("mu field not found on Engine")
+	ptr, ok := params.At(0).Type().(*types.Pointer)
+	if !ok {
+		t.Fatalf("writeNoSync's first parameter = %v, want *os.File", params.At(0).Type())
+	}
+	if named, ok := ptr.Elem().(*types.Named); !ok || named.Obj().Pkg().Path() != "os" || named.Obj().Name() != "File" {
+		t.Errorf("writeNoSync's first parameter = %v, want *os.File", params.At(0).Type())
 	}
 }

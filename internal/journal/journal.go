@@ -36,8 +36,9 @@
 // magic is not a journal (ErrFormat), and one whose first record carries
 // another Version was written by another build (ErrVersion).
 //
-// A Journal (the writer) is not safe for concurrent use; the engine
-// serializes appends under its writer mutex.
+// A Journal (the writer) is not safe for concurrent use: the engine's
+// writer token serializes its appends and folds. Close is final: a closed
+// Journal never writes its path again, which a successor may then open.
 package journal
 
 import (
@@ -81,6 +82,8 @@ var (
 	// errChecksum is frameAt's verdict on a complete frame whose payload
 	// fails its CRC: damage, where a short frame may be a torn write.
 	errChecksum = fmt.Errorf("%w: payload checksum mismatch", errCorrupt)
+	// errClosed refuses a write through a closed Journal.
+	errClosed = errors.New("journal: closed")
 )
 
 // Header identifies the session a journal belongs to: the fingerprint and
@@ -399,6 +402,7 @@ type Journal struct {
 	path    string
 	hdr     Header
 	f       *os.File
+	closed  bool // set by Close, after which nothing writes path
 	records int
 	bytes   int64
 	lastErr error
@@ -493,13 +497,15 @@ func (j *Journal) reopen() error {
 // the file may hold a torn tail; the next OpenAppend truncates it and no
 // acknowledged record is affected.
 func (j *Journal) Append(rec *Record) error {
+	if j.closed {
+		return errClosed
+	}
 	if err := faultinject.Fire(faultinject.JournalAppend, j.path); err != nil {
 		j.lastErr = err
 		return err
 	}
 	if j.f == nil {
-		// Reopen after Close (an evicted-then-revived session) or a prior
-		// failure; the path still names the live journal.
+		// Compact's reopen failed; the path still names the live journal.
 		if err := j.reopen(); err != nil {
 			return err
 		}
@@ -556,6 +562,9 @@ func (j *Journal) ShouldCompact() bool {
 // the old journal or the new one — never a torn or empty file. On error
 // the old journal stays live and appends continue against it.
 func (j *Journal) Compact(rb Rebase) error {
+	if j.closed {
+		return errClosed
+	}
 	if err := faultinject.Fire(faultinject.JournalCompact, j.path); err != nil {
 		j.lastErr = err
 		return err
@@ -589,10 +598,12 @@ func (j *Journal) writeBase(rb Rebase) (int64, error) {
 	return int64(len(base)), err
 }
 
-// Close syncs and closes the journal file. The journal stays usable: a
-// later Append reopens the path (the flush-before-eviction contract — an
-// evicted session's journal holds every acknowledged record).
+// Close syncs and closes the journal file, for good: Append and Compact
+// fail after it and never reopen the path, so an evicted session's journal
+// holds every acknowledged record and nothing after them. A second Close
+// returns nil.
 func (j *Journal) Close() error {
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}

@@ -101,8 +101,10 @@ func TestCreateAppendScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendAfterClose exercises the eviction contract: Close flushes, and a
-// later Append lazily reopens the same file.
+// TestAppendAfterClose: Close is final. Append and Compact after it fail,
+// never reopen the path, and leave the file byte-identical, so a successor
+// that opens the same journal is its only writer. A second Close is a
+// no-op.
 func TestAppendAfterClose(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Create(path, fixtureHeader(), fixtureRebase())
@@ -116,21 +118,26 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2 := fixtureRecord(0)
-	if err := j.Append(&r2); err != nil {
-		t.Fatalf("append after close: %v", err)
-	}
-	if r2.Seq != 2 {
-		t.Fatalf("seq after reopen = %d, want 2", r2.Seq)
-	}
-	s, err := ScanFile(path)
+	closed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Records) != 2 {
-		t.Fatalf("got %d records, want 2", len(s.Records))
+	r2 := fixtureRecord(0)
+	if err := j.Append(&r2); err == nil {
+		t.Error("Append after Close succeeded")
 	}
-	j.Close()
+	if err := j.Compact(fixtureRebase()); err == nil {
+		t.Error("Compact after Close succeeded")
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, closed) {
+		t.Fatalf("writes after Close changed the journal (read err %v)", err)
+	}
+	if s, err := ScanFile(path); err != nil || len(s.Records) != 1 {
+		t.Fatalf("journal after Close scans %v, err %v; want its one record", s, err)
+	}
 }
 
 // TestTornTailTruncated checks tolerate-and-truncate: cutting bytes off the

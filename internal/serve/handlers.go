@@ -29,6 +29,21 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeBusy answers 503 with Retry-After to a request that changed nothing
+// and whose retry may succeed: its wait for the session or its writer
+// ended with the request, or the session it reached was evicted.
+func writeBusy(w http.ResponseWriter, format string, args ...any) {
+	w.Header().Set("Retry-After", "1")
+	writeErr(w, http.StatusServiceUnavailable, format, args...)
+}
+
+// refused classifies the error of a writer that returned no result: the
+// engine was retired (evicted), or the request's context ended while the
+// writer waited for the engine's writer token. Either way it never ran.
+func refused(err error) bool {
+	return errors.Is(err, genroute.ErrRetired) || isInterrupted(err)
+}
+
 // presize bounds the buffer readBody allocates before reading, so a client
 // that declares a large body and sends little cannot make the server
 // allocate it.
@@ -111,7 +126,9 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 // is the layout fingerprint; posting the same layout twice returns the
 // resident session without rebuilding, and concurrent posts of one layout
 // share a single preparation. A session whose journal cannot be written
-// answers 500: the failure is the server's, not the layout's.
+// answers 500: the failure is the server's, not the layout's. A create
+// whose request ends while it waits — on a joined build, or on an evicted
+// engine of the same layout letting go of its journal — answers 503.
 //
 // The body is decoded, not validated: a cold build's NewEngine validates
 // the layout, and a warm start or a resident session is vouched for by its
@@ -136,6 +153,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	l.NormalizeBoxes()
 	hash := snapshot.LayoutHash(l)
 	sess, created, err := s.sessions.getOrCreate(r.Context().Done(), l, hash, opts)
+	if errors.Is(err, errWaitCancelled) {
+		writeBusy(w, "preparing session: %v", err)
+		return
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, genroute.ErrJournalAppend) {
@@ -254,7 +275,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // negotiation an earlier request left in flight is resumed — producing
 // routes byte-identical to the uninterrupted run — and a completed run
 // retires it. An expired deadline or drain returns the best-pass partial
-// with "partial": true, leaving the last checkpoint as the resume point.
+// with "partial": true, leaving the last checkpoint as the resume point. A
+// deadline that expires while another writer holds the session, or a
+// session evicted under the request, answers 503.
 func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -269,6 +292,10 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 	res, err := sess.e.RouteNegotiated(ctx)
+	if res == nil && refused(err) {
+		writeBusy(w, "negotiation not started: %v", err)
+		return
+	}
 	// A failed journal fold fails the request even on an interrupted run:
 	// the installed routes would not survive a restart.
 	partial := err != nil && isInterrupted(err) && !errors.Is(err, genroute.ErrJournalFold)
@@ -310,9 +337,10 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 // a write-ahead journal: Commit appends the edit set — fsynced — before
 // installing, so by the time the 200 is written the edit survives kill -9
 // and a restart replays it (the journal rung of the warm-start ladder).
-// A failed commit is classified by its typed error: a recovered commit
-// panic answers 500 marked degraded, a journal append failure 500, and any
-// other failure (a rejected edit) 400.
+// A failed commit is classified by its typed error: a commit that never
+// ran (see refused) answers 503, a recovered commit panic 500 marked
+// degraded, a journal append failure 500, and any other failure (a
+// rejected edit) 400.
 func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -354,6 +382,9 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	partial := err != nil && isInterrupted(err) && eco != nil
 	switch {
 	case err == nil || partial:
+	case eco == nil && refused(err):
+		writeBusy(w, "eco commit not started: %v", err)
+		return
 	case errors.Is(err, genroute.ErrCommitPanic):
 		writeJSON(w, http.StatusInternalServerError, errorResponse{
 			Error: err.Error(), Degraded: true,

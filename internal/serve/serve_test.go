@@ -428,8 +428,8 @@ func TestNegotiatePartialWithFailedCheckpointIsPartial(t *testing.T) {
 
 // TestRouteDoesNotWaitForNegotiate: a /route answers inside its 50 ms
 // deadline while a /negotiate on the same session is parked mid-run with
-// the engine's writer mutex held: a read loads the installed session and
-// takes no lock.
+// the engine's writer token held: a read loads the installed session and
+// takes nothing.
 func TestRouteDoesNotWaitForNegotiate(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 2, Workers: 1})
 	sr := createSession(t, ts, funnel(8), "pitch=2&weight=40")

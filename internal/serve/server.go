@@ -167,7 +167,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		hs.Shutdown(context.Background())
 	}
 	s.inflight.Wait()
-	s.sessions.closeJournals()
+	s.sessions.retireAll()
 	s.logf("serve: drained; %d session journal(s) closed", len(s.sessions.snapshotList()))
 	return nil
 }

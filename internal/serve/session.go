@@ -42,7 +42,15 @@ type sessionCache struct {
 	byHash   map[uint64]*session
 	lru      *list.List // front = most recently used
 	inflight map[uint64]*prepareCall
+	// retiring holds, per evicted hash, a channel closed once the evicted
+	// engine has let go of its journal; retires counts those still running.
+	retiring map[uint64]chan struct{}
+	retires  sync.WaitGroup
 }
+
+// errWaitCancelled marks a create whose request ended while it waited for
+// the session: on a joined build, or on an evicted predecessor's retire.
+var errWaitCancelled = errors.New("serve: request cancelled while waiting for the session")
 
 // prepareCall is one in-flight cold/warm build; concurrent requests for
 // the same layout wait on done and share the outcome.
@@ -62,6 +70,7 @@ func newSessionCache(max int, dir string, every int, baseOpts []genroute.Option,
 		byHash:   make(map[uint64]*session),
 		lru:      list.New(),
 		inflight: make(map[uint64]*prepareCall),
+		retiring: make(map[uint64]chan struct{}),
 	}
 }
 
@@ -82,24 +91,38 @@ func (c *sessionCache) lookup(hash uint64) *session {
 }
 
 // getOrCreate returns the session for hash, preparing it (warm or cold)
-// if absent. Concurrent calls for one hash share a single preparation;
-// joiners that time out waiting return their context's error while the
-// build itself continues for everyone else.
+// if absent. Concurrent calls for one hash share a single preparation, and
+// none starts while an evicted engine of the hash still holds its journal.
+// A call whose done closes while it waits returns errWaitCancelled; the
+// build or retire it waited on continues for everyone else.
 func (c *sessionCache) getOrCreate(done <-chan struct{}, l *genroute.Layout, hash uint64, opts []genroute.Option) (*session, bool, error) {
 	c.mu.Lock()
-	if s := c.byHash[hash]; s != nil {
-		c.lru.MoveToFront(s.el)
-		c.mu.Unlock()
-		return s, false, nil
-	}
-	if call := c.inflight[hash]; call != nil {
+	for {
+		if s := c.byHash[hash]; s != nil {
+			c.lru.MoveToFront(s.el)
+			c.mu.Unlock()
+			return s, false, nil
+		}
+		if call := c.inflight[hash]; call != nil {
+			c.mu.Unlock()
+			select {
+			case <-call.done:
+				return call.sess, false, call.err
+			case <-done:
+				return nil, false, errWaitCancelled
+			}
+		}
+		retired := c.retiring[hash]
+		if retired == nil {
+			break
+		}
 		c.mu.Unlock()
 		select {
-		case <-call.done:
-			return call.sess, false, call.err
+		case <-retired:
 		case <-done:
-			return nil, false, errors.New("serve: request cancelled while waiting for session preparation")
+			return nil, false, errWaitCancelled
 		}
+		c.mu.Lock()
 	}
 	call := &prepareCall{done: make(chan struct{})}
 	c.inflight[hash] = call
@@ -211,11 +234,14 @@ func (c *sessionCache) quarantine(path string, cause error) {
 	}
 }
 
-// install adds a built session and evicts past the LRU bound. Eviction
-// drops memory only: the journal is the session's durable form, so a
-// re-request warm-starts from it. The evicted session's journal is flushed
-// and its descriptor released first (the engine reopens it on demand if
-// the session is somehow still referenced).
+// install adds a built session and evicts past the LRU bound; the caller
+// holds mu. Eviction drops memory only: the journal is the session's
+// durable form, so a re-request warm-starts from it. The evicted engine is
+// retired on a goroutine of its own, since CloseJournal waits for a writer
+// that may still be running on it (bounded by the request deadline and the
+// drain): its journal is flushed and released for good, and its late
+// writers fail with genroute.ErrRetired. Until the retire ends, a create of
+// the same layout waits for it.
 func (c *sessionCache) install(s *session) {
 	s.el = c.lru.PushFront(s)
 	c.byHash[s.hash] = s
@@ -224,10 +250,26 @@ func (c *sessionCache) install(s *session) {
 		ev := back.Value.(*session)
 		c.lru.Remove(back)
 		delete(c.byHash, ev.hash)
-		if err := ev.e.CloseJournal(); err != nil {
-			c.logf("serve: evicting session %016x: journal close: %v", ev.hash, err)
-		}
+		retired := make(chan struct{})
+		c.retiring[ev.hash] = retired
+		c.retires.Add(1)
+		go func() {
+			defer c.retires.Done()
+			c.retire(ev, "evicting")
+			c.mu.Lock()
+			delete(c.retiring, ev.hash)
+			c.mu.Unlock()
+			close(retired)
+		}()
 		c.logf("serve: evicted session %016x (LRU bound %d)", ev.hash, c.max)
+	}
+}
+
+// retire retires a session's engine (see install), logging a failed
+// journal close.
+func (c *sessionCache) retire(s *session, why string) {
+	if err := s.e.CloseJournal(); err != nil {
+		c.logf("serve: %s session %016x: journal close: %v", why, s.hash, err)
 	}
 }
 
@@ -244,12 +286,12 @@ func (c *sessionCache) snapshotList() []*session {
 	return out
 }
 
-// closeJournals flushes and closes every resident session's journal
-// (called after drain, when the engines are idle).
-func (c *sessionCache) closeJournals() {
+// retireAll retires every resident session's engine, which flushes and
+// closes its journal, and waits for the retires eviction started (called
+// after drain, when no request is left to write).
+func (c *sessionCache) retireAll() {
 	for _, s := range c.snapshotList() {
-		if err := s.e.CloseJournal(); err != nil {
-			c.logf("serve: drain: session %016x journal close: %v", s.hash, err)
-		}
+		c.retire(s, "drain:")
 	}
+	c.retires.Wait()
 }
