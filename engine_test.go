@@ -440,8 +440,8 @@ func TestRouteAllMacro32Pinned(t *testing.T) {
 	}
 	const (
 		wantDigest    uint64 = 0xae18d4031aec19de
-		wantExpanded         = 59065
-		wantGenerated        = 3335683
+		wantExpanded         = 9671
+		wantGenerated        = 109950
 	)
 	if got := segmentDigest(res.Nets); got != wantDigest || res.Stats.Expanded != wantExpanded || res.Stats.Generated != wantGenerated {
 		t.Fatalf("segment digest %#016x, expanded %d, generated %d; want %#016x, %d, %d",
@@ -471,7 +471,7 @@ func TestNegotiateMacroGrid16Pinned(t *testing.T) {
 		{"ctl3", "ctl4", "x12"},
 		{"ctl3", "ctl4", "x12", "ctl2"},
 	}
-	wantStats := search.Stats{Expanded: 17097, Generated: 1302513, Reopened: 0, MaxOpen: 322}
+	wantStats := search.Stats{Expanded: 3846, Generated: 419686, Reopened: 0, MaxOpen: 322}
 	for _, workers := range []int{1, 4} {
 		e, err := NewEngine(l, WithWorkers(workers), WithPitch(8), WithPenaltyWeight(40),
 			WithWeightStep(40), WithHistory(1, 10), WithMaxPasses(8))

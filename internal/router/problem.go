@@ -29,18 +29,16 @@ type State struct {
 // nearest/crossing run once per generated node, so the queries are answered
 // from a boxtree.Tree that files every target point and segment as its
 // bounding box. RouteNet grows one shared set as the tree accretes
-// (addPoints/addSegs); prepare, which routeConnection calls before every
-// search, rebuilds the tree when the set has changed since the last build —
-// once per Steiner round. The tree keeps its buffers across builds, so a
-// set recycled through netScratchPool stops allocating once warm.
+// (addPoints/addSegs); prepare, which RouteNet calls before a round takes
+// its candidates' bounds and routeConnection before every search, rebuilds
+// the tree when the set has changed since the last build — once per
+// Steiner round. The tree keeps its buffers across builds, so a set
+// recycled through netScratchPool stops allocating once warm.
 type targetSet struct {
 	points []geom.Point
 	segs   []geom.Seg
 	tree   boxtree.Tree // points then segs, by their boxes
 	built  bool         // tree files points and segs
-	// validated marks that every target point passed endpoint validation;
-	// RouteNet's candidate searches share one set, so the check runs once.
-	validated bool
 }
 
 // reset readies a recycled set for a new net, keeping capacity.
@@ -48,7 +46,6 @@ func (t *targetSet) reset() {
 	t.points = t.points[:0]
 	t.segs = t.segs[:0]
 	t.built = false
-	t.validated = false
 }
 
 // addPoints appends target points; the tree catches up on next prepare.

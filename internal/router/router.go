@@ -19,10 +19,12 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -102,6 +104,9 @@ var (
 	ErrBlockedEndpoint = errors.New("router: endpoint strictly inside a cell")
 	// ErrOutOfBounds marks a query endpoint outside the routing area.
 	ErrOutOfBounds = errors.New("router: endpoint outside routing bounds")
+
+	// errEmptyQuery marks a connection query without a source or a target.
+	errEmptyQuery = errors.New("router: empty source or target set")
 )
 
 // PanicError is a goroutine panic recovered during the routing of one net
@@ -164,13 +169,16 @@ func (r *Router) RoutePointsCtx(ctx context.Context, from, to geom.Point) (Route
 	return r.RouteConnectionCtx(ctx, []geom.Point{from}, []geom.Point{to}, nil)
 }
 
-// validEndpoint checks one query endpoint.
-func (r *Router) validEndpoint(p geom.Point) error {
-	if !r.ix.InBounds(p) {
-		return fmt.Errorf("%w: %v", ErrOutOfBounds, p)
-	}
-	if cell, blocked := r.ix.PointBlocked(p); blocked {
-		return fmt.Errorf("%w: %v in cell %d", ErrBlockedEndpoint, p, cell)
+// validEndpoints checks query endpoints in order and reports the first
+// that lies outside the routing area or strictly inside a cell.
+func (r *Router) validEndpoints(pts []geom.Point) error {
+	for _, p := range pts {
+		if !r.ix.InBounds(p) {
+			return fmt.Errorf("%w: %v", ErrOutOfBounds, p)
+		}
+		if cell, blocked := r.ix.PointBlocked(p); blocked {
+			return fmt.Errorf("%w: %v in cell %d", ErrBlockedEndpoint, p, cell)
+		}
 	}
 	return nil
 }
@@ -184,6 +192,15 @@ func (r *Router) RouteConnection(sources, targetPts []geom.Point, targetSegs []g
 
 // RouteConnectionCtx is RouteConnection with cooperative cancellation.
 func (r *Router) RouteConnectionCtx(ctx context.Context, sources, targetPts []geom.Point, targetSegs []geom.Seg) (Route, error) {
+	if len(sources) == 0 || (len(targetPts) == 0 && len(targetSegs) == 0) {
+		return Route{}, errEmptyQuery
+	}
+	if err := r.validEndpoints(sources); err != nil {
+		return Route{}, err
+	}
+	if err := r.validEndpoints(targetPts); err != nil {
+		return Route{}, err
+	}
 	scratch := netScratchPool.Get().(*netScratch)
 	defer netScratchPool.Put(scratch)
 	ts := &scratch.ts
@@ -208,30 +225,13 @@ func ctxError(ctx context.Context, err error) error {
 
 // routeConnection is the connection search core with an optional cost
 // ceiling (0 = no ceiling): a search that provably cannot produce a route
-// costing at most maxCost aborts early and reports not-found. RouteNet's
-// greedy candidate loop supplies the best attachment cost found so far as
-// the ceiling, and shares one target set across candidates so the target
-// hierarchy and the endpoint validation are paid once per round, not once
-// per candidate. done, when non-nil, cancels the search cooperatively; the
-// abort surfaces as search.ErrCancelled (callers with a context rewrite it
-// via ctxError).
+// costing at most maxCost aborts early and reports not-found. Its callers
+// have validated the endpoints and checked that neither set is empty:
+// RouteConnectionCtx per query, RouteNetCtx once per net for every
+// candidate search of every round. done, when non-nil, cancels the search
+// cooperatively; the abort surfaces as search.ErrCancelled (callers with a
+// context rewrite it via ctxError).
 func (r *Router) routeConnection(done <-chan struct{}, sources []geom.Point, targets *targetSet, maxCost search.Cost) (Route, error) {
-	if len(sources) == 0 || (len(targets.points) == 0 && len(targets.segs) == 0) {
-		return Route{}, fmt.Errorf("router: empty source or target set")
-	}
-	for _, p := range sources {
-		if err := r.validEndpoint(p); err != nil {
-			return Route{}, err
-		}
-	}
-	if !targets.validated {
-		for _, p := range targets.points {
-			if err := r.validEndpoint(p); err != nil {
-				return Route{}, err
-			}
-		}
-		targets.validated = true
-	}
 	prob := &connProblem{
 		gen:        ray.Gen{Ix: r.ix, Mode: r.opts.Mode},
 		cost:       r.cost,
@@ -299,15 +299,33 @@ type NetRoute struct {
 
 // netScratch is the reusable working state of RouteNet and
 // RouteConnection: the shared target set (the connected points/segments of
-// the growing tree plus its box hierarchy) and the pin extraction arenas.
-// Recycled through netScratchPool so the greedy rounds of consecutive nets —
-// every worker routes thousands on macro layouts — stop re-allocating the
-// same slices.
+// the growing tree plus its box hierarchy), the pin extraction arenas and
+// a round's candidate order. Recycled through netScratchPool so the greedy
+// rounds of consecutive nets — every worker routes thousands on macro
+// layouts — stop re-allocating the same slices.
 type netScratch struct {
 	ts        targetSet
 	pinFlat   []geom.Point
 	pins      [][]geom.Point
 	remaining []int
+	order     []candidate
+}
+
+// candidate is one unconnected terminal in a Steiner round: its position
+// in the round's remaining list and the lower bound on the cost of any
+// route from its pins to the tree.
+type candidate struct {
+	lb  search.Cost
+	pos int
+}
+
+// byBoundThenPos orders a round's candidates nearest first, ties by
+// position.
+func byBoundThenPos(a, b candidate) int {
+	if a.lb != b.lb {
+		return cmp.Compare(a.lb, b.lb)
+	}
+	return cmp.Compare(a.pos, b.pos)
 }
 
 var netScratchPool = sync.Pool{New: func() any { return &netScratch{} }}
@@ -325,6 +343,20 @@ func (r *Router) RouteNet(net *layout.Net) (NetRoute, error) {
 // RouteNetCtx is RouteNet with cooperative cancellation: when ctx is
 // cancelled mid-construction the partial tree (Found false) is returned
 // together with the context's error.
+//
+// Each round connects the unconnected terminal with the cheapest route to
+// the tree, ties to the earliest in terminal order (among those left). No
+// route from a terminal costs less than its bound, Scale times the
+// distance from its nearest pin to the tree (the CostModel contract), so
+// the round searches its candidates nearest first and stops once a bound
+// shows that no candidate left can beat or tie the best route found. A
+// candidate's search carries the best cost as a ceiling (search.Options.
+// MaxCost), one less for a candidate later in terminal order, which only a
+// strictly cheaper route may replace; the weighted-A* ablation, whose f is
+// no lower bound, searches without one. A ceiling or a skip never changes
+// a route that is found, so the tree is the one that routing every
+// candidate in terminal order would pick, under every cost model, strategy,
+// weight and expansion budget; only Stats, the effort, differ.
 func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, error) {
 	done := ctx.Done()
 	out := NetRoute{Net: net.Name}
@@ -357,13 +389,6 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 		rest = rest[n:]
 	}
 	scratch.pins = pins
-
-	// ts is the shared target set: RouteNet appends to it as the tree
-	// grows, and every candidate search in a round reads the same box
-	// hierarchy (rebuilt before the round's first search).
-	ts := &scratch.ts
-	ts.reset()
-	ts.addPoints(pins[startIdx]...)
 	remaining := scratch.remaining[:0]
 	for i := range net.Terminals {
 		if i != startIdx {
@@ -371,27 +396,46 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 		}
 	}
 	scratch.remaining = remaining
+	if err := r.validateNet(ctx, net, pins, startIdx, remaining); err != nil {
+		return out, err
+	}
 
+	// ts is the shared target set: RouteNet appends to it as the tree
+	// grows, and every candidate search in a round reads the same box
+	// hierarchy (rebuilt before the round's bounds are taken).
+	ts := &scratch.ts
+	ts.reset()
+	ts.addPoints(pins[startIdx]...)
 	for len(remaining) > 0 {
-		type cand struct {
-			idx   int // position in remaining
-			route Route
+		// Bound every candidate, then search them nearest first.
+		ts.prepare()
+		order := scratch.order[:0]
+		for pos, ti := range remaining {
+			order = append(order, candidate{lb: lowerBound(pins[ti], ts), pos: pos})
 		}
-		best := cand{idx: -1}
-		// Route every unconnected terminal to the current set and take the
-		// cheapest — the spanning-tree greedy step with true route costs.
-		// Once a candidate exists, later searches carry its cost as a
-		// ceiling: a terminal that cannot attach strictly cheaper aborts as
-		// soon as the search's lower bound crosses the ceiling, so the
-		// greedy pick is unchanged while distant candidates cost almost
-		// nothing. The ceiling is exact only for admissible searches, so
-		// the weighted-A* ablation keeps full searches.
-		for i, ti := range remaining {
-			var bound search.Cost
-			if best.idx >= 0 && r.opts.WeightNum == 0 && best.route.Cost > 1 {
-				bound = best.route.Cost - 1
+		slices.SortFunc(order, byBoundThenPos)
+		scratch.order = order
+		var best Route
+		bestPos := -1
+		for _, c := range order {
+			var ceiling search.Cost // 0: none
+			if bestPos >= 0 {
+				// Every route from c costs at least c.lb, and a tie goes to
+				// the earlier position, so no candidate from here on wins.
+				if c.lb > best.Cost || (c.lb == best.Cost && c.pos > bestPos) {
+					break
+				}
+				if r.opts.WeightNum == 0 {
+					ceiling = best.Cost
+					if c.pos > bestPos {
+						ceiling-- // only a strictly cheaper route wins
+					}
+				}
+				// A ceiling of 0 (best cost 0, or 1 for a later candidate)
+				// is none; the comparison below still decides.
 			}
-			route, err := r.routeConnection(done, pins[ti], ts, bound)
+			ti := remaining[c.pos]
+			route, err := r.routeConnection(done, pins[ti], ts, ceiling)
 			if errors.Is(err, search.ErrCancelled) {
 				return out, ctxError(ctx, err) // cancelled: partial tree, no wrapping
 			}
@@ -404,24 +448,21 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 			if route.Stats.MaxOpen > out.Stats.MaxOpen {
 				out.Stats.MaxOpen = route.Stats.MaxOpen
 			}
-			if !route.Found {
-				continue
-			}
-			if best.idx < 0 || route.Cost < best.route.Cost {
-				best = cand{idx: i, route: route}
+			if route.Found && (bestPos < 0 || route.Cost < best.Cost || (route.Cost == best.Cost && c.pos < bestPos)) {
+				best, bestPos = route, c.pos
 			}
 		}
-		if best.idx < 0 {
+		if bestPos < 0 {
 			out.FailedTerminal = net.Terminals[remaining[0]].Name
 			return out, nil
 		}
-		ti := remaining[best.idx]
-		remaining = append(remaining[:best.idx], remaining[best.idx+1:]...)
+		ti := remaining[bestPos]
+		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 		// Fold the new path and the terminal's pins into the connected set.
-		out.Paths = append(out.Paths, best.route.Points)
-		out.Length += best.route.Length
-		for i := 1; i < len(best.route.Points); i++ {
-			seg := geom.S(best.route.Points[i-1], best.route.Points[i])
+		out.Paths = append(out.Paths, best.Points)
+		out.Length += best.Length
+		for i := 1; i < len(best.Points); i++ {
+			seg := geom.S(best.Points[i-1], best.Points[i])
 			out.Segments = append(out.Segments, seg)
 			ts.addSegs(seg)
 		}
@@ -429,6 +470,46 @@ func (r *Router) RouteNetCtx(ctx context.Context, net *layout.Net) (NetRoute, er
 	}
 	out.Found = true
 	return out, nil
+}
+
+// validateNet checks every pin of a net once, before the first round, in
+// the order candidate-by-candidate validation met them: the first
+// candidate's pins, then the start terminal's (its first search's target
+// set), then a pending cancellation (its search would have seen it), then
+// each later candidate's pins. So the first error names the same terminal
+// it did when every search validated its own endpoints.
+func (r *Router) validateNet(ctx context.Context, net *layout.Net, pins [][]geom.Point, startIdx int, remaining []int) error {
+	for i, ti := range remaining {
+		var err error
+		if len(pins[ti]) == 0 || (i == 0 && len(pins[startIdx]) == 0) {
+			err = errEmptyQuery
+		} else if err = r.validEndpoints(pins[ti]); err == nil && i == 0 {
+			err = r.validEndpoints(pins[startIdx])
+		}
+		if err != nil {
+			return fmt.Errorf("net %q terminal %q: %w", net.Name, net.Terminals[ti].Name, err)
+		}
+		if i == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// lowerBound is Scale times the distance from the nearest of pins to the
+// target set, the bound the search heuristic puts on its sources: no route
+// from pins costs less.
+func lowerBound(pins []geom.Point, ts *targetSet) search.Cost {
+	lb := search.Cost(-1)
+	for _, p := range pins {
+		_, d := ts.nearest(p)
+		if c := Scale * d; lb < 0 || c < lb {
+			lb = c
+		}
+	}
+	return lb
 }
 
 // pickStartTerminal seeds the tree with one endpoint of the closest

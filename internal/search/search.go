@@ -85,12 +85,15 @@ type Options struct {
 	// weighted (inadmissible) A*, used by the ablation experiments.
 	WeightNum, WeightDen Cost
 	// MaxCost, when positive, abandons an ordered search as soon as the
-	// cheapest open node's f exceeds it; any goal costing at most MaxCost
-	// is still found. With an admissible heuristic the abort is exact: it
-	// fires only when every remaining path costs more than MaxCost. The
-	// router's Steiner construction uses it to prune candidate searches
-	// that cannot beat the best attachment found so far. Ignored by the
-	// blind strategies.
+	// cheapest open node's f exceeds it. The check precedes the goal test,
+	// so a search that finds a goal finds the one, by the same path, that
+	// it finds without a ceiling. With an admissible heuristic the abort
+	// is exact: it fires only when every remaining path costs more than
+	// MaxCost, so any goal costing at most MaxCost is still found. Zero
+	// means no ceiling; a caller that needs "cost 0 only" searches without
+	// one and checks the cost it gets. The router's Steiner rounds pass the
+	// best attachment cost found so far, or one less, so a candidate that
+	// cannot win stops early. Ignored by the blind strategies.
 	MaxCost Cost
 	// Done, when non-nil, cancels the search cooperatively: the expansion
 	// loop polls the channel every cancelPollMask+1 expansions and aborts
