@@ -283,7 +283,7 @@ func negotiate(b *testing.B, l *layout.Layout, opts ...genroute.Option) *genrout
 // BenchmarkC5TwoPass runs the paper's two-pass congestion flow (two passes,
 // no history) on the funnel workload.
 func BenchmarkC5TwoPass(b *testing.B) {
-	l := funnelForBench()
+	l := gen.Funnel(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := negotiate(b, l, genroute.WithPitch(2), genroute.WithPenaltyWeight(300),
@@ -592,29 +592,6 @@ func BenchmarkMacroGridRoute(b *testing.B) {
 	b.ReportMetric(float64(exp), "expansions/op")
 }
 
-// funnelForBench mirrors the C5 experiment workload.
-func funnelForBench() *layout.Layout {
-	l := &layout.Layout{
-		Name:   "funnel",
-		Bounds: geom.R(0, 0, 400, 200),
-		Cells: []layout.Cell{
-			{Name: "lower", Box: geom.R(190, 0, 210, 96)},
-			{Name: "upper", Box: geom.R(190, 104, 210, 200)},
-		},
-	}
-	for i := 0; i < 8; i++ {
-		y := geom.Coord(60 + 8*i)
-		l.Nets = append(l.Nets, layout.Net{
-			Name: fmt.Sprintf("n%d", i),
-			Terminals: []layout.Terminal{
-				{Name: "w", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(10, y), Cell: layout.NoCell}}},
-				{Name: "e", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(390, y), Cell: layout.NoCell}}},
-			},
-		})
-	}
-	return l
-}
-
 // BenchmarkC6GlobalPhase times global routing of the full-flow chip.
 func BenchmarkC6GlobalPhase(b *testing.B) {
 	l := benchLayout(b)
@@ -712,7 +689,7 @@ func BenchmarkE1PolygonChip(b *testing.B) {
 // BenchmarkE2FeedbackLoop runs the placement-adjustment loop to
 // convergence on the funnel workload.
 func BenchmarkE2FeedbackLoop(b *testing.B) {
-	l := funnelForBench()
+	l := gen.Funnel(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := adjust.Run(l, adjust.Options{Pitch: 2, Workers: 1})

@@ -235,7 +235,7 @@ func runC5(cfg runConfig) {
 		res := negotiateFunnel(nNets, genroute.WithPenaltyWeight(300),
 			genroute.WithMaxPasses(2), genroute.WithHistory(0, 0))
 		cap := "-"
-		for _, p := range res.Maps[0].Passages {
+		for _, p := range res.Map.Passages {
 			if p.Between == [2]int{0, 1} || p.Between == [2]int{1, 0} {
 				cap = fmt.Sprint(p.Capacity)
 			}
@@ -289,7 +289,7 @@ func runC7(cfg runConfig) {
 // penalty weight and the pass and history schedule.
 func negotiateFunnel(nNets int, opts ...genroute.Option) *genroute.NegotiatedResult {
 	opts = append([]genroute.Option{genroute.WithPitch(2), genroute.WithWorkers(1)}, opts...)
-	e, err := genroute.NewEngine(funnelLayout(nNets), opts...)
+	e, err := genroute.NewEngine(gen.Funnel(nNets), opts...)
 	if err != nil {
 		panic(err)
 	}

@@ -50,33 +50,6 @@ func randomScene(seed int64, die geom.Coord, cells int) (*plane.Index, func() ge
 	return ix, free
 }
 
-// funnelLayout builds the C5 workload: a wall with a narrow slit between
-// west and east pin columns.
-func funnelLayout(nNets int) *layout.Layout {
-	l := &layout.Layout{
-		Name:   "funnel",
-		Bounds: geom.R(0, 0, 400, 200),
-		Cells: []layout.Cell{
-			{Name: "lower", Box: geom.R(190, 0, 210, 96)},
-			{Name: "upper", Box: geom.R(190, 104, 210, 200)},
-		},
-	}
-	for i := 0; i < nNets; i++ {
-		y := geom.Coord(60 + 8*i)
-		l.Nets = append(l.Nets, layout.Net{
-			Name: fmt.Sprintf("n%d", i),
-			Terminals: []layout.Terminal{
-				{Name: "w", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(10, y), Cell: layout.NoCell}}},
-				{Name: "e", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(390, y), Cell: layout.NoCell}}},
-			},
-		})
-	}
-	if err := l.Validate(); err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // randomNetsLayout builds a routable multi-net layout for the C4/C6
 // comparisons: cells plus two-pin nets between random cell edges.
 func randomNetsLayout(seed int64, cells, nets int) *layout.Layout {

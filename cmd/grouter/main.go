@@ -174,10 +174,10 @@ func main() {
 			fmt.Printf("converged: zero overflow after %d passes\n", passes)
 		case res.Stalled:
 			fmt.Printf("stalled after %d passes with overflow %d (raise -weight or -history)\n",
-				passes, res.FinalMap().TotalOverflow())
+				passes, res.Map.TotalOverflow())
 		default:
 			fmt.Printf("pass budget exhausted after %d passes with overflow %d\n",
-				passes, res.FinalMap().TotalOverflow())
+				passes, res.Map.TotalOverflow())
 		}
 		report(e, *tracks, *wires, *draw)
 		if len(res.Panics) > 0 && !*degradedOK {
@@ -240,11 +240,7 @@ func report(e *genroute.Engine, tracks, wires, draw bool) {
 		}
 	}
 	if draw {
-		segs := make([][]genroute.Seg, len(res.Nets))
-		for i := range res.Nets {
-			segs[i] = res.Nets[i].Segments
-		}
-		fmt.Print(viz.Layout(e.Layout(), segs, 0))
+		fmt.Print(viz.Layout(e.Layout(), res.NetSegments(), 0))
 	}
 }
 

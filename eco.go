@@ -428,7 +428,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	history2 := s.history
 	switch {
 	case geometryChanged:
-		m2 = congest.BuildMap(passages2, netSegments(cur2))
+		m2 = congest.BuildMap(passages2, cur2.NetSegments())
 		history2 = nil // per-passage history is meaningless across a re-extract
 	case numKept != len(s.l.Nets):
 		m2 = s.m.Renumber(next)
@@ -438,16 +438,8 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 
 	// 7. Repair: reroute the dirty set against the live map, then drain
 	// any overflow worklist-style (congest.RepairCtx).
-	ccfg := e.cfg.congest
-	ccfg.Workers = e.cfg.workers
-	ccfg.BaseOptions = e.cfg.routerOptions(ix2)
-	if e.cfg.progress != nil {
-		total := len(l2.Nets)
-		ccfg.OnPass = func(n int, p congest.Pass) {
-			e.emit(passProgress("eco", n, p, total))
-		}
-	}
-	rres, err := congest.RepairCtx(ctx, l2, ix2, passages2, m2, cur2, dirtyList, ccfg, history2)
+	rres, err := congest.RepairCtx(ctx, l2, ix2, passages2, m2, cur2, dirtyList,
+		e.ripupConfig("eco", ix2, len(l2.Nets)), history2)
 	if err != nil && rres == nil {
 		return nil, err // hard routing error: engine untouched
 	}
@@ -484,7 +476,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		// such a commit.
 		final.Finalize(start)
 	}
-	e.st.Store(e.prepared(l2, ix2, spans2, passages2).routed(final, m2, append([]int(nil), rres.History...)))
+	e.st.Store(e.prepared(l2, ix2, spans2, passages2).routed(final, m2, rres.History))
 	w.pending = nil
 	w.lhash = postHash // the new layout's fingerprint, if the journal took one
 

@@ -492,6 +492,47 @@ func TestECOCongestedRepair(t *testing.T) {
 	}
 }
 
+// TestECOCommitReportsRepairProgress: a commit's repair passes reach the
+// progress observer as phase "eco", numbered from 1 within the commit, and
+// counted against the edited layout's nets, not the session's before it.
+func TestECOCommitReportsRepairProgress(t *testing.T) {
+	var events []Progress
+	e, err := NewEngine(funnelLayout(3), WithPitch(2), WithPenaltyWeight(40), WithWorkers(1),
+		WithProgress(func(p Progress) { events = append(events, p) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteNegotiated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	events = nil
+	tx := e.Edit()
+	if err := tx.RemoveNet(netName(0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := tx.AddNet(padNet(fmt.Sprintf("extra%d", i), int64(100+4*i), 400)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eco, err := tx.Commit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := eco.Repair.Passes
+	if len(passes) < 2 || len(events) != len(passes) {
+		t.Fatalf("observer saw %d events, the repair recorded %d passes", len(events), len(passes))
+	}
+	for i, ev := range events {
+		if ev.Phase != "eco" || ev.Pass != i+1 || ev.NetsTotal != 6 {
+			t.Fatalf("event %d = %+v, want phase eco, pass %d, 6 nets", i, ev, i+1)
+		}
+		if ev.Overflow != passes[i].Overflow || ev.Rerouted != len(passes[i].Rerouted) {
+			t.Fatalf("event %d = %+v, pass says %+v", i, ev, passes[i])
+		}
+	}
+}
+
 // TestECOCancelMidCommit cancels a commit and checks the documented
 // contract: the partial state is installed and consistent.
 func TestECOCancelMidCommit(t *testing.T) {
@@ -751,7 +792,7 @@ func TestECOMacroGridDemo(t *testing.T) {
 	}
 	e, res, scratchTime := newEng()
 	if !res.Converged {
-		t.Fatalf("demo scene should be uncongested, overflow %d", res.FinalMap().TotalOverflow())
+		t.Fatalf("demo scene should be uncongested, overflow %d", res.Map.TotalOverflow())
 	}
 	before := routesByName(e.Result())
 

@@ -131,8 +131,10 @@ func (e *Engine) acquire(ctx context.Context) (*writer, error) {
 // Nothing writes a state, or anything it points to, after it is stored:
 // Edit.Commit builds its layout on top of the installed one without
 // writing it, repairs a map of its own (from Clone, Renumber or BuildMap)
-// and hands RepairCtx a fresh route slice; installNegotiated clones the
-// map and the history; a router is shared by concurrent readers anyway.
+// and hands RepairCtx a fresh route slice; installNegotiated installs a
+// clone of the run's live map, or a map built over its best pass, and the
+// run's history, which the finished run no longer writes; a router is
+// shared by concurrent readers anyway.
 // So a reader may use a state it loaded for as long as it likes, while
 // writers install its successors.
 type state struct {
@@ -244,19 +246,31 @@ func (e *Engine) emit(p Progress) {
 	}
 }
 
-// passProgress adapts a congestion pass summary to a Progress event.
-func passProgress(phase string, n int, p congest.Pass, total int) Progress {
-	return Progress{
-		Phase:      phase,
-		Pass:       n,
-		Overflow:   p.Overflow,
-		Overflowed: p.Overflowed,
-		NetsRouted: p.Routed,
-		NetsTotal:  total,
-		Rerouted:   len(p.Rerouted),
-		Expanded:   p.Stats.Expanded,
-		Elapsed:    p.Elapsed,
+// ripupConfig assembles the congest.Config of a rip-up run over the
+// obstacle index ix: the congestion parameters, workers and base router
+// options (corner rule, mode, budget, trace hooks), and, with a progress
+// observer, an adapter that reports each pass as an event of phase over a
+// layout of nets nets. RouteNegotiated adds the checkpoint hook.
+func (e *Engine) ripupConfig(phase string, ix *plane.Index, nets int) congest.Config {
+	ccfg := e.cfg.congest
+	ccfg.Workers = e.cfg.workers
+	ccfg.BaseOptions = e.cfg.routerOptions(ix)
+	if e.cfg.progress != nil {
+		ccfg.OnPass = func(n int, p congest.Pass) {
+			e.emit(Progress{
+				Phase:      phase,
+				Pass:       n,
+				Overflow:   p.Overflow,
+				Overflowed: p.Overflowed,
+				NetsRouted: p.Routed,
+				NetsTotal:  nets,
+				Rerouted:   len(p.Rerouted),
+				Expanded:   p.Stats.Expanded,
+				Elapsed:    p.Elapsed,
+			})
+		}
 	}
+	return ccfg
 }
 
 // RouteAll routes every net independently (concurrently across
@@ -277,7 +291,7 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	if res == nil {
 		return nil, err
 	}
-	m := congest.BuildMap(s.passages, netSegments(res))
+	m := congest.BuildMap(s.passages, res.NetSegments())
 	e.st.Store(s.routed(res, m, nil))
 	w.pending = nil
 	err = e.journalFoldAfterFlow(w, err)
@@ -316,11 +330,16 @@ func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error)
 	}
 	defer func() { e.w <- w }()
 	s := e.st.Load()
+	ccfg := e.ripupConfig("negotiate", s.ix, len(s.l.Nets))
+	if e.cfg.checkpoint {
+		ccfg.CheckpointEvery = e.cfg.ckptEvery
+		ccfg.Checkpoint = func(cp *congest.Checkpoint) error { return e.checkpoint(w, cp) }
+	}
 	var res *congest.NegotiateResult
 	if w.pending != nil {
-		res, err = congest.NegotiateResume(ctx, s.l, s.ix, s.passages, e.negotiateConfig(w, s), w.pending)
+		res, err = congest.NegotiateResume(ctx, s.l, s.ix, s.passages, ccfg, w.pending)
 	} else {
-		res, err = congest.Negotiate(ctx, s.l, s.ix, s.passages, e.negotiateConfig(w, s))
+		res, err = congest.Negotiate(ctx, s.l, s.ix, s.passages, ccfg)
 	}
 	return res, e.installNegotiated(w, s, res, err)
 }
@@ -396,13 +415,4 @@ func (e *Engine) AdjustPlacement(ctx context.Context) (*AdjustResult, error) {
 		MaxIters: e.cfg.adjustIters,
 		Workers:  e.cfg.workers,
 	})
-}
-
-// netSegments flattens a layout result into one segment list per net.
-func netSegments(lr *router.LayoutResult) [][]Seg {
-	out := make([][]Seg, len(lr.Nets))
-	for i := range lr.Nets {
-		out[i] = lr.Nets[i].Segments
-	}
-	return out
 }

@@ -35,8 +35,9 @@ import (
 // matching ErrJournalAppend. Every Edit.Commit then appends its staged edit
 // set and fsyncs before installing. Recover with LoadEngineJournal, which
 // replays the journal and converges to the same layout (and, for an
-// uninterrupted history, the same routes) as the live session. After DefaultCompactRecords records or DefaultCompactBytes bytes
-// a commit folds the journal into a fresh base so replay cost stays
+// uninterrupted history, the same routes) as the live session. After
+// journal.DefaultCompactRecords records or journal.DefaultCompactBytes
+// bytes a commit folds the journal into a fresh base so replay cost stays
 // bounded. RouteAll and RouteNegotiated fold it after every run as well:
 // the routes they install are described by no record. When that fold fails
 // they return ErrJournalFold, and the next commit folds before it appends.

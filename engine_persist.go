@@ -42,9 +42,10 @@ func (e *Engine) layoutHash(w *writer) uint64 {
 // other fingerprint than the payload's fails closed with ErrSnapshotLayout.
 // The pitch is the payload's: its passage capacities were extracted at it.
 // Nothing is validated: the layout the base was written over passed
-// Validate, and the fingerprint proves lc is that layout. Routes and a
-// negotiation in flight that do not cover lc's nets fail closed with
-// ErrSnapshotCorrupt (DecodeSession made the checks that need no layout).
+// Validate, and the fingerprint proves lc is that layout. Routes that do
+// not cover lc's nets, and a negotiation in flight that fails
+// congest.Checkpoint.Validate against them, fail closed with
+// ErrSnapshotCorrupt.
 // No journal is attached.
 func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*Engine, error) {
 	if h != sess.LayoutHash {
@@ -68,13 +69,12 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 			res.Nets[i].Net = lc.Nets[i].Name
 		}
 		res.Finalize(time.Now())
-		s = s.routed(res, congest.BuildMap(s.passages, netSegments(res)), sess.History)
+		s = s.routed(res, congest.BuildMap(s.passages, res.NetSegments()), sess.History)
 	}
 	e.st.Store(s)
 	if cp := sess.Negotiation; cp != nil {
-		if len(cp.Nets) != len(lc.Nets) {
-			return nil, fmt.Errorf("%w: negotiation in flight routes %d nets, layout has %d",
-				ErrSnapshotCorrupt, len(cp.Nets), len(lc.Nets))
+		if err := cp.Validate(len(lc.Nets), len(sess.Passages)); err != nil {
+			return nil, fmt.Errorf("%w: negotiation in flight: %v", ErrSnapshotCorrupt, err)
 		}
 		// The codec stores no net names: they are positional in lc.
 		for i := range cp.Nets {
@@ -84,27 +84,6 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 	}
 	e.w <- w
 	return e, nil
-}
-
-// negotiateConfig assembles the congest.Config for a (fresh or resumed)
-// negotiation run: congestion parameters, workers, base router options,
-// the progress adapter and — with WithCheckpointEvery — the checkpoint
-// hook that folds the journal, which runs under w.
-func (e *Engine) negotiateConfig(w *writer, s *state) congest.Config {
-	ccfg := e.cfg.congest
-	ccfg.Workers = e.cfg.workers
-	ccfg.BaseOptions = e.cfg.routerOptions(s.ix) // corner rule, mode, budget, trace hooks
-	if e.cfg.progress != nil {
-		total := len(s.l.Nets)
-		ccfg.OnPass = func(n int, p congest.Pass) {
-			e.emit(passProgress("negotiate", n, p, total))
-		}
-	}
-	if e.cfg.checkpoint {
-		ccfg.CheckpointEvery = e.cfg.ckptEvery
-		ccfg.Checkpoint = func(cp *congest.Checkpoint) error { return e.checkpoint(w, cp) }
-	}
-	return ccfg
 }
 
 // checkpoint is the negotiation's checkpoint hook, run under the token
@@ -133,12 +112,14 @@ func (e *Engine) checkpoint(w *writer, cp *congest.Checkpoint) error {
 // pass. An interrupted run (cancellation or deadline expiry) installs the
 // best recorded pass — minimum overflow, most nets routed — rather than
 // the last partial one: overflow is not monotone across passes, and the
-// best state seen is what a deadline-bound caller wants to keep. The
-// History installed is the whole run's (it accrues monotonically and seeds
-// any follow-up negotiation). A completed run retires the negotiation in
-// flight, as every install does; an interrupted one keeps its last
-// checkpoint as the point the next RouteNegotiated resumes from. After an
-// install the ECO journal, if any, is folded (see
+// best state seen is what a deadline-bound caller wants to keep. The map
+// installed is a packed clone of the run's live map, which counts the last
+// pass, or a fresh build over the best pass when that is an earlier one.
+// The History installed is the whole run's (it accrues monotonically and
+// seeds any follow-up negotiation). A completed run retires the
+// negotiation in flight, as every install does; an interrupted one keeps
+// its last checkpoint as the point the next RouteNegotiated resumes from.
+// After an install the ECO journal, if any, is folded (see
 // journalFoldAfterFlow). It returns the run's error joined with a failed
 // fold's.
 func (e *Engine) installNegotiated(w *writer, s *state, res *congest.NegotiateResult, err error) error {
@@ -151,7 +132,13 @@ func (e *Engine) installNegotiated(w *writer, s *state, res *congest.NegotiateRe
 			k = b
 		}
 	}
-	e.st.Store(s.routed(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...)))
+	var m *congest.Map
+	if k == len(res.Results)-1 {
+		m = res.Map.Clone()
+	} else {
+		m = congest.BuildMap(s.passages, res.Results[k].NetSegments())
+	}
+	e.st.Store(s.routed(res.Results[k], m, res.History))
 	if err == nil {
 		w.pending = nil
 	}

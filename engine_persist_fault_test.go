@@ -86,7 +86,7 @@ func TestCheckpointWriteFailureLeavesNoTempFiles(t *testing.T) {
 		t.Fatal("failed checkpoint fold corrupted the previous journal")
 	}
 	withWriter(t, e, func(w *writer) {
-		if w.pending == nil || w.pending.InPass || w.pending.PassesRecorded != 1 {
+		if w.pending == nil || w.pending.Pass != nil || w.pending.PassesRecorded != 1 {
 			t.Fatalf("negotiation in flight %+v, want pass 1's boundary, the checkpoint the journal holds", w.pending)
 		}
 		rb, err := e.journalRebase(w, w.jr.Header().LayoutHash)

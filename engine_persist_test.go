@@ -12,6 +12,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/router"
 	"repro/internal/snapshot"
 )
 
@@ -305,11 +306,11 @@ func TestLoadRejectsInconsistentNegotiation(t *testing.T) {
 		{"history-entry-extra", func(cp *congest.Checkpoint) { cp.History = append(cp.History, 0) }},
 		{"nets-missing", func(cp *congest.Checkpoint) {
 			cp.Nets = cp.Nets[:len(cp.Nets)-1]
-			cp.InPass = false
+			cp.Pass = nil
 		}},
-		{"rip-flags-missing", func(cp *congest.Checkpoint) { cp.Ripped = nil }},
+		{"rip-flags-missing", func(cp *congest.Checkpoint) { cp.Pass.Ripped = nil }},
 		{"mid-pass-without-reroute", func(cp *congest.Checkpoint) { cp.ReroutePass = 0 }},
-		{"rip-position-out-of-range", func(cp *congest.Checkpoint) { cp.InitialPos = len(cp.Initial) + 1 }},
+		{"rip-position-out-of-range", func(cp *congest.Checkpoint) { cp.Pass.InitialPos = len(cp.Pass.Initial) + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := snapshot.DecodeSession(payload)
@@ -392,6 +393,52 @@ func interruptedNegotiation(t *testing.T, path string) *Engine {
 		}
 	})
 	return e
+}
+
+// TestInstallBestPassBeforeTheLast: an interrupted run whose best pass is
+// not its last installs that pass's routes with a map built over them, not
+// the live map, which counts the last pass. No scene is known to produce
+// such a run, so the result is built by hand from a real negotiation's
+// passes: the converged one between two copies of the first.
+func TestInstallBestPassBeforeTheLast(t *testing.T) {
+	e, err := NewEngine(funnelLayout(8), persistOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.st.Load()
+	ref, err := congest.Negotiate(context.Background(), s.l, s.ix, s.passages,
+		e.ripupConfig("negotiate", s.ix, len(s.l.Nets)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, best := ref.Results[0], ref.Final()
+	if !ref.Converged || ref.Passes[0].Overflow == 0 {
+		t.Fatalf("fixture must start overflowed and converge: %+v", ref.Passes)
+	}
+	pass := func(lr *router.LayoutResult) congest.Pass {
+		return congest.Pass{
+			Overflow: congest.BuildMap(s.passages, lr.NetSegments()).TotalOverflow(),
+			Routed:   len(lr.Nets) - len(lr.Failed),
+		}
+	}
+	res := &congest.NegotiateResult{
+		Results: []*router.LayoutResult{first, best, first},
+		Passes:  []congest.Pass{pass(first), pass(best), pass(first)},
+		Map:     congest.BuildMap(s.passages, first.NetSegments()),
+		History: ref.History,
+	}
+	if b := res.BestPass(); b != 1 {
+		t.Fatalf("BestPass = %d, want 1", b)
+	}
+	withWriter(t, e, func(w *writer) {
+		if err := e.installNegotiated(w, s, res, context.DeadlineExceeded); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("install returned %v, want the run's error", err)
+		}
+	})
+	if e.Result() != best || e.Overflow() != 0 {
+		t.Fatalf("installed overflow %d; want the best pass, overflow 0", e.Overflow())
+	}
+	checkEngineConsistency(t, e)
 }
 
 // TestInstallsRetireNegotiationInFlight: an edit commit or a RouteAll on a

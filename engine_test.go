@@ -12,29 +12,17 @@ import (
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/gen"
 	"repro/internal/search"
 )
 
-// funnelLayout overloads a narrow slit between two cells, the standard
-// congestion fixture.
+// funnelLayout is gen.Funnel, the standard congestion fixture, with its
+// nets named by netName: the golden journals and pinned digests carry
+// those names.
 func funnelLayout(nNets int) *Layout {
-	l := &Layout{
-		Name:   "funnel",
-		Bounds: R(0, 0, 400, 200),
-		Cells: []Cell{
-			{Name: "lower", Box: R(190, 0, 210, 96)},
-			{Name: "upper", Box: R(190, 104, 210, 200)},
-		},
-	}
-	for i := 0; i < nNets; i++ {
-		y := int64(60 + 8*i)
-		l.Nets = append(l.Nets, Net{
-			Name: netName(i),
-			Terminals: []Terminal{
-				{Name: "w", Pins: []Pin{{Name: "p", Pos: Pt(10, y), Cell: NoCell}}},
-				{Name: "e", Pins: []Pin{{Name: "p", Pos: Pt(390, y), Cell: NoCell}}},
-			},
-		})
+	l := gen.Funnel(nNets)
+	for i := range l.Nets {
+		l.Nets[i].Name = netName(i)
 	}
 	return l
 }
@@ -55,7 +43,7 @@ func checkEngineConsistency(t *testing.T, e *Engine) {
 	if len(st.cur.Nets) != len(st.l.Nets) {
 		t.Fatalf("state has %d nets, layout %d", len(st.cur.Nets), len(st.l.Nets))
 	}
-	fresh := congest.BuildMap(st.passages, netSegments(st.cur))
+	fresh := congest.BuildMap(st.passages, st.cur.NetSegments())
 	for pi := range st.m.Usage {
 		if st.m.Usage[pi] != fresh.Usage[pi] {
 			t.Fatalf("passage %d: live usage %d, routes imply %d", pi, st.m.Usage[pi], fresh.Usage[pi])
@@ -169,8 +157,8 @@ func TestEngineRouteNegotiatedWithProgress(t *testing.T) {
 			t.Fatalf("event %d overflow %d, pass says %d", i, ev.Overflow, res.Passes[i].Overflow)
 		}
 	}
-	if e.Overflow() != res.FinalMap().TotalOverflow() {
-		t.Fatalf("session overflow %d, final map %d", e.Overflow(), res.FinalMap().TotalOverflow())
+	if e.Overflow() != res.Map.TotalOverflow() {
+		t.Fatalf("session overflow %d, final map %d", e.Overflow(), res.Map.TotalOverflow())
 	}
 	checkEngineConsistency(t, e)
 }

@@ -68,12 +68,8 @@ func main() {
 		fmt.Printf("net %-7s length %4d, %3d expansions\n", nr.Net, nr.Length, nr.Stats.Expanded)
 	}
 
-	wires := make([][]genroute.Seg, len(res.Nets))
-	for i := range res.Nets {
-		wires[i] = res.Nets[i].Segments
-	}
 	fmt.Println("\nlayout (#: cell, o: pin, *: wire), 1 char = 4x4 units:")
-	fmt.Print(viz.Layout(l, wires, 4))
+	fmt.Print(viz.Layout(l, res.NetSegments(), 4))
 
 	// A generated polygon chip at scale.
 	pc, err := genroute.PolyChip(11, 16, 50)

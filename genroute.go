@@ -350,8 +350,9 @@ func netConnected(n *Net, segs []Seg) error {
 }
 
 // NegotiatedResult reports an N-pass negotiated-congestion run: per-pass
-// overflow/length/effort summaries, the full routing state and congestion
-// map after every pass, and whether the loop converged to zero overflow.
+// overflow/length/effort summaries, the routing state after every pass,
+// the run's live congestion map (which counts the last pass), and whether
+// the loop converged to zero overflow.
 type NegotiatedResult = congest.NegotiateResult
 
 // LayerResult reports two-layer HV assignment with via counts.

@@ -101,7 +101,7 @@ func TestGoldenCheckpointFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp := sess.Negotiation; cp == nil || !cp.InPass || cp.PassesRecorded != 1 {
+	if cp := sess.Negotiation; cp == nil || cp.Pass == nil || cp.PassesRecorded != 1 {
 		t.Fatalf("captured base carries negotiation %+v, want one mid-pass 2", cp)
 	}
 	checkGolden(t, "checkpoint-midpass.golden", image)

@@ -103,11 +103,7 @@ func RunCtx(ctx context.Context, l *layout.Layout, opts Options) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		segs := make([][]geom.Seg, len(lr.Nets))
-		for i := range lr.Nets {
-			segs[i] = lr.Nets[i].Segments
-		}
-		m := congest.BuildMap(passages, segs)
+		m := congest.BuildMap(passages, lr.NetSegments())
 		it := Iteration{
 			Overflow:    m.TotalOverflow(),
 			TotalLength: lr.TotalLength,

@@ -1,39 +1,15 @@
 package adjust
 
 import (
-	"fmt"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/layout"
 )
 
-// funnel builds the overflow workload: nNets straight nets forced through
-// a slit of limited capacity.
-func funnel(nNets int) *layout.Layout {
-	l := &layout.Layout{
-		Name:   "funnel",
-		Bounds: geom.R(0, 0, 400, 200),
-		Cells: []layout.Cell{
-			{Name: "lower", Box: geom.R(190, 0, 210, 96)},
-			{Name: "upper", Box: geom.R(190, 104, 210, 200)},
-		},
-	}
-	for i := 0; i < nNets; i++ {
-		y := geom.Coord(60 + 8*i)
-		l.Nets = append(l.Nets, layout.Net{
-			Name: fmt.Sprintf("n%d", i),
-			Terminals: []layout.Terminal{
-				{Name: "w", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(10, y), Cell: layout.NoCell}}},
-				{Name: "e", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(390, y), Cell: layout.NoCell}}},
-			},
-		})
-	}
-	return l
-}
-
 func TestConvergesOnFunnel(t *testing.T) {
-	l := funnel(10) // slit capacity 8/2+1 = 5 at pitch 2: overflow 5
+	l := gen.Funnel(10) // slit capacity 8/2+1 = 5 at pitch 2: overflow 5
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +52,7 @@ func TestConvergesOnFunnel(t *testing.T) {
 }
 
 func TestNoCongestionIsImmediateConvergence(t *testing.T) {
-	l := funnel(3)
+	l := gen.Funnel(3)
 	res, err := Run(l, Options{Pitch: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +66,7 @@ func TestNoCongestionIsImmediateConvergence(t *testing.T) {
 }
 
 func TestIterationBudgetRespected(t *testing.T) {
-	l := funnel(10)
+	l := gen.Funnel(10)
 	res, err := Run(l, Options{Pitch: 2, MaxIters: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +132,7 @@ func TestApplyCutPreservesValidityAndPins(t *testing.T) {
 }
 
 func TestHorizontalCut(t *testing.T) {
-	l := funnel(4)
+	l := gen.Funnel(4)
 	applyCut(l, cut{vertical: false, at: 104, need: 10})
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)

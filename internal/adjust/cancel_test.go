@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, funnel(10), Options{Pitch: 2, Workers: 1})
+	res, err := RunCtx(ctx, gen.Funnel(10), Options{Pitch: 2, Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -22,7 +24,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 func TestRunCtxMatchesRunWhenUncancelled(t *testing.T) {
-	l := funnel(10)
+	l := gen.Funnel(10)
 	a, err := Run(l, Options{Pitch: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,28 @@ import (
 // every exit path (including cancellation) must preserve.
 func checkMapMatchesRoutes(t *testing.T, m *Map, lr *router.LayoutResult) {
 	t.Helper()
-	fresh := BuildMap(m.Passages, netSegs(lr))
+	fresh := BuildMap(m.Passages, lr.NetSegments())
 	for pi := range m.Usage {
 		if m.Usage[pi] != fresh.Usage[pi] {
 			t.Fatalf("passage %d: recorded usage %d, routes imply %d", pi, m.Usage[pi], fresh.Usage[pi])
 		}
 	}
+}
+
+// checkPassesMatchRoutes asserts a result's alignment and consistency: one
+// Results entry per pass, each pass's Overflow what BuildMap counts over
+// that pass's routes, and the live map equal to the last pass's routes.
+func checkPassesMatchRoutes(t *testing.T, res *NegotiateResult) {
+	t.Helper()
+	if len(res.Results) != len(res.Passes) {
+		t.Fatalf("misaligned result: %d passes, %d results", len(res.Passes), len(res.Results))
+	}
+	for i, lr := range res.Results {
+		if got := BuildMap(res.Map.Passages, lr.NetSegments()).TotalOverflow(); got != res.Passes[i].Overflow {
+			t.Fatalf("pass %d: recorded overflow %d, routes imply %d", i+1, res.Passes[i].Overflow, got)
+		}
+	}
+	checkMapMatchesRoutes(t, res.Map, res.Final())
 }
 
 // negotiate runs Negotiate over an index and passage set prepared from l.
@@ -49,7 +65,7 @@ func TestNegotiateCtxPreCancelled(t *testing.T) {
 	if res == nil || len(res.Passes) == 0 {
 		t.Fatal("cancelled run must still report the partial first pass")
 	}
-	checkMapMatchesRoutes(t, res.FinalMap(), res.Final())
+	checkMapMatchesRoutes(t, res.Map, res.Final())
 }
 
 func TestNegotiateCtxCancelAfterFirstPass(t *testing.T) {
@@ -70,13 +86,7 @@ func TestNegotiateCtxCancelAfterFirstPass(t *testing.T) {
 		t.Fatalf("want at least the first pass, got %d", len(res.Passes))
 	}
 	// Alignment and consistency of everything that was recorded.
-	if len(res.Results) != len(res.Passes) || len(res.Maps) != len(res.Passes) {
-		t.Fatalf("misaligned result: %d passes, %d results, %d maps",
-			len(res.Passes), len(res.Results), len(res.Maps))
-	}
-	for i := range res.Maps {
-		checkMapMatchesRoutes(t, res.Maps[i], res.Results[i])
-	}
+	checkPassesMatchRoutes(t, res)
 	// The uncancelled run must agree with the recorded prefix on pass 1
 	// (the cancel fired after it was recorded).
 	full, err := negotiate(t, context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 8, HistoryGain: 1, Workers: 1})
@@ -131,7 +141,7 @@ func repairScene(t *testing.T, nNets int, pitch geom.Coord) (*layout.Layout, *pl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, ix, passages, BuildMap(passages, netSegs(lr)), lr
+	return l, ix, passages, BuildMap(passages, lr.NetSegments()), lr
 }
 
 func TestRepairReroutesOnlyDirty(t *testing.T) {
@@ -175,7 +185,7 @@ func TestRepairDrainsOverflowFromDirtySeed(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("repair should drain the slit; overflow %d after %d passes",
-			res.FinalMap().TotalOverflow(), len(res.Passes))
+			res.Map.TotalOverflow(), len(res.Passes))
 	}
 	checkMapMatchesRoutes(t, m, res.Final())
 }

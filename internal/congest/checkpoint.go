@@ -34,51 +34,42 @@ type Checkpoint struct {
 	// committed passes plus the in-progress pass's reroutes so far, in
 	// layout net order.
 	Nets []router.NetRoute
-	// InPass marks a mid-pass checkpoint; the fields below restore the
-	// pass's progress. A pass-boundary checkpoint leaves them zero.
-	InPass bool
-	// Changed reports whether any route moved so far in the in-progress
-	// pass (feeds the stall detection when the pass completes).
-	Changed bool
-	// Ripped flags the nets already ripped this pass, by net index.
-	Ripped []bool
-	// Initial is the pass's seed rip order; InitialPos is the next index
-	// into it still to process.
-	Initial    []int
-	InitialPos int
-	// Rerouted lists the nets ripped and rerouted so far this pass, in rip
-	// order (the in-progress pass's Pass.Rerouted prefix).
-	Rerouted []string
+	// Pass is the in-progress pass's rip state of a mid-pass checkpoint,
+	// nil at a pass boundary.
+	Pass *PassState
 }
 
-// validate checks a checkpoint against the session it is being resumed
-// into; it fails closed on any structural mismatch.
-func (cp *Checkpoint) validate(l *layout.Layout, passages []Passage) error {
-	if len(cp.Nets) != len(l.Nets) {
-		return fmt.Errorf("congest: checkpoint has %d nets, layout %d", len(cp.Nets), len(l.Nets))
+// Validate checks a checkpoint against a session of nets nets and passages
+// passages; it fails closed on any structural mismatch. It is the one
+// statement of the checks: the payload decoder, the journal loader and
+// NegotiateResume all make them.
+func (cp *Checkpoint) Validate(nets, passages int) error {
+	if len(cp.Nets) != nets {
+		return fmt.Errorf("congest: checkpoint has %d nets, session %d", len(cp.Nets), nets)
 	}
-	if len(cp.History) != len(passages) {
-		return fmt.Errorf("congest: checkpoint has %d history entries, session %d passages", len(cp.History), len(passages))
+	if len(cp.History) != passages {
+		return fmt.Errorf("congest: checkpoint has %d history entries, session %d passages", len(cp.History), passages)
 	}
 	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
 		return fmt.Errorf("congest: checkpoint has negative pass counters")
 	}
-	if !cp.InPass {
+	ps := cp.Pass
+	if ps == nil {
 		return nil
 	}
 	if cp.ReroutePass < 1 {
 		return fmt.Errorf("congest: mid-pass checkpoint without a started reroute pass")
 	}
-	if len(cp.Ripped) != len(l.Nets) {
-		return fmt.Errorf("congest: checkpoint has %d rip flags, layout %d nets", len(cp.Ripped), len(l.Nets))
+	if len(ps.Ripped) != nets {
+		return fmt.Errorf("congest: checkpoint has %d rip flags, session %d nets", len(ps.Ripped), nets)
 	}
-	for _, ni := range cp.Initial {
-		if ni < 0 || ni >= len(l.Nets) {
-			return fmt.Errorf("congest: checkpoint rip index %d out of range [0,%d)", ni, len(l.Nets))
+	for _, ni := range ps.Initial {
+		if ni < 0 || ni >= nets {
+			return fmt.Errorf("congest: checkpoint rip index %d out of range [0,%d)", ni, nets)
 		}
 	}
-	if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
-		return fmt.Errorf("congest: checkpoint rip position %d out of range [0,%d]", cp.InitialPos, len(cp.Initial))
+	if ps.InitialPos < 0 || ps.InitialPos > len(ps.Initial) {
+		return fmt.Errorf("congest: checkpoint rip position %d out of range [0,%d]", ps.InitialPos, len(ps.Initial))
 	}
 	return nil
 }
@@ -89,9 +80,18 @@ func (cp *Checkpoint) clone() *Checkpoint {
 	c := *cp
 	c.History = append([]int(nil), cp.History...)
 	c.Nets = append([]router.NetRoute(nil), cp.Nets...)
-	c.Ripped = append([]bool(nil), cp.Ripped...)
-	c.Initial = append([]int(nil), cp.Initial...)
-	c.Rerouted = append([]string(nil), cp.Rerouted...)
+	if cp.Pass != nil {
+		c.Pass = cp.Pass.clone()
+	}
+	return &c
+}
+
+// clone deep-copies the rip state.
+func (ps *PassState) clone() *PassState {
+	c := *ps
+	c.Ripped = append([]bool(nil), ps.Ripped...)
+	c.Initial = append([]int(nil), ps.Initial...)
+	c.Rerouted = append([]string(nil), ps.Rerouted...)
 	return &c
 }
 
@@ -112,8 +112,7 @@ func (ng *negotiator) checkpoint(st *passRun) error {
 		Nets:           ng.cur.Nets,
 	}
 	if st != nil {
-		cp.Nets, cp.InPass, cp.Changed = st.next.Nets, true, st.changed
-		cp.Ripped, cp.Initial, cp.InitialPos, cp.Rerouted = st.ripped, st.initial, st.pos, st.rerouted
+		cp.Nets, cp.Pass = st.next.Nets, &st.PassState
 	}
 	if err := ng.cfg.Checkpoint(cp.clone()); err != nil {
 		return fmt.Errorf("congest: checkpoint hook: %w", err)
@@ -135,41 +134,34 @@ func (ng *negotiator) checkpoint(st *passRun) error {
 // negotiator is deterministic given (layout, index, passages, config,
 // state), and the checkpoint captures the complete state between rips.
 func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, cfg Config, cp *Checkpoint) (*NegotiateResult, error) {
-	if err := cp.validate(l, passages); err != nil {
+	if err := cp.Validate(len(l.Nets), len(passages)); err != nil {
 		return nil, err
 	}
 	cp = cp.clone() // the negotiator takes the state over; keep the caller's blob intact
-	segs := make([][]geom.Seg, len(cp.Nets))
-	for i := range cp.Nets {
-		segs[i] = cp.Nets[i].Segments
-	}
-	ng := newNegotiator(l, ix, cfg, BuildMap(passages, segs), cp.History)
+	cur := &router.LayoutResult{Nets: cp.Nets}
+	cur.Finalize(time.Now())
+	ng := newNegotiator(l, ix, cfg, BuildMap(passages, cur.NetSegments()), cp.History)
 	ng.passOffset = cp.PassesRecorded
 	ng.res.PassesBefore = cp.PassesRecorded
 	ng.reroutePass = cp.ReroutePass
-	ng.cur = &router.LayoutResult{Nets: cp.Nets}
-	ng.cur.Finalize(time.Now())
+	ng.cur = cur
 
 	var st *passRun
-	if cp.InPass {
+	if cp.Pass != nil {
 		// Finish the interrupted pass: restore its rip state and present
 		// weight (beginPass — history accrual, weight escalation,
 		// reroutePass increment — already ran before the checkpoint).
 		ng.presWeight = cfg.Weight + cfg.WeightStep*geom.Coord(cp.ReroutePass-1)
 		st = &passRun{
-			next:     &router.LayoutResult{Nets: append([]router.NetRoute(nil), cp.Nets...)},
-			ripped:   cp.Ripped,
-			initial:  cp.Initial,
-			pos:      cp.InitialPos,
-			rerouted: cp.Rerouted,
-			changed:  cp.Changed,
+			PassState: *cp.Pass,
+			next:      &router.LayoutResult{Nets: append([]router.NetRoute(nil), cp.Nets...)},
 		}
 	}
 	res, err := ng.run(ctx, st)
 	if res != nil && len(res.Results) == 0 {
 		// The checkpointed state was already final (converged, stalled or
 		// out of budget at the boundary): record the carried state as the
-		// single pass so Final()/FinalMap() stay well-defined.
+		// single pass so Final() stays well-defined.
 		ng.record(nil)
 	}
 	return res, err

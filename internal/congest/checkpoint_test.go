@@ -63,7 +63,7 @@ func checkSameOutcome(t *testing.T, got, want *NegotiateResult) {
 				i, g.Nets[i].Segments, w.Nets[i].Segments)
 		}
 	}
-	if go_, wo := got.FinalMap().TotalOverflow(), want.FinalMap().TotalOverflow(); go_ != wo {
+	if go_, wo := got.Map.TotalOverflow(), want.Map.TotalOverflow(); go_ != wo {
 		t.Fatalf("final overflow %d, want %d", go_, wo)
 	}
 	if len(got.History) != len(want.History) {
@@ -110,12 +110,12 @@ func TestResumeEqualsFreshFromEveryCheckpoint(t *testing.T) {
 
 	sawMidPass := false
 	for bi, cp := range blobs {
-		if cp.InPass {
+		if cp.Pass != nil {
 			sawMidPass = true
 		}
 		res, err := NegotiateResume(context.Background(), l, ix, passages, checkpointConfig(), cp)
 		if err != nil {
-			t.Fatalf("blob %d (inPass=%v, passes=%d): %v", bi, cp.InPass, cp.PassesRecorded, err)
+			t.Fatalf("blob %d (mid-pass=%v, passes=%d): %v", bi, cp.Pass != nil, cp.PassesRecorded, err)
 		}
 		checkSameOutcome(t, res, ref)
 		// The resumed leg records exactly the passes the checkpoint had not
@@ -175,7 +175,7 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 		}
 		if err != nil {
 			// The interrupted run still reports a consistent partial state.
-			checkMapMatchesRoutes(t, partial.FinalMap(), partial.Final())
+			checkMapMatchesRoutes(t, partial.Map, partial.Final())
 		}
 		if last == nil {
 			t.Fatalf("kill at %d: no checkpoint delivered", kill)
@@ -241,7 +241,7 @@ func TestResumeValidatesBlob(t *testing.T) {
 	}
 	var mid *Checkpoint
 	for _, cp := range blobs {
-		if cp.InPass {
+		if cp.Pass != nil {
 			mid = cp
 			break
 		}
@@ -252,9 +252,9 @@ func TestResumeValidatesBlob(t *testing.T) {
 	corrupt := []func(cp *Checkpoint){
 		func(cp *Checkpoint) { cp.Nets = cp.Nets[:len(cp.Nets)-1] },
 		func(cp *Checkpoint) { cp.History = append(cp.History, 0) },
-		func(cp *Checkpoint) { cp.Ripped = nil },
-		func(cp *Checkpoint) { cp.Initial = []int{len(l.Nets)} },
-		func(cp *Checkpoint) { cp.InitialPos = len(cp.Initial) + 1 },
+		func(cp *Checkpoint) { cp.Pass.Ripped = nil },
+		func(cp *Checkpoint) { cp.Pass.Initial = []int{len(l.Nets)} },
+		func(cp *Checkpoint) { cp.Pass.InitialPos = len(cp.Pass.Initial) + 1 },
 		func(cp *Checkpoint) { cp.ReroutePass = 0 },
 		func(cp *Checkpoint) { cp.PassesRecorded = -1 },
 	}
@@ -288,7 +288,7 @@ func TestNegotiatorIsolatesReroutePanics(t *testing.T) {
 			t.Fatal("recovered panic carries no stack")
 		}
 	}
-	checkMapMatchesRoutes(t, res.FinalMap(), res.Final())
+	checkMapMatchesRoutes(t, res.Map, res.Final())
 	// The poisoned net kept its (pass 1) route rather than vanishing.
 	final := res.Final()
 	if !final.Nets[3].Found || len(final.Nets[3].Segments) == 0 {

@@ -228,10 +228,11 @@ func (m *Map) RemoveNet(ni int, segs []geom.Seg) {
 	}
 }
 
-// Clone returns a deep copy of the mutable state (usage and net lists);
-// passages and the section index are immutable and shared. Negotiate
-// records a clone after every pass so the reported per-pass maps stay
-// frozen while the live map keeps mutating.
+// Clone returns a deep copy of the mutable state (usage and net lists),
+// packed into one backing array without the dedup scratch; passages and the
+// section index are immutable and shared. The engine installs a clone of a
+// negotiation's live map, so the session it publishes shares nothing a
+// later run mutates.
 func (m *Map) Clone() *Map { return m.copyLists(nil) }
 
 // Renumber returns a copy of the map with its nets renumbered after a
@@ -479,8 +480,12 @@ type Pass struct {
 type NegotiateResult struct {
 	// Results holds the whole-layout routing state after each pass.
 	Results []*router.LayoutResult
-	// Maps holds the congestion map after each pass.
-	Maps []*Map
+	// Map is the run's one live congestion map, mutated in place as the
+	// run went (RepairCtx's is the map it was given). It counts exactly
+	// the routes the run ended with, Final()'s when a pass was recorded,
+	// also after a cancellation. An earlier pass's map is BuildMap over its
+	// Results entry.
+	Map *Map
 	// Passes summarizes each pass, in order.
 	Passes []Pass
 	// PassesBefore counts the passes a resumed run's checkpoint had
@@ -505,9 +510,6 @@ type NegotiateResult struct {
 func (r *NegotiateResult) Final() *router.LayoutResult {
 	return r.Results[len(r.Results)-1]
 }
-
-// FinalMap returns the congestion map after the last pass.
-func (r *NegotiateResult) FinalMap() *Map { return r.Maps[len(r.Maps)-1] }
 
 // BestPass returns the index of the best recorded pass: minimum overflow,
 // ties broken by most nets routed, then by recency. A deadline-bounded run
@@ -558,7 +560,7 @@ type negotiator struct {
 // the session's accumulated history); it is copied.
 func newNegotiator(l *layout.Layout, ix *plane.Index, cfg Config, m *Map, history []int) *negotiator {
 	ng := &negotiator{l: l, cfg: cfg, m: m, presWeight: cfg.Weight}
-	ng.res = &NegotiateResult{History: make([]int, len(m.Passages))}
+	ng.res = &NegotiateResult{Map: m, History: make([]int, len(m.Passages))}
 	copy(ng.res.History, history)
 	// One penalized router serves every reroute: the penalty closure reads
 	// the live map, the history slice, and the escalating present weight,
@@ -587,30 +589,39 @@ func (ng *negotiator) record(rerouted []string) {
 		Elapsed:     ng.cur.Elapsed,
 	}
 	ng.res.Results = append(ng.res.Results, ng.cur)
-	ng.res.Maps = append(ng.res.Maps, ng.m.Clone())
 	ng.res.Passes = append(ng.res.Passes, p)
 	if ng.cfg.OnPass != nil {
 		ng.cfg.OnPass(len(ng.res.Passes), p)
 	}
 }
 
-// passRun is the mutable state of one in-progress rip-up pass — exactly
-// what a mid-pass checkpoint captures and NegotiateResume restores. The
-// pass prologue (beginPass) is not part of it: it runs once per pass,
-// before the first checkpoint can observe the pass.
+// PassState is the rip state of one in-progress rip-up pass: what a
+// mid-pass checkpoint carries beside its routes (Checkpoint.Pass) and what
+// NegotiateResume restores. The pass prologue (beginPass) is not part of
+// it: it runs once per pass, before the first checkpoint can observe the
+// pass.
+type PassState struct {
+	// Changed reports whether any route moved so far in the pass (feeds
+	// the stall detection when the pass completes).
+	Changed bool
+	// Ripped flags the nets already ripped this pass, by net index.
+	Ripped []bool
+	// Initial is the pass's seed rip order; InitialPos is the next index
+	// into it still to process.
+	Initial    []int
+	InitialPos int
+	// Rerouted lists the nets ripped and rerouted so far this pass, in rip
+	// order (the pass's Pass.Rerouted prefix).
+	Rerouted []string
+}
+
+// passRun is one in-progress rip-up pass: its rip state, the routing state
+// under construction and the checkpoint cadence counter.
 type passRun struct {
+	PassState
 	// next is the routing state under construction (the previous pass's
 	// routes with reroutes spliced in as they land).
 	next *router.LayoutResult
-	// ripped flags the nets already ripped this pass.
-	ripped []bool
-	// initial is the seed rip order; pos the next index to process.
-	initial []int
-	pos     int
-	// rerouted accumulates the pass's Pass.Rerouted list.
-	rerouted []string
-	// changed reports whether any route moved so far.
-	changed bool
 	// sinceCkpt counts rip-ups since the last mid-pass checkpoint.
 	sinceCkpt int
 }
@@ -628,9 +639,8 @@ func (ng *negotiator) beginPass(initial []int, next *router.LayoutResult) *passR
 	ng.presWeight = ng.cfg.Weight + ng.cfg.WeightStep*geom.Coord(ng.reroutePass)
 	ng.reroutePass++
 	return &passRun{
-		next:    next,
-		ripped:  make([]bool, len(ng.l.Nets)),
-		initial: initial,
+		PassState: PassState{Ripped: make([]bool, len(ng.l.Nets)), Initial: initial},
+		next:      next,
 	}
 }
 
@@ -666,7 +676,7 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 	start := time.Now()
 	m := ng.m
 	rip := func(ni int) error {
-		st.ripped[ni] = true
+		st.Ripped[ni] = true
 		old := st.next.Nets[ni]
 		m.RemoveNet(ni, old.Segments)
 		nr, rerr := ng.ripRoute(ctx, ni)
@@ -685,16 +695,16 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 			if ctx.Err() != nil {
 				// Interrupted mid-reroute: the net kept its old route, so
 				// a resumed run must rip it again.
-				st.ripped[ni] = false
+				st.Ripped[ni] = false
 			}
 			return rerr
 		}
 		m.AddNet(ni, nr.Segments)
 		if !sameRoute(&old, &nr) {
-			st.changed = true
+			st.Changed = true
 		}
 		st.next.Nets[ni] = nr
-		st.rerouted = append(st.rerouted, ng.l.Nets[ni].Name)
+		st.Rerouted = append(st.Rerouted, ng.l.Nets[ni].Name)
 		if every := ng.cfg.CheckpointEvery; every > 0 {
 			if st.sinceCkpt++; st.sinceCkpt >= every {
 				st.sinceCkpt = 0
@@ -709,14 +719,14 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 	// for a pinned neighbor; skipping "already drained" nets leaves the
 	// same low-indexed nets doing all the moving while the one net whose
 	// move would actually release capacity is never consulted.
-	for ; st.pos < len(st.initial); st.pos++ {
+	for ; st.InitialPos < len(st.Initial); st.InitialPos++ {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if st.ripped[st.initial[st.pos]] {
+		if st.Ripped[st.Initial[st.InitialPos]] {
 			continue
 		}
-		if err = rip(st.initial[st.pos]); err != nil {
+		if err = rip(st.Initial[st.InitialPos]); err != nil {
 			break
 		}
 	}
@@ -727,14 +737,14 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		ni := m.nextRipNet(st.ripped)
+		ni := m.nextRipNet(st.Ripped)
 		if ni < 0 {
 			break
 		}
 		err = rip(ni)
 	}
 	if err != nil && ctx.Err() == nil {
-		return st.changed, err // real routing failure: nothing recorded
+		return st.Changed, err // real routing failure: nothing recorded
 	}
 	if err != nil {
 		// Cancelled: deliver a final restartable blob before the partial
@@ -756,8 +766,8 @@ func (ng *negotiator) runPassFrom(ctx context.Context, st *passRun) (changed boo
 	}
 	st.next.Finalize(start)
 	ng.cur = st.next
-	ng.record(st.rerouted)
-	return st.changed, err
+	ng.record(st.Rerouted)
+	return st.Changed, err
 }
 
 // run is the pass loop behind Negotiate, RepairCtx and NegotiateResume.
@@ -841,7 +851,7 @@ func Negotiate(ctx context.Context, l *layout.Layout, ix *plane.Index, passages 
 	if err != nil && ctx.Err() == nil {
 		return nil, err
 	}
-	m := BuildMap(passages, netSegs(first))
+	m := BuildMap(passages, first.NetSegments())
 	ng := newNegotiator(l, ix, cfg, m, nil)
 	ng.cur = first
 	ng.res.Panics = append(ng.res.Panics, first.Panics...)
@@ -916,13 +926,4 @@ func sameRoute(a, b *router.NetRoute) bool {
 		}
 	}
 	return true
-}
-
-// netSegs flattens a layout result into one segment list per net.
-func netSegs(lr *router.LayoutResult) [][]geom.Seg {
-	out := make([][]geom.Seg, len(lr.Nets))
-	for i := range lr.Nets {
-		out[i] = lr.Nets[i].Segments
-	}
-	return out
 }

@@ -229,9 +229,10 @@ func TestTwoPassReducesOverflow(t *testing.T) {
 	if len(res.Passes[1].Rerouted) == 0 {
 		t.Fatal("affected nets should be rerouted")
 	}
-	if got, want := res.Maps[1].TotalOverflow(), res.Maps[0].TotalOverflow(); got >= want {
+	if got, want := res.Passes[1].Overflow, res.Passes[0].Overflow; got >= want {
 		t.Fatalf("overflow did not improve: before=%d after=%d", want, got)
 	}
+	checkPassesMatchRoutes(t, res)
 	if len(second.Failed) != 0 {
 		t.Fatalf("second pass failures: %v", second.Failed)
 	}
@@ -245,7 +246,7 @@ func TestTwoPassReducesOverflow(t *testing.T) {
 
 func TestTwoPassNoCongestionShortCircuits(t *testing.T) {
 	res := twoPass(t, funnelLayout(2)) // 2 nets fit the capacity-3 slit
-	if len(res.Passes) != 1 || len(res.Results) != 1 || len(res.Maps) != 1 {
+	if len(res.Passes) != 1 || len(res.Results) != 1 {
 		t.Fatalf("no second pass expected: %+v", res.Passes)
 	}
 }
@@ -328,8 +329,8 @@ func TestNegotiateNeedsThreePasses(t *testing.T) {
 	if got := len(res.Passes); got < 3 {
 		t.Fatalf("converged in %d passes, the workload is engineered to need >= 3", got)
 	}
-	if res.FinalMap().TotalOverflow() != 0 {
-		t.Fatalf("final overflow = %d, want 0", res.FinalMap().TotalOverflow())
+	if res.Map.TotalOverflow() != 0 {
+		t.Fatalf("final overflow = %d, want 0", res.Map.TotalOverflow())
 	}
 	// Pass 2's penalty (2*weight = 60) is below every detour cost, so it
 	// must leave overflow untouched; only accrued history clears it.
@@ -362,7 +363,7 @@ func TestNegotiateStallsWithoutHistory(t *testing.T) {
 	}
 	// The slit stayed over capacity through every pass, and History counts
 	// passes ended over capacity — including the final one.
-	m := res.FinalMap()
+	m := res.Map
 	for pi := range m.Passages {
 		if m.Passages[pi].Between == [2]int{0, 1} || m.Passages[pi].Between == [2]int{1, 0} {
 			if res.History[pi] != len(res.Passes) {

@@ -80,16 +80,17 @@ func TestResumePreCancelledRecordsOnePass(t *testing.T) {
 	cancel()
 	sawBoundary, sawMidPass := false, false
 	for bi, cp := range blobs {
-		sawBoundary = sawBoundary || !cp.InPass
-		sawMidPass = sawMidPass || cp.InPass
+		midPass := cp.Pass != nil
+		sawBoundary = sawBoundary || !midPass
+		sawMidPass = sawMidPass || midPass
 		res, err := NegotiateResume(ctx, l, ix, passages, checkpointConfig(), cp)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blob %d (inPass=%v): err = %v, want context.Canceled", bi, cp.InPass, err)
+			t.Fatalf("blob %d (mid-pass=%v): err = %v, want context.Canceled", bi, midPass, err)
 		}
 		if len(res.Passes) != 1 {
-			t.Fatalf("blob %d (inPass=%v): recorded %d passes, want 1", bi, cp.InPass, len(res.Passes))
+			t.Fatalf("blob %d (mid-pass=%v): recorded %d passes, want 1", bi, midPass, len(res.Passes))
 		}
-		checkMapMatchesRoutes(t, res.FinalMap(), res.Final())
+		checkMapMatchesRoutes(t, res.Map, res.Final())
 	}
 	if !sawBoundary || !sawMidPass {
 		t.Fatalf("blobs cover boundary=%v mid-pass=%v; want both", sawBoundary, sawMidPass)

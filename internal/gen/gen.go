@@ -351,6 +351,32 @@ func PadRing(pads int, coreCells int, seed int64) (*layout.Layout, error) {
 	return l, nil
 }
 
+// Funnel builds the congestion scene of the C5 experiment: a wall of two
+// cells spans a 400×200 chip but for an 8-unit slit, and nNets two-pin
+// nets, named n0, n1, …, join a west pin column to an east one, 8 units
+// apart, so every route passes the slit.
+func Funnel(nNets int) *layout.Layout {
+	l := &layout.Layout{
+		Name:   "funnel",
+		Bounds: geom.R(0, 0, 400, 200),
+		Cells: []layout.Cell{
+			{Name: "lower", Box: geom.R(190, 0, 210, 96)},
+			{Name: "upper", Box: geom.R(190, 104, 210, 200)},
+		},
+	}
+	for i := 0; i < nNets; i++ {
+		y := geom.Coord(60 + 8*i)
+		l.Nets = append(l.Nets, layout.Net{
+			Name: fmt.Sprintf("n%d", i),
+			Terminals: []layout.Terminal{
+				{Name: "w", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(10, y), Cell: layout.NoCell}}},
+				{Name: "e", Pins: []layout.Pin{{Name: "p", Pos: geom.Pt(390, y), Cell: layout.NoCell}}},
+			},
+		})
+	}
+	return l
+}
+
 // Fig1Layout reconstructs the multi-cell example of the paper's Figure 1:
 // a field of blocks between a start pin s (lower left) and a destination d
 // (upper right). The figure is unlabeled, so coordinates are a faithful

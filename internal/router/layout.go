@@ -33,6 +33,16 @@ type LayoutResult struct {
 	Panics []*PanicError
 }
 
+// NetSegments flattens the result into one segment list per net, in layout
+// order: the form congest.BuildMap counts. The lists are the routes' own.
+func (res *LayoutResult) NetSegments() [][]geom.Seg {
+	out := make([][]geom.Seg, len(res.Nets))
+	for i := range res.Nets {
+		out[i] = res.Nets[i].Segments
+	}
+	return out
+}
+
 // Finalize recomputes the aggregate fields (TotalLength, Failed, Stats)
 // from Nets and stamps Elapsed relative to start. RouteLayout calls it after
 // routing every net; congestion passes call it after splicing rerouted nets

@@ -28,13 +28,12 @@ func (latticeProblem) Successors(s cell, emit func(cell, Cost)) {
 }
 
 func TestCancelClosedDoneAborts(t *testing.T) {
-	for _, strat := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, strat := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		res, err := Find[cell](latticeProblem{}, Options{
 			Strategy: strat,
 			Done:     closedDone(),
 			// A budget backstop so a regression cannot hang the test.
 			MaxExpansions: 100000,
-			DepthLimit:    1000,
 		})
 		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("%v: err = %v, want ErrCancelled", strat, err)

@@ -13,11 +13,8 @@ func TestContextReuseMatchesFresh(t *testing.T) {
 	ctx := NewContext[[2]int]()
 	f := func(seed int64) bool {
 		g := randomGrid(seed)
-		for _, strat := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+		for _, strat := range []Strategy{AStar, BestFirst, BreadthFirst} {
 			opts := Options{Strategy: strat}
-			if strat == DepthFirst {
-				opts.DepthLimit = 400
-			}
 			fresh, err1 := Find[[2]int](g, opts)
 			reused, err2 := FindWith(ctx, g, opts)
 			if (err1 == nil) != (err2 == nil) {

@@ -10,7 +10,6 @@
 // The strategies differ only in the discipline used to pick the next node
 // off OPEN:
 //
-//   - DepthFirst: last-in first-out (with an optional depth limit);
 //   - BreadthFirst: first-in first-out;
 //   - BestFirst: ascending g(n) — branch and bound;
 //   - AStar: ascending f(n) = g(n) + h(n).
@@ -52,15 +51,15 @@ type Problem[S comparable] interface {
 // Strategy selects the OPEN-list discipline.
 type Strategy uint8
 
-// The four strategies discussed in the paper.
+// The strategies this package implements. The paper discusses a fourth,
+// depth-first search, which nothing here needs.
 const (
 	AStar Strategy = iota
 	BestFirst
 	BreadthFirst
-	DepthFirst
 )
 
-var strategyNames = [...]string{"A*", "best-first", "breadth-first", "depth-first"}
+var strategyNames = [...]string{"A*", "best-first", "breadth-first"}
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
@@ -74,9 +73,6 @@ func (s Strategy) String() string {
 type Options struct {
 	// Strategy is the OPEN-list discipline. The zero value is AStar.
 	Strategy Strategy
-	// DepthLimit bounds the number of edges in a depth-first path; zero
-	// means unlimited. Only meaningful for DepthFirst.
-	DepthLimit int
 	// MaxExpansions aborts the search after this many node expansions;
 	// zero means unlimited. The abort is reported as ErrBudget.
 	MaxExpansions int
@@ -195,7 +191,6 @@ type node[S comparable] struct {
 	h      Cost
 	f      Cost  // g + weighted h (or ordering key for the blind strategies)
 	parent int32 // arena index of the parent node; -1 for the start
-	depth  int32
 	seq    int32 // insertion sequence, for deterministic tie-breaking
 	pos    int32 // heap position; -1 when not on OPEN
 	closed bool
@@ -332,7 +327,7 @@ func FindWith[S comparable](ctx *Context[S], p Problem[S], opts Options) (Result
 	switch opts.Strategy {
 	case AStar, BestFirst:
 		return findOrdered(ctx, p, opts)
-	case BreadthFirst, DepthFirst:
+	case BreadthFirst:
 		return findBlind(ctx, p, opts)
 	default:
 		return Result[S]{}, fmt.Errorf("search: unknown strategy %v", opts.Strategy)
@@ -383,7 +378,6 @@ func findOrdered[S comparable](ctx *Context[S], p Problem[S], opts Options) (Res
 	var (
 		ni      int32
 		ng      Cost
-		ndepth  int32
 		emitErr error
 	)
 	emit := func(next S, edge Cost) {
@@ -409,7 +403,6 @@ func findOrdered[S comparable](ctx *Context[S], p Problem[S], opts Options) (Res
 			if useH {
 				prev.f = g + weigh(prev.h, opts)
 			}
-			prev.depth = ndepth + 1
 			if prev.closed {
 				prev.closed = false
 				stats.Reopened++
@@ -435,7 +428,6 @@ func findOrdered[S comparable](ctx *Context[S], p Problem[S], opts Options) (Res
 		if useH {
 			nd.f = g + weigh(hv, opts)
 		}
-		nd.depth = ndepth + 1
 		nd.seq = seq
 		ctx.all[next] = nn
 		ctx.heapPush(nn)
@@ -470,7 +462,6 @@ func findOrdered[S comparable](ctx *Context[S], p Problem[S], opts Options) (Res
 		// expanded node's fields by value, not by pointer.
 		nstate := ctx.nodes[ni].state
 		ng = ctx.nodes[ni].g
-		ndepth = ctx.nodes[ni].depth
 		// Terminate when a goal node is *removed* from OPEN: every other
 		// open node has f at least as large, so no cheaper path remains.
 		if p.IsGoal(nstate) {
@@ -501,14 +492,13 @@ func findOrdered[S comparable](ctx *Context[S], p Problem[S], opts Options) (Res
 	return res, nil
 }
 
-// findBlind implements BreadthFirst and DepthFirst over the context arena.
-// These are the paper's "blind" strategies: the OPEN order ignores cost,
-// although g is still tracked so the returned path has an accurate length.
-// BFS pops through a head index with periodic compaction instead of slicing
-// the front off (open = open[1:] pins the backing array and re-copies the
-// whole live queue on every growth — O(n²) churn on wavefront workloads).
+// findBlind implements BreadthFirst over the context arena, the paper's
+// "blind" strategy: the OPEN order ignores cost, although g is still
+// tracked so the returned path has an accurate length. It pops through a
+// head index with periodic compaction instead of slicing the front off
+// (open = open[1:] pins the backing array and re-copies the whole live
+// queue on every growth — O(n²) churn on wavefront workloads).
 func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Result[S], error) {
-	lifo := opts.Strategy == DepthFirst
 	ctx.reset()
 	var (
 		res    Result[S]
@@ -525,7 +515,6 @@ func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Resul
 	var (
 		ni      int32
 		ng      Cost
-		ndepth  int32
 		emitErr error
 	)
 	emit := func(next S, edge Cost) {
@@ -544,7 +533,6 @@ func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Resul
 		nd := &ctx.nodes[nn]
 		nd.parent = ni
 		nd.g = ng + edge
-		nd.depth = ndepth + 1
 		ctx.all[next] = nn
 		ctx.open = append(ctx.open, nn)
 		if tracer != nil {
@@ -552,8 +540,8 @@ func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Resul
 		}
 	}
 
-	// In blind search the goal test happens at generation time for BFS
-	// (first path found is fewest-edges) and at expansion time for DFS.
+	// The goal test runs when a node comes off OPEN; first-in first-out
+	// order makes the first goal off OPEN one with the fewest edges.
 	for head < len(ctx.open) {
 		if stats.Expanded&cancelPollMask == 0 {
 			if cancelled(opts.Done) {
@@ -568,24 +556,18 @@ func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Resul
 		if live := len(ctx.open) - head; live > stats.MaxOpen {
 			stats.MaxOpen = live
 		}
-		if lifo {
-			ni = ctx.open[len(ctx.open)-1]
-			ctx.open = ctx.open[:len(ctx.open)-1]
-		} else {
-			ni = ctx.open[head]
-			head++
-			if head >= 64 && head*2 >= len(ctx.open) {
-				n := copy(ctx.open, ctx.open[head:])
-				ctx.open = ctx.open[:n]
-				head = 0
-			}
+		ni = ctx.open[head]
+		head++
+		if head >= 64 && head*2 >= len(ctx.open) {
+			n := copy(ctx.open, ctx.open[head:])
+			ctx.open = ctx.open[:n]
+			head = 0
 		}
 		if ctx.nodes[ni].closed {
 			continue // superseded entry
 		}
 		nstate := ctx.nodes[ni].state
 		ng = ctx.nodes[ni].g
-		ndepth = ctx.nodes[ni].depth
 		if p.IsGoal(nstate) {
 			res.Found = true
 			res.Cost = ng
@@ -602,10 +584,6 @@ func findBlind[S comparable](ctx *Context[S], p Problem[S], opts Options) (Resul
 			res.Stats = stats
 			return res, ErrBudget
 		}
-		if lifo && opts.DepthLimit > 0 && int(ndepth) >= opts.DepthLimit {
-			continue
-		}
-
 		emitErr = nil
 		p.Successors(nstate, emit)
 		if emitErr != nil {

@@ -97,51 +97,13 @@ func TestBreadthFirstFindsFewestEdges(t *testing.T) {
 	}
 }
 
-func TestDepthFirstFindsAPath(t *testing.T) {
-	res, err := Find[string](diamond(), Options{Strategy: DepthFirst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("DFS should find some path")
-	}
-}
-
-func TestDepthLimitPreventsDeepPaths(t *testing.T) {
-	// Chain s -> n1 -> n2 -> n3 -> g; depth limit 2 makes g unreachable.
-	g := &graphProblem{
-		start: "s",
-		goal:  map[string]bool{"g": true},
-		edges: map[string][]edge{
-			"s":  {{"n1", 1}},
-			"n1": {{"n2", 1}},
-			"n2": {{"n3", 1}},
-			"n3": {{"g", 1}},
-		},
-	}
-	res, err := Find[string](g, Options{Strategy: DepthFirst, DepthLimit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found {
-		t.Fatal("depth limit 2 should make the goal unreachable")
-	}
-	res, err = Find[string](g, Options{Strategy: DepthFirst, DepthLimit: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("depth limit 4 should reach the goal")
-	}
-}
-
 func TestUnreachableGoal(t *testing.T) {
 	g := &graphProblem{
 		start: "s",
 		goal:  map[string]bool{"g": true},
 		edges: map[string][]edge{"s": {{"a", 1}}, "a": nil},
 	}
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		res, err := Find[string](g, Options{Strategy: st})
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
@@ -157,7 +119,7 @@ func TestUnreachableGoal(t *testing.T) {
 
 func TestStartIsGoal(t *testing.T) {
 	g := &graphProblem{start: "s", goal: map[string]bool{"s": true}}
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		res, err := Find[string](g, Options{Strategy: st})
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
@@ -174,7 +136,7 @@ func TestNegativeEdgeRejected(t *testing.T) {
 		goal:  map[string]bool{"g": true},
 		edges: map[string][]edge{"s": {{"a", -1}}, "a": {{"g", 1}}},
 	}
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		_, err := Find[string](g, Options{Strategy: st})
 		if !errors.Is(err, ErrNegativeEdge) {
 			t.Errorf("%v: want ErrNegativeEdge, got %v", st, err)
@@ -185,7 +147,7 @@ func TestNegativeEdgeRejected(t *testing.T) {
 func TestExpansionBudget(t *testing.T) {
 	// Infinite successor space: integers counting up; goal unreachable.
 	p := &intProblem{}
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		_, err := Find[int](p, Options{Strategy: st, MaxExpansions: 50})
 		if !errors.Is(err, ErrBudget) {
 			t.Errorf("%v: want ErrBudget, got %v", st, err)
@@ -305,7 +267,7 @@ func TestUnknownStrategy(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if AStar.String() != "A*" || DepthFirst.String() != "depth-first" {
+	if AStar.String() != "A*" || BreadthFirst.String() != "breadth-first" {
 		t.Error("Strategy.String broken")
 	}
 	if Strategy(42).String() == "" {
@@ -416,7 +378,7 @@ func TestDeterminism(t *testing.T) {
 // goal, and each leg must be a real edge.
 func TestPathIsConnected(t *testing.T) {
 	g := randomGrid(3)
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		res, err := Find[[2]int](g, Options{Strategy: st})
 		if err != nil {
 			t.Fatal(err)
@@ -482,7 +444,7 @@ type tracedGraph struct {
 func (g *tracedGraph) Tracer() Tracer[string] { return g.t }
 
 func TestTracerObservesSearch(t *testing.T) {
-	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst, DepthFirst} {
+	for _, st := range []Strategy{AStar, BestFirst, BreadthFirst} {
 		rec := &recordingTracer{}
 		p := &tracedGraph{graphProblem: diamond(), t: rec}
 		res, err := Find[string](p, Options{Strategy: st})

@@ -17,28 +17,15 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
+	"repro/internal/gen"
 )
 
-// funnel is the standard congestion fixture: nNets east–west nets forced
-// through the narrow slit between two cells (mirrors the engine tests).
+// funnel is gen.Funnel, the standard congestion fixture, with its nets
+// named n00, n01, …, the names the tests ask for.
 func funnel(nNets int) *genroute.Layout {
-	l := &genroute.Layout{
-		Name:   "funnel",
-		Bounds: genroute.R(0, 0, 400, 200),
-		Cells: []genroute.Cell{
-			{Name: "lower", Box: genroute.R(190, 0, 210, 96)},
-			{Name: "upper", Box: genroute.R(190, 104, 210, 200)},
-		},
-	}
-	for i := 0; i < nNets; i++ {
-		y := int64(60 + 8*i)
-		l.Nets = append(l.Nets, genroute.Net{
-			Name: fmt.Sprintf("n%02d", i),
-			Terminals: []genroute.Terminal{
-				{Name: "w", Pins: []genroute.Pin{{Name: "p", Pos: genroute.Pt(10, y), Cell: genroute.NoCell}}},
-				{Name: "e", Pins: []genroute.Pin{{Name: "p", Pos: genroute.Pt(390, y), Cell: genroute.NoCell}}},
-			},
-		})
+	l := gen.Funnel(nNets)
+	for i := range l.Nets {
+		l.Nets[i].Name = fmt.Sprintf("n%02d", i)
 	}
 	return l
 }

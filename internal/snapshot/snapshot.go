@@ -108,20 +108,20 @@ func EncodeSession(s *Session) []byte {
 		e.Uvarint(uint64(cp.ReroutePass))
 		encodeHistory(e, cp.History)
 		encodeNets(e, cp.Nets)
-		e.Bool(cp.InPass)
-		if cp.InPass {
-			e.Bool(cp.Changed)
-			e.Uvarint(uint64(len(cp.Ripped)))
-			for _, r := range cp.Ripped {
+		e.Bool(cp.Pass != nil)
+		if ps := cp.Pass; ps != nil {
+			e.Bool(ps.Changed)
+			e.Uvarint(uint64(len(ps.Ripped)))
+			for _, r := range ps.Ripped {
 				e.Bool(r)
 			}
-			e.Uvarint(uint64(len(cp.Initial)))
-			for _, ni := range cp.Initial {
+			e.Uvarint(uint64(len(ps.Initial)))
+			for _, ni := range ps.Initial {
 				e.Uvarint(uint64(ni))
 			}
-			e.Uvarint(uint64(cp.InitialPos))
-			e.Uvarint(uint64(len(cp.Rerouted)))
-			for _, name := range cp.Rerouted {
+			e.Uvarint(uint64(ps.InitialPos))
+			e.Uvarint(uint64(len(ps.Rerouted)))
+			for _, name := range ps.Rerouted {
 				e.Str(name)
 			}
 		}
@@ -131,10 +131,9 @@ func EncodeSession(s *Session) []byte {
 
 // DecodeSession decodes a session payload. The returned NetRoutes have
 // empty Net names (the loader fills them from its layout). A negotiation in
-// flight is held to the checks NegotiateResume makes before it resumes,
-// except the net count against the layout, which the loader makes: its
-// history covers the passages, its routes match the session's, and a
-// mid-pass state has a started reroute pass and rip state within its nets.
+// flight is held to congest.Checkpoint.Validate against the session's
+// passages and, in a routed session, its nets; the loader holds it to the
+// layout's nets again.
 func DecodeSession(payload []byte) (*Session, error) {
 	d := NewDecoder(payload)
 	s := &Session{LayoutHash: d.U64(), Pitch: geom.Coord(d.Varint())}
@@ -166,52 +165,41 @@ func DecodeSession(payload []byte) (*Session, error) {
 	return s, nil
 }
 
-// decodeNegotiation reads the negotiation in flight of the session s.
+// decodeNegotiation reads the negotiation in flight of the session s and
+// validates it against s.
 func decodeNegotiation(d *Decoder, s *Session) *congest.Checkpoint {
 	cp := &congest.Checkpoint{
 		PassesRecorded: int(d.Uvarint()),
 		ReroutePass:    int(d.Uvarint()),
 	}
-	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
-		d.Corrupt("negative pass counters")
-	}
 	cp.History = decodeHistory(d, len(s.Passages))
 	cp.Nets = decodeNets(d)
-	if s.Routed && len(cp.Nets) != len(s.Nets) {
-		d.Corrupt("negotiation routes do not match the session's nets")
-	}
-	if cp.InPass = d.Bool(); !cp.InPass {
-		return cp
-	}
-	if cp.ReroutePass < 1 {
-		d.Corrupt("mid-pass negotiation without a started reroute pass")
-	}
-	cp.Changed = d.Bool()
-	rn := d.Count(1)
-	if rn != len(cp.Nets) {
-		d.Corrupt("rip flags do not match nets")
-	}
-	cp.Ripped = make([]bool, 0, rn)
-	for i := 0; i < rn && d.Err() == nil; i++ {
-		cp.Ripped = append(cp.Ripped, d.Bool())
-	}
-	in := d.Count(1)
-	cp.Initial = make([]int, 0, in)
-	for i := 0; i < in && d.Err() == nil; i++ {
-		ni := int(d.Uvarint())
-		if ni < 0 || ni >= len(cp.Nets) {
-			d.Corrupt("rip index out of range")
+	if d.Bool() {
+		ps := &congest.PassState{Changed: d.Bool()}
+		rn := d.Count(1)
+		ps.Ripped = make([]bool, 0, rn)
+		for i := 0; i < rn && d.Err() == nil; i++ {
+			ps.Ripped = append(ps.Ripped, d.Bool())
 		}
-		cp.Initial = append(cp.Initial, ni)
+		in := d.Count(1)
+		ps.Initial = make([]int, 0, in)
+		for i := 0; i < in && d.Err() == nil; i++ {
+			ps.Initial = append(ps.Initial, int(d.Uvarint()))
+		}
+		ps.InitialPos = int(d.Uvarint())
+		sn := d.Count(1)
+		ps.Rerouted = make([]string, 0, sn)
+		for i := 0; i < sn && d.Err() == nil; i++ {
+			ps.Rerouted = append(ps.Rerouted, d.Str())
+		}
+		cp.Pass = ps
 	}
-	cp.InitialPos = int(d.Uvarint())
-	if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
-		d.Corrupt("rip position out of range")
+	nets := len(cp.Nets)
+	if s.Routed {
+		nets = len(s.Nets)
 	}
-	sn := d.Count(1)
-	cp.Rerouted = make([]string, 0, sn)
-	for i := 0; i < sn && d.Err() == nil; i++ {
-		cp.Rerouted = append(cp.Rerouted, d.Str())
+	if err := cp.Validate(nets, len(s.Passages)); err != nil {
+		d.Corrupt(err.Error())
 	}
 	return cp
 }

@@ -63,12 +63,13 @@ func fixtureNegotiating(inPass bool) *Session {
 	}
 	if inPass {
 		cp.ReroutePass = 2
-		cp.InPass = true
-		cp.Changed = true
-		cp.Ripped = []bool{true, false}
-		cp.Initial = []int{0, 1}
-		cp.InitialPos = 1
-		cp.Rerouted = []string{"a"}
+		cp.Pass = &congest.PassState{
+			Changed:    true,
+			Ripped:     []bool{true, false},
+			Initial:    []int{0, 1},
+			InitialPos: 1,
+			Rerouted:   []string{"a"},
+		}
 	}
 	s.Negotiation = cp
 	return s
@@ -126,7 +127,7 @@ func checkNegotiation(t *testing.T, g, w *congest.Checkpoint) {
 		return
 	}
 	if g.PassesRecorded != w.PassesRecorded || g.ReroutePass != w.ReroutePass ||
-		g.InPass != w.InPass || g.Changed != w.Changed || g.InitialPos != w.InitialPos {
+		(g.Pass == nil) != (w.Pass == nil) {
 		t.Fatalf("scalars = %+v, want %+v", g, w)
 	}
 	if len(g.Nets) != len(w.Nets) {
@@ -135,9 +136,15 @@ func checkNegotiation(t *testing.T, g, w *congest.Checkpoint) {
 	for i := range g.Nets {
 		checkNetRoute(t, &g.Nets[i], &w.Nets[i])
 	}
-	if !slices.Equal(g.History, w.History) || !slices.Equal(g.Ripped, w.Ripped) ||
-		!slices.Equal(g.Initial, w.Initial) || !slices.Equal(g.Rerouted, w.Rerouted) {
-		t.Fatalf("negotiation slices = %+v, want %+v", g, w)
+	if !slices.Equal(g.History, w.History) {
+		t.Fatalf("negotiation history = %v, want %v", g.History, w.History)
+	}
+	if gp, wp := g.Pass, w.Pass; wp != nil {
+		if gp.Changed != wp.Changed || gp.InitialPos != wp.InitialPos ||
+			!slices.Equal(gp.Ripped, wp.Ripped) || !slices.Equal(gp.Initial, wp.Initial) ||
+			!slices.Equal(gp.Rerouted, wp.Rerouted) {
+			t.Fatalf("pass state = %+v, want %+v", gp, wp)
+		}
 	}
 }
 
@@ -240,9 +247,9 @@ func TestDecodeRejectsInconsistentNegotiation(t *testing.T) {
 		{"negative-history", false, func(cp *congest.Checkpoint) { cp.History[0] = -1 }},
 		{"routes-other-nets", false, func(cp *congest.Checkpoint) { cp.Nets = cp.Nets[:1] }},
 		{"mid-pass-before-reroute", true, func(cp *congest.Checkpoint) { cp.ReroutePass = 0 }},
-		{"rip-flags-short", true, func(cp *congest.Checkpoint) { cp.Ripped = cp.Ripped[:1] }},
-		{"rip-index-out-of-range", true, func(cp *congest.Checkpoint) { cp.Initial = []int{0, 2} }},
-		{"rip-position-out-of-range", true, func(cp *congest.Checkpoint) { cp.InitialPos = 3 }},
+		{"rip-flags-short", true, func(cp *congest.Checkpoint) { cp.Pass.Ripped = cp.Pass.Ripped[:1] }},
+		{"rip-index-out-of-range", true, func(cp *congest.Checkpoint) { cp.Pass.Initial = []int{0, 2} }},
+		{"rip-position-out-of-range", true, func(cp *congest.Checkpoint) { cp.Pass.InitialPos = 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := fixtureNegotiating(tc.inPass)
