@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -341,50 +340,33 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		defer hashing.Wait()
 	}
 
-	// 3. Edit the obstacle index: splice the moved cells' obstacle ids
-	// out and their translated rectangles in. Unmoved geometry keeps its
-	// derived tables; passages are re-extracted only when geometry moved.
-	ix2, spans2, passages2 := s.ix, s.spans, s.passages
+	// 3. Edit the obstacle index: a move replaces its cells' obstacles in
+	// place, so no obstacle id changes and the session's spans never do.
+	// Passages are re-extracted only when geometry moved, and only around it.
+	ix2, passages2 := s.ix, s.passages
 	geometryChanged := len(movedCells) > 0
 	if geometryChanged {
-		// movedOrder is already the ascending cell-index order a fresh
-		// collect-and-sort over movedCells would produce.
-		order := movedOrder
-		var removedObs []int
-		var addedRects []geom.Rect
-		for _, ci := range order {
-			for id := s.spans[ci][0]; id < s.spans[ci][1]; id++ {
-				removedObs = append(removedObs, id)
-			}
-			addedRects = append(addedRects, l2.Cells[ci].ObstacleRects()...)
+		// ExtractEdit's remap is the identity with -1 at the replaced ids,
+		// which are also the ids of the new rectangles (result identical to
+		// a fresh congest.Extract — see its equivalence guarantee).
+		remap := make([]int32, s.ix.NumCells())
+		for i := range remap {
+			remap[i] = int32(i)
 		}
-		// After an earlier MoveCell commit the spans are no longer in
-		// ascending id order across cells, so the ids collected above may
-		// be unsorted; remapSpans' renumbering binary-searches this list.
-		sort.Ints(removedObs)
+		var ids []int
+		var rects, removedRects []geom.Rect
+		for _, ci := range movedOrder {
+			for id := s.spans[ci][0]; id < s.spans[ci][1]; id++ {
+				ids, remap[id] = append(ids, id), -1
+				removedRects = append(removedRects, s.ix.Cell(id))
+			}
+			rects = append(rects, l2.Cells[ci].ObstacleRects()...)
+		}
 		var err error
-		var remap []int32
-		ix2, remap, err = s.ix.Edit(removedObs, addedRects)
-		if err != nil {
+		if ix2, err = s.ix.Replace(ids, rects); err != nil {
 			return nil, err
 		}
-		spans2 = remapSpans(s.spans, removedObs, order, l2)
-		// Splice the passage tables incrementally, mirroring the index
-		// edit: Edit's returned remap carries the renumbering it applied,
-		// ExtractEdit gets the vacated and occupied rectangles, and only
-		// the corridors in that dirty neighborhood are re-extracted
-		// (result identical to a fresh congest.Extract — see the
-		// ExtractEdit equivalence guarantee).
-		removedRects := make([]geom.Rect, len(removedObs))
-		for k, id := range removedObs {
-			removedRects[k] = s.ix.Cell(id)
-		}
-		// Added obstacles occupy the trailing ids of the edited index.
-		addedIDs := make([]int, len(addedRects))
-		for k := range addedIDs {
-			addedIDs[k] = ix2.NumCells() - len(addedRects) + k
-		}
-		passages2, err = congest.ExtractEdit(ix2, e.cfg.congest.Pitch, s.passages, remap, removedRects, addedIDs)
+		passages2, err = congest.ExtractEdit(ix2, e.cfg.congest.Pitch, s.passages, remap, removedRects, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +458,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		// such a commit.
 		final.Finalize(start)
 	}
-	e.st.Store(e.prepared(l2, ix2, spans2, passages2).routed(final, m2, rres.History))
+	e.st.Store(e.prepared(l2, ix2, s.spans, passages2).routed(final, m2, rres.History))
 	w.pending = nil
 	w.lhash = postHash // the new layout's fingerprint, if the journal took one
 
@@ -510,39 +492,6 @@ func recoverCommitPanic(res **ECOResult, err *error) {
 		*res = nil
 		*err = fmt.Errorf("%w: %v\n%s", ErrCommitPanic, v, debug.Stack())
 	}
-}
-
-// remapSpans rebuilds the per-cell obstacle-id spans after Index.Edit:
-// surviving obstacles are renumbered compactly in their old order, then the
-// moved cells' new rectangles follow in ascending cell order (the order
-// their rects were appended).
-func remapSpans(spans [][2]int, removedObs, movedOrder []int, l2 *Layout) [][2]int {
-	movedSet := make(map[int]bool, len(movedOrder))
-	for _, ci := range movedOrder {
-		movedSet[ci] = true
-	}
-	// rank[i] = number of removed ids < i, for compact renumbering.
-	out := make([][2]int, len(spans))
-	numRemoved := func(x int) int {
-		// removedObs is ascending (built from ascending cells with
-		// ascending id ranges).
-		return sort.SearchInts(removedObs, x)
-	}
-	survivors := 0
-	for ci, s := range spans {
-		if movedSet[ci] {
-			continue
-		}
-		out[ci] = [2]int{s[0] - numRemoved(s[0]), s[1] - numRemoved(s[1])}
-		survivors += s[1] - s[0]
-	}
-	base := survivors
-	for _, ci := range movedOrder {
-		n := len(l2.Cells[ci].ObstacleRects())
-		out[ci] = [2]int{base, base + n}
-		base += n
-	}
-	return out
 }
 
 // netTouchesCells reports whether any pin of the net sits on one of the

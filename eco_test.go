@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/congest"
 	"repro/internal/snapshot"
 )
 
@@ -276,11 +275,9 @@ func TestECOMoveCell(t *testing.T) {
 	}
 }
 
-// TestECOSequentialMoves commits several MoveCell transactions in a row:
-// after the first commit the per-cell obstacle spans are no longer in
-// ascending id order, which is exactly the state a second multi-cell move
-// must renumber correctly (regression: unsorted removed-id list silently
-// corrupted unmoved cells' spans).
+// TestECOSequentialMoves commits several MoveCell transactions in a row,
+// moving some cells again and several at once. After each, the index and
+// the spans must still be the layout's own, id for id.
 func TestECOSequentialMoves(t *testing.T) {
 	l := gridScene(t, 3)
 	e, err := NewEngine(l, WithPitch(1), WithWorkers(1))
@@ -294,7 +291,7 @@ func TestECOSequentialMoves(t *testing.T) {
 		cell   int
 		dx, dy int64
 	}{
-		{{0, 5, 0}},            // commit 1: relocate cell 0's span to the end
+		{{0, 5, 0}},            // commit 1: move cell 0
 		{{0, 0, 4}, {5, 3, 0}}, // commit 2: move it again plus a higher-id cell
 		{{7, -4, -2}, {2, 0, 3}},
 		{{0, -5, -4}, {5, -3, 0}, {7, 4, 2}},
@@ -309,7 +306,7 @@ func TestECOSequentialMoves(t *testing.T) {
 		if _, err := tx.Commit(context.Background()); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		checkEngineConsistency(t, e) // includes the spans-vs-index audit
+		checkEngineConsistency(t, e) // includes the index-vs-layout audit
 		if err := e.CheckConnectivity(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -318,8 +315,7 @@ func TestECOSequentialMoves(t *testing.T) {
 
 // TestECOCommitPassagesMatchFreshExtract pins the incremental passage
 // splice at the public API level: after every MoveCell commit — including
-// repeated moves, which leave the per-cell obstacle spans out of ascending
-// order, the state the splice's id remapping must handle — the session's
+// repeated moves of one cell and multi-cell commits — the session's
 // passage tables must be exactly what a fresh engine extracts from the
 // edited layout (congest.Extract from scratch): same corridors, same
 // Between ids, same widths and capacities, same canonical order.
@@ -338,7 +334,7 @@ func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 	}{
 		{{4, 10, 6}},           // center macro: splices corridors on all four sides
 		{{0, 5, 0}},            // corner macro: boundary strips change too
-		{{0, 0, 4}, {5, 3, 0}}, // multi-cell commit over shuffled spans
+		{{0, 0, 4}, {5, 3, 0}}, // multi-cell commit, cell 0 moved again
 		{{7, -4, -2}, {2, 0, 3}},
 	}
 	for step, batch := range moves {
@@ -355,46 +351,9 @@ func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		// Index.Edit renumbers obstacles (moved cells go to the end) where a
-		// fresh FromLayoutSpans numbers them in layout order, so translate
-		// each engine's Between ids back to layout cell indices through its
-		// span table before comparing. Corridor rects are unique here, so
-		// the canonical order lines both lists up element for element.
-		got := cellPassages(t, e)
-		want := cellPassages(t, fresh)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: spliced %d passages, fresh extract %d",
-				step, len(got), len(want))
-		}
-		for pi := range got {
-			if got[pi] != want[pi] {
-				t.Fatalf("step %d: passage %d spliced %+v, fresh %+v",
-					step, pi, got[pi], want[pi])
-			}
-		}
+		checkPassages(t, fmt.Sprintf("step %d: spliced against fresh", step),
+			e.st.Load().passages, fresh.st.Load().passages)
 	}
-}
-
-// cellPassages returns the engine's passage list with obstacle ids
-// rewritten as layout cell indices (Boundary kept as is).
-func cellPassages(t *testing.T, e *Engine) []congest.Passage {
-	t.Helper()
-	st := e.st.Load()
-	toCell := make([]int, st.ix.NumCells())
-	for ci, s := range st.spans {
-		for id := s[0]; id < s[1]; id++ {
-			toCell[id] = ci
-		}
-	}
-	out := append([]congest.Passage(nil), st.passages...)
-	for pi := range out {
-		for s := 0; s < 2; s++ {
-			if id := out[pi].Between[s]; id >= 0 {
-				out[pi].Between[s] = toCell[id]
-			}
-		}
-	}
-	return out
 }
 
 // TestECOStagingValidation covers the transaction's name-level checks and

@@ -141,7 +141,8 @@ type state struct {
 	l  *Layout
 	ix *plane.Index
 	// spans maps each layout cell to the half-open obstacle-id range it
-	// contributed to ix; ECO cell moves splice exactly those ids.
+	// contributed to ix; a cell move replaces exactly those obstacles in
+	// place, so the spans never change after FromLayoutSpans.
 	spans    [][2]int
 	r        *router.Router
 	passages []congest.Passage

@@ -9,10 +9,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/plane"
 	"repro/internal/snapshot"
 )
 
@@ -55,10 +58,24 @@ func withJournalCompaction(records int, bytes int64) Option {
 	}
 }
 
+// checkSameSession asserts a recovered session holds the live one's state:
+// byte-identical routes and the same passages, walls included, and overflow
+// history.
+func checkSameSession(t *testing.T, rec, live *Engine) {
+	t.Helper()
+	checkSameRoutes(t, rec.Result(), live.Result())
+	rs, ls := rec.st.Load(), live.st.Load()
+	checkPassages(t, "recovered against live", rs.passages, ls.passages)
+	if !slices.Equal(rs.history, ls.history) {
+		t.Fatalf("recovered history %v, live %v", rs.history, ls.history)
+	}
+}
+
 // checkRecovered asserts a journal-recovered session matches the live one:
-// byte-identical routes, same layout fingerprint, consistent state, and
-// still editable (the recovered journal accepts further commits). created
-// is the layout the live session was created over.
+// the same session state (checkSameSession), same layout fingerprint,
+// consistent state, and still editable (the recovered journal accepts
+// further commits). created is the layout the live session was created
+// over.
 func checkRecovered(t *testing.T, live *Engine, path string, created *Layout) {
 	t.Helper()
 	rec, err := LoadEngineJournal(path, created, WithWorkers(1))
@@ -68,7 +85,7 @@ func checkRecovered(t *testing.T, live *Engine, path string, created *Layout) {
 	if got, want := fingerprint(t, rec), fingerprint(t, live); got != want {
 		t.Fatalf("recovered layout fingerprint %016x, live %016x", got, want)
 	}
-	checkSameRoutes(t, rec.Result(), live.Result())
+	checkSameSession(t, rec, live)
 	checkEngineConsistency(t, rec)
 	// The recovered session is live: a further edit commits and journals.
 	commitOps(t, rec, func(tx *Edit) error {
@@ -381,32 +398,94 @@ func TestJournalFoldErrorReachesCaller(t *testing.T) {
 	checkRecovered(t, e, path, funnelLayout(8))
 }
 
+// congestedMacro is a MacroGrid(8, 8, 40, 30, 12, seed) session with
+// negotiate-congested8's schedule at pitch 8, under which passages reach
+// capacity and the repair rips nets up: the options to create it with, and
+// to recover it with.
+func congestedMacro(t testing.TB, seed int64) (*Layout, []Option) {
+	t.Helper()
+	l, err := MacroGrid(8, 8, 40, 30, 12, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, []Option{WithPitch(8), WithPenaltyWeight(40), WithWeightStep(40),
+		WithHistory(1, 10), WithMaxPasses(12), WithWorkers(1)}
+}
+
+// anyPassageFull reports whether some passage of e's session is at or over
+// capacity.
+func anyPassageFull(e *Engine) bool {
+	st := e.st.Load()
+	for pi, p := range st.passages {
+		if st.m.Usage[pi] >= p.Capacity {
+			return true
+		}
+	}
+	return false
+}
+
 // TestJournalReplayEqualsLiveRandomized drives random edit scripts —
 // mirroring TestECORandomizedEquivalence, with cell moves added — and
 // checks the recovery property after every commit, with and without
-// compaction pressure.
+// compaction pressure. Seeds 1–3 edit the pitch-1 grid, whose passages
+// never fill; seeds 4 and 5 edit a congested macro grid, where they do.
 func TestJournalReplayEqualsLiveRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized replay property skipped in -short mode")
 	}
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			var opts []Option
+			congested := seed > 3
+			created := func() *Layout { return gridScene(t, 3) }
+			opts := []Option{WithPitch(1), WithWorkers(1)}
+			if congested {
+				var l *Layout
+				l, opts = congestedMacro(t, seed)
+				created = func() *Layout { return l } // both entry points clone it
+			}
+			recOpts := opts
+			path := filepath.Join(t.TempDir(), "eco.jrnl")
+			opts = append(slices.Clip(opts), WithJournalFile(path))
 			if seed%2 == 0 {
 				opts = append(opts, withJournalCompaction(3, 0))
 			}
-			e, path := journaledEngine(t, 3, opts...)
+			e, err := NewEngine(created(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RouteNegotiated(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 			maxX := e.Layout().Bounds.MaxX
-			added := 0
+			added, full := 0, false
 			for step := 0; step < 4; step++ {
 				tx := e.Edit()
 				for k, ops := 0, r.Intn(3)+1; k < ops; k++ {
 					switch r.Intn(3) {
 					case 0:
 						added++
-						if err := tx.AddNet(padNet(fmt.Sprintf("rnd%d", added), int64(3+r.Intn(18)), maxX)); err != nil {
+						name := fmt.Sprintf("rnd%d", added)
+						if !congested {
+							if err := tx.AddNet(padNet(name, int64(3+r.Intn(18)), maxX)); err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						// A renamed copy of a kept net: its pins sit on the
+						// grid's cells, so it routes through the congestion.
+						nets := e.Layout().Nets
+						n := nets[r.Intn(len(nets))]
+						if !tx.netExists(n.Name) {
+							continue
+						}
+						cp := cloneNet(&n)
+						cp.Name = name
+						if err := tx.RemoveNet(n.Name); err != nil {
+							t.Fatal(err)
+						}
+						if err := tx.AddNet(cp); err != nil {
 							t.Fatal(err)
 						}
 					case 1:
@@ -433,11 +512,87 @@ func TestJournalReplayEqualsLiveRandomized(t *testing.T) {
 					// journal untouched; the property must still hold.
 					continue
 				}
-				rec, err := LoadEngineJournal(path, gridScene(t, 3), WithWorkers(1))
+				full = full || anyPassageFull(e)
+				rec, err := LoadEngineJournal(path, created(), recOpts...)
 				if err != nil {
 					t.Fatalf("step %d: LoadEngineJournal: %v", step, err)
 				}
-				checkSameRoutes(t, rec.Result(), e.Result())
+				checkSameSession(t, rec, e)
+				if err := rec.CloseJournal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if congested && !full {
+				t.Fatal("no passage reached capacity: the congested case tests nothing the grid does not")
+			}
+		})
+	}
+}
+
+// TestJournalRecoveredMovesMatchLive: a session recovered from a base
+// folded after a cell move holds the live session's passages, walls
+// included, and the same further moves keep the two equal. When a move
+// renumbered the moved cell's obstacles, the recovered session rebuilt its
+// index in layout order but kept the persisted walls in the live
+// numbering: its next move dropped passages and its routes left the live
+// session's.
+func TestJournalRecoveredMovesMatchLive(t *testing.T) {
+	moves := []struct {
+		cell   int
+		dx, dy int64
+	}{{9, 2, 0}, {18, 0, 2}, {27, -2, 0}, {36, 0, -2}, {45, 2, 2}, {54, -2, -2}}
+	move := func(e *Engine, k int) {
+		t.Helper()
+		m := moves[k]
+		commitOps(t, e, func(tx *Edit) error { return tx.MoveCell(e.Layout().Cells[m.cell].Name, m.dx, m.dy) })
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			l, opts := congestedMacro(t, seed)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "live.jrnl")
+			live, err := NewEngine(l, append(slices.Clip(opts), WithJournalFile(path), withJournalCompaction(1, 0))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := live.RouteNegotiated(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			move(live, 0)
+			if st, _ := live.JournalStats(); st.Records != 0 {
+				t.Fatalf("journal holds %d records after the move, want it folded", st.Records)
+			}
+			// Recover from a copy, so that both sessions go on journaling.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recPath := filepath.Join(dir, "recovered.jrnl")
+			if err := os.WriteFile(recPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := LoadEngineJournal(recPath, l, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; ; k++ {
+				st := rec.st.Load()
+				ix, err := plane.FromLayout(st.l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := congest.Extract(ix, rec.Pitch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPassages(t, fmt.Sprintf("after %d moves: recovered against a fresh extract", k), st.passages, fresh)
+				checkSameSession(t, rec, live)
+				if k == len(moves) {
+					break
+				}
+				move(live, k)
+				move(rec, k)
 			}
 		})
 	}

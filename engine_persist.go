@@ -42,10 +42,11 @@ func (e *Engine) layoutHash(w *writer) uint64 {
 // other fingerprint than the payload's fails closed with ErrSnapshotLayout.
 // The pitch is the payload's: its passage capacities were extracted at it.
 // Nothing is validated: the layout the base was written over passed
-// Validate, and the fingerprint proves lc is that layout. Routes that do
-// not cover lc's nets, and a negotiation in flight that fails
-// congest.Checkpoint.Validate against them, fail closed with
-// ErrSnapshotCorrupt.
+// Validate, and the fingerprint proves lc is that layout. Passages whose
+// walls do not form them in the index rebuilt over lc (congest.CheckWalls:
+// walls in another obstacle numbering), routes that do not cover lc's
+// nets, and a negotiation in flight that fails congest.Checkpoint.Validate
+// against them fail closed with ErrSnapshotCorrupt.
 // No journal is attached.
 func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*Engine, error) {
 	if h != sess.LayoutHash {
@@ -57,6 +58,9 @@ func restoreEngine(sess *snapshot.Session, lc *Layout, h uint64, cfg config) (*E
 	ix, spans, err := plane.FromLayoutSpans(lc)
 	if err != nil {
 		return nil, err
+	}
+	if err := congest.CheckWalls(ix, sess.Passages); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	s := e.prepared(lc, ix, spans, sess.Passages)
 	if sess.Routed {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -532,6 +533,83 @@ func TestSaveRefingerprintsAfterECO(t *testing.T) {
 	}
 	checkSameRoutes(t, e2.Result(), e.Result())
 	checkEngineConsistency(t, e2)
+}
+
+// TestRestoreChecksPassageWalls: a warm start checks every persisted
+// passage against the corridor its walls form in the rebuilt index. Earlier
+// builds folded bases after cell moves with the walls in the numbering a
+// move left behind — the moved cell's obstacles last — while recovery
+// rebuilds the index in layout order; such a base fails closed with
+// ErrSnapshotCorrupt instead of restoring passages that name the wrong
+// walls. A base this build folds after moves recovers.
+func TestRestoreChecksPassageWalls(t *testing.T) {
+	l, err := MacroGrid(4, 4, 40, 30, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "s.jrnl")
+	e, err := NewEngine(l, WithPitch(8), WithWorkers(1), WithJournalFile(path), withJournalCompaction(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RouteAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	moved := []int{0, 5}
+	for _, ci := range moved {
+		commitOps(t, e, func(tx *Edit) error { return tx.MoveCell(e.Layout().Cells[ci].Name, 2, 0) })
+	}
+	if err := e.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := journal.ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The numbering a move used to leave: each moved cell's obstacle taken
+	// out of its place and appended (every cell here is one rectangle).
+	order := make([]int, len(l.Cells)) // obstacle id → cell
+	for i := range order {
+		order[i] = i
+	}
+	for _, ci := range moved {
+		order = append(slices.DeleteFunc(order, func(c int) bool { return c == ci }), ci)
+	}
+	movedID := make([]int, len(order)) // cell → obstacle id
+	for id, ci := range order {
+		movedID[ci] = id
+	}
+	for _, renumber := range []bool{false, true} {
+		sess, err := snapshot.DecodeSession(saved.Rebase.Session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renumber {
+			for pi := range sess.Passages {
+				for s, id := range sess.Passages[pi].Between {
+					if id != congest.Boundary {
+						sess.Passages[pi].Between[s] = movedID[id]
+					}
+				}
+			}
+		}
+		rb := journal.Rebase{LayoutJSON: saved.Rebase.LayoutJSON, Session: snapshot.EncodeSession(sess)}
+		rec, err := LoadEngineJournal(writeFile(t, journal.EncodeBase(saved.Header, rb)), l, WithWorkers(1))
+		if renumber {
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("walls in the numbering a move left: err = %v, want ErrSnapshotCorrupt", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("base folded after moves: %v", err)
+		}
+		checkSameSession(t, rec, e)
+		checkEngineConsistency(t, rec)
+		if err := rec.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestWarmStartSkipsPreparation pins, without timing anything, what a warm

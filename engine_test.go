@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/gen"
+	"repro/internal/plane"
 	"repro/internal/search"
 )
 
@@ -30,7 +31,8 @@ func funnelLayout(nNets int) *Layout {
 // checkEngineConsistency asserts the session invariant: the installed
 // layout passes whole-layout Validate (what Edit.Commit's footprint check
 // relies on), the live map equals a fresh build over the session's routes,
-// and every found route is legal and connected.
+// every found route is legal and connected, and the index, spans and
+// passages are what a fresh build over the layout derives.
 func checkEngineConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	st := e.st.Load()
@@ -60,19 +62,41 @@ func checkEngineConsistency(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	// The spans table must resolve every cell to exactly its obstacle
-	// rectangles in the live index (ECO cell moves splice through it).
-	for ci := range st.l.Cells {
-		rects := st.l.Cells[ci].ObstacleRects()
-		s := st.spans[ci]
-		if s[1]-s[0] != len(rects) {
-			t.Fatalf("cell %d span %v, want width %d", ci, s, len(rects))
+	// The installed index is the layout's own, id for id, whether it was
+	// built, edited, replayed or restored (a cell move replaces its
+	// obstacles in place), and so are the spans and the passages, walls
+	// included.
+	ix, spans, err := plane.FromLayoutSpans(st.l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ix.NumCells() != ix.NumCells() {
+		t.Fatalf("installed index has %d obstacles, the layout's %d", st.ix.NumCells(), ix.NumCells())
+	}
+	for id := 0; id < ix.NumCells(); id++ {
+		if got, want := st.ix.Cell(id), ix.Cell(id); got != want {
+			t.Fatalf("installed obstacle %d is %v, the layout's index has %v", id, got, want)
 		}
-		for k, want := range rects {
-			if got := st.ix.Cell(s[0] + k); got != want {
-				t.Fatalf("cell %d (%s): span obstacle %d is %v, want %v",
-					ci, st.l.Cells[ci].Name, s[0]+k, got, want)
-			}
+	}
+	if !slices.Equal(st.spans, spans) {
+		t.Fatalf("session spans %v, the layout's %v", st.spans, spans)
+	}
+	want, err := congest.Extract(ix, e.cfg.congest.Pitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPassages(t, "installed", st.passages, want)
+}
+
+// checkPassages asserts two passage lists are equal element for element.
+func checkPassages(t *testing.T, what string, got, want []congest.Passage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d passages, want %d", what, len(got), len(want))
+	}
+	for pi := range got {
+		if got[pi] != want[pi] {
+			t.Fatalf("%s: passage %d is %+v, want %+v", what, pi, got[pi], want[pi])
 		}
 	}
 }

@@ -28,6 +28,7 @@ package congest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -100,6 +101,33 @@ func boundaryPassages(b, ci geom.Rect, i int) [4]Passage {
 		{Between: [2]int{i, Boundary}, Vertical: false,
 			Rect: geom.R(ci.MinX, ci.MaxY, ci.MaxX, b.MaxY), Width: b.MaxY - ci.MaxY},
 	}
+}
+
+// CheckWalls checks a passage list kept beside ix, as a journal base keeps
+// one: each passage must be the corridor or boundary strip its two walls
+// form in ix, with the Between, Vertical, Rect and Width that pairPassage
+// or boundaryPassages derive, so walls named in another obstacle numbering
+// fail. Capacity and intrusion are not checked: it costs O(passages).
+func CheckWalls(ix *plane.Index, passages []Passage) error {
+	wall := func(id int) bool { return id >= 0 && id < ix.NumCells() }
+	for pi, p := range passages {
+		p.Capacity = 0
+		a, c := p.Between[0], p.Between[1]
+		formed := false
+		switch {
+		case wall(a) && wall(c):
+			q, ok := pairPassage(ix.Cell(a), ix.Cell(c), a, c)
+			formed = ok && q == p
+		case a == Boundary && wall(c), c == Boundary && wall(a):
+			owner := max(a, c)
+			strips := boundaryPassages(ix.Bounds(), ix.Cell(owner), owner)
+			formed = slices.Contains(strips[:], p)
+		}
+		if !formed {
+			return fmt.Errorf("congest: passage %d %v between %v is not the corridor its walls form", pi, p.Rect, p.Between)
+		}
+	}
+	return nil
 }
 
 // admit validates a candidate passage — positive corridor, no third cell
@@ -428,10 +456,10 @@ func appendWindowSweepPairs(dst [][2]int32, ix *plane.Index, ySweep bool, w0, w1
 }
 
 // ExtractEdit incrementally re-extracts the passage set after an obstacle
-// edit (the congestion-side twin of plane.Index.Edit's corner-table
-// splice). Passages the edit cannot have touched are kept — their Between
-// ids renumbered through remap — and only the corridors whose validity
-// could have changed are rediscovered: a corridor's passage status depends
+// edit (the congestion-side twin of plane.Index's corner-table splice).
+// Passages the edit cannot have touched are kept — their Between ids
+// renumbered through remap — and only the corridors whose validity could
+// have changed are rediscovered: a corridor's passage status depends
 // on exactly the obstacles strictly intersecting it, so it can flip only
 // if it strictly intersects a removed rectangle (a vanished intruder), or
 // strictly intersects an added rectangle (a fresh intruder), or has an
@@ -447,10 +475,12 @@ func appendWindowSweepPairs(dst [][2]int32, ix *plane.Index, ySweep bool, w0, w1
 // re-extraction this replaces.
 //
 // ix is the post-edit index and old the pre-edit passage set extracted at
-// the same pitch; remap maps each pre-edit obstacle id to its post-edit id
-// (-1 for removed ids, mirroring plane.Index.Edit's compact renumbering);
-// removedRects are the removed obstacles' pre-edit rectangles and addedIDs
-// the post-edit ids of the appended obstacles.
+// the same pitch; remap maps each pre-edit obstacle id to its post-edit id,
+// -1 for an obstacle the edit removed or replaced; removedRects are those
+// obstacles' pre-edit rectangles and addedIDs the post-edit ids of the new
+// ones: after plane.Index.Edit, its remap and the trailing ids; after
+// plane.Index.Replace (a cell move), the identity with -1 at the replaced
+// ids, and those same ids.
 //
 // Equivalence guarantee: the result is exactly Extract(ix, pitch) — same
 // passages, same canonical order — pinned by the randomized property and

@@ -107,10 +107,12 @@ func TestSweepExtractMatchesNaive(t *testing.T) {
 }
 
 // checkExtractEditAgainstFresh performs a random sequence of obstacle
-// edits — remove a few cells, add a few separated ones (cell moves are a
-// removal plus an addition, exactly how the ECO layer drives Index.Edit) —
-// splicing the passage list incrementally at every step and comparing it
-// to a from-scratch extraction of the edited index.
+// edits, splicing the passage list incrementally at every step and
+// comparing it to a from-scratch extraction of the edited index. Each step
+// takes one of ExtractEdit's two edit forms: an in-place move of a few
+// obstacles (plane.Index.Replace, how the ECO layer moves a cell) or the
+// removal of a few obstacles and the append of a few new ones
+// (plane.Index.Edit).
 func checkExtractEditAgainstFresh(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	bounds := geom.R(0, 0, 300, 300)
@@ -125,60 +127,11 @@ func checkExtractEditAgainstFresh(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 6; step++ {
-		n := ix.NumCells()
-		// Remove a random subset (possibly empty, never everything).
-		var removed []int
-		for id := 0; id < n; id++ {
-			if n > 1 && r.Intn(4) == 0 {
-				removed = append(removed, id)
-			}
+		edit := removeAndAppend
+		if r.Intn(2) == 0 {
+			edit = moveInPlace
 		}
-		removedSet := make(map[int]bool, len(removed))
-		var removedRects []geom.Rect
-		for _, id := range removed {
-			removedSet[id] = true
-			removedRects = append(removedRects, ix.Cell(id))
-		}
-		// Add a few rects separated from the survivors (the sweep's domain;
-		// an overlapping add would just exercise the tested fallback).
-		var survivors []geom.Rect
-		for id := 0; id < n; id++ {
-			if !removedSet[id] {
-				survivors = append(survivors, ix.Cell(id))
-			}
-		}
-		var added []geom.Rect
-		for try := 0; try < 60 && len(added) < r.Intn(3)+1; try++ {
-			w := geom.Coord(r.Intn(40) + 4)
-			h := geom.Coord(r.Intn(40) + 4)
-			x := geom.Coord(r.Int63n(int64(bounds.Width() - w + 1)))
-			y := geom.Coord(r.Int63n(int64(bounds.Height() - h + 1)))
-			c := geom.R(x, y, x+w, y+h)
-			ok := true
-			for _, e := range survivors {
-				if e.IntersectsStrict(c) {
-					ok = false
-					break
-				}
-			}
-			for _, e := range added {
-				if e.IntersectsStrict(c) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				added = append(added, c)
-			}
-		}
-		ix2, remap, err := ix.Edit(removed, added)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addedIDs := make([]int, len(added))
-		for k := range added {
-			addedIDs[k] = ix2.NumCells() - len(added) + k
-		}
+		ix2, remap, removedRects, addedIDs := edit(t, r, ix)
 		spliced, err := ExtractEdit(ix2, pitch, passages, remap, removedRects, addedIDs)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +143,91 @@ func checkExtractEditAgainstFresh(t *testing.T, seed int64) {
 		passagesEqual(t, seed, "ExtractEdit vs fresh", spliced, fresh)
 		ix, passages = ix2, spliced
 	}
+}
+
+// separatedFrom reports whether c's interior meets none of rects except
+// rects[skip].
+func separatedFrom(c geom.Rect, rects []geom.Rect, skip int) bool {
+	for i, e := range rects {
+		if i != skip && e.IntersectsStrict(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// moveInPlace translates a random subset of ix's obstacles in place,
+// keeping the field separated and inside the bounds, and returns the
+// edited index with ExtractEdit's arguments for it: the identity remap
+// with -1 at the moved ids, their old rectangles, and the same ids as the
+// added ones.
+func moveInPlace(t *testing.T, r *rand.Rand, ix *plane.Index) (*plane.Index, []int32, []geom.Rect, []int) {
+	cells := ix.Cells()
+	remap := make([]int32, len(cells))
+	for i := range remap {
+		remap[i] = int32(i)
+	}
+	var ids []int
+	var moved, removedRects []geom.Rect
+	for id, c := range cells {
+		if r.Intn(3) != 0 {
+			continue
+		}
+		for try := 0; try < 20; try++ {
+			m := c.Translate(geom.Pt(geom.Coord(r.Intn(41)-20), geom.Coord(r.Intn(41)-20)))
+			if ix.Bounds().ContainsRect(m) && separatedFrom(m, cells, id) {
+				cells[id], remap[id] = m, -1
+				ids, moved, removedRects = append(ids, id), append(moved, m), append(removedRects, c)
+				break
+			}
+		}
+	}
+	ix2, err := ix.Replace(ids, moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix2, remap, removedRects, ids
+}
+
+// removeAndAppend removes a random subset of ix's obstacles (possibly
+// empty, never everything) and appends a few rectangles separated from the
+// survivors (the sweep's domain; an overlapping add would just exercise
+// the tested fallback), and returns the edited index with ExtractEdit's
+// arguments for it: Edit's remap, the removed rectangles, and the trailing
+// ids of the added ones.
+func removeAndAppend(t *testing.T, r *rand.Rand, ix *plane.Index) (*plane.Index, []int32, []geom.Rect, []int) {
+	n := ix.NumCells()
+	bounds := ix.Bounds()
+	var removed []int
+	var removedRects, survivors []geom.Rect
+	for id := 0; id < n; id++ {
+		if n > 1 && r.Intn(4) == 0 {
+			removed = append(removed, id)
+			removedRects = append(removedRects, ix.Cell(id))
+		} else {
+			survivors = append(survivors, ix.Cell(id))
+		}
+	}
+	var added []geom.Rect
+	for try := 0; try < 60 && len(added) < r.Intn(3)+1; try++ {
+		w := geom.Coord(r.Intn(40) + 4)
+		h := geom.Coord(r.Intn(40) + 4)
+		x := geom.Coord(r.Int63n(int64(bounds.Width() - w + 1)))
+		y := geom.Coord(r.Int63n(int64(bounds.Height() - h + 1)))
+		c := geom.R(x, y, x+w, y+h)
+		if separatedFrom(c, survivors, -1) && separatedFrom(c, added, -1) {
+			added = append(added, c)
+		}
+	}
+	ix2, remap, err := ix.Edit(removed, added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addedIDs := make([]int, len(added))
+	for k := range added {
+		addedIDs[k] = ix2.NumCells() - len(added) + k
+	}
+	return ix2, remap, removedRects, addedIDs
 }
 
 func TestExtractEditMatchesFresh(t *testing.T) {

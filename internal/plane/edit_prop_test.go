@@ -1,7 +1,10 @@
 package plane
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +150,125 @@ func TestEditRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := ix.Edit([]int{0}, []geom.Rect{geom.R(5, 5, 5, 30)}); err == nil {
 		t.Fatal("degenerate addition must be rejected")
+	}
+}
+
+// TestReplaceMatchesNew pins Replace to New over the receiver's rectangle
+// list with the replaced entries swapped in: the same cells id for id, the
+// same corner tables and interval trees, and the same query answers. No id
+// moves, which is what lets a cell move keep its obstacles' ids.
+func TestReplaceMatchesNew(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		base, rects := randomField(r, r.Intn(12)+2)
+		all := append([]geom.Rect(nil), rects...)
+		var ids []int
+		var repl []geom.Rect
+		for _, id := range r.Perm(len(rects))[:r.Intn(len(rects))+1] {
+			next := rects[id].Translate(geom.Pt(int64(r.Intn(21)-10), int64(r.Intn(21)-10)))
+			if r.Intn(3) == 0 { // a rectangle of another size elsewhere
+				x, y := int64(r.Intn(180)), int64(r.Intn(180))
+				next = geom.R(x, y, x+int64(r.Intn(30)+1), y+int64(r.Intn(30)+1))
+			}
+			ids, repl, all[id] = append(ids, id), append(repl, next), next
+		}
+		got, err := base.Replace(ids, repl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(base.Bounds(), all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.cells, fresh.cells) {
+			t.Fatalf("seed=%d: Replace cells %v, fresh %v", seed, got.cells, fresh.cells)
+		}
+		if !slices.Equal(got.cornersX, fresh.cornersX) || !slices.Equal(got.cornersY, fresh.cornersY) {
+			t.Fatalf("seed=%d: Replace corner tables differ from fresh", seed)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("seed=%d: Replace interval trees differ from fresh", seed)
+		}
+		if !slices.Equal(base.cells, rects) {
+			t.Fatalf("seed=%d: Replace wrote its receiver", seed)
+		}
+		for trial := 0; trial < 60; trial++ {
+			p := interestingPoint(r, all)
+			gc, gb := got.PointBlocked(p)
+			fc, fb := fresh.PointBlocked(p)
+			if gc != fc || gb != fb {
+				t.Fatalf("seed=%d Replace PointBlocked(%v) = (%d,%v), fresh (%d,%v)", seed, p, gc, gb, fc, fb)
+			}
+			if g, w := got.BoundaryCells(p, nil), fresh.BoundaryCells(p, nil); !slices.Equal(g, w) {
+				t.Fatalf("seed=%d Replace BoundaryCells(%v) = %v, fresh %v", seed, p, g, w)
+			}
+			d := geom.Dirs[r.Intn(4)]
+			if g, w := got.RayHit(p, d, 100), fresh.RayHit(p, d, 100); g != w {
+				t.Fatalf("seed=%d Replace RayHit(%v,%v) = %+v, fresh %+v", seed, p, d, g, w)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestReplaceRejectsBadInput(t *testing.T) {
+	ix, err := New(geom.R(0, 0, 100, 100), []geom.Rect{geom.R(10, 10, 20, 20), geom.R(40, 40, 50, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := geom.R(60, 60, 70, 70)
+	for _, tc := range []struct {
+		name  string
+		ids   []int
+		rects []geom.Rect
+	}{
+		{"more ids than rectangles", []int{0, 1}, []geom.Rect{ok}},
+		{"out of range", []int{2}, []geom.Rect{ok}},
+		{"negative", []int{-1}, []geom.Rect{ok}},
+		{"repeated", []int{1, 1}, []geom.Rect{ok, ok}},
+		{"degenerate", []int{0}, []geom.Rect{geom.R(5, 5, 5, 30)}},
+	} {
+		if _, err := ix.Replace(tc.ids, tc.rects); err == nil {
+			t.Errorf("%s: Replace accepted it", tc.name)
+		}
+	}
+}
+
+// BenchmarkMoveOneCell times a one-cell move on n×n macro grids (40×30
+// cells, 12-unit gaps, the MacroGrid geometry) in both edit forms: Replace,
+// which the ECO layer runs, and Edit's removal and re-append.
+func BenchmarkMoveOneCell(b *testing.B) {
+	for _, n := range []int64{32, 64} {
+		var rects []geom.Rect
+		for r := int64(0); r < n; r++ {
+			for c := int64(0); c < n; c++ {
+				x, y := 12+c*52, 12+r*42
+				rects = append(rects, geom.R(x, y, x+40, y+30))
+			}
+		}
+		ix, err := New(geom.R(0, 0, 12+n*52, 12+n*42), rects)
+		if err != nil {
+			b.Fatal(err)
+		}
+		id := int(n*n/2 + n/2)
+		moved := []geom.Rect{rects[id].Translate(geom.Pt(2, 0))}
+		b.Run(fmt.Sprintf("replace/%dx%d", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Replace([]int{id}, moved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("edit/%dx%d", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.Edit([]int{id}, moved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

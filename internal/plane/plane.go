@@ -10,9 +10,9 @@
 // outside its row/column band are never touched.
 //
 // An Index is immutable after New, which makes it safe to share across the
-// per-net router goroutines. Edit derives a new index with obstacles
-// removed or added (moved cells in an ECO, routed nets in the sequential
-// baseline).
+// per-net router goroutines. Replace derives a new index with some
+// obstacles replaced in place (the moved cells of an ECO), Edit one with
+// obstacles removed or appended (routed nets in the sequential baseline).
 package plane
 
 import (
@@ -59,14 +59,8 @@ func New(bounds geom.Rect, cells []geom.Rect) (*Index, error) {
 	if !bounds.IsValid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, fmt.Errorf("plane: bounds %v must have positive area", bounds)
 	}
-	ix := &Index{bounds: bounds, cells: append([]geom.Rect(nil), cells...)}
-	for i, c := range ix.cells {
-		if !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
-			return nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i, c)
-		}
-	}
-	ix.reindex()
-	return ix, nil
+	ix, _, err := (&Index{bounds: bounds}).Edit(nil, cells)
+	return ix, err
 }
 
 // FromLayout builds an index whose obstacles are the layout's cells.
@@ -80,8 +74,8 @@ func FromLayout(l *layout.Layout) (*Index, error) {
 
 // FromLayoutSpans is FromLayout returning, additionally, the half-open
 // obstacle-id range [spans[i][0], spans[i][1]) each layout cell contributed.
-// The ECO layer uses the mapping to splice a moved cell's obstacles out of
-// the index without rebuilding it from scratch (see Edit).
+// The ECO layer uses the mapping to replace a moved cell's obstacles in
+// the index without rebuilding it from scratch (see Replace).
 func FromLayoutSpans(l *layout.Layout) (*Index, [][2]int, error) {
 	var rects []geom.Rect
 	spans := make([][2]int, len(l.Cells))
@@ -97,22 +91,40 @@ func FromLayoutSpans(l *layout.Layout) (*Index, [][2]int, error) {
 	return ix, spans, nil
 }
 
+// Replace returns a new index in which obstacle ids[k] is rects[k]; the
+// receiver is unchanged, and a repeated or out-of-range id is rejected. No
+// id moves, so the result equals New over the receiver's rectangles with
+// those entries replaced — cells, corner tables and interval trees — and
+// ids held outside the index stay valid: an ECO cell move replaces the
+// cell's obstacles, and its spans and passage walls keep their meaning.
+// Table work is O(n + m log m) (see derive) plus the interval-tree rebuild.
+func (ix *Index) Replace(ids []int, rects []geom.Rect) (*Index, error) {
+	if len(ids) != len(rects) {
+		return nil, fmt.Errorf("plane: %d obstacle ids for %d rectangles", len(ids), len(rects))
+	}
+	remap := make([]int32, len(ix.cells))
+	for i := range remap {
+		remap[i] = int32(i)
+	}
+	cells := append([]geom.Rect(nil), ix.cells...)
+	fresh := make([]int32, len(ids))
+	for k, id := range ids {
+		if id < 0 || id >= len(cells) || remap[id] < 0 {
+			return nil, fmt.Errorf("plane: replaced obstacle %d out of range [0,%d) or repeated", id, len(cells))
+		}
+		remap[id], cells[id], fresh[k] = -1, rects[k], int32(id)
+	}
+	return ix.derive(cells, remap, fresh)
+}
+
 // Edit returns a new index with the obstacles listed in removed deleted and
 // the extra rectangles appended; the receiver is unchanged. Surviving
-// obstacles keep their relative order but are renumbered compactly, with
-// the added rectangles taking the ids after them. The returned remap
-// records that renumbering authoritatively — remap[oldID] is the
-// obstacle's id in the new index, or -1 for removed ids — so callers that
-// track obstacle ids (the ECO layer's per-cell spans, the congestion
-// passage splice) consume the numbering Edit actually applied instead of
-// re-deriving it. The corner tables are not re-sorted: the survivors are
-// renumbered out of the receiver's sorted tables (a monotone renumbering
-// preserves the (At, Cell) order) while they merge with freshly sorted
-// tables of the additions, so an edit costs O(n + m log m) table work plus
-// the interval-tree rebuild — which matters because the sequential
-// baseline adds each routed net's wires with Edit(nil, wires). The
-// interval trees are rebuilt from the merged corner tables, with no
-// comparator re-sorts.
+// obstacles keep their relative order but are renumbered compactly, the
+// added rectangles taking the ids after them; remap[oldID] is an
+// obstacle's new id, or -1 for removed ids. The engine moves cells with
+// Replace, which keeps every id; Edit stays for the sequential baseline
+// (internal/seq), which adds routed wires with Edit(nil, wires), and for
+// perfbench, which times a move as a removal and re-append.
 func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error) {
 	remap := make([]int32, len(ix.cells))
 	for _, id := range removed {
@@ -121,53 +133,50 @@ func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error)
 		}
 		remap[id] = -1
 	}
-	out := &Index{bounds: ix.bounds, cells: make([]geom.Rect, 0, len(ix.cells)+len(added))}
+	cells := make([]geom.Rect, 0, len(ix.cells)+len(added))
 	for i, c := range ix.cells {
 		if remap[i] < 0 {
 			continue
 		}
-		remap[i] = int32(len(out.cells))
-		out.cells = append(out.cells, c)
+		remap[i] = int32(len(cells))
+		cells = append(cells, c)
 	}
-	base := len(out.cells)
-	out.cells = append(out.cells, added...)
-	for i := base; i < len(out.cells); i++ {
-		if c := out.cells[i]; !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
-			return nil, nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i-base, c)
-		}
+	fresh := make([]int32, len(added))
+	for k := range fresh {
+		fresh[k] = int32(len(cells) + k)
 	}
-	sub := &Index{cells: out.cells} // ids base.. index the combined slice
-	sub.buildCorners(base, len(out.cells))
-	out.cornersX = mergeCorners(ix.cornersX, remap, sub.cornersX)
-	out.cornersY = mergeCorners(ix.cornersY, remap, sub.cornersY)
-	out.xtree = buildIntervalTree(xSpans(out.cells), out.cornersX)
-	out.ytree = buildIntervalTree(ySpans(out.cells), out.cornersY)
+	out, err := ix.derive(append(cells, added...), remap, fresh)
+	if err != nil {
+		return nil, nil, err
+	}
 	return out, remap, nil
 }
 
-// reindex rebuilds every derived structure from scratch.
-func (ix *Index) reindex() {
-	ix.buildCorners(0, len(ix.cells))
-	ix.xtree = buildIntervalTree(xSpans(ix.cells), ix.cornersX)
-	ix.ytree = buildIntervalTree(ySpans(ix.cells), ix.cornersY)
-}
-
-// buildCorners builds the two corner tables for the cell id range [lo, hi).
-// New indexes the whole slice; Edit indexes just the appended additions
-// and merges.
-func (ix *Index) buildCorners(lo, hi int) {
-	n := hi - lo
-	c := ix.cells
-	ix.cornersX = make([]Corner, 0, 2*n)
-	ix.cornersY = make([]Corner, 0, 2*n)
-	for i := lo; i < hi; i++ {
-		ix.cornersX = append(ix.cornersX,
-			Corner{At: c[i].MinX, Cell: int32(i)}, Corner{At: c[i].MaxX, Cell: int32(i)})
-		ix.cornersY = append(ix.cornersY,
-			Corner{At: c[i].MinY, Cell: int32(i)}, Corner{At: c[i].MaxY, Cell: int32(i)})
+// derive builds the index over cells that Edit and Replace return (New is
+// an Edit of the empty index). The receiver's corner tables are renumbered
+// through remap (entries remapped to -1 are dropped; a monotone renumbering
+// keeps them sorted) and merged with freshly sorted tables of the
+// obstacles in fresh, whose rectangles are checked here. The interval
+// trees are rebuilt from the merged tables, with no comparator re-sorts.
+func (ix *Index) derive(cells []geom.Rect, remap, fresh []int32) (*Index, error) {
+	addX := make([]Corner, 0, 2*len(fresh))
+	addY := make([]Corner, 0, 2*len(fresh))
+	for k, id := range fresh {
+		c := cells[id]
+		if !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
+			return nil, fmt.Errorf("plane: obstacle %d %v must have positive area", k, c)
+		}
+		addX = append(addX, Corner{At: c.MinX, Cell: id}, Corner{At: c.MaxX, Cell: id})
+		addY = append(addY, Corner{At: c.MinY, Cell: id}, Corner{At: c.MaxY, Cell: id})
 	}
-	sort.Slice(ix.cornersX, func(a, b int) bool { return cornerLess(ix.cornersX[a], ix.cornersX[b]) })
-	sort.Slice(ix.cornersY, func(a, b int) bool { return cornerLess(ix.cornersY[a], ix.cornersY[b]) })
+	sort.Slice(addX, func(a, b int) bool { return cornerLess(addX[a], addX[b]) })
+	sort.Slice(addY, func(a, b int) bool { return cornerLess(addY[a], addY[b]) })
+	out := &Index{bounds: ix.bounds, cells: cells}
+	out.cornersX = mergeCorners(ix.cornersX, remap, addX)
+	out.cornersY = mergeCorners(ix.cornersY, remap, addY)
+	out.xtree = buildIntervalTree(xSpans(cells), out.cornersX)
+	out.ytree = buildIntervalTree(ySpans(cells), out.cornersY)
+	return out, nil
 }
 
 func cornerLess(a, b Corner) bool {
@@ -179,7 +188,7 @@ func cornerLess(a, b Corner) bool {
 
 // mergeCorners merges a receiver's corner table, renumbered through remap
 // (entries remapped to -1 are dropped), with the additions' table; both
-// are sorted by (At, Cell), and the added ids follow every survivor's.
+// are sorted by (At, Cell).
 func mergeCorners(tab []Corner, remap []int32, add []Corner) []Corner {
 	out := make([]Corner, 0, len(tab)+len(add))
 	j := 0

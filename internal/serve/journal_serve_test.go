@@ -135,6 +135,71 @@ func TestECOJournalCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestECOMoveCellAcrossWarmStart drives cell moves through the daemon over
+// a persistence directory: create at a congesting pitch, negotiate, move a
+// cell, negotiate again (which folds the journal after the move), start a
+// new server over the same directory (a warm start from that base), and
+// move a cell again. The wires must equal a reference engine's, driven
+// through the public API with the same history and no journal.
+func TestECOMoveCellAcrossWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	l, err := genroute.MacroGrid(8, 8, 40, 30, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "pitch=8&weight=40&passes=12"
+	moves := []ecoOp{{Op: "move_cell", Name: "m3_3", DX: -2}, {Op: "move_cell", Name: "m4_3", DY: 2}}
+	negotiate := func(ts *httptest.Server, hash string) {
+		t.Helper()
+		var nr negotiateResponse
+		if code, _ := postJSON(t, ts.URL+"/v1/sessions/"+hash+"/negotiate", negotiateRequest{}, &nr); code != http.StatusOK {
+			t.Fatalf("negotiate = %d %+v", code, nr)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	sr := createSession(t, ts, l, query)
+	negotiate(ts, sr.Hash)
+	ecoPost(t, ts, sr.Hash, moves[:1])
+	negotiate(ts, sr.Hash)
+	ts.Close()
+
+	_, ts2 := newTestServer(t, Config{SnapshotDir: dir, Workers: 1})
+	if back := createSession(t, ts2, l, query); !back.Warm || back.Hash != sr.Hash || back.JournalRecords != 0 {
+		t.Fatalf("restart create = %+v, want a warm start of %s from the folded base", back, sr.Hash)
+	}
+	ecoPost(t, ts2, sr.Hash, moves[1:])
+	var got wiresResponse
+	if code := getJSON(t, ts2.URL+"/v1/sessions/"+sr.Hash+"/wires", &got); code != http.StatusOK {
+		t.Fatalf("wires = %d", code)
+	}
+
+	ref, err := genroute.NewEngine(l, genroute.WithPitch(8), genroute.WithPenaltyWeight(40), genroute.WithMaxPasses(12), genroute.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, mv := range moves {
+		if _, err := ref.RouteNegotiated(ctx); err != nil {
+			t.Fatal(err)
+		}
+		tx := ref.Edit()
+		if err := tx.MoveCell(mv.Name, mv.DX, mv.DY); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := wiresResponse{Hash: sr.Hash, Routed: true, Overflow: ref.Overflow(),
+		TotalLength: int64(ref.Result().TotalLength), Wires: wiresJSON(ref.Result().Nets)}
+	gb, _ := json.Marshal(got)
+	wb, _ := json.Marshal(want)
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("wires after a move across a warm start differ from the reference engine's:\n got: %s\nwant: %s", gb, wb)
+	}
+}
+
 // TestCorruptJournalFailOpen: a bit-flipped journal is quarantined (with a
 // timestamped name) and the ladder falls through to a cold build with a
 // fresh journal, instead of failing to serve.
