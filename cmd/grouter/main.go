@@ -20,7 +20,10 @@
 // prints the partial per-pass report and exits 1. Rerunning with -resume
 // recovers the session from the journal and continues the negotiation,
 // producing routes byte-identical to an uninterrupted run; a run stopped
-// inside pass 1 has taken no checkpoint yet, so its rerun starts afresh.
+// inside pass 1 has taken no checkpoint yet, so its rerun starts afresh. A
+// journal whose negotiation finished converged, every net routed at zero
+// overflow, has nothing left to negotiate: -resume reports its routes as
+// recovered and exits 0.
 //
 // Exit codes: 0 success, 1 failure or interruption, 2 usage, 3 the report
 // contains DEGRADED (panic-poisoned) nets — pass -degraded-ok to treat
@@ -125,6 +128,11 @@ func main() {
 	}
 
 	if *congestion {
+		if *resume && e.Routed() && len(e.Result().Failed) == 0 && e.Overflow() == 0 && !e.NegotiationInFlight() {
+			fmt.Printf("recovered converged routes from %s (every net routed, zero overflow): nothing to negotiate\n", *checkpoint)
+			report(e, *tracks, *wires, *draw)
+			return
+		}
 		res, err := e.RouteNegotiated(ctx)
 		interrupted := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 		if err != nil && !interrupted {

@@ -220,6 +220,19 @@ func (e *Engine) Routed() bool { return e.st.Load().cur != nil }
 // before the first RouteAll/RouteNegotiated.
 func (e *Engine) Result() *Result { return e.st.Load().cur }
 
+// NegotiationInFlight reports whether the session holds a negotiation in
+// flight: the last checkpoint of an interrupted RouteNegotiated, which the
+// next RouteNegotiated continues. It waits for the writer token, so it
+// answers between writes; a retired engine reports false.
+func (e *Engine) NegotiationInFlight() bool {
+	w, err := e.acquire(context.Background())
+	if err != nil {
+		return false
+	}
+	defer func() { e.w <- w }()
+	return w.pending != nil
+}
+
 // Pitch returns the wire pitch the session's passage capacities were
 // extracted at: WithPitch for NewEngine, and the persisted pitch for a
 // session recovered by LoadEngineJournal.

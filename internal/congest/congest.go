@@ -119,20 +119,67 @@ func newSectionIndex(passages []Passage) *sectionIndex {
 // touches, in unspecified order, each at most once per call.
 func (ix *sectionIndex) visit(travel geom.Seg, fn func(pi int)) {
 	b := travel.Bounds() // normalized min/max corners
-	scanSections(ix.horiz, b.MinY, b.MaxY, b.MinX, b.MaxX, fn)
-	scanSections(ix.vert, b.MinX, b.MaxX, b.MinY, b.MaxY, fn)
-}
-
-// scanSections visits entries whose line coordinate lies in [atLo, atHi] and
-// whose span overlaps [spanLo, spanHi] (closed ranges: endpoint contact
-// counts, matching Seg.Intersects).
-func scanSections(entries []sectionEntry, atLo, atHi, spanLo, spanHi geom.Coord, fn func(pi int)) {
-	i := sort.Search(len(entries), func(i int) bool { return entries[i].At >= atLo })
-	for ; i < len(entries) && entries[i].At <= atHi; i++ {
-		if e := entries[i]; e.Lo <= spanHi && e.Hi >= spanLo {
+	for _, e := range sectionsAt(ix.horiz, b.MinY, b.MaxY) {
+		if e.Lo <= b.MaxX && e.Hi >= b.MinX {
 			fn(e.Passage)
 		}
 	}
+	for _, e := range sectionsAt(ix.vert, b.MinX, b.MaxX) {
+		if e.Lo <= b.MaxY && e.Hi >= b.MinY {
+			fn(e.Passage)
+		}
+	}
+}
+
+// tolls appends, for every passage whose cross-section the ray from `from`
+// in direction d to coordinate stop touches, a toll at the distance from
+// `from` to the section's nearest point, priced by price(pi); a zero price
+// appends nothing. A segment of the ray with length t touches exactly the
+// sections at distance at most t (closed contact, as visit counts it), so
+// the tolls it reaches sum to what visit finds for it.
+func (ix *sectionIndex) tolls(dst []router.Toll, from geom.Point, d geom.Dir, stop geom.Coord, price func(pi int) search.Cost) []router.Toll {
+	horiz := d.Horizontal()
+	along, across := from.X, from.Y
+	if !horiz {
+		along, across = from.Y, from.X
+	}
+	lo, hi := geom.Min(along, stop), geom.Max(along, stop)
+	// A section on the ray's line spans [Lo, Hi] along it; one across the
+	// line sits at At along it.
+	onLine, acrossLine := ix.horiz, ix.vert
+	if !horiz {
+		onLine, acrossLine = ix.vert, ix.horiz
+	}
+	toll := func(pi int, near, far geom.Coord) {
+		dist := near - along // the section's nearer end, seen from along
+		if stop < along {
+			dist = along - far
+		}
+		if c := price(pi); c > 0 {
+			dst = append(dst, router.Toll{At: max(dist, 0), Cost: c})
+		}
+	}
+	for _, e := range sectionsAt(onLine, across, across) {
+		if e.Lo <= hi && e.Hi >= lo {
+			toll(e.Passage, e.Lo, e.Hi)
+		}
+	}
+	for _, e := range sectionsAt(acrossLine, lo, hi) {
+		if e.Lo <= across && e.Hi >= across {
+			toll(e.Passage, e.At, e.At)
+		}
+	}
+	return dst
+}
+
+// sectionsAt returns the entries whose line coordinate lies in [lo, hi].
+func sectionsAt(entries []sectionEntry, lo, hi geom.Coord) []sectionEntry {
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].At >= lo })
+	j := i
+	for j < len(entries) && entries[j].At <= hi {
+		j++
+	}
+	return entries[i:j]
 }
 
 // Map is the congestion state of a routed layout. It is mutable: AddNet and
@@ -345,11 +392,14 @@ func (m *Map) AffectedNets() []int {
 	return out
 }
 
-// livePenalty is the sequential rip-up cost term. It reads the map's usage
-// at query time: the rip-up loop updates the map between nets, so a net
-// rerouting later in the pass immediately sees the passages earlier nets
-// just filled (or vacated) — the PathFinder mechanism that breaks the
-// lockstep oscillation of whole-pass simultaneous reroutes.
+// livePenalty is the sequential rip-up cost term, a ray pricer. It reads
+// the map's usage at query time: the rip-up loop updates the map between
+// nets, so a net rerouting later in the pass immediately sees the passages
+// earlier nets just filled (or vacated) — the PathFinder mechanism that
+// breaks the lockstep oscillation of whole-pass simultaneous reroutes. The
+// router evaluates it once per ray, at the ray's first successor the
+// search keeps: one scan of the sections the ray touches prices every
+// successor on it, and nothing of it outlives the ray.
 //
 // Crossing passage pi costs *weight*present + hWeight*gain*history[pi]
 // length units. present is 1 when the passage cannot take one more net
@@ -359,28 +409,25 @@ func (m *Map) AffectedNets() []int {
 // Zero hWeight falls back to the coupled classic step (*weight per unit
 // of history). The present weight is read through a pointer so Negotiate
 // can escalate it between passes (the present-cost schedule, see
-// Config.WeightStep) without rebuilding the closure or the router.
-func (m *Map) livePenalty(weight *geom.Coord, hWeight geom.Coord, gain int, history []int) router.PenaltyFn {
-	m.ensureScratch()
-	index := m.index
+// Config.WeightStep) without rebuilding the pricer or the router.
+func (m *Map) livePenalty(weight *geom.Coord, hWeight geom.Coord, gain int, history []int) router.RayPenalty {
 	fixedHW := hWeight > 0
-	return func(from, to geom.Point) search.Cost {
-		var penalty search.Cost
-		index.visit(geom.S(from, to), func(pi int) {
-			var units geom.Coord
-			if m.Usage[pi] >= m.Passages[pi].Capacity {
-				units = *weight
+	price := func(pi int) search.Cost {
+		var units geom.Coord
+		if m.Usage[pi] >= m.Passages[pi].Capacity {
+			units = *weight
+		}
+		if gain > 0 && pi < len(history) {
+			hw := hWeight
+			if !fixedHW {
+				hw = *weight
 			}
-			if gain > 0 && pi < len(history) {
-				hw := hWeight
-				if !fixedHW {
-					hw = *weight
-				}
-				units += hw * geom.Coord(gain) * geom.Coord(history[pi])
-			}
-			penalty += router.Scale * search.Cost(units)
-		})
-		return penalty
+			units += hw * geom.Coord(gain) * geom.Coord(history[pi])
+		}
+		return router.Scale * search.Cost(units)
+	}
+	return func(dst []router.Toll, from geom.Point, d geom.Dir, stop geom.Coord) []router.Toll {
+		return m.index.tolls(dst, from, d, stop, price)
 	}
 }
 

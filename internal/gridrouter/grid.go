@@ -247,7 +247,8 @@ func (p *gridProblem) Heuristic(s int32) search.Cost {
 	}
 	return search.Cost(di+dj) * search.Cost(g.pitch)
 }
-func (p *gridProblem) Successors(s int32, emit func(int32, search.Cost)) {
+func (p *gridProblem) Hash(s int32) uint64 { return uint64(s) }
+func (p *gridProblem) Successors(s int32, out *search.Offers[int32]) {
 	g := p.g
 	i, j := int(s)%g.w, int(s)/g.w
 	for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
@@ -259,7 +260,7 @@ func (p *gridProblem) Successors(s int32, emit func(int32, search.Cost)) {
 		if g.blocked[nidx] {
 			continue
 		}
-		emit(nidx, search.Cost(g.pitch))
+		out.Emit(nidx, search.Cost(g.pitch))
 	}
 }
 

@@ -21,6 +21,7 @@
 package ray
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -58,18 +59,29 @@ type Gen struct {
 	Mode Mode
 }
 
-// Successors invokes emit for every successor point of `at` when searching
-// toward `guide`. The emitted via is the direction of travel from `at` to
-// the successor, and n is the number of successors the emission stands
-// for: 1 for a ray's stop point, and for a corner projection the number of
-// visible obstacle corners on its corner line. A corner line is emitted
+// Sink receives the successors of one search node, ray by ray.
+type Sink interface {
+	// Ray announces a ray cast from `from` in direction d that stopped at
+	// coordinate stop on its travel axis. Every Point until the next Ray
+	// lies on it, strictly past `from`.
+	Ray(from geom.Point, d geom.Dir, stop geom.Coord)
+	// Point is one successor on the current ray, standing for n successors:
+	// 1 for the ray's stop point, and for a corner projection the number of
+	// visible obstacle corners on its corner line.
+	Point(next geom.Point, n int)
+}
+
+// Successors hands sink every successor point of `at` when searching toward
+// `guide`, ray by ray: each ray is announced before its points, its stop
+// point first and then its corner projections. A corner line is emitted
 // once per ray however many corners it carries, at its first position in
 // the ray's (cell, coordinate) order (see cornerProjections); the point is
 // the same for every corner on the line, so a per-corner emission would
 // only repeat it. guide supplies the goal-aligned ray limits; for
 // multi-goal searches the caller passes the nearest goal point.
-func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via geom.Dir, n int)) {
+func (g *Gen) Successors(at, guide geom.Point, sink Sink) {
 	b := g.Ix.Bounds()
+	point := func(next geom.Point, _ geom.Dir, n int) { sink.Point(next, n) }
 
 	// emitRay casts one ray, emitting the final stop point plus an escape
 	// point at every visible obstacle-corner line along the ray (see
@@ -84,8 +96,9 @@ func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via ge
 			next = geom.Pt(at.X, h.Stop)
 		}
 		if next != at {
-			emit(next, d, 1)
-			g.cornerProjections(at, d, h.Stop, emit)
+			sink.Ray(at, d, h.Stop)
+			sink.Point(next, 1)
+			g.cornerProjections(at, d, h.Stop, point)
 		}
 	}
 
@@ -209,7 +222,7 @@ func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit
 		}
 	}
 	sc.lines = lines
-	sc.tmp = sortByCell(lines, sc.tmp)
+	sortByCell(lines)
 	for _, ln := range lines {
 		emit(point(ln.at), d, int(ln.n))
 	}
@@ -230,49 +243,22 @@ type cornerLine struct {
 // allocated per call, which keeps Gen stateless and safe for concurrent
 // use.
 type scratch struct {
-	cands      []plane.Corner
-	lines, tmp []cornerLine
+	cands []plane.Corner
+	lines []cornerLine
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// sortByCell stably sorts corner lines by cell id with a
-// least-significant-digit radix sort, one byte of the cell id per pass and
-// no comparator calls, using tmp (grown as needed and returned) as scratch
-// space. The lines arrive in coordinate order, so the result is in (cell,
-// coordinate) order: the two lines one cell can name have distinct
-// coordinates and keep their relative order.
-func sortByCell(s, tmp []cornerLine) []cornerLine {
-	if len(s) < 2 {
-		return tmp
-	}
-	var top int32
-	for _, c := range s {
-		top = max(top, c.cell)
-	}
-	tmp = slices.Grow(tmp[:0], len(s))[:len(s)]
-	src, dst := s, tmp
-	for shift := 0; shift == 0 || top>>shift > 0; shift += 8 {
-		var next [256]int
-		for _, c := range src {
-			next[c.cell>>shift&0xff]++
+// sortByCell sorts corner lines into (cell, coordinate) order. The lines
+// arrive in coordinate order, and the two lines one cell can name have
+// distinct coordinates.
+func sortByCell(s []cornerLine) {
+	slices.SortFunc(s, func(a, b cornerLine) int {
+		if a.cell != b.cell {
+			return cmp.Compare(a.cell, b.cell)
 		}
-		pos := 0
-		for k, n := range next {
-			next[k] = pos
-			pos += n
-		}
-		for _, c := range src {
-			k := c.cell >> shift & 0xff
-			dst[next[k]] = c
-			next[k]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] { // an odd number of passes ended in the scratch copy
-		copy(s, src)
-	}
-	return tmp
+		return cmp.Compare(a.at, b.at)
+	})
 }
 
 // hug emits slides along every obstacle edge containing `at`.

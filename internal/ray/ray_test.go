@@ -21,10 +21,22 @@ func fixture(t testing.TB, mode Mode) *Gen {
 	return &Gen{Ix: ix, Mode: mode}
 }
 
+// pointSink adapts a per-point callback to a Sink: each point is passed
+// with the direction of the ray it lies on.
+type pointSink struct {
+	d  geom.Dir
+	fn func(p geom.Point, d geom.Dir, n int)
+}
+
+func points(fn func(p geom.Point, d geom.Dir, n int)) *pointSink { return &pointSink{fn: fn} }
+
+func (s *pointSink) Ray(_ geom.Point, d geom.Dir, _ geom.Coord) { s.d = d }
+func (s *pointSink) Point(p geom.Point, n int)                  { s.fn(p, s.d, n) }
+
 // collect gathers successors into a map point → direction.
 func collect(g *Gen, at, guide geom.Point) map[geom.Point]geom.Dir {
 	out := map[geom.Point]geom.Dir{}
-	g.Successors(at, guide, func(p geom.Point, d geom.Dir, _ int) { out[p] = d })
+	g.Successors(at, guide, points(func(p geom.Point, d geom.Dir, _ int) { out[p] = d }))
 	return out
 }
 
@@ -181,7 +193,7 @@ func TestSuccessorsNeverInsideObstacles(t *testing.T) {
 	guides := []geom.Point{geom.Pt(100, 100), geom.Pt(0, 0), geom.Pt(50, 50)}
 	for _, at := range pts {
 		for _, guide := range guides {
-			g.Successors(at, guide, func(p geom.Point, d geom.Dir, _ int) {
+			g.Successors(at, guide, points(func(p geom.Point, d geom.Dir, _ int) {
 				if _, blocked := ix.PointBlocked(p); blocked {
 					t.Errorf("successor %v of %v (via %v) is inside an obstacle", p, at, d)
 				}
@@ -194,7 +206,7 @@ func TestSuccessorsNeverInsideObstacles(t *testing.T) {
 				if _, blocked := ix.SegBlocked(geom.S(at, p)); blocked {
 					t.Errorf("edge %v->%v crosses an obstacle interior", at, p)
 				}
-			})
+			}))
 		}
 	}
 }
@@ -209,7 +221,7 @@ func BenchmarkSuccessorsDirected(b *testing.B) {
 	g := fixture(b, Directed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Successors(geom.Pt(0, 50), geom.Pt(100, 50), func(geom.Point, geom.Dir, int) {})
+		g.Successors(geom.Pt(0, 50), geom.Pt(100, 50), points(func(geom.Point, geom.Dir, int) {}))
 	}
 }
 
@@ -290,9 +302,9 @@ func TestCornerLinesOncePerRayOnMacroGrid(t *testing.T) {
 	y := geom.Coord(gap + cellH + gap/2)
 	var got []hit
 	g := &Gen{Ix: ix}
-	g.Successors(geom.Pt(b.MinX, y), geom.Pt(b.MaxX, y), func(p geom.Point, d geom.Dir, n int) {
+	g.Successors(geom.Pt(b.MinX, y), geom.Pt(b.MaxX, y), points(func(p geom.Point, d geom.Dir, n int) {
 		got = append(got, hit{p, d, n})
-	})
+	}))
 	want := []hit{{geom.Pt(b.MaxX, y), geom.East, 1}} // the ray's stop point
 	for c := 0; c < cols; c++ {
 		x := geom.Coord(gap + c*(cellW+gap))
@@ -300,5 +312,72 @@ func TestCornerLinesOncePerRayOnMacroGrid(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("emissions\n got %v\nwant %v", got, want)
+	}
+}
+
+// raySink checks the Sink contract: every point lies on the ray announced
+// last, strictly past its origin and no further than its stop, and the
+// first point after an announcement is the stop point.
+type raySink struct {
+	t     *testing.T
+	from  geom.Point
+	d     geom.Dir
+	stop  geom.Coord
+	fresh bool
+	rays  int
+}
+
+func (s *raySink) Ray(from geom.Point, d geom.Dir, stop geom.Coord) {
+	s.from, s.d, s.stop, s.fresh = from, d, stop, true
+	s.rays++
+}
+
+func (s *raySink) Point(p geom.Point, n int) {
+	if s.rays == 0 {
+		s.t.Fatalf("point %v before any ray", p)
+	}
+	along, across, from, fromAcross := p.X, p.Y, s.from.X, s.from.Y
+	if !s.d.Horizontal() {
+		along, across, from, fromAcross = p.Y, p.X, s.from.Y, s.from.X
+	}
+	step := s.d.Delta()
+	sign := step.X + step.Y
+	if across != fromAcross || (along-from)*sign <= 0 || (s.stop-along)*sign < 0 {
+		s.t.Errorf("point %v is not on the ray from %v %v to %d", p, s.from, s.d, s.stop)
+	}
+	if s.fresh && along != s.stop {
+		s.t.Errorf("first point %v of the ray from %v %v is not its stop %d", p, s.from, s.d, s.stop)
+	}
+	if n < 1 {
+		s.t.Errorf("point %v stands for %d successors", p, n)
+	}
+	s.fresh = false
+}
+
+func TestRaysAnnouncedBeforeTheirPoints(t *testing.T) {
+	l, err := gen.MacroGrid(4, 4, 40, 30, 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ix.Bounds()
+	for _, mode := range []Mode{Directed, AllDirs} {
+		g := &Gen{Ix: ix, Mode: mode}
+		s := &raySink{t: t}
+		for x := b.MinX; x <= b.MaxX; x += 13 {
+			for y := b.MinY; y <= b.MaxY; y += 11 {
+				at := geom.Pt(x, y)
+				if _, blocked := ix.PointBlocked(at); blocked {
+					continue
+				}
+				g.Successors(at, geom.Pt(b.MaxX-x, b.MaxY-y), s)
+			}
+		}
+		if s.rays == 0 {
+			t.Fatalf("%v: no rays cast", mode)
+		}
 	}
 }

@@ -156,15 +156,24 @@ func orderVariants(ix *plane.Index) []orderVariant {
 	}
 }
 
-// stripePenalty charges a segment that starts in every other 64-unit
-// vertical stripe a quarter Scale per unit of its length plus a flat
-// Scale/2: non-negative, so Scale times the distance still bounds every
-// route, but wire lengths and costs no longer rank together.
-func stripePenalty(from, to geom.Point) search.Cost {
+// stripePenalty charges a ray that starts in every other 64-unit vertical
+// stripe a flat Scale/2 and then 16 Scale at every 64 units of its length,
+// a quarter Scale per unit on average: non-negative, so Scale times the
+// distance still bounds every route, but wire lengths and costs no longer
+// rank together.
+func stripePenalty(dst []Toll, from geom.Point, d geom.Dir, stop geom.Coord) []Toll {
 	if (from.X/64)%2 == 0 {
-		return 0
+		return dst
 	}
-	return Scale/4*from.Manhattan(to) + Scale/2
+	length := stop - from.X
+	if !d.Horizontal() {
+		length = stop - from.Y
+	}
+	dst = append(dst, Toll{At: 0, Cost: Scale / 2})
+	for at := geom.Coord(64); at <= max(length, -length); at += 64 {
+		dst = append(dst, Toll{At: at, Cost: 16 * Scale})
+	}
+	return dst
 }
 
 // orderStats tallies what an oracle comparison covered.

@@ -116,10 +116,9 @@ func (t *targetSet) crossing(from, to geom.Point) (geom.Point, bool) {
 }
 
 // connProblem adapts a connection query to the generic search framework.
-// The cur/emit/wrap fields are per-expansion scratch: the search core passes
-// one stable emit closure for the whole run, so the ray-to-search adapter
-// closure is built once and rebound through the fields instead of being
-// reallocated on every expansion.
+// It is the ray generator's Sink during an expansion: cur and out are the
+// expanded state and the search's Offers, and ray describes the ray the
+// generator announced last.
 type connProblem struct {
 	gen        ray.Gen
 	cost       CostModel
@@ -130,17 +129,27 @@ type connProblem struct {
 
 	directional bool
 	cur         State
-	emit        func(State, search.Cost)
-	wrap        func(geom.Point, geom.Dir, int)
+	out         *search.Offers[State]
+	ray         struct {
+		d    geom.Dir
+		stop geom.Coord
+		// cross is the distance from cur to the ray's first contact with
+		// the target set, -1 when it has none.
+		cross geom.Coord
+		// priced reports whether price holds this ray's evaluation.
+		priced bool
+		price  rayPrice
+	}
 	// collapsed counts the successors the generator folded into a corner
-	// line's single emission (see Successors); routeConnection adds it to
-	// the search's Generated.
+	// line's single emission (see Point); routeConnection adds it to the
+	// search's Generated.
 	collapsed int
 }
 
 var (
 	_ search.Problem[State]       = (*connProblem)(nil)
 	_ search.TracedProblem[State] = (*connProblem)(nil)
+	_ ray.Sink                    = (*connProblem)(nil)
 )
 
 // stateTracer forwards search events to the router's callbacks.
@@ -193,8 +202,18 @@ func (p *connProblem) Heuristic(s State) search.Cost {
 	return Scale * d
 }
 
+// Hash implements search.Problem.
+func (p *connProblem) Hash(s State) uint64 {
+	h := (uint64(s.At.X)*0x9E3779B97F4A7C15 ^ uint64(s.At.Y)) * 0xBF58476D1CE4E5B9
+	h ^= uint64(s.In) << 1
+	if s.virtual {
+		h ^= 1
+	}
+	return h
+}
+
 // Successors implements search.Problem.
-func (p *connProblem) Successors(s State, emit func(State, search.Cost)) {
+func (p *connProblem) Successors(s State, out *search.Offers[State]) {
 	if s.virtual {
 		// Dedup the (tiny) source set without a per-query map.
 		for i, src := range p.sources {
@@ -206,43 +225,67 @@ func (p *connProblem) Successors(s State, emit func(State, search.Cost)) {
 				}
 			}
 			if !dup {
-				emit(State{At: src}, 0)
+				out.Emit(State{At: src}, 0)
 			}
 		}
 		return
 	}
 	p.cur = s
-	p.emit = emit
-	if p.wrap == nil {
-		p.directional = p.cost.Directional()
-		p.wrap = func(next geom.Point, via geom.Dir, n int) {
-			s := p.cur
-			p.emitMove(s, next, via)
-			per := 1
-			// If the travel segment crosses the target set before reaching
-			// `next`, emit the crossing too so mid-segment attachments are
-			// reachable goals.
-			if q, ok := p.targets.crossing(s.At, next); ok && q != next && q != s.At {
-				p.emitMove(s, q, via)
-				per = 2
-			}
-			// The other n-1 corners on next's corner line would each have
-			// emitted these same states at the same costs, which the search
-			// rejects as no better than the first emission. Count them, so
-			// Generated still counts one successor per visible corner.
-			p.collapsed += (n - 1) * per
-		}
-	}
+	p.out = out
 	guide, _ := p.targets.nearest(s.At)
-	p.gen.Successors(s.At, guide, p.wrap)
+	p.gen.Successors(s.At, guide, p)
 }
 
-// emitMove prices and emits a single successor.
-func (p *connProblem) emitMove(s State, next geom.Point, via geom.Dir) {
-	cost := p.cost.SegCost(s.At, next, s.In)
+// Ray implements ray.Sink. The ray's travel can meet the target set before
+// its stop, and the first contact of a segment along it is the ray's first
+// contact when the segment reaches it: one crossing query per ray serves
+// every successor on it. The cost model is evaluated later, at the first
+// successor the search keeps.
+func (p *connProblem) Ray(from geom.Point, d geom.Dir, stop geom.Coord) {
+	r := &p.ray
+	r.d, r.stop, r.priced, r.cross = d, stop, false, -1
+	to := geom.Pt(stop, from.Y)
+	if !d.Horizontal() {
+		to = geom.Pt(from.X, stop)
+	}
+	if q, ok := p.targets.crossing(from, to); ok {
+		r.cross = from.Manhattan(q)
+	}
+}
+
+// Point implements ray.Sink: it offers next, and the ray's crossing with the
+// target set when the travel to next passes it, so mid-segment attachments
+// are reachable goals.
+func (p *connProblem) Point(next geom.Point, n int) {
+	t := p.cur.At.Manhattan(next)
+	p.offer(next, t)
+	per := 1
+	if c := p.ray.cross; c > 0 && c < t {
+		step := p.ray.d.Delta()
+		p.offer(geom.Pt(p.cur.At.X+step.X*c, p.cur.At.Y+step.Y*c), c)
+		per = 2
+	}
+	// The other n-1 corners on next's corner line would each have offered
+	// these same states at the same costs, which the search rejects as no
+	// better than the first offer. Count them, so Generated still counts
+	// one successor per visible corner.
+	p.collapsed += (n - 1) * per
+}
+
+// offer offers the successor at distance t along the current ray, bounded
+// by Scale*t (the CostModel floor), and prices it when the search keeps it.
+func (p *connProblem) offer(next geom.Point, t geom.Coord) {
 	st := State{At: next}
 	if p.directional {
-		st.In = via
+		st.In = p.ray.d
 	}
-	p.emit(st, cost)
+	if !p.out.Offer(st, Scale*t) {
+		return
+	}
+	r := &p.ray
+	if !r.priced {
+		r.price.eval(p.cost, p.cur.At, p.cur.In, r.d, r.stop)
+		r.priced = true
+	}
+	p.out.Price(r.price.cost(t))
 }

@@ -233,12 +233,13 @@ func ctxError(ctx context.Context, err error) error {
 // context rewrite it via ctxError).
 func (r *Router) routeConnection(done <-chan struct{}, sources []geom.Point, targets *targetSet, maxCost search.Cost) (Route, error) {
 	prob := &connProblem{
-		gen:        ray.Gen{Ix: r.ix, Mode: r.opts.Mode},
-		cost:       r.cost,
-		sources:    sources,
-		targets:    targets,
-		onExpand:   r.opts.OnExpand,
-		onGenerate: r.opts.OnGenerate,
+		gen:         ray.Gen{Ix: r.ix, Mode: r.opts.Mode},
+		cost:        r.cost,
+		sources:     sources,
+		targets:     targets,
+		onExpand:    r.opts.OnExpand,
+		onGenerate:  r.opts.OnGenerate,
+		directional: r.cost.Directional(),
 	}
 	maxExp := r.opts.MaxExpansions
 	if maxExp == 0 {

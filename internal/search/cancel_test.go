@@ -22,9 +22,10 @@ type cell struct{ x, y int }
 func (latticeProblem) Start() cell         { return cell{} }
 func (latticeProblem) IsGoal(cell) bool    { return false }
 func (latticeProblem) Heuristic(cell) Cost { return 0 }
-func (latticeProblem) Successors(s cell, emit func(cell, Cost)) {
-	emit(cell{s.x + 1, s.y}, 1)
-	emit(cell{s.x, s.y + 1}, 1)
+func (latticeProblem) Hash(s cell) uint64  { return uint64(s.x)<<32 ^ uint64(s.y) }
+func (latticeProblem) Successors(s cell, out *Offers[cell]) {
+	out.Emit(cell{s.x + 1, s.y}, 1)
+	out.Emit(cell{s.x, s.y + 1}, 1)
 }
 
 func TestCancelClosedDoneAborts(t *testing.T) {
@@ -86,11 +87,11 @@ type hookedGrid struct {
 	closed   bool
 }
 
-func (h *hookedGrid) Successors(s cell, emit func(cell, Cost)) {
+func (h *hookedGrid) Successors(s cell, out *Offers[cell]) {
 	h.n++
 	if h.n == h.cancelAt && !h.closed {
 		h.closed = true
 		close(h.ch)
 	}
-	h.latticeProblem.Successors(s, emit)
+	h.latticeProblem.Successors(s, out)
 }

@@ -50,3 +50,20 @@ func TestBFSQueueCompaction(t *testing.T) {
 		t.Fatalf("BFS on open 60x60 grid: %+v, want cost 118", res)
 	}
 }
+
+// TestContextGenerationWrap: when the table's generation stamp wraps, the
+// slots a run long ago stamped must not read as live.
+func TestContextGenerationWrap(t *testing.T) {
+	ctx := NewContext[[2]int]()
+	for seed := int64(0); seed < 6; seed++ {
+		g := randomGrid(seed)
+		if seed == 3 {
+			ctx.gen = ^uint32(0) - 1 // the next two runs cross the wrap
+		}
+		fresh, err1 := Find[[2]int](g, Options{})
+		reused, err2 := FindWith(ctx, g, Options{})
+		if err1 != err2 || fresh.Cost != reused.Cost || fresh.Stats != reused.Stats || len(fresh.Path) != len(reused.Path) {
+			t.Fatalf("seed=%d gen %d: fresh %+v %v, reused %+v %v", seed, ctx.gen, fresh, err1, reused, err2)
+		}
+	}
+}

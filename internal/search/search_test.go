@@ -2,6 +2,7 @@ package search
 
 import (
 	"errors"
+	"hash/maphash"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,12 +23,15 @@ type edge struct {
 
 func (g *graphProblem) Start() string        { return g.start }
 func (g *graphProblem) IsGoal(s string) bool { return g.goal[s] }
-func (g *graphProblem) Successors(s string, emit func(string, Cost)) {
+func (g *graphProblem) Successors(s string, out *Offers[string]) {
 	for _, e := range g.edges[s] {
-		emit(e.to, e.cost)
+		out.Emit(e.to, e.cost)
 	}
 }
 func (g *graphProblem) Heuristic(s string) Cost { return g.h[s] }
+func (g *graphProblem) Hash(s string) uint64    { return maphash.String(stringSeed, s) }
+
+var stringSeed = maphash.MakeSeed()
 
 // diamond builds:
 //
@@ -160,9 +164,10 @@ type intProblem struct{}
 func (*intProblem) Start() int         { return 0 }
 func (*intProblem) IsGoal(int) bool    { return false }
 func (*intProblem) Heuristic(int) Cost { return 0 }
-func (*intProblem) Successors(s int, emit func(int, Cost)) {
-	emit(s+1, 1)
-	emit(s+2, 1)
+func (*intProblem) Hash(s int) uint64  { return uint64(s) }
+func (*intProblem) Successors(s int, out *Offers[int]) {
+	out.Emit(s+1, 1)
+	out.Emit(s+2, 1)
 }
 
 // TestReopening forces the classic inconsistent-heuristic scenario where a
@@ -297,13 +302,19 @@ func (g *gridProblem) Heuristic(s [2]int) Cost {
 	}
 	return Cost(dx + dy)
 }
-func (g *gridProblem) Successors(s [2]int, emit func([2]int, Cost)) {
+func (g *gridProblem) Hash(s [2]int) uint64 { return uint64(s[0])<<32 ^ uint64(s[1]) }
+func (g *gridProblem) Successors(s [2]int, out *Offers[[2]int]) {
+	g.neighbors(s, func(n [2]int) { out.Emit(n, 1) })
+}
+
+// neighbors calls fn for every free lattice neighbor of s.
+func (g *gridProblem) neighbors(s [2]int, fn func([2]int)) {
 	for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 		n := [2]int{s[0] + d[0], s[1] + d[1]}
 		if n[0] < 0 || n[0] >= g.w || n[1] < 0 || n[1] >= g.h || g.blocked[n] {
 			continue
 		}
-		emit(n, 1)
+		fn(n)
 	}
 }
 
@@ -394,7 +405,7 @@ func TestPathIsConnected(t *testing.T) {
 		}
 		for i := 1; i < len(res.Path); i++ {
 			ok := false
-			g.Successors(res.Path[i-1], func(n [2]int, _ Cost) {
+			g.neighbors(res.Path[i-1], func(n [2]int) {
 				if n == res.Path[i] {
 					ok = true
 				}
